@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__, families
@@ -150,9 +149,9 @@ def _cmd_channel_exact(args):
     code = build_code(load_coloring(args.code))
     backend = get_backend(code)
     theta = args.theta_over_pi * math.pi
-    ch = backend.channel(theta, args.recovery)
+    dist = backend.distribution(theta, args.recovery)
+    ch = dist.channel()
     if args.dump_distribution:
-        dist = backend.distribution(theta, args.recovery)
         with open(args.dump_distribution, "w") as fh:
             json.dump([{"syndrome": bits, "p": p, "theta_s": ts}
                        for bits, p, ts in dist.entries], fh, indent=2)
@@ -261,8 +260,9 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="JSON file supplying default flag values")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers (results are identical for any value)")
+        p.add_argument("--jobs", type=int,
+                       help="parallel workers, default one per CPU "
+                            "(results are identical for any value)")
 
     code = sub.add_parser("code", help="generate and validate code files")
     code_sub = code.add_subparsers(dest="subcommand", required=True)

@@ -302,13 +302,12 @@ def validate(code: CompassCode) -> ValidationReport:
     add("each qubit in <= 2 X checks", max(x_per_qubit, default=0) <= 2)
     add("each qubit in <= 2 Z checks", max(z_per_qubit, default=0) <= 2)
 
-    add("X stabilizers independent",
-        gf2.rank([s.mask for s in code.x_stabilizers]) == len(code.x_stabilizers))
-    add("Z stabilizers independent",
-        gf2.rank([s.mask for s in code.z_stabilizers]) == len(code.z_stabilizers))
+    x_basis = gf2.reduce_basis([s.mask for s in code.x_stabilizers])
+    z_basis = gf2.reduce_basis([s.mask for s in code.z_stabilizers])
+    add("X stabilizers independent", len(x_basis) == len(code.x_stabilizers))
+    add("Z stabilizers independent", len(z_basis) == len(code.z_stabilizers))
     add("logical Z outside Z-stabilizer span",
-        not gf2.in_span(code.logical_z.mask,
-                        gf2.reduce_basis([s.mask for s in code.z_stabilizers])))
+        not gf2.in_span(code.logical_z.mask, z_basis))
     return ValidationReport(tuple(checks))
 
 

@@ -93,6 +93,14 @@ class SyndromeDistribution:
         ph1 = 1.0 if par == 1 else -1.0j
         return ph0 * float(self.amp_identity[i]), ph1 * float(self.amp_logical[i])
 
+    def channel(self) -> LogicalPTM:
+        """Logical channel from the amplitudes: eps = 2 sum A1^2,
+        delta = 2 sum (-1)**parity A0 A1."""
+        eps = float(2.0 * np.sum(self.amp_logical ** 2))
+        sign = 1.0 - 2.0 * self.recovery_parity
+        delta = float(2.0 * np.sum(sign * self.amp_identity * self.amp_logical))
+        return LogicalPTM(eps, delta)
+
 
 class ExactBackend:
     """Caches the theta-independent enumeration and recovery tables of a code."""
@@ -154,11 +162,7 @@ class ExactBackend:
             amp_identity=s_id, amp_logical=s_log, recovery_parity=parity)
 
     def channel(self, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
-        d = self.distribution(theta, recovery)
-        eps = float(2.0 * np.sum(d.amp_logical ** 2))
-        sign = 1.0 - 2.0 * d.recovery_parity
-        delta = float(2.0 * np.sum(sign * d.amp_identity * d.amp_logical))
-        return LogicalPTM(eps, delta)
+        return self.distribution(theta, recovery).channel()
 
 
 _CACHE: dict[CompassCode, ExactBackend] = {}

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -191,7 +192,7 @@ class CodeSource:
         out = []
         for top in thetas_over_pi:
             dist = backend.distribution(top * math.pi, self.recovery)
-            ch = backend.channel(top * math.pi, self.recovery)
+            ch = dist.channel()
             out.append(SweepRow(
                 family=self.family, dx=code.d_x, dz=code.d_z, h=None,
                 q_shor=code.coloring.x_fraction, seed=None,
@@ -347,8 +348,7 @@ def _ensemble_task(args):
     backend = get_backend(build_code(coloring))
     dist = backend.distribution(theta, recovery)
     if n_samples is None:
-        ch = backend.channel(theta, recovery)
-        return r1(ch), diamond_avg(dist), coloring.x_fraction, 0.0, 0.0
+        return r1(dist.channel()), diamond_avg(dist), coloring.x_fraction, 0.0, 0.0
     est = sample_distribution(dist, n_samples, sample_seed)
     return (est.mean_r1, est.mean_diamond, coloring.x_fraction,
             est.r1_stderr ** 2, est.diamond_stderr ** 2)
@@ -356,14 +356,16 @@ def _ensemble_task(args):
 
 def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
                       theta: float, seed: int, recovery: str = MIN_WEIGHT,
-                      n_samples: int | None = None, jobs: int = 1) -> EnsembleResult:
+                      n_samples: int | None = None,
+                      jobs: int | None = 1) -> EnsembleResult:
     """Mean logical metrics over random colorings of density ``q_shor``.
 
     Each code gets its own seed stream (split per code index, so results do
-    not depend on execution order or ``jobs``).  Per-code metrics are exact
-    when ``n_samples`` is None, otherwise Monte Carlo; the reported stderr
-    is the ensemble standard error of the per-code means, with the shot
-    contribution also exposed separately.
+    not depend on execution order or ``jobs``; ``jobs=None`` starts one
+    worker per CPU).  Per-code metrics are exact when ``n_samples`` is
+    None, otherwise Monte Carlo; the reported stderr is the ensemble
+    standard error of the per-code means, with the shot contribution also
+    exposed separately.
     """
     _check_recovery(recovery)
     if n_codes < 1:
@@ -373,6 +375,8 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
         code_seed, sample_seed = (int(x) for x in child.generate_state(2))
         tasks.append((d_x, d_z, q_shor, theta, recovery, n_samples,
                       code_seed, sample_seed))
+    if jobs is None:
+        jobs = os.cpu_count() or 1
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_task, tasks, chunksize=8))
@@ -405,7 +409,7 @@ class EnsembleSource:
 
     def __init__(self, q_shor: float, n_codes: int, seed: int,
                  recovery: str = MIN_WEIGHT, n_samples: int | None = None,
-                 jobs: int = 1):
+                 jobs: int | None = 1):
         self.q_shor = q_shor
         self.n_codes = n_codes
         self.seed = seed
@@ -437,7 +441,7 @@ class EnsembleSource:
 
 def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
                         seed: int, recovery: str = MIN_WEIGHT,
-                        n_samples: int | None = None, jobs: int = 1):
+                        n_samples: int | None = None, jobs: int | None = 1):
     """Ensemble sweeps per q_shor with grid-level threshold estimates."""
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}

@@ -200,6 +200,43 @@ def z_stacked_channel(l: int, h: int, theta: float) -> LogicalPTM:
     return compose(blocks, rows)
 
 
+def _round12(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``round(v, 12)``, bit-identical to Python's.
+
+    Python rounds the exact binary value of v to the nearest multiple of
+    1e-12 (ties to even) and returns the double nearest to that decimal.
+    ``rint(v * 1e12) / 1e12`` gives the same double whenever ``rint`` picks
+    the same integer, because 1e12 is exact and the division is correctly
+    rounded.  For |v * 1e12| < 2**46 the product is off by at most 2**-7,
+    so only entries whose fractional part lies within 0.01 of one half, and
+    larger entries, can round differently; those go through ``round``.
+    """
+    y = x * 1e12
+    r = np.rint(y)
+    out = r / 1e12
+    slow = np.flatnonzero((np.abs(np.abs(y - r) - 0.5) <= 0.01) | ~(np.abs(y) < 2.0 ** 46))
+    out[slow] = [round(float(v), 12) for v in x[slow]]
+    return out
+
+
+def _first_occurrence_classes(keys: np.ndarray):
+    """Group equal keys (as dict keys would: -0.0 == 0.0) in first-occurrence order.
+
+    Returns (first, inverse): the index of each class's first key, classes
+    ordered by it, and the class of every key.
+    """
+    perm = np.argsort(keys)
+    sorted_keys = keys[perm]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.repeat(rank, np.diff(np.append(starts, len(keys))))
+    return first[order], inverse
+
+
 def product_distribution(parts: list[AngleDistribution],
                          max_classes: int = 200_000) -> AngleDistribution:
     """Convolve independent angle distributions (angles add, probs multiply).
@@ -207,6 +244,15 @@ def product_distribution(parts: list[AngleDistribution],
     Supports the exact diamond metric for product-form families at small
     sizes; rejects upfront when the merged class count must exceed
     ``max_classes`` (multiset bound: identical parts commute).
+
+    Each factor folds in as one outer sum of angles and one outer product
+    of probabilities over (accumulated class, part class) pairs.  Pairs
+    merge into one class when their angle sums agree after
+    ``round(angle, 12)``; the class keeps the first such rounded key,
+    classes stay in first-insertion order, and each class sums its
+    probabilities in pair order.  The result is bit-identical to folding
+    the pairs one at a time into a dict keyed by the rounded angle.  A step
+    holds at most ``max_classes * k`` pairs for a part with k classes.
     """
     bound = 1
     for part, reps in _group_parts(parts):
@@ -214,18 +260,19 @@ def product_distribution(parts: list[AngleDistribution],
         bound *= math.comb(reps + k - 1, k - 1)
         if bound > max_classes:
             raise ValueError("product distribution too large for exact convolution")
-    acc: dict[float, float] = {0.0: 1.0}
+    angles = np.zeros(1)
+    probs = np.ones(1)
     for part in parts:
-        nxt: dict[float, float] = {}
-        for ang, pr in acc.items():
-            for a2, p2 in zip(part.theta_s, part.p):
-                key = round(ang + float(a2), 12)
-                nxt[key] = nxt.get(key, 0.0) + pr * float(p2)
-            if len(nxt) > max_classes:
-                raise ValueError("product distribution too large for exact convolution")
-        acc = nxt
-    angles = np.array(sorted(acc))
-    probs = np.array([acc[a] for a in angles])
+        keys = _round12((angles[:, None] + part.theta_s).ravel())
+        first, inverse = _first_occurrence_classes(keys)
+        if len(first) > max_classes:
+            raise ValueError("product distribution too large for exact convolution")
+        # bincount adds the weights in pair order, like the dict fold
+        probs = np.bincount(inverse, weights=(probs[:, None] * part.p).ravel(),
+                            minlength=len(first))
+        angles = keys[first]
+    order = np.argsort(angles)
+    angles, probs = angles[order], probs[order]
     wrapped = np.arctan2(np.sin(angles), np.cos(angles))
     return AngleDistribution(theta=math.nan, p=probs, theta_s=wrapped)
 

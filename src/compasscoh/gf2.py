@@ -1,19 +1,6 @@
 """Small F2 linear-algebra helpers on int bit masks."""
 
 
-def rank(masks):
-    """Rank over F2 of the row space spanned by ``masks``."""
-    basis = []
-    for m in masks:
-        m = int(m)
-        for b in basis:
-            m = min(m, m ^ b)
-        if m:
-            basis.append(m)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def reduce_basis(masks):
     """Row-reduced basis (descending leading bits) of the span of ``masks``."""
     basis = []

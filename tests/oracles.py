@@ -5,6 +5,10 @@ products, never touching the package's enumeration/coset machinery, so it
 is a genuinely independent check of the syndrome distributions.  The
 recovery operator itself is shared with the package (the recovery
 convention is part of the channel definition, not of the computation).
+
+``product_distribution_reference`` is the scalar dict fold that defines
+the product-form angle convolution, kept as the bit-exact reference for
+the vectorized one.
 """
 
 import itertools
@@ -13,6 +17,7 @@ import math
 import numpy as np
 
 from compasscoh import build_matching_graph, decode_mwpm
+from compasscoh.families import AngleDistribution, _group_parts
 
 
 def _z_phases(n, mask):
@@ -123,3 +128,27 @@ def haar_average_infidelity(eps, delta, m, n_polar=6, n_azimuth=7):
             fid = 0.5 * (1.0 + r[1:] @ r_out[1:])
             total += wt * fid / n_azimuth
     return 1.0 - total / 2.0
+
+
+def product_distribution_reference(parts, max_classes=200_000):
+    """Angle convolution as one dict fold per (class, class) pair."""
+    bound = 1
+    for part, reps in _group_parts(parts):
+        k = len(part.p)
+        bound *= math.comb(reps + k - 1, k - 1)
+        if bound > max_classes:
+            raise ValueError("product distribution too large for exact convolution")
+    acc: dict[float, float] = {0.0: 1.0}
+    for part in parts:
+        nxt: dict[float, float] = {}
+        for ang, pr in acc.items():
+            for a2, p2 in zip(part.theta_s, part.p):
+                key = round(ang + float(a2), 12)
+                nxt[key] = nxt.get(key, 0.0) + pr * float(p2)
+            if len(nxt) > max_classes:
+                raise ValueError("product distribution too large for exact convolution")
+        acc = nxt
+    angles = np.array(sorted(acc))
+    probs = np.array([acc[a] for a in angles])
+    wrapped = np.arctan2(np.sin(angles), np.cos(angles))
+    return AngleDistribution(theta=math.nan, p=probs, theta_s=wrapped)

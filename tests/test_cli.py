@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -191,6 +192,20 @@ class TestSweepThreshold:
                 "--distances", "3,5", "--out", str(path))
             outs.append(path.read_text().replace(name, ""))
         assert outs[0] == outs[1]
+
+    def test_sweep_bytes_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sweep.csv"
+        outs = []
+        for cpus in (2, 7):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            rc, _, _ = run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
+                           "--distances", "3,5", "--out", str(path))
+            assert rc == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+        run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
+            "--distances", "3,5", "--out", str(path), "--jobs", "3")
+        assert json.loads(path.read_text().splitlines()[0][2:])["jobs"] == 3
 
     def test_interpolate(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

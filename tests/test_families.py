@@ -8,8 +8,10 @@ from compasscoh import (Coloring, FamilySpec, build_code, closed_form_threshold,
                         repetition_distribution, repetition_exact,
                         repetition_stirling, syndrome_distribution,
                         x_shor_channel, z_shor_channel, z_stacked_channel)
-from compasscoh.families import (x_shor_distribution, z_shor_distribution,
-                                 z_stacked_distribution)
+from compasscoh.families import (_first_occurrence_classes, _round12,
+                                 product_distribution, x_shor_distribution,
+                                 z_shor_distribution, z_stacked_distribution)
+from oracles import product_distribution_reference
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
 
@@ -286,3 +288,76 @@ class TestProductDistributions:
     def test_too_large_convolution_raises(self):
         with pytest.raises(ValueError):
             x_shor_distribution(21, 21, 0.2 * math.pi)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestRound12:
+    def test_matches_python_round_near_ties(self):
+        ks = np.concatenate([np.arange(-40, 40),
+                             np.random.default_rng(3).integers(-2**45, 2**45, 200)])
+        xs = []
+        for k in ks:
+            centre = (float(k) + 0.5) * 1e-12
+            xs += [centre + j * float(np.spacing(centre)) for j in range(-4, 5)]
+        xs = np.array(xs)
+        assert np.array_equal(_bits(_round12(xs)), _bits([round(float(x), 12) for x in xs]))
+
+    def test_signed_zeros_and_tiny_values(self):
+        xs = np.array([0.0, -0.0, 1e-15, -1e-15, 4e-13, -4e-13, 5e-13, -5e-13, 6e-13])
+        assert np.array_equal(_bits(_round12(xs)), _bits([round(float(x), 12) for x in xs]))
+
+    def test_around_the_fast_path_cutoff(self):
+        cut = 2.0 ** 46 * 1e-12
+        xs = []
+        for base in (cut, -cut, 2 * cut, 0.999 * cut, 1e3 + 0.1234567890125):
+            xs += [base + j * float(np.spacing(base)) for j in range(-6, 7)]
+        xs += list(np.random.default_rng(4).uniform(-3 * cut, 3 * cut, 500))
+        xs = np.array(xs)
+        assert np.array_equal(_bits(_round12(xs)), _bits([round(float(x), 12) for x in xs]))
+
+    def test_angle_scale_values(self):
+        xs = np.random.default_rng(5).uniform(-4 * math.pi, 4 * math.pi, 20000)
+        assert np.array_equal(_bits(_round12(xs)), _bits([round(float(x), 12) for x in xs]))
+
+
+def test_classes_keep_first_key_and_merge_signed_zeros():
+    first, inverse = _first_occurrence_classes(np.array([0.5, -0.0, 0.5, 0.0, -1.0, -0.0]))
+    assert first.tolist() == [0, 1, 4] and inverse.tolist() == [0, 1, 0, 1, 2, 1]
+
+
+class TestProductMatchesReference:
+    """The vectorized convolution gives the dict fold's bits."""
+
+    @staticmethod
+    def _assert_identical(parts, fast):
+        ref = product_distribution_reference(parts)
+        assert np.array_equal(fast.p, ref.p) and np.array_equal(fast.theta_s, ref.theta_s)
+        assert _bits(fast.p).tobytes() == _bits(ref.p).tobytes()
+        assert _bits(fast.theta_s).tobytes() == _bits(ref.theta_s).tobytes()
+        assert diamond_avg(fast) == diamond_avg(ref)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("top", [0.07, 0.22, 0.25, 0.41])
+    def test_x_shor(self, d, top):
+        theta = top * math.pi
+        parts = [repetition_distribution(d, theta)] * d
+        self._assert_identical(parts, x_shor_distribution(d, d, theta))
+
+    @pytest.mark.parametrize("l", [9, 13, 17])
+    @pytest.mark.parametrize("h,top", [(2, 0.20), (2, 0.245), (2, 0.30),
+                                       (3, 0.13), (3, 0.168), (3, 0.21)])
+    def test_z_stacked_in_criterion_7_bands(self, l, h, top):
+        theta = top * math.pi
+        l_h, t_h = divmod(l, h)
+        parts = ([repetition_distribution(l, h * theta)] * l_h
+                 + [repetition_distribution(l, theta)] * t_h)
+        self._assert_identical(parts, z_stacked_distribution(l, h, theta))
+
+    def test_mixed_parts_and_empty_product(self):
+        parts = [repetition_distribution(5, 0.3), repetition_distribution(7, -1.1),
+                 repetition_distribution(5, 0.3), repetition_distribution(3, 2.9)]
+        self._assert_identical(parts, product_distribution(parts))
+        self._assert_identical([], product_distribution([]))

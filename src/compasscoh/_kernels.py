@@ -1,9 +1,9 @@
-"""Vectorized NumPy fallback for the enumeration kernel.
+"""Vectorized NumPy enumeration of the theta-independent count table.
 
 Splits each support vector into low/high bit halves; syndrome index, coset
 bit and weight are all additive (XOR / sum) across the split, so the low
 half is precomputed once and each high-half value contributes one
-``bincount`` pass.  Exact integer counts, same contract as the C kernel.
+``bincount`` pass.  Counts are exact integers.
 """
 
 import numpy as np

@@ -19,14 +19,13 @@ from .codes import (InvalidCodeError, build_code, family_rotated_surface,
                     family_x_shor, family_z_shor, family_z_stacked,
                     load_coloring, random_coloring, save_coloring, validate)
 from .decoder import build_matching_graph, decode_bruteforce, decode_mwpm
-from .exact import MIN_WEIGHT, TooLargeError, get_backend
+from .exact import MIN_WEIGHT, ML, TooLargeError, get_backend
 from .experiments import (AnalyticFamilySource, CodeSource, find_crossings,
                           interpolation_curve, read_csv, source_for_rows,
                           sweep, table_to_json, write_csv)
 from .ptm import kappa, r1
 
-_FAMILY_ALIASES = {"rep": families.REPETITION, "zshor": families.Z_SHOR,
-                   "xshor": families.X_SHOR, "zstacked": families.Z_STACKED}
+_FAMILY_ALIASES = {family.alias: family for family in families.FAMILIES.values()}
 
 
 class UsageError(Exception):
@@ -161,24 +160,23 @@ def _cmd_channel_exact(args):
     return 0
 
 
+def _analytic_family(args, context: str) -> families.Family:
+    family = _FAMILY_ALIASES.get(args.family)
+    if family is None:
+        raise UsageError(f"unknown {context} family {args.family!r}")
+    if args.recovery == ML and not family.has_ml:
+        raise UsageError(f"--family {args.family} has no ML form; "
+                         "use --recovery minweight")
+    return family
+
+
 def _cmd_channel_analytic(args):
     _require(args, "family", "theta_over_pi")
-    theta = args.theta_over_pi * math.pi
-    fam = args.family
-    if fam == "rep":
-        _require(args, "l")
-        ch = families.repetition_exact(args.l, theta, args.recovery)
-    elif fam == "zshor":
-        _require(args, "dx", "dz")
-        ch = families.z_shor_channel(args.dx, args.dz, theta, args.recovery)
-    elif fam == "xshor":
-        _require(args, "dx", "dz")
-        ch = families.x_shor_channel(args.dx, args.dz, theta)
-    elif fam == "zstacked":
-        _require(args, "l", "h")
-        ch = families.z_stacked_channel(args.l, args.h, theta)
-    else:
-        raise UsageError(f"unknown analytic family {fam!r}")
+    family = _analytic_family(args, "analytic")
+    flags = [name.replace("_", "") for name in family.params]
+    _require(args, *flags)
+    ch = family.channel(*(getattr(args, flag) for flag in flags),
+                        args.theta_over_pi * math.pi, args.recovery)
     _print_json({"epsilon": ch.epsilon, "delta": ch.delta, "kappa": kappa(ch),
                  "r1": r1(ch), "config": _config_dict(args, "channel analytic")})
     return 0
@@ -188,12 +186,10 @@ def _make_sweep_source(args):
     if args.family == "rsc":
         return CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)),
                           args.recovery)
-    fam = _FAMILY_ALIASES.get(args.family)
-    if fam is None:
-        raise UsageError(f"unknown sweep family {args.family!r}")
-    if fam == families.Z_STACKED:
+    family = _analytic_family(args, "sweep")
+    if "h" in family.params:
         _require(args, "h")
-    return AnalyticFamilySource(fam, args.recovery, args.h)
+    return AnalyticFamilySource(family.kind, args.recovery, args.h)
 
 
 def _cmd_sweep(args):
@@ -300,7 +296,7 @@ def _build_parser() -> _Parser:
     cex.set_defaults(func=_cmd_channel_exact)
     can = chan_sub.add_parser("analytic")
     common(can)
-    can.add_argument("--family", choices=["rep", "zshor", "xshor", "zstacked"])
+    can.add_argument("--family", choices=list(_FAMILY_ALIASES))
     can.add_argument("--l", type=int)
     can.add_argument("--dx", type=int)
     can.add_argument("--dz", type=int)
@@ -311,7 +307,7 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="grid a family over (distance, theta)")
     common(sw)
-    sw.add_argument("--family", choices=["rep", "zshor", "xshor", "zstacked", "rsc"])
+    sw.add_argument("--family", choices=[*_FAMILY_ALIASES, "rsc"])
     sw.add_argument("--h", type=int)
     sw.add_argument("--recovery", choices=["minweight", "ml"], default=MIN_WEIGHT)
     sw.add_argument("--thetas", help="A:B:STEP in units of pi")

@@ -115,39 +115,26 @@ class AnalyticFamilySource:
 
     def __init__(self, family: str, recovery: str = MIN_WEIGHT, h: int | None = None):
         self.family = family
-        self.recovery = _check_recovery(recovery)
         self.h = h
-        if family == families.Z_STACKED and h is None:
-            raise ValueError("zstacked source needs a block height h")
-        if family not in (families.REPETITION, families.Z_SHOR, families.X_SHOR,
-                          families.Z_STACKED):
+        self.entry = families.FAMILIES.get(family)
+        if self.entry is None:
             raise ValueError(f"unknown analytic family {family!r}")
+        if "h" in self.entry.params and h is None:
+            raise ValueError(f"{family} source needs a block height h")
+        self.recovery = self.entry.check_recovery(recovery)
+
+    def _params(self, distance: int) -> tuple[int, ...]:
+        return tuple(self.h if name == "h" else distance for name in self.entry.params)
 
     def dims(self, distance: int) -> tuple[int, int]:
-        if self.family == families.REPETITION:
-            return 1, distance
-        return distance, distance
+        return self.entry.dims(distance)
 
     def channel(self, distance: int, theta: float) -> LogicalPTM:
-        d = distance
-        if self.family == families.REPETITION:
-            return families.repetition_exact(d, theta, self.recovery)
-        if self.family == families.Z_SHOR:
-            return families.z_shor_channel(d, d, theta, self.recovery)
-        if self.family == families.X_SHOR:
-            return families.x_shor_channel(d, d, theta)
-        return families.z_stacked_channel(d, self.h, theta)
+        return self.entry.channel(*self._params(distance), theta, self.recovery)
 
     def distribution(self, distance: int, theta: float):
-        d = distance
         try:
-            if self.family == families.REPETITION:
-                return families.repetition_distribution(d, theta, self.recovery)
-            if self.family == families.Z_SHOR:
-                return families.z_shor_distribution(d, d, theta, self.recovery)
-            if self.family == families.X_SHOR:
-                return families.x_shor_distribution(d, d, theta)
-            return families.z_stacked_distribution(d, self.h, theta)
+            return self.entry.distribution(*self._params(distance), theta, self.recovery)
         except ValueError:
             return None  # product form too large for exact convolution
 
@@ -516,8 +503,7 @@ def source_for_rows(table: SweepTable):
     if len(families_present) != 1:
         return None
     fam = families_present.pop()
-    if fam not in (families.REPETITION, families.Z_SHOR, families.X_SHOR,
-                   families.Z_STACKED):
+    if fam not in families.FAMILIES:
         return None
     if any(row.provenance != "analytic" for row in table.rows):
         return None

@@ -17,6 +17,7 @@ channels at angle h * theta with leftover single rows at theta.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +43,18 @@ class FamilySpec:
     recovery: str = MIN_WEIGHT
 
     def __post_init__(self):
-        _check_recovery(self.recovery)
-        if self.kind == REPETITION:
-            _require_odd("l", self.l)
-        elif self.kind in (Z_SHOR, X_SHOR):
-            if self.d_x is None or self.d_x < 1:
-                raise ValueError(f"{self.kind} needs d_x >= 1")
-            _require_odd("d_z", self.d_z)
-        elif self.kind == Z_STACKED:
-            _require_odd("l", self.l)
-            if self.h is None or not 1 <= self.h <= self.l:
-                raise ValueError(f"zstacked needs 1 <= h <= l, got h={self.h}")
-        else:
+        family = FAMILIES.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        family.check_recovery(self.recovery)
+        for name in family.params:
+            value = getattr(self, name)
+            if name == "d_x" and (value is None or value < 1):
+                raise ValueError(f"{self.kind} needs d_x >= 1")
+            if name == "h" and (value is None or not 1 <= value <= self.l):
+                raise ValueError(f"{self.kind} needs 1 <= h <= l, got h={value}")
+            if name in ("l", "d_z"):
+                _require_odd(name, value)
 
 
 def _require_odd(name: str, value) -> None:
@@ -314,14 +314,50 @@ def closed_form_threshold(spec: FamilySpec) -> Thresholds:
     family C_{l,h} at pi/(2h); suppression below threshold is exponential
     in the growing code dimension.
     """
-    if spec.kind == REPETITION:
-        th = math.pi / 2
-    elif spec.kind == Z_SHOR:
-        th = math.pi / (2 * spec.d_x)
-    elif spec.kind == X_SHOR:
-        th = math.pi / 2
-    elif spec.kind == Z_STACKED:
-        th = math.pi / (2 * spec.h)
-    else:  # pragma: no cover - FamilySpec already validates
-        raise ValueError(f"unsupported family {spec.kind!r}")
+    family = FAMILIES[spec.kind]
+    th = family.threshold(*(getattr(spec, name) for name in family.params))
     return Thresholds(theta_th=th, theta_th_r1=th)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One analytic family.  ``params`` name the FamilySpec fields taken, in
+    order, by ``threshold`` and by ``channel``/``distribution`` (then theta
+    and recovery); each CLI flag is its field without the underscore.  The
+    entries look the family functions up as module globals at call time.
+    """
+
+    kind: str
+    alias: str
+    params: tuple[str, ...]
+    has_ml: bool
+    dims: Callable[[int], tuple[int, int]]
+    threshold: Callable[..., float]
+    channel: Callable[..., LogicalPTM]
+    distribution: Callable[..., AngleDistribution]
+
+    def check_recovery(self, recovery: str) -> str:
+        if _check_recovery(recovery) == ML and not self.has_ml:
+            raise ValueError(f"{self.kind} has no maximum-likelihood form; "
+                             f"use recovery {MIN_WEIGHT!r}")
+        return recovery
+
+
+FAMILIES = {family.kind: family for family in (
+    Family(REPETITION, "rep", ("l",), True, lambda d: (1, d),
+           lambda l: math.pi / 2,
+           lambda l, t, rec: repetition_exact(l, t, rec),
+           lambda l, t, rec: repetition_distribution(l, t, rec)),
+    Family(Z_SHOR, "zshor", ("d_x", "d_z"), True, lambda d: (d, d),
+           lambda d_x, d_z: math.pi / (2 * d_x),
+           lambda d_x, d_z, t, rec: z_shor_channel(d_x, d_z, t, rec),
+           lambda d_x, d_z, t, rec: z_shor_distribution(d_x, d_z, t, rec)),
+    Family(X_SHOR, "xshor", ("d_x", "d_z"), False, lambda d: (d, d),
+           lambda d_x, d_z: math.pi / 2,
+           lambda d_x, d_z, t, _: x_shor_channel(d_x, d_z, t),
+           lambda d_x, d_z, t, _: x_shor_distribution(d_x, d_z, t)),
+    Family(Z_STACKED, "zstacked", ("l", "h"), False, lambda d: (d, d),
+           lambda l, h: math.pi / (2 * h),
+           lambda l, h, t, _: z_stacked_channel(l, h, t),
+           lambda l, h, t, _: z_stacked_distribution(l, h, t)),
+)}

@@ -104,17 +104,6 @@ def rm_exact(a: LogicalPTM, m: int) -> float:
     return (1.0 - math.exp(m * q.lam) * math.cos(m * q.phi)) / 3.0
 
 
-def rm_expansion(a: LogicalPTM, m: int) -> float:
-    """Small-parameter expansion r_m ~ eps*m/3 - m(m-1)*delta^2/6.
-
-    Documentation form only: its quadratic term disagrees in sign with the
-    exact powering (which expands with +m^2 delta^2/6 for a pure rotation),
-    so use ``rm_exact`` for anything quantitative.  Stated validity needs
-    m^2 * eps / 3 small.
-    """
-    return a.epsilon * m / 3.0 - m * (m - 1) * a.delta ** 2 / 6.0
-
-
 def kappa(a: LogicalPTM) -> float:
     """Coherence measure delta^2 / epsilon.
 

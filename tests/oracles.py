@@ -6,6 +6,8 @@ is a genuinely independent check of the syndrome distributions.  The
 recovery operator itself is shared with the package (the recovery
 convention is part of the channel definition, not of the computation).
 
+``count_table_reference`` counts all 2**n supports in one pass, with no
+low/high split, as the reference for the enumeration kernel.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.
@@ -128,6 +130,19 @@ def haar_average_infidelity(eps, delta, m, n_polar=6, n_azimuth=7):
             fid = 0.5 * (1.0 + r[1:] @ r_out[1:])
             total += wt * fid / n_azimuth
     return 1.0 - total / 2.0
+
+
+def count_table_reference(n, check_masks, xbar_mask):
+    """(syndrome, coset bit, weight) counts from one array of all 2**n supports."""
+    v = np.arange(1 << n, dtype=np.uint64)
+    key = np.zeros(1 << n, dtype=np.int64)
+    for k, m in enumerate(check_masks):
+        key |= (np.bitwise_count(v & np.uint64(m)) & 1).astype(np.int64) << k
+    key = key << 1 | (np.bitwise_count(v & np.uint64(xbar_mask)) & 1)
+    key = key * (n + 1) + np.bitwise_count(v)
+    r = len(check_masks)
+    counts = np.bincount(key, minlength=(1 << (r + 1)) * (n + 1))
+    return counts.reshape(1 << r, 2, n + 1)
 
 
 def product_distribution_reference(parts, max_classes=200_000):

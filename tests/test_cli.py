@@ -6,7 +6,8 @@ import pytest
 
 from compasscoh import __version__, load_coloring, family_z_shor
 from compasscoh.cli import main
-from compasscoh.families import repetition_exact, z_stacked_channel
+from compasscoh.families import (repetition_exact, z_shor_channel,
+                                 z_stacked_channel)
 
 
 def run(capsys, *argv):
@@ -155,6 +156,24 @@ class TestChannel:
             deeper.append(json.loads(stdout)["r1"])
         assert deeper[1] < deeper[0]
 
+    @pytest.mark.parametrize("family,flags", [
+        ("xshor", ("--dx", "3", "--dz", "3")),
+        ("zstacked", ("--l", "9", "--h", "2"))])
+    def test_analytic_ml_rejected_without_ml_form(self, capsys, family, flags):
+        # these families have only the min-weight closed form
+        rc, stdout, err = run(capsys, "channel", "analytic", "--family", family,
+                              *flags, "--theta-over-pi", "0.7", "--recovery", "ml")
+        assert rc == 1 and stdout == ""
+        assert json.loads(err)["code"] == "usage"
+
+    def test_analytic_ml_kept_for_zshor(self, capsys):
+        rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "zshor",
+                            "--dx", "3", "--dz", "3", "--theta-over-pi", "0.2",
+                            "--recovery", "ml")
+        assert rc == 0
+        assert json.loads(stdout)["epsilon"] == pytest.approx(
+            z_shor_channel(3, 3, 0.2 * math.pi, "ml").epsilon, abs=1e-14)
+
 
 class TestSweepThreshold:
     def test_sweep_threshold_pipeline(self, tmp_path, capsys):
@@ -183,6 +202,16 @@ class TestSweepThreshold:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 6
+
+    @pytest.mark.parametrize("flags", [("--family", "xshor"),
+                                       ("--family", "zstacked", "--h", "2")])
+    def test_sweep_ml_rejected_without_ml_form(self, tmp_path, capsys, flags):
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", *flags, "--recovery", "ml",
+                         "--thetas", "0.2:0.3:0.05", "--distances", "3,5",
+                         "--out", str(out))
+        assert rc == 1 and not out.exists()
+        assert json.loads(err)["code"] == "usage"
 
     def test_sweep_byte_stable(self, tmp_path, capsys):
         outs = []

@@ -10,12 +10,30 @@ from compasscoh import (AnalyticFamilySource, CodeSource, EnsembleSource,
                         write_csv, z_shor_channel)
 from compasscoh.experiments import (CSV_COLUMNS, PairCrossing, SweepRow,
                                     SweepTable, source_for_rows, table_to_json)
+from compasscoh import families
 from compasscoh.families import repetition_exact
 from compasscoh import family_z_stacked
 
 
 def rep_source():
     return AnalyticFamilySource("repetition")
+
+
+class TestAnalyticFamilySource:
+    @pytest.mark.parametrize("family,h", [("xshor", None), ("zstacked", 2)])
+    def test_rejects_ml_without_ml_form(self, family, h):
+        with pytest.raises(ValueError, match="no maximum-likelihood form"):
+            AnalyticFamilySource(family, "ml", h)
+
+    def test_calls_family_functions_at_call_time(self, monkeypatch):
+        # wrappers installed on the families module after import see the calls
+        calls = []
+        real = families.x_shor_channel
+        monkeypatch.setattr(families, "x_shor_channel",
+                            lambda *a: calls.append(a) or real(*a))
+        src = AnalyticFamilySource("xshor")
+        assert src.channel(3, 0.2 * math.pi) == real(3, 3, 0.2 * math.pi)
+        assert calls == [(3, 3, 0.2 * math.pi)]
 
 
 class TestSweep:

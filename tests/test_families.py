@@ -234,6 +234,14 @@ class TestThresholds:
         with pytest.raises(ValueError):
             FamilySpec("donut", l=5)
 
+    def test_family_spec_rejects_ml_without_ml_form(self):
+        with pytest.raises(ValueError, match="no maximum-likelihood form"):
+            FamilySpec("xshor", d_x=3, d_z=3, recovery="ml")
+        with pytest.raises(ValueError, match="no maximum-likelihood form"):
+            FamilySpec("zstacked", l=9, h=2, recovery="ml")
+        FamilySpec("repetition", l=5, recovery="ml")
+        FamilySpec("zshor", d_x=3, d_z=3, recovery="ml")
+
     def test_suppression_below_threshold(self):
         """ln(eps) decreasing, asymptotically linear, below threshold."""
         for build, theta in [

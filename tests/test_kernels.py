@@ -3,57 +3,65 @@ import math
 import numpy as np
 import pytest
 
-from compasscoh import build_code, family_rotated_surface, random_coloring
-from compasscoh._kernels import BACKEND, fallback
+from compasscoh import (KERNEL_BACKEND, build_code, family_rotated_surface,
+                        random_coloring)
+from compasscoh._kernels import _LO_BITS, count_table
 
-try:
-    from compasscoh._kernels import _enum_core
-except ImportError:
-    _enum_core = None
-
-IMPLEMENTATIONS = [fallback.count_table] + (
-    [_enum_core.count_table] if _enum_core is not None else [])
+from oracles import count_table_reference
 
 
-@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
-class TestCountTable:
-    def test_weight_marginals_are_binomial(self, impl):
-        n = 10
-        counts = impl(n, [], 0)
-        assert counts.shape == (1, 2, n + 1)
-        per_weight = counts[0, 0]
-        assert per_weight.tolist() == [math.comb(n, w) for w in range(n + 1)]
-        assert counts[0, 1].sum() == 0
-
-    def test_total_is_two_to_n(self, impl):
-        code = build_code(family_rotated_surface(3))
-        counts = impl(code.n, [s.mask for s in code.x_stabilizers],
-                      code.logical_x.mask)
-        assert counts.sum() == 1 << code.n
-        assert counts.shape == (1 << len(code.x_stabilizers), 2, code.n + 1)
-
-    def test_xbar_split_halves(self, impl):
-        n = 8
-        counts = impl(n, [], 0b1)
-        # conditioning on one bit splits weights binomially over n-1 qubits
-        assert counts[0, 0].tolist() == [math.comb(n - 1, w) if w <= n - 1 else 0
-                                         for w in range(n + 1)]
-        assert counts[0, 1, 0] == 0
-
-    def test_rejects_oversized(self, impl):
-        with pytest.raises(ValueError):
-            impl(26, [], 0)
-
-
-@pytest.mark.skipif(_enum_core is None, reason="C kernel not built")
-@pytest.mark.parametrize("seed", range(4))
-def test_backends_agree_exactly(seed):
-    code = build_code(random_coloring(4, 5, 0.5, seed))
+def _code_table(code):
     masks = [s.mask for s in code.x_stabilizers]
-    a = fallback.count_table(code.n, masks, code.logical_x.mask)
-    b = _enum_core.count_table(code.n, masks, code.logical_x.mask)
-    assert np.array_equal(a, b)
+    return (count_table(code.n, masks, code.logical_x.mask),
+            count_table_reference(code.n, masks, code.logical_x.mask))
+
+
+def test_weight_marginals_are_binomial():
+    n = 10
+    counts = count_table(n, [], 0)
+    assert counts.shape == (1, 2, n + 1)
+    per_weight = counts[0, 0]
+    assert per_weight.tolist() == [math.comb(n, w) for w in range(n + 1)]
+    assert counts[0, 1].sum() == 0
+
+
+def test_total_is_two_to_n():
+    code = build_code(family_rotated_surface(3))
+    counts = count_table(code.n, [s.mask for s in code.x_stabilizers],
+                         code.logical_x.mask)
+    assert counts.sum() == 1 << code.n
+    assert counts.shape == (1 << len(code.x_stabilizers), 2, code.n + 1)
+
+
+def test_xbar_split_halves():
+    n = 8
+    counts = count_table(n, [], 0b1)
+    # conditioning on one bit splits weights binomially over n-1 qubits
+    assert counts[0, 0].tolist() == [math.comb(n - 1, w) if w <= n - 1 else 0
+                                     for w in range(n + 1)]
+    assert counts[0, 1, 0] == 0
+
+
+def test_rejects_oversized():
+    with pytest.raises(ValueError):
+        count_table(26, [], 0)
+
+
+def test_rsc3_matches_reference():
+    table, ref = _code_table(build_code(family_rotated_surface(3)))
+    assert table.dtype == np.int64
+    assert np.array_equal(table, ref)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("d_x", [3, 4])
+def test_random_codes_match_reference(d_x, seed):
+    # n = 15 fits in the low half alone; n = 20 needs high-half passes
+    assert 15 <= _LO_BITS < 20
+    code = build_code(random_coloring(d_x, 5, 0.5, seed))
+    table, ref = _code_table(code)
+    assert np.array_equal(table, ref)
 
 
 def test_backend_label():
-    assert BACKEND in ("compiled", "fallback")
+    assert KERNEL_BACKEND == "fallback"

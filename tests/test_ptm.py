@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from compasscoh import (IDENTITY, LogicalPTM, compose, diamond_avg,
                         from_polar, kappa, power, pure_rotation, r1, rm_exact,
-                        rm_expansion, to_polar)
+                        to_polar)
 from compasscoh.families import AngleDistribution
 
 from oracles import haar_average_infidelity
@@ -141,18 +141,6 @@ class TestInfidelity:
         a = LogicalPTM(1e-4, 1e-3)
         approx = 1e-4 * 10 / 3 + 10 ** 2 * 1e-6 / 6
         assert rm_exact(a, 10) == pytest.approx(approx, rel=0.1)
-
-    def test_rm_expansion_linear_term(self):
-        a = LogicalPTM(1e-5, 0.0)
-        assert rm_expansion(a, 7) == pytest.approx(rm_exact(a, 7), rel=1e-3)
-
-    def test_rm_expansion_quadratic_sign_differs(self):
-        # documented tension: the expansion subtracts the delta^2 term the
-        # exact powering adds
-        a = LogicalPTM(1e-6, 1e-3)
-        m = 10
-        assert rm_exact(a, m) > m * a.epsilon / 3
-        assert rm_expansion(a, m) < m * a.epsilon / 3
 
     @given(valid_ptms(), st.integers(0, 40))
     @settings(max_examples=80, deadline=None)

@@ -51,16 +51,9 @@ def _parse_thetas(text: str) -> list[float]:
     return [round(a + k * step, 10) for k in range(count)]
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
+        return [kind(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
@@ -83,6 +76,15 @@ def _config_dict(args, command: str) -> dict:
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _write_table(table, args, config: dict) -> None:
+    if args.format == "json":
+        with open(args.out, "w") as fh:
+            fh.write(table_to_json(table, config))
+            fh.write("\n")
+    else:
+        write_csv(table, args.out, config)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +198,8 @@ def _cmd_sweep(args):
     _require(args, "family", "thetas", "distances", "out")
     source = _make_sweep_source(args)
     table = sweep(source, _parse_thetas(args.thetas),
-                  _parse_int_list(args.distances, "--distances"))
-    config = _config_dict(args, "sweep")
-    if args.format == "json":
-        with open(args.out, "w") as fh:
-            fh.write(table_to_json(table, config))
-            fh.write("\n")
-    else:
-        write_csv(table, args.out, config)
+                  _parse_list(args.distances, "--distances"))
+    _write_table(table, args, _config_dict(args, "sweep"))
     return 0
 
 
@@ -226,17 +222,12 @@ def _cmd_threshold(args):
 def _cmd_interpolate(args):
     _require(args, "q_shors", "d", "out")
     table, estimates = interpolation_curve(
-        _parse_int_list(args.d, "--d"),
-        _parse_float_list(args.q_shors, "--q-shors"),
+        _parse_list(args.d, "--d"),
+        _parse_list(args.q_shors, "--q-shors", float),
         _parse_thetas(args.thetas), args.codes, args.seed,
         args.recovery, args.samples, args.jobs)
     config = _config_dict(args, "interpolate")
-    if args.format == "json":
-        with open(args.out, "w") as fh:
-            fh.write(table_to_json(table, config))
-            fh.write("\n")
-    else:
-        write_csv(table, args.out, config)
+    _write_table(table, args, config)
     _print_json({
         "config": config,
         "estimates": {str(q): {"lower_over_pi": e.lower_over_pi,

@@ -3,12 +3,12 @@
 The rotation expands as sum_v c_v Z(v) over all 2**n supports with
 c_v = cos(theta/2)**(n-|v|) * (-i sin(theta/2))**|v|.  Supports sharing a
 syndrome and a Z-stabilizer coset add coherently, so the channel is fully
-determined by the theta-independent table counting supports per
-(syndrome, coset, weight), built by the enumeration kernel.  Because
-stabilizers have even weight and the logical Z odd weight, the two coset
-amplitudes of a syndrome carry opposite real/imaginary parity; they are
-stored as signed reals S with the phase (-i)**parity implied, which makes
-the logical action
+determined by the theta-independent table counting supports per (syndrome,
+coset, weight), which ``_kernels`` builds from the dual code in
+O((r+1) 2**(r+1) (n+1)) for r X checks, not 2**n.  Because stabilizers have
+even weight and the logical Z odd weight, the two coset amplitudes of a
+syndrome carry opposite real/imaginary parity; they are stored as signed
+reals S with the phase (-i)**parity implied, which makes the logical action
 
     A0 * I + A1 * Zbar  ->  exp(-i(theta_s/2) Zbar),
     theta_s = (-1)**p0 * 2*atan(S1/S0)         (pi when S0 = 0)
@@ -33,6 +33,7 @@ from .decoder import build_matching_graph
 from .ptm import LogicalPTM
 
 MAX_QUBITS = 25
+MAX_TABLE_BYTES = 2 << 30  # at n <= 25 only the 1x25 grid (r = 24, 7.0 GB) exceeds it
 
 MIN_WEIGHT = "minweight"
 ML = "ml"
@@ -40,7 +41,7 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 
 class TooLargeError(RuntimeError):
-    """Exact enumeration rejected: 2**n cost beyond the supported size."""
+    """Exact backend rejected: n over MAX_QUBITS or count table over MAX_TABLE_BYTES."""
 
 
 def reduce_angle(theta: float) -> float:
@@ -103,18 +104,19 @@ class SyndromeDistribution:
 
 
 class ExactBackend:
-    """Caches the theta-independent enumeration and recovery tables of a code."""
+    """Caches the theta-independent count and recovery tables of a code."""
 
     def __init__(self, code: CompassCode):
-        if code.n > MAX_QUBITS:
-            raise TooLargeError(
-                f"exact backend supports n <= {MAX_QUBITS}, got n={code.n}")
         self.code = code
         self.n = code.n
         self.num_checks = len(code.x_stabilizers)
+        table_bytes = (2 << self.num_checks) * (self.n + 1) * 8
+        if self.n > MAX_QUBITS or table_bytes > MAX_TABLE_BYTES:
+            raise TooLargeError(
+                f"exact backend supports n <= {MAX_QUBITS} and count tables of at most "
+                f"{MAX_TABLE_BYTES} bytes; n={self.n}, r={self.num_checks} needs {table_bytes}")
         masks = [s.mask for s in code.x_stabilizers]
-        self.counts = _kernels.count_table(
-            self.n, masks, code.logical_x.mask).astype(np.float64)
+        self.counts = _kernels.count_table(self.n, masks, code.logical_x.mask)
         self.graph = build_matching_graph(code)
 
         num_synd = 1 << self.num_checks
@@ -180,7 +182,7 @@ def get_backend(code: CompassCode) -> ExactBackend:
 
 def syndrome_distribution(code: CompassCode, theta: float,
                           recovery: str = MIN_WEIGHT) -> SyndromeDistribution:
-    """Exact (syndrome, p_s, theta_s) distribution by full 2**n enumeration."""
+    """Exact (syndrome, p_s, theta_s) distribution from the cached count table."""
     return get_backend(code).distribution(theta, recovery)
 
 

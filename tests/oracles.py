@@ -6,8 +6,8 @@ is a genuinely independent check of the syndrome distributions.  The
 recovery operator itself is shared with the package (the recovery
 convention is part of the channel definition, not of the computation).
 
-``count_table_reference`` counts all 2**n supports in one pass, with no
-low/high split, as the reference for the enumeration kernel.
+``count_table_reference`` counts all 2**n supports directly (the primal
+count), as the reference for the kernel's dual (MacWilliams) transform.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.

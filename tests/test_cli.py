@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from compasscoh import __version__, load_coloring, family_z_shor
+from compasscoh import __version__, _kernels, load_coloring, family_z_shor
 from compasscoh.cli import main
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
@@ -121,6 +121,20 @@ class TestChannel:
                          "--theta-over-pi", "0.1")
         assert rc == 2
         assert json.loads(err)["code"] == "computational"
+
+    def test_exact_table_over_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("count table built")
+        monkeypatch.setattr(_kernels, "count_table", no_build)
+        out = tmp_path / "zshor_1x25.json"
+        run(capsys, "code", "gen", "--family", "zshor", "--dx", "1", "--dz", "25",
+            "--out", str(out))
+        rc, _, err = run(capsys, "channel", "exact", "--code", str(out),
+                         "--theta-over-pi", "0.1")
+        assert rc == 2
+        error = json.loads(err)
+        assert error["code"] == "computational"
+        assert "r=24" in error["message"]
 
     def test_analytic_rep_identity(self, capsys):
         rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from compasscoh import (Coloring, TooLargeError, build_code,
+from compasscoh import (Coloring, TooLargeError, _kernels, build_code,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, logical_channel, random_coloring,
                         syndrome_distribution)
@@ -168,6 +168,13 @@ class TestGuards:
     def test_too_large_rejected(self):
         with pytest.raises(TooLargeError):
             ExactBackend(build_code(family_z_shor(3, 9)))  # 27 qubits
+
+    def test_table_over_budget_rejected_before_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("count table built")
+        monkeypatch.setattr(_kernels, "count_table", no_build)
+        with pytest.raises(TooLargeError, match=r"n=25, r=24"):
+            ExactBackend(build_code(family_z_shor(1, 25)))  # 7.0 GB table
 
     def test_bad_recovery_rejected(self):
         code = build_code(Coloring(1, 3, ()))

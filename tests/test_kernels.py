@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from compasscoh import (KERNEL_BACKEND, build_code, family_rotated_surface,
-                        random_coloring)
-from compasscoh._kernels import _LO_BITS, count_table
+                        family_x_shor, family_z_shor, random_coloring)
+from compasscoh._kernels import count_table
 
 from oracles import count_table_reference
 
@@ -49,18 +49,52 @@ def test_rejects_oversized():
 
 def test_rsc3_matches_reference():
     table, ref = _code_table(build_code(family_rotated_surface(3)))
-    assert table.dtype == np.int64
+    assert table.dtype == np.float64
     assert np.array_equal(table, ref)
 
 
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("d_x", [3, 4])
 def test_random_codes_match_reference(d_x, seed):
-    # n = 15 fits in the low half alone; n = 20 needs high-half passes
-    assert 15 <= _LO_BITS < 20
     code = build_code(random_coloring(d_x, 5, 0.5, seed))
     table, ref = _code_table(code)
     assert np.array_equal(table, ref)
+
+
+def _generators(case):
+    """(n, check masks, xbar mask) for the regimes the dual transform newly covers."""
+    if case == "r+1=n":
+        code = build_code(family_z_shor(1, 13))
+    elif case == "n20-r16":
+        code = build_code(family_x_shor(4, 5))
+    else:
+        code = build_code(family_rotated_surface(3))
+    masks = [s.mask for s in code.x_stabilizers]
+    if case == "duplicate-check":
+        return code.n, masks + masks[:1], code.logical_x.mask
+    if case == "xbar-is-check":
+        return code.n, masks, masks[1]
+    return code.n, masks, code.logical_x.mask
+
+
+@pytest.mark.parametrize("case", ["r+1=n", "n20-r16", "duplicate-check",
+                                  "xbar-is-check"])
+def test_dual_regimes_match_reference(case):
+    n, masks, xbar = _generators(case)
+    assert np.array_equal(count_table(n, masks, xbar),
+                          count_table_reference(n, masks, xbar))
+
+
+def test_xshor5_table_is_exact():
+    # the largest table the exact backend builds (n=25, r=20, 436 MB)
+    code = build_code(family_x_shor(5, 5))
+    n, r = code.n, len(code.x_stabilizers)
+    counts = count_table(n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
+    assert counts.shape == (1 << r, 2, n + 1)
+    assert np.all(counts.sum(axis=2) == 1 << (n - r - 1))
+    assert counts.sum(axis=(0, 1)).tolist() == [math.comb(n, w) for w in range(n + 1)]
+    np.fmod(counts, 1.0, out=counts)  # in place: no second 436 MB array
+    assert not counts.any()
 
 
 def test_backend_label():

@@ -18,7 +18,8 @@ from . import __version__, families
 from .codes import (InvalidCodeError, build_code, family_rotated_surface,
                     family_x_shor, family_z_shor, family_z_stacked,
                     load_coloring, random_coloring, save_coloring, validate)
-from .decoder import build_matching_graph, decode_bruteforce, decode_mwpm
+from .decoder import (BruteForceTooLargeError, build_matching_graph,
+                      decode_bruteforce, decode_mwpm)
 from .exact import MIN_WEIGHT, ML, TooLargeError, get_backend
 from .experiments import (AnalyticFamilySource, CodeSource, find_crossings,
                           interpolation_curve, read_csv, source_for_rows,
@@ -363,10 +364,10 @@ def main(argv=None) -> int:
         return _fail(1, "missing-file", str(exc))
     except (InvalidCodeError, json.JSONDecodeError) as exc:
         return _fail(1, "invalid-input", str(exc))
+    except (TooLargeError, BruteForceTooLargeError, MemoryError) as exc:
+        return _fail(2, "computational", str(exc))
     except ValueError as exc:
         return _fail(1, "invalid-value", str(exc))
-    except (TooLargeError, MemoryError) as exc:
-        return _fail(2, "computational", str(exc))
 
 
 if __name__ == "__main__":

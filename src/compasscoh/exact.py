@@ -17,7 +17,11 @@ with p0 the recovery-weight parity.  Coset membership is read off the
 logical-X overlap parity: logical X commutes with every Z stabilizer and
 anticommutes with logical Z, so it is exactly the indicator functional of
 the logical coset (equivalent to classifying against an F2 basis of the
-Z-stabilizer row space, but O(1) per support).
+Z-stabilizer row space, but O(1) per support).  The recovery of every
+syndrome comes from the decoder's table of 2**r correction keys
+(``MatchingGraph.table``): p0 is the key's lowest weight bit and the
+recovery's coset the overlap parity of the key's support, both read for
+all syndromes in a few array operations.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .codes import CompassCode
-from .decoder import build_matching_graph
+from .decoder import bit_reverse, build_matching_graph
 from .ptm import LogicalPTM
 
 MAX_QUBITS = 25
@@ -118,17 +122,11 @@ class ExactBackend:
         masks = [s.mask for s in code.x_stabilizers]
         self.counts = _kernels.count_table(self.n, masks, code.logical_x.mask)
         self.graph = build_matching_graph(code)
-
-        num_synd = 1 << self.num_checks
-        parity = np.empty(num_synd, dtype=np.int64)
-        coset = np.empty(num_synd, dtype=np.int64)
-        xbar = code.logical_x.mask
-        for s in range(num_synd):
-            w, corr = self.graph.match(s)
-            parity[s] = w & 1
-            coset[s] = (corr & xbar).bit_count() & 1
-        self._rec_parity = parity
-        self._rec_coset = coset
+        # a key holds the weight from bit n up, below it the mirrored support complemented
+        keys = self.graph.table()
+        xbar = bit_reverse(code.logical_x.mask, self.n)
+        self._rec_parity = keys >> self.n & 1
+        self._rec_coset = np.bitwise_count(~keys & xbar) & 1
 
     def _amplitudes(self, theta: float) -> np.ndarray:
         """Signed real coset amplitudes S[s, b] at a reduced angle."""

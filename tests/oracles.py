@@ -10,9 +10,13 @@ convention is part of the channel definition, not of the computation).
 count), as the reference for the kernel's dual (MacWilliams) transform.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
-the vectorized one.
+the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
+are the scalar Bellman-Ford and the memoized subset DP of the matching
+decoder, with tuple comparisons instead of integer keys, kept as the
+bit-exact reference for the vectorized decode table.
 """
 
+import functools
 import itertools
 import math
 
@@ -167,3 +171,126 @@ def product_distribution_reference(parts, max_classes=200_000):
     probs = np.array([acc[a] for a in angles])
     wrapped = np.arctan2(np.sin(angles), np.cos(angles))
     return AngleDistribution(theta=math.nan, p=probs, theta_s=wrapped)
+
+
+_INF = 10 ** 9
+
+
+def _lex_less(a: int, b: int) -> bool:
+    """Set order: a < b iff the smallest qubit where they differ is in a."""
+    diff = a ^ b
+    if diff == 0:
+        return False
+    low = diff & -diff
+    return bool(a & low)
+
+
+def shortest_paths_reference(code):
+    """All-pairs (dist, path) over checks plus boundary (node r).
+
+    Scalar Bellman-Ford fixpoint per source with the (length, lex)
+    tie-break; parallel edges collapse to their lowest-index qubit.
+    """
+    n = code.n
+    num_checks = len(code.x_stabilizers)
+    checks_of = [[] for _ in range(n)]
+    for k, stab in enumerate(code.x_stabilizers):
+        for q in stab.qubits:
+            checks_of[q].append(k)
+    boundary = num_checks
+    num_nodes = num_checks + 1
+    dist = [[_INF] * num_nodes for _ in range(num_nodes)]
+    path = [[0] * num_nodes for _ in range(num_nodes)]
+    for v in range(num_nodes):
+        dist[v][v] = 0
+    step: dict[tuple[int, int], int] = {}
+    for q in range(n):
+        cs = checks_of[q]
+        if not cs:
+            continue
+        u, v = cs[0], cs[1] if len(cs) == 2 else boundary
+        key = (min(u, v), max(u, v))
+        if key not in step:  # qubit order is ascending, first wins
+            step[key] = q
+    adj = [[] for _ in range(num_nodes)]
+    for (u, v), q in step.items():
+        adj[u].append((v, q))
+        adj[v].append((u, q))
+    for src in range(num_nodes):
+        changed = True
+        while changed:
+            changed = False
+            for u in range(num_nodes):
+                if dist[src][u] == _INF:
+                    continue
+                for v, q in adj[u]:
+                    cand_d = dist[src][u] + 1
+                    cand_p = path[src][u] | (1 << q)
+                    if cand_d < dist[src][v] or (
+                            cand_d == dist[src][v]
+                            and _lex_less(cand_p, path[src][v])):
+                        dist[src][v] = cand_d
+                        path[src][v] = cand_p
+                        changed = True
+    return dist, path
+
+
+@functools.lru_cache(maxsize=8)
+def _match_state(code):
+    dist, path = shortest_paths_reference(code)
+    return dist, path, len(code.x_stabilizers), {0: (0, 0)}
+
+
+def match_reference(code, flagged_mask):
+    """(cost, correction mask) of a syndrome by the memoized subset DP.
+
+    The lowest flagged check matches the boundary or another flagged
+    check; candidates compare as (weight, lex) tuples.
+    """
+    dist, path, boundary, memo = _match_state(code)
+    hit = memo.get(flagged_mask)
+    if hit is not None:
+        return hit
+    stack = [flagged_mask]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        i = (s & -s).bit_length() - 1
+        rest_b = s & (s - 1)
+        pending = False
+        if rest_b not in memo:
+            stack.append(rest_b)
+            pending = True
+        pairs = []
+        r = rest_b
+        while r:
+            j = (r & -r).bit_length() - 1
+            r &= r - 1
+            rest_ij = rest_b & ~(1 << j)
+            pairs.append((j, rest_ij))
+            if rest_ij not in memo:
+                stack.append(rest_ij)
+                pending = True
+        if pending:
+            continue
+        stack.pop()
+        bd = dist[i][boundary]
+        best = None
+        if bd < _INF:
+            c, corr = memo[rest_b]
+            best = (bd + c, path[i][boundary] | corr)
+        for j, rest_ij in pairs:
+            dij = dist[i][j]
+            if dij >= _INF:
+                continue
+            c, corr = memo[rest_ij]
+            cand = (dij + c, path[i][j] | corr)
+            if best is None or cand[0] < best[0] or (
+                    cand[0] == best[0] and _lex_less(cand[1], best[1])):
+                best = cand
+        if best is None:
+            raise AssertionError("syndrome not matchable")
+        memo[s] = best
+    return memo[flagged_mask]

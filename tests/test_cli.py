@@ -87,6 +87,17 @@ class TestDecode:
         assert rc == 1
         assert json.loads(err)["code"] == "invalid-value"
 
+    def test_oracle_too_large_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "zshor5.json"
+        run(capsys, "code", "gen", "--family", "zshor", "--dx", "5", "--dz", "5",
+            "--out", str(out))
+        rc, stdout, err = run(capsys, "decode", "--code", str(out),
+                              "--syndrome", "0000", "--oracle")
+        assert rc == 2 and stdout == ""
+        error = json.loads(err)
+        assert error["code"] == "computational"
+        assert "n=25" in error["message"]
+
 
 class TestChannel:
     def test_exact_single_qubit(self, tmp_path, capsys):
@@ -249,6 +260,21 @@ class TestSweepThreshold:
         run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
             "--distances", "3,5", "--out", str(path), "--jobs", "3")
         assert json.loads(path.read_text().splitlines()[0][2:])["jobs"] == 3
+
+    def test_interpolate_bytes_independent_of_jobs(self, tmp_path, capsys):
+        lines = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.csv"
+            rc, _, _ = run(capsys, "interpolate", "--q-shors", "0.5", "--d", "3",
+                           "--codes", "4", "--samples", "50", "--jobs", jobs,
+                           "--out", str(path))
+            assert rc == 0
+            lines.append(path.read_bytes().splitlines(keepends=True))
+        # only the "# config" header may differ: it records the explicit --jobs
+        assert [line.startswith(b"# ") for line in lines[0]].count(True) == 1
+        assert lines[0][0].startswith(b"# ") and lines[1][0].startswith(b"# ")
+        assert len(lines[0]) > 2
+        assert lines[0][1:] == lines[1][1:]
 
     def test_interpolate(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         family_x_shor, family_z_shor, family_z_stacked,
                         random_coloring, syndrome_of)
 from compasscoh.decoder import syndrome_to_mask
+from oracles import match_reference, shortest_paths_reference
 
 
 def rep_code(l):
@@ -140,3 +144,64 @@ def test_syndrome_to_mask_bit_order():
     # check 0 is the leftmost character
     assert syndrome_to_mask("100", 3) == 0b001
     assert syndrome_to_mask("001", 3) == 0b100
+
+
+# ---------------------------------------------------------------------------
+# Integer keys against the scalar (length, lex) reference
+
+def _assert_table_matches_reference(code, syndromes):
+    graph = build_matching_graph(code)
+    keys = graph.table()
+    assert keys.dtype == np.int64 and len(keys) == 1 << graph.num_checks
+    for s in syndromes:
+        key = int(keys[s])
+        assert (key >> code.n, graph.support(key)) == match_reference(code, s), s
+
+
+def test_table_matches_reference_rsc5_every_syndrome():
+    # n = 25 is above the brute force's n <= 20
+    code = build_code(family_rotated_surface(5))
+    _assert_table_matches_reference(code, range(1 << len(code.x_stabilizers)))
+
+
+def test_table_matches_reference_xshor5_sample():
+    code = build_code(family_x_shor(5, 5))
+    r = len(code.x_stabilizers)
+    assert r == 20
+    rng = random.Random(2018)
+    _assert_table_matches_reference(code, [rng.randrange(1 << r) for _ in range(5000)])
+
+
+def test_decode_rsc9_python_int_keys_match_reference():
+    code = build_code(family_rotated_surface(9))
+    graph = build_matching_graph(code)
+    assert code.n == 81 and graph.keys.dtype == object
+    rng = random.Random(81)
+    for _ in range(30):
+        error = sum(1 << q for q in rng.sample(range(code.n), rng.randint(1, 5)))
+        s = syndrome_of(code, error)
+        corr = decode_mwpm(graph, s)
+        assert syndrome_of(code, corr.mask) == s
+        assert (corr.weight, corr.mask) == match_reference(code, s)
+
+
+@pytest.mark.parametrize("colorings", [
+    [random_coloring(*shape, q, seed) for q in (0.25, 0.5, 0.75) for seed in range(4)]
+    for shape in ((3, 3), (3, 5), (5, 5))
+] + [[family_x_shor(5, 5), family_z_shor(5, 5), family_rotated_surface(7)]])
+def test_key_shortest_paths_match_reference(colorings):
+    for coloring in colorings:
+        code = build_code(coloring)
+        graph = build_matching_graph(code)
+        assert (graph.dist, graph.path) == shortest_paths_reference(code)
+
+
+@pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 5),
+                                      random_coloring(3, 5, 0.5, 3)])
+def test_match_equals_table_entry(coloring):
+    # one decode runs the table levels over the flagged checks only
+    graph = build_matching_graph(build_code(coloring))
+    keys = graph.table()
+    for s in range(1 << graph.num_checks):
+        assert graph.match(s) == (int(keys[s]) >> graph.n, graph.support(int(keys[s])))
+

@@ -49,7 +49,8 @@ def _parse_thetas(text: str) -> list[float]:
     if step <= 0 or b < a:
         raise UsageError("--thetas needs STEP > 0 and B >= A")
     count = int(round((b - a) / step)) + 1
-    return [round(a + k * step, 10) for k in range(count)]
+    # a span that is not a whole number of steps may round up past B
+    return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= b]
 
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
@@ -66,10 +67,10 @@ def _require(args, *names):
 
 
 def _config_dict(args, command: str) -> dict:
-    skip = {"func", "config", "command", "subcommand"}
+    skip = {"func", "parser", "config", "command", "subcommand"}
     out = {"command": command, "version": __version__}
     for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
+        if key in skip:
             continue
         out[key] = value
     return out
@@ -247,6 +248,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file supplying default flag values")
         p.add_argument("--jobs", type=int,
                        help="parallel workers, default one per CPU "
@@ -330,20 +332,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
-        raise UsageError("--config file must hold a JSON object")
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"config key {key!r} is not a flag of this command")
-        given = f"--{key}" in argv or f"--{dest.replace('_', '-')}" in argv
-        if not given:
-            setattr(args, dest, value)
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's values become the command's
+    defaults and ``argv`` is parsed again, so every flag given wins."""
+    args = parser.parse_args(argv)
+    if args.config:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError("--config file must hold a JSON object")
+        for key in config:
+            if not hasattr(args, key.replace("-", "_")):
+                raise UsageError(f"config key {key!r} is not a flag of this command")
+        args.parser.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
+        args = parser.parse_args(argv)
+    return args
 
 
 def _fail(exit_code: int, code: str, message: str) -> int:
@@ -353,10 +356,8 @@ def _fail(exit_code: int, code: str, message: str) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        args = _parse_args(_build_parser(), argv)
         return args.func(args)
     except UsageError as exc:
         return _fail(1, "usage", str(exc))

@@ -36,6 +36,9 @@ from .codes import CompassCode
 from .decoder import bit_reverse, build_matching_graph
 from .ptm import LogicalPTM
 
+# Also bounds the per-theta float error, not only the table cost: amplitudes
+# are cancelling sums of counts * cos^(n-w) sin^w.  With exact tables, Z-Shor
+# channels miss their closed forms by <= 1.2e-13 at n=25, 2.5e-10 at n=49.
 MAX_QUBITS = 25
 MAX_TABLE_BYTES = 2 << 30  # at n <= 25 only the 1x25 grid (r = 24, 7.0 GB) exceeds it
 

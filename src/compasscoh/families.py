@@ -30,6 +30,8 @@ Z_SHOR = "zshor"
 X_SHOR = "xshor"
 Z_STACKED = "zstacked"
 
+MAX_CLASSES = 200_000  # largest merged class count convolved exactly
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -237,13 +239,12 @@ def _first_occurrence_classes(keys: np.ndarray):
     return first[order], inverse
 
 
-def product_distribution(parts: list[AngleDistribution],
-                         max_classes: int = 200_000) -> AngleDistribution:
+def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     """Convolve independent angle distributions (angles add, probs multiply).
 
     Supports the exact diamond metric for product-form families at small
     sizes; rejects upfront when the merged class count must exceed
-    ``max_classes`` (multiset bound: identical parts commute).
+    ``MAX_CLASSES`` (multiset bound: identical parts commute).
 
     Each factor folds in as one outer sum of angles and one outer product
     of probabilities over (accumulated class, part class) pairs.  Pairs
@@ -252,20 +253,20 @@ def product_distribution(parts: list[AngleDistribution],
     classes stay in first-insertion order, and each class sums its
     probabilities in pair order.  The result is bit-identical to folding
     the pairs one at a time into a dict keyed by the rounded angle.  A step
-    holds at most ``max_classes * k`` pairs for a part with k classes.
+    holds at most ``MAX_CLASSES * k`` pairs for a part with k classes.
     """
     bound = 1
     for part, reps in _group_parts(parts):
         k = len(part.p)
         bound *= math.comb(reps + k - 1, k - 1)
-        if bound > max_classes:
+        if bound > MAX_CLASSES:
             raise ValueError("product distribution too large for exact convolution")
     angles = np.zeros(1)
     probs = np.ones(1)
     for part in parts:
         keys = _round12((angles[:, None] + part.theta_s).ravel())
         first, inverse = _first_occurrence_classes(keys)
-        if len(first) > max_classes:
+        if len(first) > MAX_CLASSES:
             raise ValueError("product distribution too large for exact convolution")
         # bincount adds the weights in pair order, like the dict fold
         probs = np.bincount(inverse, weights=(probs[:, None] * part.p).ravel(),
@@ -287,18 +288,16 @@ def _group_parts(parts):
     return groups
 
 
-def x_shor_distribution(d_x: int, d_z: int, theta: float,
-                        max_classes: int = 200_000) -> AngleDistribution:
+def x_shor_distribution(d_x: int, d_z: int, theta: float) -> AngleDistribution:
     part = repetition_distribution(d_z, theta, MIN_WEIGHT)
-    return product_distribution([part] * d_x, max_classes)
+    return product_distribution([part] * d_x)
 
 
-def z_stacked_distribution(l: int, h: int, theta: float,
-                           max_classes: int = 200_000) -> AngleDistribution:
+def z_stacked_distribution(l: int, h: int, theta: float) -> AngleDistribution:
     l_h, t_h = divmod(l, h)
     parts = ([repetition_distribution(l, h * theta, MIN_WEIGHT)] * l_h
              + [repetition_distribution(l, theta, MIN_WEIGHT)] * t_h)
-    return product_distribution(parts, max_classes)
+    return product_distribution(parts)
 
 
 @dataclass(frozen=True)

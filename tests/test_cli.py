@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import pytest
 
 from compasscoh import __version__, _kernels, load_coloring, family_z_shor
-from compasscoh.cli import main
+from compasscoh.cli import _parse_thetas, main
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
 
@@ -261,6 +262,34 @@ class TestSweepThreshold:
             "--distances", "3,5", "--out", str(path), "--jobs", "3")
         assert json.loads(path.read_text().splitlines()[0][2:])["jobs"] == 3
 
+    @pytest.mark.parametrize("fmt,drop,missing", [("json", None, "family"),
+                                                  ("csv", "dz", "dz")])
+    def test_threshold_names_missing_column(self, tmp_path, capsys, fmt, drop, missing):
+        path = tmp_path / f"sweep.{fmt}"
+        run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
+            "--distances", "3,5", "--out", str(path), "--format", fmt)
+        if drop is not None:
+            config, *lines = path.read_text().splitlines(keepends=True)
+            rows = list(csv.reader(lines))
+            col = rows[0].index(drop)
+            with open(path, "w", newline="") as fh:
+                fh.write(config)
+                csv.writer(fh).writerows(row[:col] + row[col + 1:] for row in rows)
+        rc, _, err = run(capsys, "threshold", "--in", str(path))
+        assert rc == 1
+        msg = json.loads(err)
+        assert msg["code"] == "invalid-value" and repr(missing) in msg["message"]
+
+    def test_threshold_rejects_short_row(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
+            "--distances", "3,5", "--out", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + ",".join(lines[-1].split(",")[:3]) + "\n")
+        rc, _, err = run(capsys, "threshold", "--in", str(path))
+        assert rc == 1
+        assert json.loads(err)["code"] == "invalid-value"
+
     def test_interpolate_bytes_independent_of_jobs(self, tmp_path, capsys):
         lines = []
         for jobs in ("1", "2"):
@@ -307,6 +336,20 @@ class TestConfigFile:
         expect = repetition_exact(5, 0.3 * math.pi)
         assert json.loads(stdout)["epsilon"] == pytest.approx(expect.epsilon)
 
+    @pytest.mark.parametrize("flags,config", [
+        (("--l=5", "--theta-over-pi", "0.1"), {"l": 7}),
+        (("--l", "5", "--theta", "0.1"), {"theta-over-pi": 0.3}),
+    ])
+    def test_cli_spellings_override_config(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep",
+                            *flags, "--config", str(cfg))
+        assert rc == 0
+        payload = json.loads(stdout)
+        assert payload["config"]["l"] == 5 and payload["config"]["theta_over_pi"] == 0.1
+        assert payload["epsilon"] == repetition_exact(5, 0.1 * math.pi).epsilon
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -315,6 +358,22 @@ class TestConfigFile:
                          "--config", str(cfg))
         assert rc == 1
         assert json.loads(err)["code"] == "usage"
+
+
+class TestThetaGrid:
+    def test_grid_never_passes_end(self):
+        assert _parse_thetas("0:0.1:0.035") == [0.0, 0.035, 0.07]
+
+    # the default grid, the README grids and the benchmark workload grids
+    @pytest.mark.parametrize("text,count", [
+        ("0.05:0.45:0.05", 9), ("0.45:0.55:0.005", 21), ("0.01:0.49:0.01", 49),
+        ("0.20:0.30:0.005", 21), ("0.13:0.21:0.004", 21), ("0.42:0.58:0.04", 5),
+        ("0.3:0.6:0.025", 13)])
+    def test_whole_step_grids_keep_every_point(self, text, count):
+        a, b, step = (float(x) for x in text.split(":"))
+        grid = _parse_thetas(text)
+        assert grid == [round(a + k * step, 10) for k in range(count)]
+        assert grid[-1] == b
 
 
 def test_unknown_flag_exit_1(capsys):

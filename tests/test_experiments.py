@@ -61,6 +61,12 @@ class TestSweep:
         expect = float(np.sum(dist.p * 2 * np.abs(np.sin(dist.theta_s))))
         assert table.rows[0].diamond == pytest.approx(expect, abs=1e-12)
 
+    def test_code_source_metric_fn_matches_rows(self):
+        src = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)))
+        row = sweep(src, [0.15], [3]).rows[0]
+        assert src.metric_fn("r1")(3, 0.15) == row.r1
+        assert src.metric_fn("diamond")(3, 0.15) == row.diamond
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(rep_source(), [], [3])
@@ -259,6 +265,14 @@ class TestSerialization:
         src = source_for_rows(read_csv(path))
         assert isinstance(src, AnalyticFamilySource)
         assert src.family == "repetition"
+
+    def test_exact_rows_round_trip(self, tmp_path):
+        src = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)))
+        table = sweep(src, [0.1, 0.2], [3])
+        assert table.rows[0].h is None and isinstance(table.rows[0].q_shor, float)
+        path = tmp_path / "exact.csv"
+        write_csv(table, path)
+        assert read_csv(path).rows == table.rows
 
     def test_sampled_rows_round_trip(self, tmp_path):
         src = EnsembleSource(0.5, n_codes=3, seed=1, n_samples=32)

@@ -20,10 +20,9 @@ from .decoder import (MatchingGraph, build_matching_graph, decode_bruteforce,
                       decode_mwpm, syndrome_of, syndrome_to_mask)
 from .exact import (ML, MIN_WEIGHT, ExactBackend, SyndromeDistribution,
                     TooLargeError, logical_channel, syndrome_distribution)
-from .families import (FamilySpec, Thresholds, closed_form_threshold,
-                       repetition_distribution, repetition_exact,
-                       repetition_stirling, x_shor_channel, z_shor_channel,
-                       z_stacked_channel)
+from .families import (closed_form_threshold, repetition_distribution,
+                       repetition_exact, repetition_stirling, x_shor_channel,
+                       z_shor_channel, z_stacked_channel)
 from .ptm import (IDENTITY, LogicalPTM, PolarPTM, compose, diamond_avg,
                   from_polar, kappa, power, pure_rotation, r1, rm_exact,
                   to_polar)

@@ -22,8 +22,8 @@ from .decoder import (BruteForceTooLargeError, build_matching_graph,
                       decode_bruteforce, decode_mwpm)
 from .exact import MIN_WEIGHT, ML, TooLargeError, get_backend
 from .experiments import (AnalyticFamilySource, CodeSource, find_crossings,
-                          interpolation_curve, read_csv, source_for_rows,
-                          sweep, table_to_json, write_csv)
+                          interpolation_curve, read_csv, read_csv_config,
+                          source_for_rows, sweep, table_to_json, write_csv)
 from .ptm import kappa, r1
 
 _FAMILY_ALIASES = {family.alias: family for family in families.FAMILIES.values()}
@@ -92,34 +92,28 @@ def _write_table(table, args, config: dict) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _gen_coloring(args):
-    family = args.family
-    if family == "zshor":
-        _require(args, "dx", "dz")
-        return family_z_shor(args.dx, args.dz)
-    if family == "xshor":
-        _require(args, "dx", "dz")
-        return family_x_shor(args.dx, args.dz)
-    if family == "rsc":
-        _require(args, "dx")
-        if args.dz is not None and args.dz != args.dx:
-            raise UsageError("rsc is square; --dz must match --dx")
-        return family_rotated_surface(args.dx)
-    if family == "zstacked":
-        _require(args, "dx", "h")
-        if args.dz is not None and args.dz != args.dx:
-            raise UsageError("zstacked is square; --dz must match --dx")
-        return family_z_stacked(args.dx, args.h)
-    if family == "random":
-        _require(args, "dx", "dz", "q_shor")
-        return random_coloring(args.dx, args.dz, args.q_shor, args.seed)
-    raise UsageError(f"unknown family {family!r}")
+# --family of ``code gen`` -> (flags it needs, builder); a family that
+# needs no --dz is square.  The builders look the family functions up as
+# module globals at call time, so a wrapper set on this module sees them.
+_GEN_FAMILIES = {
+    "zshor": (("dx", "dz"), lambda a: family_z_shor(a.dx, a.dz)),
+    "xshor": (("dx", "dz"), lambda a: family_x_shor(a.dx, a.dz)),
+    "rsc": (("dx",), lambda a: family_rotated_surface(a.dx)),
+    "zstacked": (("dx", "h"), lambda a: family_z_stacked(a.dx, a.h)),
+    "random": (("dx", "dz", "q_shor"),
+               lambda a: random_coloring(a.dx, a.dz, a.q_shor, a.seed)),
+}
 
 
 def _cmd_code_gen(args):
     _require(args, "out")
-    coloring = _gen_coloring(args)
-    save_coloring(coloring, args.out, meta=_config_dict(args, "code gen"))
+    if args.family not in _GEN_FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}")
+    flags, build = _GEN_FAMILIES[args.family]
+    _require(args, *flags)
+    if "dz" not in flags and args.dz is not None and args.dz != args.dx:
+        raise UsageError(f"{args.family} is square; --dz must match --dx")
+    save_coloring(build(args), args.out, meta=_config_dict(args, "code gen"))
     return 0
 
 
@@ -208,7 +202,9 @@ def _cmd_sweep(args):
 def _cmd_threshold(args):
     _require(args, "in_path")
     table = read_csv(args.in_path)
-    estimate = find_crossings(table, args.metric, source=source_for_rows(table))
+    recovery = read_csv_config(args.in_path).get("recovery", MIN_WEIGHT)
+    estimate = find_crossings(table, args.metric,
+                              source=source_for_rows(table, recovery))
     _print_json({
         "config": _config_dict(args, "threshold"),
         "metric": estimate.metric,
@@ -251,14 +247,14 @@ def _build_parser() -> _Parser:
         p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file supplying default flag values")
         p.add_argument("--jobs", type=int,
-                       help="parallel workers, default one per CPU "
-                            "(results are identical for any value)")
+                       help="worker processes for ensembles, default none: run "
+                            "in-process (results are identical for any value)")
 
     code = sub.add_parser("code", help="generate and validate code files")
     code_sub = code.add_subparsers(dest="subcommand", required=True)
     gen = code_sub.add_parser("gen")
     common(gen)
-    gen.add_argument("--family", choices=["zshor", "xshor", "rsc", "zstacked", "random"])
+    gen.add_argument("--family", choices=list(_GEN_FAMILIES))
     gen.add_argument("--dx", type=int)
     gen.add_argument("--dz", type=int)
     gen.add_argument("--h", type=int)
@@ -344,7 +340,14 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         for key in config:
             if not hasattr(args, key.replace("-", "_")):
                 raise UsageError(f"config key {key!r} is not a flag of this command")
-        args.parser.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
+        config = {key.replace("-", "_"): value for key, value in config.items()}
+        for action in args.parser._actions:
+            if action.dest in config:
+                try:  # the check a command-line value gets
+                    args.parser._check_value(action, config[action.dest])
+                except argparse.ArgumentError as exc:
+                    raise UsageError(str(exc)) from exc
+        args.parser.set_defaults(**config)
         args = parser.parse_args(argv)
     return args
 

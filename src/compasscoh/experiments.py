@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
@@ -343,11 +342,11 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
     """Mean logical metrics over random colorings of density ``q_shor``.
 
     Each code gets its own seed stream (split per code index, so results do
-    not depend on execution order or ``jobs``; ``jobs=None`` starts one
-    worker per CPU).  Per-code metrics are exact when ``n_samples`` is
-    None, otherwise Monte Carlo; the reported stderr is the ensemble
-    standard error of the per-code means, with the shot contribution also
-    exposed separately.
+    not depend on execution order or ``jobs``); ``jobs`` > 1 runs the codes
+    in that many worker processes, otherwise they run in-process.  Per-code
+    metrics are exact when ``n_samples`` is None, otherwise Monte Carlo; the
+    reported stderr is the ensemble standard error of the per-code means,
+    with the shot contribution also exposed separately.
     """
     _check_recovery(recovery)
     if n_codes < 1:
@@ -356,9 +355,7 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
     tasks = [(d_x, d_z, q_shor, theta, recovery, n_samples,
               *(int(x) for x in child.generate_state(2)))
              for child in np.random.SeedSequence(seed).spawn(n_codes)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1:
+    if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_task, tasks, chunksize=8))
     else:
@@ -474,8 +471,16 @@ def table_to_json(table: SweepTable, config: dict | None = None) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
 
 
-def source_for_rows(table: SweepTable):
-    """Rebuild an analytic source from named-family rows, for refinement."""
+def read_csv_config(path) -> dict:
+    """The config a sweep CSV embeds on its ``# {json}`` first line; {} if none."""
+    with open(path) as fh:
+        first = fh.readline()
+    return json.loads(first[2:]) if first.startswith("# {") else {}
+
+
+def source_for_rows(table: SweepTable, recovery: str = MIN_WEIGHT):
+    """Rebuild an analytic source from named-family rows, for refinement
+    with the ``recovery`` the rows were made with."""
     families_present = {row.family for row in table.rows}
     if len(families_present) != 1:
         return None
@@ -485,4 +490,4 @@ def source_for_rows(table: SweepTable):
     if any(row.provenance != "analytic" for row in table.rows):
         return None
     hs = {row.h for row in table.rows}
-    return AnalyticFamilySource(fam, MIN_WEIGHT, hs.pop() if len(hs) == 1 else None)
+    return AnalyticFamilySource(fam, recovery, hs.pop() if len(hs) == 1 else None)

@@ -33,35 +33,24 @@ Z_STACKED = "zstacked"
 MAX_CLASSES = 200_000  # largest merged class count convolved exactly
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Analytic family selector: repetition(l), zshor/xshor(d_x, d_z), zstacked(l, h)."""
+# Each family's parameter rule, run by its channel, its distribution and
+# closed_form_threshold.  A Shor row is a length-d_z repetition code.
 
-    kind: str
-    l: int | None = None
-    d_x: int | None = None
-    d_z: int | None = None
-    h: int | None = None
-    recovery: str = MIN_WEIGHT
-
-    def __post_init__(self):
-        family = FAMILIES.get(self.kind)
-        if family is None:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        family.check_recovery(self.recovery)
-        for name in family.params:
-            value = getattr(self, name)
-            if name == "d_x" and (value is None or value < 1):
-                raise ValueError(f"{self.kind} needs d_x >= 1")
-            if name == "h" and (value is None or not 1 <= value <= self.l):
-                raise ValueError(f"{self.kind} needs 1 <= h <= l, got h={value}")
-            if name in ("l", "d_z"):
-                _require_odd(name, value)
+def _check_repetition(l) -> None:
+    if l < 1 or l % 2 == 0:
+        raise ValueError(f"l must be an odd positive integer, got {l}")
 
 
-def _require_odd(name: str, value) -> None:
-    if value is None or value < 1 or value % 2 == 0:
-        raise ValueError(f"{name} must be an odd positive integer, got {value}")
+def _check_shor(d_x, d_z) -> None:
+    if d_x < 1:
+        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    _check_repetition(d_z)
+
+
+def _check_stacked(l, h) -> None:
+    _check_repetition(l)
+    if not 1 <= h <= l:
+        raise ValueError(f"need 1 <= h <= l, got h={h}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +119,7 @@ def _signed_logsumexp(log_terms: np.ndarray, signs=None) -> float:
 
 def repetition_exact(l: int, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
     """Exact repetition-code logical channel from the class sums."""
-    _require_odd("l", l)
+    _check_repetition(l)
     _check_recovery(recovery)
     theta = reduce_angle(theta)
     _, _, ln_eps, del_sign, ln_del = _rep_classes(l, theta, recovery)
@@ -142,7 +131,7 @@ def repetition_exact(l: int, theta: float, recovery: str = MIN_WEIGHT) -> Logica
 def repetition_distribution(l: int, theta: float,
                             recovery: str = MIN_WEIGHT) -> AngleDistribution:
     """Class-aggregated angle distribution of the repetition channel."""
-    _require_odd("l", l)
+    _check_repetition(l)
     _check_recovery(recovery)
     theta = reduce_angle(theta)
     ln_p, theta_w, *_ = _rep_classes(l, theta, recovery)
@@ -156,7 +145,7 @@ def repetition_stirling(l: int, theta: float) -> LogicalPTM:
     Valid for |theta| < pi/2 (rejected outside); the O(1/l) error can leave
     the contractive regime at small l near the edge, which raises.
     """
-    _require_odd("l", l)
+    _check_repetition(l)
     theta = reduce_angle(theta)
     if abs(theta) >= math.pi / 2:
         raise ValueError(f"Stirling form requires |theta| < pi/2, got {theta}")
@@ -171,31 +160,26 @@ def z_shor_channel(d_x: int, d_z: int, theta: float,
                    recovery: str = MIN_WEIGHT) -> LogicalPTM:
     """Z-Shor channel: weight-2 ZZ stabilizers zip the rotation column-wise,
     giving the length-d_z repetition channel at angle d_x * theta."""
-    if d_x < 1:
-        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    _check_shor(d_x, d_z)
     return repetition_exact(d_z, d_x * theta, recovery)
 
 
 def z_shor_distribution(d_x: int, d_z: int, theta: float,
                         recovery: str = MIN_WEIGHT) -> AngleDistribution:
-    if d_x < 1:
-        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    _check_shor(d_x, d_z)
     return repetition_distribution(d_z, d_x * theta, recovery)
 
 
 def x_shor_channel(d_x: int, d_z: int, theta: float) -> LogicalPTM:
     """X-Shor channel: d_x repetition-row channels composed (PTM power)."""
-    if d_x < 1:
-        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    _check_shor(d_x, d_z)
     return power(repetition_exact(d_z, theta, MIN_WEIGHT), d_x)
 
 
 def z_stacked_channel(l: int, h: int, theta: float) -> LogicalPTM:
     """Z-stacked Shor channel C_{l,h}: floor(l/h) block channels at h*theta
     composed with (l mod h) single-row channels at theta."""
-    _require_odd("l", l)
-    if not 1 <= h <= l:
-        raise ValueError(f"need 1 <= h <= l, got h={h}")
+    _check_stacked(l, h)
     l_h, t_h = divmod(l, h)
     blocks = power(repetition_exact(l, h * theta, MIN_WEIGHT), l_h)
     rows = power(repetition_exact(l, theta, MIN_WEIGHT), t_h)
@@ -289,40 +273,44 @@ def _group_parts(parts):
 
 
 def x_shor_distribution(d_x: int, d_z: int, theta: float) -> AngleDistribution:
+    _check_shor(d_x, d_z)
     part = repetition_distribution(d_z, theta, MIN_WEIGHT)
     return product_distribution([part] * d_x)
 
 
 def z_stacked_distribution(l: int, h: int, theta: float) -> AngleDistribution:
+    _check_stacked(l, h)
     l_h, t_h = divmod(l, h)
     parts = ([repetition_distribution(l, h * theta, MIN_WEIGHT)] * l_h
              + [repetition_distribution(l, theta, MIN_WEIGHT)] * t_h)
     return product_distribution(parts)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    theta_th: float
-    theta_th_r1: float
-
-
-def closed_form_threshold(spec: FamilySpec) -> Thresholds:
-    """Coherence / infidelity thresholds of the analytic families.
+def closed_form_threshold(kind: str, **params) -> float:
+    """Threshold angle of an analytic family, e.g.
+    ``closed_form_threshold("zstacked", l=9, h=2)``; the coherence and the
+    infidelity thresholds coincide.
 
     Repetition and X-Shor sit at pi/2, Z-Shor at pi/(2 d_x), the Z-stacked
     family C_{l,h} at pi/(2h); suppression below threshold is exponential
     in the growing code dimension.
     """
-    family = FAMILIES[spec.kind]
-    th = family.threshold(*(getattr(spec, name) for name in family.params))
-    return Thresholds(theta_th=th, theta_th_r1=th)
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if set(params) != set(family.params):
+        raise ValueError(f"{kind} takes parameters {', '.join(family.params)}, "
+                         f"got {', '.join(sorted(params)) or 'none'}")
+    values = [params[name] for name in family.params]
+    family.check(*values)
+    return family.threshold(*values)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One analytic family.  ``params`` name the FamilySpec fields taken, in
-    order, by ``threshold`` and by ``channel``/``distribution`` (then theta
-    and recovery); each CLI flag is its field without the underscore.  The
+    """One analytic family.  ``params`` name the parameters taken, in order,
+    by ``check``, ``threshold`` and ``channel``/``distribution`` (then theta
+    and recovery); each CLI flag is its name without the underscore.  The
     entries look the family functions up as module globals at call time.
     """
 
@@ -331,6 +319,7 @@ class Family:
     params: tuple[str, ...]
     has_ml: bool
     dims: Callable[[int], tuple[int, int]]
+    check: Callable[..., None]
     threshold: Callable[..., float]
     channel: Callable[..., LogicalPTM]
     distribution: Callable[..., AngleDistribution]
@@ -343,19 +332,19 @@ class Family:
 
 
 FAMILIES = {family.kind: family for family in (
-    Family(REPETITION, "rep", ("l",), True, lambda d: (1, d),
+    Family(REPETITION, "rep", ("l",), True, lambda d: (1, d), _check_repetition,
            lambda l: math.pi / 2,
            lambda l, t, rec: repetition_exact(l, t, rec),
            lambda l, t, rec: repetition_distribution(l, t, rec)),
-    Family(Z_SHOR, "zshor", ("d_x", "d_z"), True, lambda d: (d, d),
+    Family(Z_SHOR, "zshor", ("d_x", "d_z"), True, lambda d: (d, d), _check_shor,
            lambda d_x, d_z: math.pi / (2 * d_x),
            lambda d_x, d_z, t, rec: z_shor_channel(d_x, d_z, t, rec),
            lambda d_x, d_z, t, rec: z_shor_distribution(d_x, d_z, t, rec)),
-    Family(X_SHOR, "xshor", ("d_x", "d_z"), False, lambda d: (d, d),
+    Family(X_SHOR, "xshor", ("d_x", "d_z"), False, lambda d: (d, d), _check_shor,
            lambda d_x, d_z: math.pi / 2,
            lambda d_x, d_z, t, _: x_shor_channel(d_x, d_z, t),
            lambda d_x, d_z, t, _: x_shor_distribution(d_x, d_z, t)),
-    Family(Z_STACKED, "zstacked", ("l", "h"), False, lambda d: (d, d),
+    Family(Z_STACKED, "zstacked", ("l", "h"), False, lambda d: (d, d), _check_stacked,
            lambda l, h: math.pi / (2 * h),
            lambda l, h, t, _: z_stacked_channel(l, h, t),
            lambda l, h, t, _: z_stacked_distribution(l, h, t)),

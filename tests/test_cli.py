@@ -5,7 +5,10 @@ import os
 
 import pytest
 
-from compasscoh import __version__, _kernels, load_coloring, family_z_shor
+from compasscoh import (AnalyticFamilySource, __version__, _kernels, experiments,
+                        family_rotated_surface, family_x_shor, family_z_shor,
+                        family_z_stacked, find_crossings, load_coloring,
+                        random_coloring, read_csv)
 from compasscoh.cli import _parse_thetas, main
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
@@ -49,12 +52,34 @@ class TestCodeGen:
         assert data["meta"]["seed"] == 0  # defaulted value echoed
         assert load_coloring(out) == family_z_shor(3, 5)
 
-    def test_usage_error_exit_1(self, tmp_path, capsys):
-        rc, _, err = run(capsys, "code", "gen", "--family", "zshor",
-                         "--out", str(tmp_path / "x.json"))
-        assert rc == 1
-        msg = json.loads(err)
-        assert msg["code"] == "usage"
+    @pytest.mark.parametrize("flags,expect", [
+        (("--family", "zshor", "--dx", "3", "--dz", "5"), family_z_shor(3, 5)),
+        (("--family", "xshor", "--dx", "3", "--dz", "5"), family_x_shor(3, 5)),
+        (("--family", "rsc", "--dx", "3", "--dz", "3"), family_rotated_surface(3)),
+        (("--family", "zstacked", "--dx", "5", "--h", "2"), family_z_stacked(5, 2)),
+        (("--family", "random", "--dx", "3", "--dz", "5", "--q-shor", "0.5",
+          "--seed", "2"), random_coloring(3, 5, 0.5, 2)),
+    ])
+    def test_gen_every_family(self, tmp_path, capsys, flags, expect):
+        out = tmp_path / "c.json"
+        rc, _, _ = run(capsys, "code", "gen", *flags, "--out", str(out))
+        assert rc == 0
+        assert load_coloring(out) == expect
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--family", "zshor"), "--dx is required here"),
+        (("--family", "rsc", "--dx", "3", "--dz", "5"), "rsc is square; --dz must match --dx"),
+        (("--family", "zstacked", "--dx", "5", "--dz", "3", "--h", "2"),
+         "zstacked is square; --dz must match --dx"),
+        (("--family", "zstacked", "--dx", "5"), "--h is required here"),
+        (("--family", "random", "--dx", "3", "--dz", "3"), "--q-shor is required here"),
+        ((), "unknown family None"),
+    ])
+    def test_usage_error_exit_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.json"
+        rc, _, err = run(capsys, "code", "gen", *flags, "--out", str(out))
+        assert rc == 1 and not out.exists()
+        assert json.loads(err) == {"code": "usage", "message": message}
 
     def test_even_dz_exit_1(self, tmp_path, capsys):
         rc, _, err = run(capsys, "code", "gen", "--family", "zshor", "--dx", "3",
@@ -262,6 +287,26 @@ class TestSweepThreshold:
             "--distances", "3,5", "--out", str(path), "--jobs", "3")
         assert json.loads(path.read_text().splitlines()[0][2:])["jobs"] == 3
 
+    def test_threshold_refines_with_the_sweep_recovery(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        run(capsys, "sweep", "--family", "zshor", "--recovery", "ml",
+            "--thetas", "0.05:0.45:0.05", "--distances", "3,5,7", "--out", str(path))
+        _, *rows = path.read_text().splitlines(keepends=True)
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(rows))
+        # the "# config" line names the recovery; without it min-weight is used
+        for csv_path, recovery in ((path, "ml"), (bare, "minweight")):
+            rc, stdout, _ = run(capsys, "threshold", "--in", str(csv_path))
+            assert rc == 0
+            payload = json.loads(stdout)
+            ref = find_crossings(read_csv(path), "r1",
+                                 AnalyticFamilySource("zshor", recovery))
+            assert (payload["lower_over_pi"], payload["upper_over_pi"]) == (
+                ref.lower_over_pi, ref.upper_over_pi)
+            assert [(c["d_low"], c["lo_over_pi"], c["hi_over_pi"])
+                    for c in payload["crossings"]] == [
+                (c.d_low, c.lo_over_pi, c.hi_over_pi) for c in ref.crossings]
+
     @pytest.mark.parametrize("fmt,drop,missing", [("json", None, "family"),
                                                   ("csv", "dz", "dz")])
     def test_threshold_names_missing_column(self, tmp_path, capsys, fmt, drop, missing):
@@ -304,6 +349,25 @@ class TestSweepThreshold:
         assert lines[0][0].startswith(b"# ") and lines[1][0].startswith(b"# ")
         assert len(lines[0]) > 2
         assert lines[0][1:] == lines[1][1:]
+
+    def test_interpolate_without_jobs_runs_in_process(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started without --jobs")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        outs = {}
+        for jobs in (None, 1):
+            path = tmp_path / "curve.csv"
+            flags = () if jobs is None else ("--jobs", str(jobs))
+            rc, _, _ = run(capsys, "interpolate", "--q-shors", "0.5", "--d", "3",
+                           "--codes", "4", "--samples", "50", *flags, "--out", str(path))
+            assert rc == 0
+            config, *rows = path.read_text().splitlines()
+            assert json.loads(config[2:])["jobs"] == jobs
+            outs[jobs] = rows
+        assert outs[None] == outs[1]
 
     def test_interpolate(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -357,6 +421,21 @@ class TestConfigFile:
                          "--l", "3", "--theta-over-pi", "0.1",
                          "--config", str(cfg))
         assert rc == 1
+        assert json.loads(err)["code"] == "usage"
+
+
+    @pytest.mark.parametrize("key,value", [("format", "xml"), ("recovery", "bogus")])
+    def test_config_values_checked_against_choices(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "sweep.csv"
+        argv = ("sweep", "--family", "rep", "--thetas", "0.3:0.4:0.05",
+                "--distances", "3,5", "--out", str(out))
+        rc, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 1 and not out.exists()
+        # exactly the error the flag itself gives
+        flag_rc, _, flag_err = run(capsys, *argv, f"--{key}", value)
+        assert flag_rc == 1 and json.loads(err) == json.loads(flag_err)
         assert json.loads(err)["code"] == "usage"
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from compasscoh import (Coloring, FamilySpec, build_code, closed_form_threshold,
+from compasscoh import (Coloring, build_code, closed_form_threshold,
                         diamond_avg, kappa, logical_channel, power,
                         repetition_distribution, repetition_exact,
                         repetition_stirling, syndrome_distribution,
@@ -213,34 +213,54 @@ class TestZStacked:
             z_stacked_channel(5, 7, 0.1)
 
 
+class TestParameterChecks:
+    """A family's distribution rejects exactly what its channel rejects."""
+
+    @pytest.mark.parametrize("channel,distribution,params", [
+        (x_shor_channel, x_shor_distribution, (0, 3)),
+        (z_stacked_channel, z_stacked_distribution, (9, 11)),
+        (z_stacked_channel, z_stacked_distribution, (9, 0)),
+        (z_shor_channel, z_shor_distribution, (0, 3)),
+        (z_shor_channel, z_shor_distribution, (3, 4)),
+        (x_shor_channel, x_shor_distribution, (3, 4)),
+        (z_stacked_channel, z_stacked_distribution, (4, 1)),
+        (repetition_exact, repetition_distribution, (4,)),
+    ])
+    def test_distribution_rejects_like_channel(self, channel, distribution, params):
+        with pytest.raises(ValueError) as from_channel:
+            channel(*params, 0.1)
+        with pytest.raises(ValueError) as from_distribution:
+            distribution(*params, 0.1)
+        assert str(from_distribution.value) == str(from_channel.value)
+
+
 class TestThresholds:
     def test_closed_forms(self):
-        assert closed_form_threshold(
-            FamilySpec("repetition", l=11)).theta_th == math.pi / 2
-        assert closed_form_threshold(
-            FamilySpec("zshor", d_x=3, d_z=3)).theta_th == pytest.approx(math.pi / 6)
-        assert closed_form_threshold(
-            FamilySpec("xshor", d_x=9, d_z=9)).theta_th == math.pi / 2
-        assert closed_form_threshold(
-            FamilySpec("zstacked", l=9, h=2)).theta_th == pytest.approx(math.pi / 4)
-        assert closed_form_threshold(
-            FamilySpec("zstacked", l=9, h=3)).theta_th == pytest.approx(math.pi / 6)
+        assert closed_form_threshold("repetition", l=11) == math.pi / 2
+        assert closed_form_threshold("zshor", d_x=3, d_z=3) == pytest.approx(math.pi / 6)
+        assert closed_form_threshold("xshor", d_x=9, d_z=9) == math.pi / 2
+        assert closed_form_threshold("zstacked", l=9, h=2) == pytest.approx(math.pi / 4)
+        assert closed_form_threshold("zstacked", l=9, h=3) == pytest.approx(math.pi / 6)
 
-    def test_family_spec_validation(self):
+    def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            FamilySpec("repetition", l=4)
+            closed_form_threshold("repetition", l=4)
         with pytest.raises(ValueError):
-            FamilySpec("zstacked", l=5, h=9)
+            closed_form_threshold("zstacked", l=5, h=9)
         with pytest.raises(ValueError):
-            FamilySpec("donut", l=5)
+            closed_form_threshold("donut", l=5)
 
-    def test_family_spec_rejects_ml_without_ml_form(self):
-        with pytest.raises(ValueError, match="no maximum-likelihood form"):
-            FamilySpec("xshor", d_x=3, d_z=3, recovery="ml")
-        with pytest.raises(ValueError, match="no maximum-likelihood form"):
-            FamilySpec("zstacked", l=9, h=2, recovery="ml")
-        FamilySpec("repetition", l=5, recovery="ml")
-        FamilySpec("zshor", d_x=3, d_z=3, recovery="ml")
+    @pytest.mark.parametrize("kind,params,match", [
+        ("zshor", {"d_x": 0, "d_z": 3}, "d_x must be >= 1"),
+        ("xshor", {"d_x": 3, "d_z": 4}, "odd positive"),
+        ("zstacked", {"l": 5, "h": 0}, "1 <= h <= l"),
+        ("zstacked", {"l": 5}, "takes parameters l, h, got l"),
+        ("repetition", {"l": 5, "h": 1}, "takes parameters l, got h, l"),
+        ("zshor", {}, "got none"),
+    ])
+    def test_rejects_bad_missing_and_extra_parameters(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            closed_form_threshold(kind, **params)
 
     def test_suppression_below_threshold(self):
         """ln(eps) decreasing, asymptotically linear, below threshold."""

@@ -1,10 +1,10 @@
 """2D compass codes under uniform coherent Z rotation.
 
 Builds compass codes from cell colorings, decodes X syndromes by exact
-minimum-weight matching, computes the exact logical channel from a count
-table built from the dual code (MacWilliams transform in NumPy), provides
-closed-form channels for the repetition-based families, and estimates
-coherence and infidelity thresholds from distance-curve crossings.
+minimum-weight matching, computes the exact logical channel from an exact
+integer count table (MacWilliams transform or kernel cosets, in NumPy),
+provides closed-form channels for the repetition-based families, and
+estimates coherence and infidelity thresholds from distance-curve crossings.
 """
 
 __version__ = "0.1.0"

@@ -106,9 +106,7 @@ _GEN_FAMILIES = {
 
 
 def _cmd_code_gen(args):
-    _require(args, "out")
-    if args.family not in _GEN_FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}")
+    _require(args, "out", "family")
     flags, build = _GEN_FAMILIES[args.family]
     _require(args, *flags)
     if "dz" not in flags and args.dz is not None and args.dz != args.dx:

@@ -4,11 +4,15 @@ The rotation expands as sum_v c_v Z(v) over all 2**n supports with
 c_v = cos(theta/2)**(n-|v|) * (-i sin(theta/2))**|v|.  Supports sharing a
 syndrome and a Z-stabilizer coset add coherently, so the channel is fully
 determined by the theta-independent table counting supports per (syndrome,
-coset, weight), which ``_kernels`` builds from the dual code in
-O((r+1) 2**(r+1) (n+1)) for r X checks, not 2**n.  Because stabilizers have
-even weight and the logical Z odd weight, the two coset amplitudes of a
-syndrome carry opposite real/imaginary parity; they are stored as signed
-reals S with the phase (-i)**parity implied, which makes the logical action
+coset, weight), which ``_kernels`` builds as exact integers, from the dual
+code when r (the number of X checks) is small or from the cosets of the
+check kernel when n - r is.  Per theta, each amplitude is the sum of count *
+weight term in ascending weight order, taken with elementwise IEEE
+operations, so the outputs do not depend on the BLAS build or its thread
+count.  Because stabilizers have even weight and the logical Z odd weight,
+the two coset amplitudes of a syndrome carry opposite real/imaginary parity;
+they are stored as signed reals S with the phase (-i)**parity implied, which
+makes the logical action
 
     A0 * I + A1 * Zbar  ->  exp(-i(theta_s/2) Zbar),
     theta_s = (-1)**p0 * 2*atan(S1/S0)         (pi when S0 = 0)
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .codes import CompassCode
+from .codes import CompassCode, InvalidCodeError
 from .decoder import bit_reverse, build_matching_graph
 from .ptm import LogicalPTM
 
@@ -40,7 +44,15 @@ from .ptm import LogicalPTM
 # are cancelling sums of counts * cos^(n-w) sin^w.  With exact tables, Z-Shor
 # channels miss their closed forms by <= 1.2e-13 at n=25, 2.5e-10 at n=49.
 MAX_QUBITS = 25
-MAX_TABLE_BYTES = 2 << 30  # at n <= 25 only the 1x25 grid (r = 24, 7.0 GB) exceeds it
+# Budget on 2**(r+1) * (n+1) * 8 bytes, the float64 transient of the dual
+# build; the integer table kept is at most half of that.  At n <= 25 only the
+# 1x25 grid (r = 24, 7.0 GB) exceeds it.
+MAX_TABLE_BYTES = 2 << 30
+
+# The ascending-weight sum: tables of at most _SMALL_SUM entries per weight
+# in one add.accumulate, larger ones in blocks of _SUM_BLOCK columns.
+_SMALL_SUM = 1 << 9
+_SUM_BLOCK = 1 << 14
 
 MIN_WEIGHT = "minweight"
 ML = "ml"
@@ -111,7 +123,19 @@ class SyndromeDistribution:
 
 
 class ExactBackend:
-    """Caches the theta-independent count and recovery tables of a code."""
+    """Caches the theta-independent count and recovery tables of a code.
+
+    The count table is kept weight-major and split by weight parity.  Every
+    Z stabilizer has even weight and logical Z odd weight, so the all-ones
+    support lies in span(X checks, logical X) with logical X in the sum: a
+    support's weight parity is fixed by its (syndrome, coset) row, and the
+    two cosets of a syndrome have opposite parities.  ``_table[j, q, s]``
+    counts the weight-(2j+q) supports of syndrome s's coset of weight parity
+    q; the identity coset is the one with the recovery's weight parity.  This
+    drops the half of the weights that are always zero; a large table keeps
+    its narrow dtype (27 MB instead of 436 MB of float64 for the 5x5 X-Shor
+    code).
+    """
 
     def __init__(self, code: CompassCode):
         self.code = code
@@ -123,49 +147,92 @@ class ExactBackend:
                 f"exact backend supports n <= {MAX_QUBITS} and count tables of at most "
                 f"{MAX_TABLE_BYTES} bytes; n={self.n}, r={self.num_checks} needs {table_bytes}")
         masks = [s.mask for s in code.x_stabilizers]
-        self.counts = _kernels.count_table(self.n, masks, code.logical_x.mask)
+        counts = _kernels.count_table(self.n, masks, code.logical_x.mask).reshape(-1, self.n + 1)
         self.graph = build_matching_graph(code)
         # a key holds the weight from bit n up, below it the mirrored support complemented
         keys = self.graph.table()
         xbar = bit_reverse(code.logical_x.mask, self.n)
-        self._rec_parity = keys >> self.n & 1
-        self._rec_coset = np.bitwise_count(~keys & xbar) & 1
+        parity = keys >> self.n & 1
+        coset = np.bitwise_count(~keys & xbar) & 1
+        even_rows = np.arange(0, len(counts), 2) | (coset ^ parity)
+        # a table of one sum block is kept as float64 (at most 3.4 MB), which
+        # saves each term a cast; a larger one keeps the narrow dtype
+        dtype = np.float64 if len(even_rows) <= _SUM_BLOCK else counts.dtype
+        self._table = np.zeros((self.n // 2 + 1, 2, len(even_rows)), dtype)
+        self._table[:, 0] = counts[even_rows, 0::2].T
+        self._table[:(self.n + 1) // 2, 1] = counts[even_rows ^ 1, 1::2].T
+        if int(self._table.sum()) != 1 << self.n:
+            raise InvalidCodeError("a (syndrome, coset) row holds supports of both weight "
+                                   "parities: some Z stabilizer or logical Z has the wrong "
+                                   "weight parity")
+        self._id_odd = parity.astype(bool)
+        self._rec_parity = parity
+        self._rec_parity.setflags(write=False)  # shared by the distributions
 
-    def _amplitudes(self, theta: float) -> np.ndarray:
-        """Signed real coset amplitudes S[s, b] at a reduced angle."""
+    def _amplitudes(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Signed real identity and logical coset amplitudes of every syndrome
+        at a reduced angle, each summed over ascending weight."""
         n = self.n
-        w = np.arange(n + 1)
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        wvec = (-1.0) ** (w // 2) * c ** (n - w) * s ** w
-        return (self.counts.reshape(-1, n + 1) @ wvec).reshape(-1, 2)
+        wvec = [(-1.0) ** (w // 2) * c ** (n - w) * s ** w for w in range(n + 1)]
+        if n % 2 == 0:
+            wvec.append(0.0)  # the odd half has no weight n + 1
+        even, odd = _ascending_sum(self._table, np.array(wvec).reshape(-1, 2, 1))
+        return np.where(self._id_odd, odd, even), np.where(self._id_odd, even, odd)
 
     def distribution(self, theta: float, recovery: str = MIN_WEIGHT) -> SyndromeDistribution:
         _check_recovery(recovery)
         theta = reduce_angle(theta)
-        S = self._amplitudes(theta)
-        idx = np.arange(S.shape[0])
-        s_id = S[idx, self._rec_coset]
-        s_log = S[idx, 1 - self._rec_coset]
-        parity = self._rec_parity.copy()
+        s_id, s_log = self._amplitudes(theta)
+        parity = self._rec_parity
         if recovery == ML:
             swap = np.abs(s_log) > np.abs(s_id)
             s_id, s_log = np.where(swap, s_log, s_id), np.where(swap, s_id, s_log)
-            parity ^= swap.astype(np.int64)
+            parity = parity ^ swap
 
         p = s_id ** 2 + s_log ** 2
         keep = p > 0.0
-        s_id, s_log, parity, p = s_id[keep], s_log[keep], parity[keep], p[keep]
+        if keep.all():
+            syndromes = np.arange(len(p), dtype=np.uint32)
+        else:
+            s_id, s_log, parity, p = s_id[keep], s_log[keep], parity[keep], p[keep]
+            syndromes = np.flatnonzero(keep).astype(np.uint32)
         sign = 1.0 - 2.0 * parity
-        with np.errstate(divide="ignore"):
-            ratio = np.where(s_id != 0.0, s_log / np.where(s_id != 0.0, s_id, 1.0), np.inf)
-        theta_s = np.where(s_id != 0.0, sign * 2.0 * np.arctan(ratio), math.pi)
+        nonzero = s_id != 0.0
+        ratio = s_log / np.where(nonzero, s_id, 1.0)
+        theta_s = np.where(nonzero, sign * 2.0 * np.arctan(ratio), math.pi)
         return SyndromeDistribution(
             theta=theta, num_checks=self.num_checks,
-            syndromes=idx[keep].astype(np.uint32), p=p, theta_s=theta_s,
+            syndromes=syndromes, p=p, theta_s=theta_s,
             amp_identity=s_id, amp_logical=s_log, recovery_parity=parity)
 
     def channel(self, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
         return self.distribution(theta, recovery).channel()
+
+
+def _ascending_sum(table: np.ndarray, wvec: np.ndarray) -> np.ndarray:
+    """``sum_j table[j] * wvec[j]`` over the first axis, added in ascending j.
+
+    Both branches do the same elementwise IEEE multiplies and adds in the same
+    order (``add.accumulate`` is defined as r[j] = r[j-1] + x[j]), so the bits
+    depend neither on the BLAS build and its threads nor on the table size.
+    A small table takes O(1) NumPy calls; a large one is summed over blocks
+    of columns that stay in cache, because ``add.accumulate`` along the first
+    axis runs strided.
+    """
+    if table[0].size <= _SMALL_SUM:
+        terms = table * wvec
+        return np.add.accumulate(terms, out=terms)[-1]
+    out = np.empty(table.shape[1:])
+    term = np.empty(table.shape[1:-1] + (_SUM_BLOCK,))
+    for start in range(0, out.shape[-1], _SUM_BLOCK):
+        acc = out[..., start:start + _SUM_BLOCK]
+        tmp = term[..., :acc.shape[-1]]
+        np.multiply(table[0, ..., start:start + _SUM_BLOCK], wvec[0], out=acc)
+        for j in range(1, len(table)):
+            np.multiply(table[j, ..., start:start + _SUM_BLOCK], wvec[j], out=tmp)
+            acc += tmp
+    return out
 
 
 _CACHE: dict[CompassCode, ExactBackend] = {}

@@ -73,7 +73,7 @@ class TestCodeGen:
          "zstacked is square; --dz must match --dx"),
         (("--family", "zstacked", "--dx", "5"), "--h is required here"),
         (("--family", "random", "--dx", "3", "--dz", "3"), "--q-shor is required here"),
-        ((), "unknown family None"),
+        ((), "--family is required here"),
     ])
     def test_usage_error_exit_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.json"

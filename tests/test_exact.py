@@ -1,15 +1,25 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compasscoh import (Coloring, TooLargeError, _kernels, build_code,
+from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
+                        build_code, build_matching_graph, exact,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, logical_channel, random_coloring,
                         syndrome_distribution)
+from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 
-from oracles import statevector_channel, statevector_distribution
+from oracles import (count_table_reference, statevector_channel,
+                     statevector_distribution)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL_CODES = [
     Coloring(1, 1, ()),
@@ -176,6 +186,13 @@ class TestGuards:
         with pytest.raises(TooLargeError, match=r"n=25, r=24"):
             ExactBackend(build_code(family_z_shor(1, 25)))  # 7.0 GB table
 
+    def test_mixed_weight_parity_rows_rejected(self):
+        # without its second check the all-ones support leaves span(checks, Xbar)
+        code = build_code(Coloring(1, 3, ()))
+        broken = dataclasses.replace(code, x_stabilizers=code.x_stabilizers[:1])
+        with pytest.raises(InvalidCodeError, match="both weight parities"):
+            ExactBackend(broken)
+
     def test_bad_recovery_rejected(self):
         code = build_code(Coloring(1, 3, ()))
         with pytest.raises(ValueError):
@@ -195,3 +212,67 @@ def test_channel_consistency_with_distribution():
     delta = float(np.sum(dist.p * np.sin(dist.theta_s)))
     assert ch.epsilon == pytest.approx(eps, abs=1e-12)
     assert ch.delta == pytest.approx(delta, abs=1e-12)
+
+
+def _python_amplitudes(code, theta):
+    """Identity and logical coset amplitudes of every syndrome, each a plain
+    Python sum of count * weight term over ascending weight."""
+    n = code.n
+    masks = [s.mask for s in code.x_stabilizers]
+    counts = count_table_reference(n, masks, code.logical_x.mask)
+    graph = build_matching_graph(code)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    wvec = [(-1.0) ** (w // 2) * c ** (n - w) * s ** w for w in range(n + 1)]
+    out = []
+    for syndrome in range(1 << len(masks)):
+        _, correction = graph.match(syndrome)
+        coset = (correction & code.logical_x.mask).bit_count() & 1
+        pair = []
+        for b in (coset, 1 - coset):
+            acc = 0.0
+            for w in range(n + 1):
+                acc += int(counts[syndrome, b, w]) * wvec[w]
+            pair.append(acc)
+        out.append(pair)
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("theta_over_pi", [0.01, 0.37, 0.5, 1.0])
+@pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 3),
+                                      random_coloring(3, 5, 0.5, 4)])
+def test_amplitudes_bit_exact_against_ascending_python_sum(
+        monkeypatch, coloring, theta_over_pi, blocked):
+    if blocked:  # the large-table path, with a short last block
+        monkeypatch.setattr(exact, "_SMALL_SUM", 0)
+        monkeypatch.setattr(exact, "_SUM_BLOCK", 5)
+    code = build_code(coloring)
+    theta = reduce_angle(theta_over_pi * math.pi)
+    s_id, s_log = ExactBackend(code)._amplitudes(theta)
+    ref_id, ref_log = _python_amplitudes(code, theta)
+    assert np.array_equal(s_id, ref_id) and np.array_equal(s_log, ref_log)
+
+
+@pytest.mark.parametrize("gen,extra", [
+    (("--family", "rsc", "--dx", "5"), ("--theta-over-pi", "0.37")),
+    # exact identity/logical ties: ML's choice used to follow the BLAS rounding
+    (("--family", "zstacked", "--dx", "5", "--h", "2"),
+     ("--theta-over-pi", "0.1", "--recovery", "ml")),
+])
+def test_channel_exact_bytes_do_not_depend_on_blas_kernel(tmp_path, capsys, gen, extra):
+    code = tmp_path / "code.json"
+    assert main(["code", "gen", *gen, "--out", str(code)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-m", "compasscoh.cli", "channel", "exact",
+             "--code", str(code), *extra],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -46,11 +46,21 @@ def _parse_thetas(text: str) -> list[float]:
     if len(parts) != 3:
         raise UsageError("--thetas expects A:B:STEP in units of pi")
     a, b, step = parts
+    if not all(math.isfinite(x) for x in parts):
+        raise UsageError("--thetas needs finite A, B and STEP")
     if step <= 0 or b < a:
         raise UsageError("--thetas needs STEP > 0 and B >= A")
     count = int(round((b - a) / step)) + 1
     # a span that is not a whole number of steps may round up past B
     return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= b]
+
+
+def positive_int(text) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
@@ -244,7 +254,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file supplying default flag values")
-        p.add_argument("--jobs", type=int,
+        p.add_argument("--jobs", type=positive_int,
                        help="worker processes for ensembles, default none: run "
                             "in-process (results are identical for any value)")
 
@@ -341,8 +351,11 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         config = {key.replace("-", "_"): value for key, value in config.items()}
         for action in args.parser._actions:
             if action.dest in config:
-                try:  # the check a command-line value gets
-                    args.parser._check_value(action, config[action.dest])
+                value = config[action.dest]
+                try:  # the checks its command-line spelling gets: type, then choices
+                    if value is not None:
+                        args.parser._get_value(action, str(value))
+                    args.parser._check_value(action, value)
                 except argparse.ArgumentError as exc:
                     raise UsageError(str(exc)) from exc
         args.parser.set_defaults(**config)

@@ -26,6 +26,15 @@ syndrome comes from the decoder's table of 2**r correction keys
 (``MatchingGraph.table``): p0 is the key's lowest weight bit and the
 recovery's coset the overlap parity of the key's support, both read for
 all syndromes in a few array operations.
+
+Every per-syndrome output is an elementwise function of the syndrome's count
+column and recovery parity.  The columns are coset weight enumerators
+(MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
+code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So a
+table of more than one sum block (2**r > 2**14) keeps one column per class
+of equal pairs; each theta is evaluated once per class and every output
+array gathered once per syndrome, with the same bits as evaluating every
+syndrome.
 """
 
 from __future__ import annotations
@@ -50,7 +59,9 @@ MAX_QUBITS = 25
 MAX_TABLE_BYTES = 2 << 30
 
 # The ascending-weight sum: tables of at most _SMALL_SUM entries per weight
-# in one add.accumulate, larger ones in blocks of _SUM_BLOCK columns.
+# in one add.accumulate, larger ones in blocks of _SUM_BLOCK columns.  A
+# table of more than one block keeps its narrow dtype and one column per
+# class; grouping a smaller one costs more than it saves.
 _SMALL_SUM = 1 << 9
 _SUM_BLOCK = 1 << 14
 
@@ -64,8 +75,14 @@ class TooLargeError(RuntimeError):
 
 
 def reduce_angle(theta: float) -> float:
-    """Map an angle into (-pi, pi]; the physical channel has period 2*pi."""
-    t = math.remainder(float(theta), 2.0 * math.pi)
+    """Map an angle into (-pi, pi]; the physical channel has period 2*pi.
+
+    Raises ValueError for a non-finite angle, which has no channel.
+    """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+    t = math.remainder(theta, 2.0 * math.pi)
     return math.pi if t == -math.pi else t
 
 
@@ -133,8 +150,14 @@ class ExactBackend:
     counts the weight-(2j+q) supports of syndrome s's coset of weight parity
     q; the identity coset is the one with the recovery's weight parity.  This
     drops the half of the weights that are always zero; a large table keeps
-    its narrow dtype (27 MB instead of 436 MB of float64 for the 5x5 X-Shor
-    code).
+    its narrow dtype.
+
+    A table of more than one sum block is grouped after it is laid out: the
+    count table is freed, and only the columns of the class representatives
+    are kept, with ``_classes[s]`` the column of syndrome s in the smallest
+    unsigned dtype (the 5x5 X-Shor code keeps 21 columns and 1 MB of class
+    indices instead of a 27 MB table).  Otherwise ``_classes`` is None and
+    column s is syndrome s.
     """
 
     def __init__(self, code: CompassCode):
@@ -165,13 +188,17 @@ class ExactBackend:
             raise InvalidCodeError("a (syndrome, coset) row holds supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
+        self._classes = None
+        if len(even_rows) > _SUM_BLOCK:
+            del counts, keys, coset, even_rows  # freed before the grouping's transients
+            self._table, parity, self._classes = _group_columns(self._table, parity)
         self._id_odd = parity.astype(bool)
         self._rec_parity = parity
         self._rec_parity.setflags(write=False)  # shared by the distributions
 
     def _amplitudes(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Signed real identity and logical coset amplitudes of every syndrome
-        at a reduced angle, each summed over ascending weight."""
+        """Signed real identity and logical coset amplitudes of every table
+        column at a reduced angle, each summed over ascending weight."""
         n = self.n
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         wvec = [(-1.0) ** (w // 2) * c ** (n - w) * s ** w for w in range(n + 1)]
@@ -191,16 +218,20 @@ class ExactBackend:
             parity = parity ^ swap
 
         p = s_id ** 2 + s_log ** 2
-        keep = p > 0.0
-        if keep.all():
-            syndromes = np.arange(len(p), dtype=np.uint32)
-        else:
-            s_id, s_log, parity, p = s_id[keep], s_log[keep], parity[keep], p[keep]
-            syndromes = np.flatnonzero(keep).astype(np.uint32)
         sign = 1.0 - 2.0 * parity
         nonzero = s_id != 0.0
         ratio = s_log / np.where(nonzero, s_id, 1.0)
         theta_s = np.where(nonzero, sign * 2.0 * np.arctan(ratio), math.pi)
+        keep = p > 0.0
+        # the column of each kept syndrome; None while syndrome s is column s
+        columns = self._classes
+        syndromes = np.arange(len(p) if columns is None else len(columns), dtype=np.uint32)
+        if not keep.all():
+            syndromes = syndromes[keep if columns is None else keep[columns]]
+            columns = syndromes if columns is None else columns[syndromes]
+        if columns is not None:
+            p, theta_s, s_id, s_log, parity = (
+                a.take(columns) for a in (p, theta_s, s_id, s_log, parity))
         return SyndromeDistribution(
             theta=theta, num_checks=self.num_checks,
             syndromes=syndromes, p=p, theta_s=theta_s,
@@ -233,6 +264,52 @@ def _ascending_sum(table: np.ndarray, wvec: np.ndarray) -> np.ndarray:
             np.multiply(table[j, ..., start:start + _SUM_BLOCK], wvec[j], out=tmp)
             acc += tmp
     return out
+
+
+# Odd multiplier of the column hash (2**64 / golden ratio); any odd constant
+# gives an exact grouping, since every column is checked against its class.
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _column_keys(table: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """A uint64 polynomial hash (mod 2**64) of each column of ``table`` (its
+    last axis) together with its ``parity``."""
+    keys = parity.astype(np.uint64)
+    for row in table.reshape(-1, len(keys)):
+        keys *= _HASH_MULT
+        keys += row
+    return keys
+
+
+def _group_columns(table: np.ndarray, parity: np.ndarray):
+    """Group the columns of ``table`` (its last axis) into classes of equal
+    column and equal ``parity``.
+
+    Returns the representatives' columns, their parities and the class index
+    of every column, in the smallest unsigned dtype.  Columns with equal hash
+    keys share a class only if they are equal: each is compared with its
+    class representative, in blocks, and one that differs becomes a class
+    of its own.
+    """
+    keys = _column_keys(table, parity)
+    unique = np.unique(keys)
+    classes = np.searchsorted(unique, keys)
+    reps = np.full(len(unique), len(keys))
+    np.minimum.at(reps, classes, np.arange(len(keys)))  # first column of each class
+    rep_table, rep_parity = table[..., reps], parity[reps]
+    stray = []
+    for start in range(0, len(classes), _SUM_BLOCK):
+        block = slice(start, start + _SUM_BLOCK)
+        cls = classes[block]
+        same = (table[..., block] == rep_table.take(cls, axis=-1)).all(axis=(0, 1))
+        same &= parity[block] == rep_parity.take(cls)
+        stray.append(start + np.flatnonzero(~same))
+    stray = np.concatenate(stray)
+    if len(stray):
+        classes[stray] = len(reps) + np.arange(len(stray))
+        reps = np.concatenate([reps, stray])
+        rep_table, rep_parity = table[..., reps], parity[reps]
+    return rep_table, rep_parity, classes.astype(np.min_scalar_type(len(reps) - 1))
 
 
 _CACHE: dict[CompassCode, ExactBackend] = {}

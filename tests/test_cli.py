@@ -9,7 +9,7 @@ from compasscoh import (AnalyticFamilySource, __version__, _kernels, experiments
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, find_crossings, load_coloring,
                         random_coloring, read_csv)
-from compasscoh.cli import _parse_thetas, main
+from compasscoh.cli import UsageError, _parse_thetas, main
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
 
@@ -216,6 +216,17 @@ class TestChannel:
                               *flags, "--theta-over-pi", "0.7", "--recovery", "ml")
         assert rc == 1 and stdout == ""
         assert json.loads(err)["code"] == "usage"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected(self, tmp_path, capsys, value):
+        code = tmp_path / "rsc3.json"
+        run(capsys, "code", "gen", "--family", "rsc", "--dx", "3", "--out", str(code))
+        for argv in (("channel", "exact", "--code", str(code)),
+                     ("channel", "analytic", "--family", "zstacked", "--l", "5", "--h", "2")):
+            rc, stdout, err = run(capsys, *argv, f"--theta-over-pi={value}")
+            assert rc == 1 and stdout == ""
+            assert json.loads(err) == {"code": "invalid-value",
+                                       "message": f"angle must be finite, got {value}"}
 
     def test_analytic_ml_kept_for_zshor(self, capsys):
         rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "zshor",
@@ -453,6 +464,50 @@ class TestThetaGrid:
         grid = _parse_thetas(text)
         assert grid == [round(a + k * step, 10) for k in range(count)]
         assert grid[-1] == b
+
+    @pytest.mark.parametrize("text", ["0:inf:0.1", "nan:1:0.1", "-inf:1:0.1",
+                                      "0:1:inf", "0:1:nan"])
+    def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys, text):
+        with pytest.raises(UsageError, match="finite A, B and STEP"):
+            _parse_thetas(text)
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", "--family", "rep", "--distances", "3",
+                         f"--thetas={text}", "--out", str(out))
+        assert rc == 1 and not out.exists()
+        assert json.loads(err) == {"code": "usage",
+                                   "message": "--thetas needs finite A, B and STEP"}
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("interpolate", "--q-shors", "1", "--d", "3", "--codes", "2", "--samples", "8",
+         "--thetas", "0.1:0.1:0.1"),
+        ("code", "gen", "--family", "rsc", "--dx", "3"),
+        ("channel", "analytic", "--family", "rep", "--l", "3", "--theta-over-pi", "0.1"),
+        ("sweep", "--family", "rep", "--distances", "3", "--thetas", "0.1:0.1:0.1"),
+    ])
+    def test_below_one_is_a_usage_error(self, tmp_path, capsys, argv, jobs):
+        out = tmp_path / "out"
+        rc, stdout, err = run(capsys, *argv, "--jobs", jobs, "--out", str(out))
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert json.loads(err) == {"code": "usage",
+                                   "message": f"argument --jobs: must be at least 1, got {jobs}"}
+
+    @pytest.mark.parametrize("config,ok", [
+        ({"jobs": 0}, False), ({"jobs": 2.5}, False), ({"seed": 2.5}, False),
+        ({"jobs": None}, True), ({"jobs": 1}, True)])
+    def test_config_values_get_the_flag_type(self, tmp_path, capsys, config, ok):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "curve.csv"
+        argv = ("interpolate", "--q-shors", "1", "--d", "3", "--codes", "2",
+                "--samples", "8", "--thetas", "0.1:0.1:0.1", "--out", str(out))
+        rc, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert (rc, out.exists()) == ((0, True) if ok else (1, False)), err
+        if not ok:  # exactly the error the flag itself gives
+            (key, value), = config.items()
+            assert json.loads(err) == json.loads(run(capsys, *argv, f"--{key}", str(value))[2])
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
-                        build_code, build_matching_graph, exact,
+                        build_code, build_matching_graph, diamond_avg, exact,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, logical_channel, random_coloring,
-                        syndrome_distribution)
+                        syndrome_distribution, x_shor_channel)
 from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
+from compasscoh.families import x_shor_distribution
 
 from oracles import (count_table_reference, statevector_channel,
                      statevector_distribution)
@@ -193,6 +194,14 @@ class TestGuards:
         with pytest.raises(InvalidCodeError, match="both weight parities"):
             ExactBackend(broken)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        code = build_code(family_rotated_surface(3))
+        with pytest.raises(ValueError, match=f"angle must be finite, got {theta!r}"):
+            reduce_angle(theta)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            logical_channel(code, theta)
+
     def test_bad_recovery_rejected(self):
         code = build_code(Coloring(1, 3, ()))
         with pytest.raises(ValueError):
@@ -248,9 +257,91 @@ def test_amplitudes_bit_exact_against_ascending_python_sum(
         monkeypatch.setattr(exact, "_SUM_BLOCK", 5)
     code = build_code(coloring)
     theta = reduce_angle(theta_over_pi * math.pi)
-    s_id, s_log = ExactBackend(code)._amplitudes(theta)
+    backend = ExactBackend(code)
+    s_id, s_log = backend._amplitudes(theta)
+    if blocked:  # over one block, columns are classes: read each syndrome's
+        s_id, s_log = s_id[backend._classes], s_log[backend._classes]
     ref_id, ref_log = _python_amplitudes(code, theta)
     assert np.array_equal(s_id, ref_id) and np.array_equal(s_log, ref_log)
+
+
+def _per_syndrome_backend(monkeypatch, code):
+    """The backend of ``code`` with one table column per syndrome."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_group_columns", lambda table, parity: (table, parity, None))
+        return ExactBackend(code)
+
+
+def _assert_same_distributions(backend, ref, thetas_over_pi):
+    for theta_over_pi in thetas_over_pi:
+        for recovery in ("minweight", "ml"):
+            got = backend.distribution(theta_over_pi * math.pi, recovery)
+            want = ref.distribution(theta_over_pi * math.pi, recovery)
+            for name in ("syndromes", "p", "theta_s", "amp_identity", "amp_logical",
+                         "recovery_parity"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (
+                    theta_over_pi, recovery, name)
+
+
+class TestColumnClasses:
+    """Tables over one sum block keep one column per class of syndromes with
+    equal count column and recovery parity."""
+
+    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2)])
+    def test_bit_exact_at_full_size(self, monkeypatch, coloring):
+        code = build_code(coloring)
+        backend = ExactBackend(code)
+        assert backend.num_checks == 20 and backend._table.shape[-1] == 21
+        ref = _per_syndrome_backend(monkeypatch, code)
+        assert ref._classes is None
+        assert np.array_equal(backend._table[..., backend._classes], ref._table)
+        _assert_same_distributions(backend, ref, [0.0, 0.01, 0.37, 0.5, 1.0])
+
+    @pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 3),
+                                          random_coloring(3, 5, 0.5, 4)])
+    def test_colliding_keys_are_split_by_the_check(self, monkeypatch, coloring):
+        monkeypatch.setattr(exact, "_SUM_BLOCK", 4)  # classes, checked in blocks of 4
+        code = build_code(coloring)
+        ref = _per_syndrome_backend(monkeypatch, code)
+        pairs = np.vstack([ref._table.reshape(-1, ref._table.shape[-1]), ref._rec_parity])
+        distinct = np.unique(pairs, axis=1).shape[1]
+        assert ExactBackend(code)._table.shape[-1] == distinct < pairs.shape[1]
+        monkeypatch.setattr(exact, "_column_keys",
+                            lambda table, parity: np.zeros(len(parity), np.uint64))
+        backend = ExactBackend(code)
+        assert backend._table.shape[-1] > distinct
+        assert np.array_equal(backend._table[..., backend._classes], ref._table)
+        assert np.array_equal(backend._rec_parity[backend._classes], ref._rec_parity)
+        _assert_same_distributions(backend, ref, [0.0, 0.37])
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, collide):
+        # a min-weight recovery's parity is that of the column's lowest weight,
+        # so only a synthetic table shows the parity in the class key
+        if collide:
+            monkeypatch.setattr(exact, "_column_keys",
+                                lambda table, parity: np.zeros(len(parity), np.uint64))
+        table = np.zeros((2, 2, 5), np.uint8)
+        table[0, 0] = [1, 1, 1, 2, 1]
+        parity = np.array([0, 1, 0, 0, 1])
+        rep_table, rep_parity, classes = exact._group_columns(table, parity)
+        assert classes[0] == classes[2] != classes[1] != classes[3] != classes[0]
+        # a column that fails the check against its class becomes a class of its own
+        assert (classes[1] == classes[4]) != collide
+        assert np.array_equal(rep_table[..., classes], table)
+        assert np.array_equal(rep_parity[classes], parity)
+
+    @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])
+    def test_xshor5_matches_closed_form(self, theta_over_pi):
+        theta = theta_over_pi * math.pi
+        backend = get_backend(build_code(family_x_shor(5, 5)))
+        assert backend._classes is not None
+        dist = backend.distribution(theta)
+        ch, ref = dist.channel(), x_shor_channel(5, 5, theta)
+        assert abs(ch.epsilon - ref.epsilon) <= 1e-12
+        assert abs(ch.delta - ref.delta) <= 1e-12
+        assert abs(diamond_avg(dist) - diamond_avg(x_shor_distribution(5, 5, theta))) <= 1e-10
 
 
 @pytest.mark.parametrize("gen,extra", [

@@ -233,6 +233,18 @@ class TestParameterChecks:
             distribution(*params, 0.1)
         assert str(from_distribution.value) == str(from_channel.value)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family,params", [
+        (repetition_exact, (5,)), (repetition_distribution, (5,)),
+        (repetition_stirling, (5,)), (z_shor_channel, (3, 5)),
+        (z_shor_distribution, (3, 5)), (x_shor_channel, (3, 5)),
+        (x_shor_distribution, (3, 5)), (z_stacked_channel, (5, 2)),
+        (z_stacked_distribution, (5, 2)),
+    ])
+    def test_non_finite_angle_rejected(self, family, params, theta):
+        with pytest.raises(ValueError, match=f"angle must be finite, got {theta!r}"):
+            family(*params, theta)
+
 
 class TestThresholds:
     def test_closed_forms(self):

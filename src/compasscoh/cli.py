@@ -55,19 +55,35 @@ def _parse_thetas(text: str) -> list[float]:
     return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= b]
 
 
-def positive_int(text) -> int:
-    """argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of a count that must be at least ``low``."""
+    def parse(text) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _parse_list(text: str, flag: str, kind=int) -> list:
-    try:
-        return [kind(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
+positive_int = _int_at_least(1)
+
+
+def _parse_list(text: str, flag: str, kind=positive_int) -> list:
+    """The comma-separated values of ``flag``, each parsed by ``kind``; a
+    value that does not parse or repeats is a usage error."""
+    values = []
+    for item in text.split(","):
+        if item == "":
+            continue
+        try:
+            value = kind(item)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"bad {flag} value {item!r}: {exc}") from exc
+        if value in values:
+            raise UsageError(f"{flag} repeats the value {item!r}")
+        values.append(value)
+    return values
 
 
 def _require(args, *names):
@@ -325,8 +341,9 @@ def _build_parser() -> _Parser:
     common(ip)
     ip.add_argument("--q-shors", dest="q_shors")
     ip.add_argument("--d", help="comma-separated distances (exact backend sizes)")
-    ip.add_argument("--codes", type=int, default=200)
-    ip.add_argument("--samples", type=int, default=200)
+    ip.add_argument("--codes", type=positive_int, default=200)
+    ip.add_argument("--samples", type=_int_at_least(2), default=200,
+                    help="shots per code (a standard error needs two)")
     ip.add_argument("--seed", type=int, default=0)
     ip.add_argument("--thetas", default="0.05:0.45:0.05")
     ip.add_argument("--recovery", choices=["minweight", "ml"], default=MIN_WEIGHT)

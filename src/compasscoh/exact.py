@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,15 @@ def _check_recovery(recovery: str) -> str:
     return recovery
 
 
+def _per_syndrome(column_field: str) -> cached_property:
+    """A per-syndrome array of a SyndromeDistribution, gathered from its
+    ``column_field`` when first read."""
+    def gather(self) -> np.ndarray:
+        values = getattr(self, column_field)
+        return values if self.columns is None else values.take(self.columns)
+    return cached_property(gather)
+
+
 @dataclass(frozen=True, eq=False)
 class SyndromeDistribution:
     """Per-syndrome probabilities and logical angles at a physical angle.
@@ -100,19 +110,44 @@ class SyndromeDistribution:
     ``amp_identity``/``amp_logical`` are the signed real amplitude parts
     (complex phase implied by ``recovery_parity``), kept for invariant
     tests and Monte Carlo scoring.
+
+    The values are held once per backend table column (``column_*``), with
+    ``columns`` the column of each kept syndrome, or None while syndrome i
+    is column i.  The per-syndrome arrays ``syndromes``, ``p``, ``theta_s``,
+    ``amp_identity``, ``amp_logical`` and ``recovery_parity`` are gathered
+    when first read (2**r entries each on a classed table), and
+    ``theta_s_at`` reads angles at a few syndromes without gathering them.
     """
 
     theta: float
     num_checks: int
-    syndromes: np.ndarray
-    p: np.ndarray
-    theta_s: np.ndarray
-    amp_identity: np.ndarray
-    amp_logical: np.ndarray
-    recovery_parity: np.ndarray
+    column_p: np.ndarray
+    column_theta_s: np.ndarray
+    column_amp_identity: np.ndarray
+    column_amp_logical: np.ndarray
+    column_parity: np.ndarray
+    columns: np.ndarray | None
+    kept: np.ndarray | None  # the kept syndromes; None when every one is kept
+
+    @cached_property
+    def syndromes(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept
+
+    p = _per_syndrome("column_p")
+    theta_s = _per_syndrome("column_theta_s")
+    amp_identity = _per_syndrome("column_amp_identity")
+    amp_logical = _per_syndrome("column_amp_logical")
+    recovery_parity = _per_syndrome("column_parity")
+
+    def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
+        """``theta_s[idx]``, read through ``columns`` without gathering
+        ``theta_s`` whole."""
+        return self.column_theta_s.take(idx if self.columns is None else self.columns.take(idx))
 
     def __len__(self) -> int:
-        return len(self.syndromes)
+        if self.kept is not None:
+            return len(self.kept)
+        return len(self.column_p) if self.columns is None else len(self.columns)
 
     def syndrome_bits(self, i: int) -> str:
         s = int(self.syndromes[i])
@@ -121,7 +156,7 @@ class SyndromeDistribution:
     @property
     def entries(self) -> list[tuple[str, float, float]]:
         return [(self.syndrome_bits(i), float(self.p[i]), float(self.theta_s[i]))
-                for i in range(len(self.syndromes))]
+                for i in range(len(self))]
 
     def amplitudes(self, i: int) -> tuple[complex, complex]:
         """Complex (A0, A1) of entry i, phases restored from the parity."""
@@ -224,18 +259,15 @@ class ExactBackend:
         theta_s = np.where(nonzero, sign * 2.0 * np.arctan(ratio), math.pi)
         keep = p > 0.0
         # the column of each kept syndrome; None while syndrome s is column s
-        columns = self._classes
-        syndromes = np.arange(len(p) if columns is None else len(columns), dtype=np.uint32)
+        columns, kept = self._classes, None
         if not keep.all():
-            syndromes = syndromes[keep if columns is None else keep[columns]]
-            columns = syndromes if columns is None else columns[syndromes]
-        if columns is not None:
-            p, theta_s, s_id, s_log, parity = (
-                a.take(columns) for a in (p, theta_s, s_id, s_log, parity))
+            kept = np.flatnonzero(keep if columns is None else keep[columns]).astype(np.uint32)
+            columns = kept if columns is None else columns.take(kept)
         return SyndromeDistribution(
             theta=theta, num_checks=self.num_checks,
-            syndromes=syndromes, p=p, theta_s=theta_s,
-            amp_identity=s_id, amp_logical=s_log, recovery_parity=parity)
+            column_p=p, column_theta_s=theta_s, column_amp_identity=s_id,
+            column_amp_logical=s_log, column_parity=parity,
+            columns=columns, kept=kept)
 
     def channel(self, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
         return self.distribution(theta, recovery).channel()
@@ -292,7 +324,13 @@ def _group_columns(table: np.ndarray, parity: np.ndarray):
     of its own.
     """
     keys = _column_keys(table, parity)
-    unique = np.unique(keys)
+    # np.unique's sorted keys, from a sort: the hash path of recent NumPy's
+    # np.unique is slower here and imports numpy.ma
+    unique = np.sort(keys)
+    first = np.empty(len(unique), bool)
+    first[:1] = True
+    np.not_equal(unique[1:], unique[:-1], out=first[1:])
+    unique = unique[first]
     classes = np.searchsorted(unique, keys)
     reps = np.full(len(unique), len(keys))
     np.minimum.at(reps, classes, np.arange(len(keys)))  # first column of each class

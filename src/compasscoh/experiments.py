@@ -292,18 +292,44 @@ class SampleEstimate:
     diamond_stderr: float
 
 
+# Generator.choice's tolerance on the sum of normalised probabilities
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices drawn with probabilities ``p``: those of
+    ``rng.choice(len(p), n_samples, p=p / p.sum())``, by choice's own inverse
+    CDF (the normalised probabilities' running sum, divided by its last
+    entry, searched with uniforms from ``rng.random``), in one buffer.
+
+    Like choice, raises ValueError for probabilities that are not finite,
+    are negative, sum to zero, or do not sum to 1 once normalised.
+    """
+    total = p.sum()
+    if not (math.isfinite(total) and total != 0.0):
+        raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
+    cdf = np.divide(p, total)
+    if cdf.min() < 0.0:
+        raise ValueError("probabilities must be non-negative")
+    np.cumsum(cdf, out=cdf)
+    if abs(cdf[-1] - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities sum to {cdf[-1]}, not 1, once normalised")
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n_samples), side="right")
+
+
 def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     """Monte Carlo estimate of (r1, diamond) from an exact distribution.
 
     Draws syndromes with probability p_s and scores (1 - cos theta_s)/3 and
     2|sin theta_s|; reports sample means and standard errors of the mean.
+    ``dist`` needs ``p`` and ``theta_s_at``: the cost is one sum and one
+    cumulative sum of ``p``, and angles are read only at the drawn indices.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    rng = np.random.default_rng(seed)
-    p = np.asarray(dist.p, dtype=float)
-    idx = rng.choice(len(p), size=n_samples, p=p / p.sum())
-    theta_s = np.asarray(dist.theta_s, dtype=float)[idx]
+    idx = _draw(np.asarray(dist.p, dtype=float), n_samples, np.random.default_rng(seed))
+    theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     r1_scores = (1.0 - np.cos(theta_s)) / 3.0
     dia_scores = 2.0 * np.abs(np.sin(theta_s))
     return SampleEstimate(

@@ -61,6 +61,9 @@ class AngleDistribution:
     p: np.ndarray
     theta_s: np.ndarray
 
+    def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
+        return self.theta_s[idx]
+
 
 def _rep_classes(l: int, theta: float, recovery: str):
     """Log-domain class data for the repetition code at a reduced angle.

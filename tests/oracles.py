@@ -14,6 +14,9 @@ the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
 are the scalar Bellman-Ford and the memoized subset DP of the matching
 decoder, with tuple comparisons instead of integer keys, kept as the
 bit-exact reference for the vectorized decode table.
+``sample_distribution_reference`` is the Monte Carlo estimator drawn by
+``Generator.choice`` on the whole gathered distribution, the bit-exact
+reference for the sampler's own inverse CDF.
 """
 
 import functools
@@ -23,6 +26,7 @@ import math
 import numpy as np
 
 from compasscoh import build_matching_graph, decode_mwpm
+from compasscoh.experiments import SampleEstimate
 from compasscoh.families import AngleDistribution, _group_parts
 
 
@@ -174,6 +178,21 @@ def product_distribution_reference(parts, max_classes=200_000):
 
 
 _INF = 10 ** 9
+
+
+def sample_distribution_reference(dist, n_samples, seed):
+    """(drawn indices, SampleEstimate) of ``rng.choice`` over ``dist.p``."""
+    rng = np.random.default_rng(seed)
+    p = np.asarray(dist.p, dtype=float)
+    idx = rng.choice(len(p), size=n_samples, p=p / p.sum())
+    theta_s = np.asarray(dist.theta_s, dtype=float)[idx]
+    r1_scores = (1.0 - np.cos(theta_s)) / 3.0
+    dia_scores = 2.0 * np.abs(np.sin(theta_s))
+    return idx, SampleEstimate(
+        mean_r1=float(r1_scores.mean()),
+        r1_stderr=float(r1_scores.std(ddof=1) / math.sqrt(n_samples)),
+        mean_diamond=float(dia_scores.mean()),
+        diamond_stderr=float(dia_scores.std(ddof=1) / math.sqrt(n_samples)))
 
 
 def _lex_less(a: int, b: int) -> bool:

@@ -496,7 +496,9 @@ class TestJobs:
 
     @pytest.mark.parametrize("config,ok", [
         ({"jobs": 0}, False), ({"jobs": 2.5}, False), ({"seed": 2.5}, False),
-        ({"jobs": None}, True), ({"jobs": 1}, True)])
+        ({"codes": 0}, False), ({"samples": 1}, False), ({"samples": 0}, False),
+        ({"jobs": None}, True), ({"jobs": 1}, True), ({"codes": 1}, True),
+        ({"samples": 2}, True)])
     def test_config_values_get_the_flag_type(self, tmp_path, capsys, config, ok):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -508,6 +510,36 @@ class TestJobs:
         if not ok:  # exactly the error the flag itself gives
             (key, value), = config.items()
             assert json.loads(err) == json.loads(run(capsys, *argv, f"--{key}", str(value))[2])
+
+
+class TestListAndCountFlags:
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--family", "rsc", "--distances", "3,3"), "--distances repeats the value '3'"),
+        (("sweep", "--family", "rep", "--distances", "3,0"),
+         "bad --distances value '0': must be at least 1, got 0"),
+        (("interpolate", "--q-shors", "0.5,0.50", "--d", "3,5"),
+         "--q-shors repeats the value '0.50'"),
+        (("interpolate", "--q-shors", "0.5", "--d", "3,5,3"), "--d repeats the value '3'"),
+        (("interpolate", "--q-shors", "0.5", "--d", "0"),
+         "bad --d value '0': must be at least 1, got 0"),
+        (("interpolate", "--q-shors", "0.5", "--d", "-3"),
+         "bad --d value '-3': must be at least 1, got -3"),
+        (("interpolate", "--q-shors", "0.5", "--d", "3", "--samples", "1"),
+         "argument --samples: must be at least 2, got 1"),
+        (("interpolate", "--q-shors", "0.5", "--d", "3", "--samples", "0"),
+         "argument --samples: must be at least 2, got 0"),
+        (("interpolate", "--q-shors", "0.5", "--d", "3", "--codes", "0"),
+         "argument --codes: must be at least 1, got 0"),
+    ])
+    def test_usage_error_before_any_backend(self, tmp_path, capsys, monkeypatch,
+                                            argv, message):
+        def no_backend(code):
+            raise AssertionError("a backend was built before the flags were checked")
+        monkeypatch.setattr(experiments, "get_backend", no_backend)
+        out = tmp_path / "out.csv"
+        rc, stdout, err = run(capsys, *argv, "--thetas", "0.1:0.2:0.1", "--out", str(out))
+        assert (rc, stdout, out.exists()) == (1, "", False)
+        assert json.loads(err) == {"code": "usage", "message": message}
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,66 @@ class TestColumnClasses:
         assert abs(ch.epsilon - ref.epsilon) <= 1e-12
         assert abs(ch.delta - ref.delta) <= 1e-12
         assert abs(diamond_avg(dist) - diamond_avg(x_shor_distribution(5, 5, theta))) <= 1e-10
+
+
+_PER_SYNDROME = ("syndromes", "p", "theta_s", "amp_identity", "amp_logical",
+                 "recovery_parity")
+
+
+def _eager_arrays(backend, dist):
+    """The per-syndrome arrays as ``distribution`` once built them eagerly:
+    a mask over every syndrome, then one take per column array."""
+    arrays = (dist.column_p, dist.column_theta_s, dist.column_amp_identity,
+              dist.column_amp_logical, dist.column_parity)
+    columns = backend._classes
+    syndromes = np.arange(len(arrays[0]) if columns is None else len(columns), dtype=np.uint32)
+    keep = arrays[0] > 0.0
+    if not keep.all():
+        syndromes = syndromes[keep if columns is None else keep[columns]]
+        columns = syndromes if columns is None else columns[syndromes]
+    if columns is not None:
+        arrays = tuple(a.take(columns) for a in arrays)
+    return dict(zip(_PER_SYNDROME, (syndromes, *arrays)))
+
+
+class TestLazyArrays:
+    """Per-syndrome arrays are gathered from the column arrays when first read."""
+
+    # the class path at full size and with blocks of 4; theta = 0 and pi drop
+    # every syndrome but one
+    @pytest.mark.parametrize("coloring,block", [
+        (family_x_shor(5, 5), None), (family_rotated_surface(3), None),
+        (family_rotated_surface(3), 4), (random_coloring(3, 5, 0.5, 4), None),
+        (random_coloring(3, 5, 0.5, 4), 4)])
+    def test_equal_to_eager_gathers(self, monkeypatch, coloring, block):
+        if block is not None:
+            monkeypatch.setattr(exact, "_SUM_BLOCK", block)
+        backend = ExactBackend(build_code(coloring))
+        assert (backend._classes is not None) == (block is not None or backend.num_checks > 14)
+        rng = np.random.default_rng(0)
+        for theta_over_pi in (0.0, 0.37, 1.0):
+            for recovery in ("minweight", "ml"):
+                dist = backend.distribution(theta_over_pi * math.pi, recovery)
+                want = _eager_arrays(backend, dist)
+                assert len(dist) == len(want["p"])
+                idx = rng.integers(len(dist), size=50)
+                assert np.array_equal(dist.theta_s_at(idx), want["theta_s"][idx])
+                for name, array in want.items():
+                    got = getattr(dist, name)
+                    assert got.dtype == array.dtype and np.array_equal(got, array), (
+                        theta_over_pi, recovery, name)
+
+    def test_xshor5_distribution_allocates_under_a_quarter_until_read(self):
+        backend = get_backend(build_code(family_x_shor(5, 5)))
+        backend.distribution(0.46 * math.pi)  # any one-off set-up happens outside
+        tracemalloc.start()
+        try:
+            dist = backend.distribution(0.46 * math.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        eager = sum(getattr(dist, name).nbytes for name in _PER_SYNDROME)
+        assert eager > 40 << 20 and peak < eager / 4
 
 
 @pytest.mark.parametrize("gen,extra", [

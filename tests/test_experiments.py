@@ -5,14 +5,17 @@ import pytest
 
 from compasscoh import (AnalyticFamilySource, CodeSource, EnsembleSource,
                         build_code, ensemble_estimate, family_rotated_surface,
+                        family_x_shor, random_coloring,
                         find_crossings, interpolation_curve, read_csv,
                         sample_distribution, sweep, syndrome_distribution,
                         write_csv, z_shor_channel)
 from compasscoh.experiments import (CSV_COLUMNS, PairCrossing, SweepRow,
                                     SweepTable, source_for_rows, table_to_json)
-from compasscoh import families
-from compasscoh.families import repetition_exact
+from compasscoh import experiments, families
+from compasscoh.families import AngleDistribution, repetition_exact
 from compasscoh import family_z_stacked
+
+from oracles import sample_distribution_reference
 
 
 def rep_source():
@@ -157,6 +160,40 @@ class TestSampling:
                   for s in range(8)]
         ratio = np.mean(ses_2n) / np.mean(ses_n)
         assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.25)
+
+    # X-Shor 5x5 and the random 5x5 code take the class path (r = 20); at
+    # theta = 0 only the trivial syndrome is kept
+    @pytest.mark.parametrize("make", [
+        lambda: syndrome_distribution(build_code(family_rotated_surface(3)), 0.37 * math.pi),
+        lambda: syndrome_distribution(build_code(family_z_stacked(3, 2)), 0.2 * math.pi),
+        lambda: syndrome_distribution(build_code(family_x_shor(5, 5)), 0.46 * math.pi),
+        lambda: syndrome_distribution(build_code(random_coloring(5, 5, 0.9, 2)), 0.3 * math.pi),
+        lambda: families.z_stacked_distribution(5, 2, 0.2 * math.pi),
+        lambda: syndrome_distribution(build_code(family_rotated_surface(3)), 0.0),
+    ], ids=["rsc3", "zstacked3-h2", "xshor5", "random5-0.9", "zstacked5-h2-family",
+            "theta0"])
+    @pytest.mark.parametrize("n_samples", [2, 400, 10_000])
+    def test_draws_bit_identical_to_choice(self, make, n_samples):
+        dist = make()
+        for seed in range(20):
+            want_idx, want = sample_distribution_reference(dist, n_samples, seed)
+            idx = experiments._draw(dist.p, n_samples, np.random.default_rng(seed))
+            assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+            assert sample_distribution(dist, n_samples, seed) == want
+
+    def test_reads_angles_only_where_it_draws(self):
+        dist = syndrome_distribution(build_code(family_x_shor(5, 5)), 0.46 * math.pi)
+        sample_distribution(dist, 400, 1)
+        assert "theta_s" not in vars(dist)  # the 2**20-entry array is never gathered
+
+    @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [0.5, math.inf], [0.6, -0.1, 0.5],
+                                   [0.0, 0.0], [], [1.0, -1.0]])
+    def test_bad_probabilities_raise_value_error_like_choice(self, p):
+        dist = AngleDistribution(theta=0.0, p=np.array(p), theta_s=np.zeros(len(p)))
+        with pytest.raises(ValueError), np.errstate(invalid="ignore", divide="ignore"):
+            sample_distribution_reference(dist, 10, 0)
+        with pytest.raises(ValueError, match="probabilities"):
+            sample_distribution(dist, 10, 0)
 
     def test_deterministic(self):
         code = build_code(family_z_stacked(3, 2))

@@ -30,11 +30,11 @@ all syndromes in a few array operations.
 Every per-syndrome output is an elementwise function of the syndrome's count
 column and recovery parity.  The columns are coset weight enumerators
 (MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
-code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So a
-table of more than one sum block (2**r > 2**14) keeps one column per class
-of equal pairs; each theta is evaluated once per class and every output
-array gathered once per syndrome, with the same bits as evaluating every
-syndrome.
+code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So
+the backend groups syndromes into classes of equal pairs straight from the
+count table's rows and lays out one column per class; each theta is
+evaluated once per class and every output array gathered once per
+syndrome, with the same bits as evaluating every syndrome.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ MAX_QUBITS = 25
 # 1x25 grid (r = 24, 7.0 GB) exceeds it.
 MAX_TABLE_BYTES = 2 << 30
 
-# The ascending-weight sum: tables of at most _SMALL_SUM entries per weight
-# in one add.accumulate, larger ones in blocks of _SUM_BLOCK columns.  A
-# table of more than one block keeps its narrow dtype and one column per
-# class; grouping a smaller one costs more than it saves.
-_SMALL_SUM = 1 << 9
+# Columns per add.accumulate of the ascending-weight sum, and syndromes per
+# block of the grouping's exact check: each block's transients stay near
+# 3 MB, whatever the number of syndromes or classes.
 _SUM_BLOCK = 1 << 14
 
 MIN_WEIGHT = "minweight"
@@ -97,8 +95,7 @@ def _per_syndrome(column_field: str) -> cached_property:
     """A per-syndrome array of a SyndromeDistribution, gathered from its
     ``column_field`` when first read."""
     def gather(self) -> np.ndarray:
-        values = getattr(self, column_field)
-        return values if self.columns is None else values.take(self.columns)
+        return getattr(self, column_field).take(self.columns)
     return cached_property(gather)
 
 
@@ -107,16 +104,16 @@ class SyndromeDistribution:
     """Per-syndrome probabilities and logical angles at a physical angle.
 
     Zero-probability syndromes (exact zeros, e.g. at theta=0) are dropped.
-    ``amp_identity``/``amp_logical`` are the signed real amplitude parts
-    (complex phase implied by ``recovery_parity``), kept for invariant
-    tests and Monte Carlo scoring.
+    ``amp_identity``/``amp_logical`` are the signed real amplitude parts,
+    with the complex phases (-i)**parity and (-i)**(1 - parity) implied by
+    ``recovery_parity``.
 
-    The values are held once per backend table column (``column_*``), with
-    ``columns`` the column of each kept syndrome, or None while syndrome i
-    is column i.  The per-syndrome arrays ``syndromes``, ``p``, ``theta_s``,
-    ``amp_identity``, ``amp_logical`` and ``recovery_parity`` are gathered
-    when first read (2**r entries each on a classed table), and
-    ``theta_s_at`` reads angles at a few syndromes without gathering them.
+    The values are held once per backend class (``column_*``), with
+    ``columns`` the class of each kept syndrome.  The per-syndrome arrays
+    ``syndromes``, ``p``, ``theta_s``, ``amp_identity``, ``amp_logical`` and
+    ``recovery_parity`` are gathered when first read (up to 2**r entries
+    each), and ``theta_s_at`` reads angles at a few syndromes without
+    gathering them.
     """
 
     theta: float
@@ -126,7 +123,7 @@ class SyndromeDistribution:
     column_amp_identity: np.ndarray
     column_amp_logical: np.ndarray
     column_parity: np.ndarray
-    columns: np.ndarray | None
+    columns: np.ndarray
     kept: np.ndarray | None  # the kept syndromes; None when every one is kept
 
     @cached_property
@@ -142,12 +139,10 @@ class SyndromeDistribution:
     def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
         """``theta_s[idx]``, read through ``columns`` without gathering
         ``theta_s`` whole."""
-        return self.column_theta_s.take(idx if self.columns is None else self.columns.take(idx))
+        return self.column_theta_s.take(self.columns.take(idx))
 
     def __len__(self) -> int:
-        if self.kept is not None:
-            return len(self.kept)
-        return len(self.column_p) if self.columns is None else len(self.columns)
+        return len(self.columns)
 
     def syndrome_bits(self, i: int) -> str:
         s = int(self.syndromes[i])
@@ -157,13 +152,6 @@ class SyndromeDistribution:
     def entries(self) -> list[tuple[str, float, float]]:
         return [(self.syndrome_bits(i), float(self.p[i]), float(self.theta_s[i]))
                 for i in range(len(self))]
-
-    def amplitudes(self, i: int) -> tuple[complex, complex]:
-        """Complex (A0, A1) of entry i, phases restored from the parity."""
-        par = int(self.recovery_parity[i])
-        ph0 = 1.0 if par == 0 else -1.0j
-        ph1 = 1.0 if par == 1 else -1.0j
-        return ph0 * float(self.amp_identity[i]), ph1 * float(self.amp_logical[i])
 
     def channel(self) -> LogicalPTM:
         """Logical channel from the amplitudes: eps = 2 sum A1^2,
@@ -177,22 +165,20 @@ class SyndromeDistribution:
 class ExactBackend:
     """Caches the theta-independent count and recovery tables of a code.
 
-    The count table is kept weight-major and split by weight parity.  Every
-    Z stabilizer has even weight and logical Z odd weight, so the all-ones
-    support lies in span(X checks, logical X) with logical X in the sum: a
-    support's weight parity is fixed by its (syndrome, coset) row, and the
-    two cosets of a syndrome have opposite parities.  ``_table[j, q, s]``
-    counts the weight-(2j+q) supports of syndrome s's coset of weight parity
-    q; the identity coset is the one with the recovery's weight parity.  This
-    drops the half of the weights that are always zero; a large table keeps
-    its narrow dtype.
-
-    A table of more than one sum block is grouped after it is laid out: the
-    count table is freed, and only the columns of the class representatives
-    are kept, with ``_classes[s]`` the column of syndrome s in the smallest
-    unsigned dtype (the 5x5 X-Shor code keeps 21 columns and 1 MB of class
-    indices instead of a 27 MB table).  Otherwise ``_classes`` is None and
-    column s is syndrome s.
+    Every Z stabilizer has even weight and logical Z odd weight, so the
+    all-ones support lies in span(X checks, logical X) with logical X in the
+    sum: a support's weight parity is fixed by its (syndrome, coset) row,
+    and the two cosets of a syndrome have opposite parities.  Syndromes are
+    grouped into classes of equal even-weight coset row, odd-weight coset
+    row and recovery parity, straight from the count table's rows, and only
+    each class's first syndrome is laid out: weight-major, split by weight
+    parity, in the count table's narrow dtype.  ``_table[j, q, c]`` counts
+    the weight-(2j+q) supports of class c's coset of weight parity q (the
+    half of the weights that is always zero is dropped); the identity coset
+    is the one with the recovery's weight parity.  ``_classes[s]`` is the
+    class of syndrome s in the smallest unsigned dtype; the count table is
+    freed once the backend is built (the 5x5 X-Shor code keeps 21 columns
+    and 1 MB of class indices).
     """
 
     def __init__(self, code: CompassCode):
@@ -212,21 +198,20 @@ class ExactBackend:
         xbar = bit_reverse(code.logical_x.mask, self.n)
         parity = keys >> self.n & 1
         coset = np.bitwise_count(~keys & xbar) & 1
+        # the row of each syndrome's even-weight coset; the odd one is its ^ 1
         even_rows = np.arange(0, len(counts), 2) | (coset ^ parity)
-        # a table of one sum block is kept as float64 (at most 3.4 MB), which
-        # saves each term a cast; a larger one keeps the narrow dtype
-        dtype = np.float64 if len(even_rows) <= _SUM_BLOCK else counts.dtype
-        self._table = np.zeros((self.n // 2 + 1, 2, len(even_rows)), dtype)
-        self._table[:, 0] = counts[even_rows, 0::2].T
-        self._table[:(self.n + 1) // 2, 1] = counts[even_rows ^ 1, 1::2].T
-        if int(self._table.sum()) != 1 << self.n:
+        del keys, coset  # freed before the grouping's transients
+        reps, self._classes = _group_rows(counts, even_rows, parity)
+        even, odd = counts[even_rows[reps]], counts[even_rows[reps] ^ 1]
+        # every row equals its class's first row, so checking those checks all
+        if even[:, 1::2].any() or odd[:, 0::2].any():
             raise InvalidCodeError("a (syndrome, coset) row holds supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
-        self._classes = None
-        if len(even_rows) > _SUM_BLOCK:
-            del counts, keys, coset, even_rows  # freed before the grouping's transients
-            self._table, parity, self._classes = _group_columns(self._table, parity)
+        self._table = np.zeros((self.n // 2 + 1, 2, len(reps)), counts.dtype)
+        self._table[:, 0] = even[:, 0::2].T
+        self._table[:(self.n + 1) // 2, 1] = odd[:, 1::2].T
+        parity = parity[reps]
         self._id_odd = parity.astype(bool)
         self._rec_parity = parity
         self._rec_parity.setflags(write=False)  # shared by the distributions
@@ -258,11 +243,10 @@ class ExactBackend:
         ratio = s_log / np.where(nonzero, s_id, 1.0)
         theta_s = np.where(nonzero, sign * 2.0 * np.arctan(ratio), math.pi)
         keep = p > 0.0
-        # the column of each kept syndrome; None while syndrome s is column s
-        columns, kept = self._classes, None
+        columns, kept = self._classes, None  # the class of each kept syndrome
         if not keep.all():
-            kept = np.flatnonzero(keep if columns is None else keep[columns]).astype(np.uint32)
-            columns = kept if columns is None else columns.take(kept)
+            kept = np.flatnonzero(keep[columns]).astype(np.uint32)
+            columns = columns.take(kept)
         return SyndromeDistribution(
             theta=theta, num_checks=self.num_checks,
             column_p=p, column_theta_s=theta_s, column_amp_identity=s_id,
@@ -276,54 +260,54 @@ class ExactBackend:
 def _ascending_sum(table: np.ndarray, wvec: np.ndarray) -> np.ndarray:
     """``sum_j table[j] * wvec[j]`` over the first axis, added in ascending j.
 
-    Both branches do the same elementwise IEEE multiplies and adds in the same
-    order (``add.accumulate`` is defined as r[j] = r[j-1] + x[j]), so the bits
-    depend neither on the BLAS build and its threads nor on the table size.
-    A small table takes O(1) NumPy calls; a large one is summed over blocks
-    of columns that stay in cache, because ``add.accumulate`` along the first
-    axis runs strided.
+    Each block of ``_SUM_BLOCK`` columns takes one multiply and one
+    ``add.accumulate``, which is defined as r[j] = r[j-1] + x[j]: the same
+    elementwise IEEE operations in the same order for every column, so the
+    bits depend neither on the BLAS build and its threads nor on the table
+    size or the block boundaries.
     """
-    if table[0].size <= _SMALL_SUM:
-        terms = table * wvec
-        return np.add.accumulate(terms, out=terms)[-1]
     out = np.empty(table.shape[1:])
-    term = np.empty(table.shape[1:-1] + (_SUM_BLOCK,))
     for start in range(0, out.shape[-1], _SUM_BLOCK):
-        acc = out[..., start:start + _SUM_BLOCK]
-        tmp = term[..., :acc.shape[-1]]
-        np.multiply(table[0, ..., start:start + _SUM_BLOCK], wvec[0], out=acc)
-        for j in range(1, len(table)):
-            np.multiply(table[j, ..., start:start + _SUM_BLOCK], wvec[j], out=tmp)
-            acc += tmp
+        block = slice(start, start + _SUM_BLOCK)
+        terms = table[..., block] * wvec
+        out[..., block] = np.add.accumulate(terms, out=terms)[-1]
     return out
 
 
-# Odd multiplier of the column hash (2**64 / golden ratio); any odd constant
-# gives an exact grouping, since every column is checked against its class.
+# Odd multiplier of the row hash (2**64 / golden ratio); any constant gives
+# an exact grouping, since every syndrome is checked against its class (0
+# puts every syndrome under one key).
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _column_keys(table: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """A uint64 polynomial hash (mod 2**64) of each column of ``table`` (its
-    last axis) together with its ``parity``."""
-    keys = parity.astype(np.uint64)
-    for row in table.reshape(-1, len(keys)):
-        keys *= _HASH_MULT
-        keys += row
-    return keys
+def _group_rows(counts: np.ndarray, even_rows: np.ndarray, parity: np.ndarray):
+    """Group syndromes s into classes of equal even-weight coset row
+    ``counts[even_rows[s]]``, odd-weight coset row ``counts[even_rows[s] ^ 1]``
+    and recovery ``parity[s]``.
 
-
-def _group_columns(table: np.ndarray, parity: np.ndarray):
-    """Group the columns of ``table`` (its last axis) into classes of equal
-    column and equal ``parity``.
-
-    Returns the representatives' columns, their parities and the class index
-    of every column, in the smallest unsigned dtype.  Columns with equal hash
-    keys share a class only if they are equal: each is compared with its
-    class representative, in blocks, and one that differs becomes a class
-    of its own.
+    Returns the first syndrome of each class and the class of every
+    syndrome, in the smallest unsigned dtype.  Classes come from a uint64
+    hash of each syndrome's two rows and parity, the rows read as packed
+    words (the last one overlapping the one before when the rows are not a
+    whole number of words).  Syndromes with equal keys share a class only if
+    they are equal: each is compared with its class's first syndrome, and
+    one that differs becomes a class of its own.  Both passes run in blocks
+    of ``_SUM_BLOCK`` syndromes.
     """
-    keys = _column_keys(table, parity)
+    def rows(even):  # the even-weight, then the odd-weight coset row, as bytes
+        pair = counts.take(even[:, None] ^ (0, 1), axis=0)
+        return pair.reshape(len(even), -1).view(np.uint8)
+
+    size = 2 * counts.shape[1] * counts.itemsize
+    word = min(8, 1 << (size.bit_length() - 1))
+    offsets = sorted({*range(0, size - word + 1, word), size - word})
+    keys = parity.astype(np.uint64)
+    for start in range(0, len(keys), _SUM_BLOCK):
+        block = slice(start, start + _SUM_BLOCK)
+        raw, key = rows(even_rows[block]), keys[block]
+        for offset in offsets:
+            key ^= raw[:, offset:offset + word].view(f"u{word}")[:, 0]
+            key *= _HASH_MULT
     # np.unique's sorted keys, from a sort: the hash path of recent NumPy's
     # np.unique is slower here and imports numpy.ma
     unique = np.sort(keys)
@@ -333,21 +317,19 @@ def _group_columns(table: np.ndarray, parity: np.ndarray):
     unique = unique[first]
     classes = np.searchsorted(unique, keys)
     reps = np.full(len(unique), len(keys))
-    np.minimum.at(reps, classes, np.arange(len(keys)))  # first column of each class
-    rep_table, rep_parity = table[..., reps], parity[reps]
+    np.minimum.at(reps, classes, np.arange(len(keys)))  # first syndrome of each class
     stray = []
     for start in range(0, len(classes), _SUM_BLOCK):
         block = slice(start, start + _SUM_BLOCK)
-        cls = classes[block]
-        same = (table[..., block] == rep_table.take(cls, axis=-1)).all(axis=(0, 1))
-        same &= parity[block] == rep_parity.take(cls)
+        rep = reps.take(classes[block])
+        same = (rows(even_rows[block]) == rows(even_rows.take(rep))).all(axis=1)
+        same &= parity[block] == parity.take(rep)
         stray.append(start + np.flatnonzero(~same))
     stray = np.concatenate(stray)
     if len(stray):
         classes[stray] = len(reps) + np.arange(len(stray))
         reps = np.concatenate([reps, stray])
-        rep_table, rep_parity = table[..., reps], parity[reps]
-    return rep_table, rep_parity, classes.astype(np.min_scalar_type(len(reps) - 1))
+    return reps, classes.astype(np.min_scalar_type(len(reps) - 1))
 
 
 _CACHE: dict[CompassCode, ExactBackend] = {}

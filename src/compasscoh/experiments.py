@@ -292,6 +292,17 @@ class SampleEstimate:
     diamond_stderr: float
 
 
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1) / sqrt(len(x))`` of at least two
+    values, with NumPy's bits (the same pairwise sums and IEEE operations)
+    but without its per-call overhead."""
+    n = len(x)
+    mean = np.add.reduce(x) / n
+    dev = x - mean
+    dev *= dev
+    return float(mean), math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
+
+
 # Generator.choice's tolerance on the sum of normalised probabilities
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -330,13 +341,9 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
         raise ValueError("need at least 2 samples for a standard error")
     idx = _draw(np.asarray(dist.p, dtype=float), n_samples, np.random.default_rng(seed))
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
-    r1_scores = (1.0 - np.cos(theta_s)) / 3.0
-    dia_scores = 2.0 * np.abs(np.sin(theta_s))
-    return SampleEstimate(
-        mean_r1=float(r1_scores.mean()),
-        r1_stderr=float(r1_scores.std(ddof=1) / math.sqrt(n_samples)),
-        mean_diamond=float(dia_scores.mean()),
-        diamond_stderr=float(dia_scores.std(ddof=1) / math.sqrt(n_samples)))
+    mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
+    mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))
+    return SampleEstimate(mean_r1, r1_stderr, mean_diamond, diamond_stderr)
 
 
 @dataclass(frozen=True)
@@ -392,7 +399,7 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
     def sem(vals):
         if len(vals) < 2 or vals.max() == vals.min():
             return 0.0
-        return float(vals.std(ddof=1) / math.sqrt(len(vals)))
+        return _mean_stderr(vals)[1]
 
     return EnsembleResult(
         mean_r1=float(r1s.mean()), r1_stderr=sem(r1s),

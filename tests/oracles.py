@@ -8,6 +8,8 @@ convention is part of the channel definition, not of the computation).
 
 ``count_table_reference`` counts all 2**n supports directly (the primal
 count), as the reference for the kernel's dual (MacWilliams) transform.
+``per_syndrome_backend`` lays out the count table once per syndrome, with
+no grouping, as the reference for the exact backend's syndrome classes.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -25,7 +27,9 @@ import math
 
 import numpy as np
 
-from compasscoh import build_matching_graph, decode_mwpm
+from compasscoh import _kernels, build_matching_graph, decode_mwpm
+from compasscoh.decoder import bit_reverse
+from compasscoh.exact import ExactBackend
 from compasscoh.experiments import SampleEstimate
 from compasscoh.families import AngleDistribution, _group_parts
 
@@ -151,6 +155,31 @@ def count_table_reference(n, check_masks, xbar_mask):
     r = len(check_masks)
     counts = np.bincount(key, minlength=(1 << (r + 1)) * (n + 1))
     return counts.reshape(1 << r, 2, n + 1)
+
+
+def per_syndrome_backend(code):
+    """An ``ExactBackend`` of ``code`` whose table holds one column per
+    syndrome: column s is syndrome s's even-weight coset row (even weights)
+    and odd-weight coset row (odd weights) of the count table, with the
+    recovery's weight parity and coset read off the decode table, and the
+    class of syndrome s is s.  Its distributions run the backend's own
+    per-theta code on every syndrome, so they are the bit-exact reference
+    for the backend's classes."""
+    n = code.n
+    counts = _kernels.count_table(n, [s.mask for s in code.x_stabilizers],
+                                  code.logical_x.mask).reshape(-1, n + 1)
+    keys = build_matching_graph(code).table()
+    parity = keys >> n & 1
+    coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1
+    even_rows = np.arange(0, len(counts), 2) | (coset ^ parity)
+    backend = object.__new__(ExactBackend)
+    backend.n, backend.num_checks = n, len(code.x_stabilizers)
+    backend._table = np.zeros((n // 2 + 1, 2, len(even_rows)), counts.dtype)
+    backend._table[:, 0] = counts[even_rows, 0::2].T
+    backend._table[:(n + 1) // 2, 1] = counts[even_rows ^ 1, 1::2].T
+    backend._classes = np.arange(len(even_rows))
+    backend._rec_parity, backend._id_odd = parity, parity.astype(bool)
+    return backend
 
 
 def product_distribution_reference(parts, max_classes=200_000):

@@ -18,8 +18,8 @@ from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
-from oracles import (count_table_reference, statevector_channel,
-                     statevector_distribution)
+from oracles import (count_table_reference, per_syndrome_backend,
+                     statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -136,7 +136,9 @@ class TestInvariants:
         """The identity/logical amplitude pair is I-phase vs Z-phase split."""
         dist = syndrome_distribution(build_code(coloring), 0.3 * math.pi)
         for i in range(len(dist)):
-            a0, a1 = dist.amplitudes(i)
+            odd = int(dist.recovery_parity[i])  # phases (-i)**parity, (-i)**(1 - parity)
+            a0 = (-1.0j if odd else 1.0) * float(dist.amp_identity[i])
+            a1 = (1.0 if odd else -1.0j) * float(dist.amp_logical[i])
             prod = a1 * np.conj(a0)
             assert abs(prod.real) <= 1e-12 * max(abs(a0) * abs(a1), 1e-30)
 
@@ -253,24 +255,16 @@ def _python_amplitudes(code, theta):
                                       random_coloring(3, 5, 0.5, 4)])
 def test_amplitudes_bit_exact_against_ascending_python_sum(
         monkeypatch, coloring, theta_over_pi, blocked):
-    if blocked:  # the large-table path, with a short last block
-        monkeypatch.setattr(exact, "_SMALL_SUM", 0)
-        monkeypatch.setattr(exact, "_SUM_BLOCK", 5)
+    if blocked:  # several sum blocks, the last one short on two of the codes
+        monkeypatch.setattr(exact, "_SUM_BLOCK", 3)
     code = build_code(coloring)
     theta = reduce_angle(theta_over_pi * math.pi)
     backend = ExactBackend(code)
     s_id, s_log = backend._amplitudes(theta)
-    if blocked:  # over one block, columns are classes: read each syndrome's
-        s_id, s_log = s_id[backend._classes], s_log[backend._classes]
+    assert not blocked or backend._table.shape[-1] > 3
     ref_id, ref_log = _python_amplitudes(code, theta)
-    assert np.array_equal(s_id, ref_id) and np.array_equal(s_log, ref_log)
-
-
-def _per_syndrome_backend(monkeypatch, code):
-    """The backend of ``code`` with one table column per syndrome."""
-    with monkeypatch.context() as patch:
-        patch.setattr(exact, "_group_columns", lambda table, parity: (table, parity, None))
-        return ExactBackend(code)
+    classes = backend._classes  # the columns are classes: read each syndrome's
+    assert np.array_equal(s_id[classes], ref_id) and np.array_equal(s_log[classes], ref_log)
 
 
 def _assert_same_distributions(backend, ref, thetas_over_pi):
@@ -286,30 +280,45 @@ def _assert_same_distributions(backend, ref, thetas_over_pi):
 
 
 class TestColumnClasses:
-    """Tables over one sum block keep one column per class of syndromes with
-    equal count column and recovery parity."""
+    """The backend keeps one table column per class of syndromes with equal
+    count column and recovery parity."""
 
     @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2)])
-    def test_bit_exact_at_full_size(self, monkeypatch, coloring):
+    def test_bit_exact_at_full_size(self, coloring):
         code = build_code(coloring)
         backend = ExactBackend(code)
         assert backend.num_checks == 20 and backend._table.shape[-1] == 21
-        ref = _per_syndrome_backend(monkeypatch, code)
-        assert ref._classes is None
+        ref = per_syndrome_backend(code)
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
         _assert_same_distributions(backend, ref, [0.0, 0.01, 0.37, 0.5, 1.0])
+
+    def test_rsc5_holds_fewer_columns_than_syndromes(self):
+        backend = ExactBackend(build_code(family_rotated_surface(5)))
+        assert backend._table.shape[-1] == 645 < 1 << backend.num_checks == 4096
+        assert backend._classes.dtype == np.uint16
+
+    def test_xshor5_build_peak_is_bounded(self):
+        code = build_code(family_x_shor(5, 5))
+        ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
+        tracemalloc.start()
+        try:
+            ExactBackend(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count table alone holds 52 MB and its coset build peaks at 86 MB
+        assert peak < 110 << 20
 
     @pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 3),
                                           random_coloring(3, 5, 0.5, 4)])
     def test_colliding_keys_are_split_by_the_check(self, monkeypatch, coloring):
-        monkeypatch.setattr(exact, "_SUM_BLOCK", 4)  # classes, checked in blocks of 4
+        monkeypatch.setattr(exact, "_SUM_BLOCK", 4)  # hashed and checked in blocks of 4
         code = build_code(coloring)
-        ref = _per_syndrome_backend(monkeypatch, code)
+        ref = per_syndrome_backend(code)
         pairs = np.vstack([ref._table.reshape(-1, ref._table.shape[-1]), ref._rec_parity])
         distinct = np.unique(pairs, axis=1).shape[1]
         assert ExactBackend(code)._table.shape[-1] == distinct < pairs.shape[1]
-        monkeypatch.setattr(exact, "_column_keys",
-                            lambda table, parity: np.zeros(len(parity), np.uint64))
+        monkeypatch.setattr(exact, "_HASH_MULT", np.uint64(0))  # every key 0
         backend = ExactBackend(code)
         assert backend._table.shape[-1] > distinct
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
@@ -319,26 +328,34 @@ class TestColumnClasses:
     @pytest.mark.parametrize("collide", [False, True])
     def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, collide):
         # a min-weight recovery's parity is that of the column's lowest weight,
-        # so only a synthetic table shows the parity in the class key
+        # so only synthetic rows show the parity in the class key
+        monkeypatch.setattr(exact, "_SUM_BLOCK", 3)
         if collide:
-            monkeypatch.setattr(exact, "_column_keys",
-                                lambda table, parity: np.zeros(len(parity), np.uint64))
-        table = np.zeros((2, 2, 5), np.uint8)
-        table[0, 0] = [1, 1, 1, 2, 1]
-        parity = np.array([0, 1, 0, 0, 1])
-        rep_table, rep_parity, classes = exact._group_columns(table, parity)
-        assert classes[0] == classes[2] != classes[1] != classes[3] != classes[0]
-        # a column that fails the check against its class becomes a class of its own
-        assert (classes[1] == classes[4]) != collide
-        assert np.array_equal(rep_table[..., classes], table)
-        assert np.array_equal(rep_parity[classes], parity)
+            monkeypatch.setattr(exact, "_HASH_MULT", np.uint64(0))
+        a, b, c = [1, 0, 1], [0, 2, 0], [0, 1, 0]
+        # per syndrome: (coset 0 row, coset 1 row), even-weight coset, parity
+        syndromes = [((a, b), 0, 0), ((a, b), 0, 1), ((a, b), 0, 0), ((a, c), 0, 0),
+                     ((a, b), 0, 1), ((b, a), 1, 0), ((a, b), 1, 0), ((a, c), 0, 0)]
+        counts = np.array([row for rows, _, _ in syndromes for row in rows], np.uint8)
+        even_rows = np.array([2 * s + e for s, (_, e, _) in enumerate(syndromes)])
+        parity = np.array([p for _, _, p in syndromes])
+        reps, classes = exact._group_rows(counts, even_rows, parity)
+        # syndrome 5 has syndrome 0's rows with the cosets swapped, 6 does not
+        assert classes[0] == classes[2] == classes[5]
+        assert len({classes[0], classes[1], classes[3], classes[6]}) == 4
+        # a syndrome that fails the check against its class becomes a class of its own
+        assert (classes[1] == classes[4]) != collide and (classes[3] == classes[7]) != collide
+        assert len(reps) == (6 if collide else 4)
+        rep = reps[classes]
+        assert np.all(rep <= np.arange(len(syndromes)))
+        for flip in (0, 1):
+            assert np.array_equal(counts[even_rows[rep] ^ flip], counts[even_rows ^ flip])
+        assert np.array_equal(parity[rep], parity)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])
     def test_xshor5_matches_closed_form(self, theta_over_pi):
         theta = theta_over_pi * math.pi
-        backend = get_backend(build_code(family_x_shor(5, 5)))
-        assert backend._classes is not None
-        dist = backend.distribution(theta)
+        dist = get_backend(build_code(family_x_shor(5, 5))).distribution(theta)
         ch, ref = dist.channel(), x_shor_channel(5, 5, theta)
         assert abs(ch.epsilon - ref.epsilon) <= 1e-12
         assert abs(ch.delta - ref.delta) <= 1e-12
@@ -355,21 +372,20 @@ def _eager_arrays(backend, dist):
     arrays = (dist.column_p, dist.column_theta_s, dist.column_amp_identity,
               dist.column_amp_logical, dist.column_parity)
     columns = backend._classes
-    syndromes = np.arange(len(arrays[0]) if columns is None else len(columns), dtype=np.uint32)
+    syndromes = np.arange(len(columns), dtype=np.uint32)
     keep = arrays[0] > 0.0
     if not keep.all():
-        syndromes = syndromes[keep if columns is None else keep[columns]]
-        columns = syndromes if columns is None else columns[syndromes]
-    if columns is not None:
-        arrays = tuple(a.take(columns) for a in arrays)
+        syndromes = syndromes[keep[columns]]
+        columns = columns[syndromes]
+    arrays = tuple(a.take(columns) for a in arrays)
     return dict(zip(_PER_SYNDROME, (syndromes, *arrays)))
 
 
 class TestLazyArrays:
     """Per-syndrome arrays are gathered from the column arrays when first read."""
 
-    # the class path at full size and with blocks of 4; theta = 0 and pi drop
-    # every syndrome but one
+    # at full size and with blocks of 4; theta = 0 and pi drop every
+    # syndrome but one
     @pytest.mark.parametrize("coloring,block", [
         (family_x_shor(5, 5), None), (family_rotated_surface(3), None),
         (family_rotated_surface(3), 4), (random_coloring(3, 5, 0.5, 4), None),
@@ -378,7 +394,6 @@ class TestLazyArrays:
         if block is not None:
             monkeypatch.setattr(exact, "_SUM_BLOCK", block)
         backend = ExactBackend(build_code(coloring))
-        assert (backend._classes is not None) == (block is not None or backend.num_checks > 14)
         rng = np.random.default_rng(0)
         for theta_over_pi in (0.0, 0.37, 1.0):
             for recovery in ("minweight", "ml"):

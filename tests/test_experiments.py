@@ -161,8 +161,8 @@ class TestSampling:
         ratio = np.mean(ses_2n) / np.mean(ses_n)
         assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.25)
 
-    # X-Shor 5x5 and the random 5x5 code take the class path (r = 20); at
-    # theta = 0 only the trivial syndrome is kept
+    # X-Shor 5x5 and the random 5x5 code have 21 classes among 2**20
+    # syndromes; at theta = 0 only the trivial syndrome is kept
     @pytest.mark.parametrize("make", [
         lambda: syndrome_distribution(build_code(family_rotated_surface(3)), 0.37 * math.pi),
         lambda: syndrome_distribution(build_code(family_z_stacked(3, 2)), 0.2 * math.pi),

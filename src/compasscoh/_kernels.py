@@ -1,12 +1,14 @@
-"""The theta-independent count table: exact counts in a narrow integer dtype.
+"""The theta-independent count rows, built one block of syndromes at a time
+and grouped into classes as they are built.
 
 ``counts[s, b, w]`` counts the weight-w supports with X-check syndrome s and
 logical-X parity b.  The supports orthogonal to all r+1 generators (logical
 X, then the r checks; dependent ones included) form a kernel K of dimension
 n - rank, and every reachable (s, b) row is one coset v0 ^ K.  So each entry
-is at most 2**(n - rank), and the table is returned in the smallest unsigned
-dtype that holds that.  ``count_table`` builds it one of two exact ways,
-whichever its cost rule estimates cheaper:
+is at most 2**(n - rank), and rows are held in the smallest unsigned dtype
+that holds that.  Rows are produced in blocks of consecutive syndromes, one
+of two exact ways, whichever the cost rule of ``count_table`` estimates
+cheaper:
 
 * Dual: the MacWilliams identity (MacWilliams & Sloane, *The Theory of
   Error-Correcting Codes*, ch. 5) gives
@@ -19,12 +21,19 @@ whichever its cost rule estimates cheaper:
   by ``s << 1 | b``: about (r+1) 2**(r+1) (n+1) float64 updates, cheap when
   r is small.  Intermediates are integers of magnitude at most
   2**(r+1) C(n, w) (<= 2**50 for independent generators, n <= 25), so the
-  float64 sums are exact; the float64 array is a transient of
-  2**(r+1) (n+1) * 8 bytes.
-* Coset: Gaussian elimination on the qubits' generator columns gives, for
-  every reachable row, one particular support v0 on the pivot qubits, and a
-  basis of K.  The row is the weight histogram of v0 ^ k over all k in K:
-  2**n popcounts in all, cheap when n - rank is small (X-Shor-like codes).
+  float64 sums are exact.  The whole table is transformed at once, a float64
+  transient of 2**(r+1) (n+1) * 8 bytes, and then handed out in blocks.
+* Coset: Gaussian elimination on the qubits' generator columns, reduced so
+  that each pivot bit of a row index appears in one pivot row only, makes
+  the particular support v0 of row t, and the row t' = t that it reaches, a
+  linear function of t's bits: XORs of per-byte lookup tables.  The row is
+  the weight histogram of v0 ^ k over all k in K, or zero when t' != t (t
+  unreachable): 2**(n + r + 1 - rank) popcounts in all, cheap when n - rank
+  is small (X-Shor-like codes).
+
+Each syndrome's two rows are grouped as soon as its block is built (see
+``count_table``), so the full ``(2**r, 2, n + 1)`` table is never held by
+the coset build.
 """
 
 import functools
@@ -32,8 +41,16 @@ import math
 
 import numpy as np
 
-# Supports histogrammed per np.bincount call in the coset build.
-_COSET_BLOCK = 1 << 16
+# Supports histogrammed (coset) or count entries handed out (dual) per block,
+# at least one syndrome each.  Every transient of a block is a small
+# multiple of it, bounded by _BLOCK_BYTES.
+_BLOCK = 1 << 17
+_BLOCK_BYTES = 40 * _BLOCK
+
+# Odd multiplier of the row hash (2**64 / golden ratio); any constant gives
+# an exact grouping, since every syndrome is checked against its class (0
+# puts every syndrome under one key).
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 @functools.cache
@@ -52,6 +69,12 @@ def _span(vectors):
     return out
 
 
+def _syndromes_per_block(n, row_supports):
+    """Syndromes per block: two rows each, of ``row_supports`` supports and
+    n + 1 count entries, about ``_BLOCK`` of the larger in all."""
+    return max(1, _BLOCK // (2 * max(row_supports, n + 1)))
+
+
 def _dual_table(n, gens):
     size = 1 << len(gens)
     table = _krawtchouk(n).take(np.bitwise_count(_span(gens)), axis=0)
@@ -63,11 +86,23 @@ def _dual_table(n, gens):
         hi += lo
     table *= 1.0 / size
     # row 0 is the kernel itself: 2**(n - rank) supports
-    return table.astype(np.min_scalar_type(int(table[0].sum())))
+    return table.astype(np.min_scalar_type(int(table[0].sum()))).reshape(-1, 2, n + 1)
 
 
-def _coset_table(n, gens):
-    pivots = {}  # leading generator bit -> (row index, support mapping onto it)
+def _dual_blocks(n, gens):
+    """The count rows of consecutive syndrome blocks, ``(syndromes, 2, n + 1)``
+    each, from one transform of the whole table (its float64 transient is
+    freed before the first block)."""
+    table = _dual_table(n, gens)
+    block = _syndromes_per_block(n, 1)
+    for start in range(0, len(table), block):
+        yield table[start:start + block]
+
+
+def _coset_blocks(n, gens):
+    """The count rows of consecutive syndrome blocks, ``(syndromes, 2, n + 1)``
+    each, histogrammed from the cosets of the generators' kernel."""
+    pivots = {}  # leading generator bit -> [row index, support mapping onto it]
     kernel = []
     for q in range(n):
         row = sum((g >> q & 1) << i for i, g in enumerate(gens))
@@ -75,41 +110,143 @@ def _coset_table(n, gens):
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
-                pivots[top] = (row, v)
+                pivots[top] = [row, v]
                 break
             row ^= pivots[top][0]
             v ^= pivots[top][1]
         else:
             kernel.append(v)
-    rows = _span([row for row, _ in pivots.values()]).astype(np.intp)
-    v0 = _span([v for _, v in pivots.values()])
+    # reduce: each pivot bit is set in its own pivot row only, so row t
+    # combines the pivot rows of the pivot bits t has
+    for low in sorted(pivots):
+        for top, pivot in pivots.items():
+            if top > low and pivot[0] >> low & 1:
+                pivot[0] ^= pivots[low][0]
+                pivot[1] ^= pivots[low][1]
+    by_bit = [pivots.get(bit, (0, 0)) for bit in range(len(gens))]
+    luts = [(_span([row for row, _ in by_bit[i:i + 8]]), _span([v for _, v in by_bit[i:i + 8]]))
+            for i in range(0, len(gens), 8)]
     ker = _span(kernel)
-    table = np.zeros((1 << len(gens), n + 1), np.min_scalar_type(len(ker)))
-    block = max(1, _COSET_BLOCK // len(ker))
-    offsets = np.arange(0, block * (n + 1), n + 1)[:, None]
-    for start in range(0, len(v0), block):
-        part = v0[start:start + block, None]
-        weights = np.bitwise_count(part ^ ker) + offsets[:len(part)]
-        hist = np.bincount(weights.ravel(), minlength=len(part) * (n + 1))
-        table[rows[start:start + block]] = hist.reshape(-1, n + 1)
-    return table
+    dtype = np.min_scalar_type(len(ker))
+    block = _syndromes_per_block(n, len(ker))
+    offsets = np.arange(0, 2 * block * (n + 1), n + 1)[:, None]
+    for start in range(0, 1 << (len(gens) - 1), block):
+        t = np.arange(2 * start, 2 * min(start + block, 1 << (len(gens) - 1)), dtype=np.uint64)
+        reached, v0 = np.zeros_like(t), np.zeros_like(t)
+        for i, (row_lut, v_lut) in enumerate(luts):
+            byte = (t >> np.uint64(8 * i)) & np.uint64(0xFF)
+            reached ^= row_lut.take(byte)
+            v0 ^= v_lut.take(byte)
+        weights = np.bitwise_count(v0[:, None] ^ ker) + offsets[:len(t)]
+        hist = np.bincount(weights.ravel(), minlength=len(t) * (n + 1)).reshape(-1, n + 1)
+        hist[reached != t] = 0  # unreachable rows: v0 is the support of another row
+        yield hist.astype(dtype).reshape(-1, 2, n + 1)
 
 
-def count_table(n, check_masks, xbar_mask):
-    """Exact counts of supports by (syndrome index, coset bit, weight), of
-    shape ``(2**r, 2, n + 1)`` for r X checks, in the smallest unsigned dtype
-    that holds 2**(n - rank).
+def _first_per_key(key, idx):
+    """The first of the ascending indices ``idx`` with each distinct
+    ``key[idx]``, in key order."""
+    idx = idx[np.argsort(key[idx], kind="stable")]
+    first = np.ones(len(idx), bool)
+    np.not_equal(key[idx[1:]], key[idx[:-1]], out=first[1:])
+    return idx[first]
 
-    Cost rule, in units of one dual update: the dual costs
+
+def _group(blocks, even, parity):
+    """Group syndromes s into classes of equal even-weight coset row, odd-weight
+    coset row and recovery ``parity[s]``, one block of rows at a time.
+
+    ``blocks`` yields the count rows of consecutive syndromes, ``even[s]``
+    is the coset bit of syndrome s's even-weight row.  Returns the first
+    syndrome of each class, the class's (even-weight, odd-weight) rows and
+    the class of every syndrome in the smallest unsigned dtype.
+
+    Each syndrome is keyed by a uint64 hash of its two rows and parity, the
+    rows read as packed words (the last one overlapping the one before when
+    the rows are not a whole number of words).  A sorted registry holds the
+    rows and parity of the first syndrome seen with each key, and every
+    syndrome is compared with its key's entry: one that differs (a stray)
+    becomes a class of its own, so the grouping is exact whatever the hash
+    does.  Classes are numbered by sorted key, then the strays in syndrome
+    order.
+    """
+    keys = np.empty(len(parity), np.uint64)
+    strays, stray_syn = [], []
+    stop = 0
+    for table in blocks:
+        start, stop = stop, stop + len(table)
+        even_rows = np.arange(0, 2 * len(table), 2) | even[start:stop]
+        rows = table.reshape(-1, table.shape[-1]).take(even_rows[:, None] ^ (0, 1), axis=0)
+        # each syndrome's even-weight and odd-weight rows as bytes, then its parity
+        syn = np.concatenate([rows.reshape(len(rows), -1).view(np.uint8),
+                              parity[start:stop, None]], axis=1)
+        size = syn.shape[1] - 1
+        word = min(8, 1 << (size.bit_length() - 1))
+        key = keys[start:stop]
+        key[:] = parity[start:stop]
+        for offset in sorted({*range(0, size - word + 1, word), size - word}):
+            key ^= syn[:, offset:offset + word].view(f"u{word}")[:, 0]
+            key *= _HASH_MULT
+        if start == 0:  # the first block's keys start the registry; it sets the step
+            reg_first = _first_per_key(key, np.arange(len(key)))
+            reg_keys, reg_syn, step = key[reg_first], syn[reg_first], len(table)
+        pos = np.searchsorted(reg_keys, key)
+        unseen = np.flatnonzero(reg_keys.take(pos, mode="clip") != key)
+        if len(unseen):  # register each new key with its first syndrome
+            new = _first_per_key(key, unseen)
+            merged = np.concatenate([reg_keys, key[new]])
+            order = np.argsort(merged, kind="stable")
+            reg_keys = merged[order]
+            reg_first = np.concatenate([reg_first, start + new])[order]
+            reg_syn = np.concatenate([reg_syn, syn[new]])[order]
+            pos = np.searchsorted(reg_keys, key)
+        differ = np.flatnonzero(syn != reg_syn.take(pos, axis=0))
+        if len(differ):
+            stray = np.unique(differ // syn.shape[1])
+            strays.append(start + stray)
+            stray_syn.append(syn[stray])
+    strays = np.concatenate([np.empty(0, np.intp), *strays])
+    classes = np.empty(len(keys), np.min_scalar_type(len(reg_keys) + len(strays) - 1))
+    for start in range(0, len(keys), step):
+        classes[start:start + step] = np.searchsorted(reg_keys, keys[start:start + step])
+    if len(strays):
+        classes[strays] = len(reg_keys) + np.arange(len(strays))
+    rows = np.concatenate([reg_syn, *stray_syn])[:, :-1].view(table.dtype)
+    return np.concatenate([reg_first, strays]), rows.reshape(len(rows), 2, -1), classes
+
+
+def _use_coset(n, r):
+    """The cost rule, in units of one dual update: the dual costs
     (r+1) 2**(r+1) (n+1), the coset build 3 * 2**n plus 2**14 for its fixed
-    set-up (elimination and a dozen extra NumPy calls, about 50 us); the
-    cheaper one runs.  Both give the same table.
+    set-up (elimination and a few dozen extra NumPy calls); the cheaper one
+    runs.  Both give the same rows."""
+    return 3 * (1 << n) + (1 << 14) < ((r + 1) << (r + 1)) * (n + 1)
+
+
+def held_bytes(n, r):
+    """Upper bound on the bytes ``count_table`` holds for n qubits and r
+    checks: the hash key and class index of every syndrome, one block, and,
+    when the dual runs, its float64 transient and narrow table."""
+    index = np.min_scalar_type((1 << r) - 1).itemsize
+    dual = 0 if _use_coset(n, r) else (2 << r) * (n + 1) * (8 + 4)
+    return ((8 + index) << r) + _BLOCK_BYTES + dual
+
+
+def count_table(n, check_masks, xbar_mask, even, parity):
+    """Exact counts of supports by (syndrome, coset bit, weight), grouped
+    into classes of syndromes as they are built.
+
+    ``even[s]`` is the coset bit b of syndrome s's even-weight row and
+    ``parity[s]`` its recovery's weight parity (uint8 arrays of length 2**r
+    for r X checks).  Returns the first syndrome of each class, the class
+    rows ``rows[c] = (counts[s, even[s]], counts[s, even[s] ^ 1])`` of shape
+    ``(classes, 2, n + 1)`` in the smallest unsigned dtype that holds
+    2**(n - rank), and the class of every syndrome; ``rows[classes]`` is the
+    full table with each syndrome's even-weight row first.  At most
+    ``held_bytes(n, r)`` bytes are held besides the arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")
     gens = [int(xbar_mask)] + [int(m) for m in check_masks]
-    if 3 * (1 << n) + (1 << 14) < (len(gens) << len(gens)) * (n + 1):
-        table = _coset_table(n, gens)
-    else:
-        table = _dual_table(n, gens)
-    return table.reshape(1 << len(check_masks), 2, n + 1)
+    build = _coset_blocks if _use_coset(n, len(check_masks)) else _dual_blocks
+    return _group(build(n, gens), even, parity)

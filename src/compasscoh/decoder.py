@@ -27,8 +27,6 @@ while ``n + n.bit_length() < 63`` and Python ints beyond.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .codes import CompassCode, InvalidCodeError, PauliSupport
@@ -88,9 +86,8 @@ class MatchingGraph:
 
     ``keys[i, j]`` is the key of the witness path (the shortest, then
     lexicographically smallest) between checks i and j, and ``keys[i, i]``
-    that of check i to the boundary, which is node ``num_checks`` of the
-    derived ``dist`` and ``path`` (lengths and qubit masks).  Immutable;
-    no decode result is stored.
+    that of check i to the boundary, node ``num_checks``.  Immutable; no
+    decode result is stored.
     """
 
     def __init__(self, code: CompassCode):
@@ -103,15 +100,13 @@ class MatchingGraph:
                 checks_of[(mask & -mask).bit_length() - 1].append(k)
                 mask &= mask - 1
         # of parallel edges, the lowest qubit has the smallest key and wins
-        edges = []
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_checks + 1)]
         for q, cs in enumerate(checks_of):
             if len(cs) > 2:
                 raise InvalidCodeError(
                     f"qubit {q} lies in {len(cs)} X checks; not a compass code")
-            edges.append(tuple((cs + [boundary])[:2]) if cs else None)
             if cs:
-                u, v = edges[q]
+                u, v = (cs + [boundary])[:2]
                 step = (1 << n) - (1 << (n - 1 - q))  # key of edge q, minus full
                 adj[u].append((v, step))
                 adj[v].append((u, step))
@@ -138,24 +133,8 @@ class MatchingGraph:
         self.n = n
         self.num_checks = num_checks
         self.boundary = boundary
-        self.edges = tuple(edges)
-        self.stabilizer_free = tuple(q for q, cs in enumerate(checks_of) if not cs)
         self.keys = np.array(keys, dtype=np.int64 if n + n.bit_length() < 63 else object
                              ).reshape(num_checks, num_checks)
-
-    def _node_keys(self) -> list[list[int]]:
-        full = (1 << self.n) - 1
-        rows = [row[:a] + [full] + row[a + 1:] + [row[a]]
-                for a, row in enumerate(self.keys.tolist())]
-        return rows + [[row[-1] for row in rows] + [full]]
-
-    @cached_property
-    def dist(self) -> list[list[int]]:
-        return [[key >> self.n for key in row] for row in self._node_keys()]
-
-    @cached_property
-    def path(self) -> list[list[int]]:
-        return [[self.support(key) for key in row] for row in self._node_keys()]
 
     def support(self, key: int) -> int:
         """Qubit mask of the correction a key encodes."""

@@ -31,10 +31,12 @@ Every per-syndrome output is an elementwise function of the syndrome's count
 column and recovery parity.  The columns are coset weight enumerators
 (MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
 code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So
-the backend groups syndromes into classes of equal pairs straight from the
-count table's rows and lays out one column per class; each theta is
-evaluated once per class and every output array gathered once per
-syndrome, with the same bits as evaluating every syndrome.
+``_kernels.count_table`` groups syndromes into classes of equal pairs as it
+builds their rows, one block at a time, and the backend lays out one column
+per class; each theta is evaluated once per class and every output array
+gathered once per syndrome, with the same bits as evaluating every
+syndrome.  A build first checks that the bytes it will hold fit
+``MAX_HELD_BYTES``.
 """
 
 from __future__ import annotations
@@ -54,14 +56,12 @@ from .ptm import LogicalPTM
 # are cancelling sums of counts * cos^(n-w) sin^w.  With exact tables, Z-Shor
 # channels miss their closed forms by <= 1.2e-13 at n=25, 2.5e-10 at n=49.
 MAX_QUBITS = 25
-# Budget on 2**(r+1) * (n+1) * 8 bytes, the float64 transient of the dual
-# build; the integer table kept is at most half of that.  At n <= 25 only the
-# 1x25 grid (r = 24, 7.0 GB) exceeds it.
-MAX_TABLE_BYTES = 2 << 30
+# Budget on the bytes a backend build holds (``_held_bytes``), checked
+# before anything is allocated.
+MAX_HELD_BYTES = 1 << 30
 
-# Columns per add.accumulate of the ascending-weight sum, and syndromes per
-# block of the grouping's exact check: each block's transients stay near
-# 3 MB, whatever the number of syndromes or classes.
+# Columns per add.accumulate of the ascending-weight sum: each block's
+# transients stay near 3 MB, whatever the number of classes.
 _SUM_BLOCK = 1 << 14
 
 MIN_WEIGHT = "minweight"
@@ -70,7 +70,15 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 
 class TooLargeError(RuntimeError):
-    """Exact backend rejected: n over MAX_QUBITS or count table over MAX_TABLE_BYTES."""
+    """Exact backend rejected: n over MAX_QUBITS or a build over MAX_HELD_BYTES."""
+
+
+def _held_bytes(n: int, r: int) -> int:
+    """Upper bound on the bytes a backend build holds for n qubits and r
+    checks: the decode table's int64 keys and its transients (10 bytes per
+    syndrome), each syndrome's recovery parity and even-row bit (2), and
+    what the count rows' build and grouping hold."""
+    return (12 << r) + _kernels.held_bytes(n, r)
 
 
 def reduce_angle(theta: float) -> float:
@@ -170,48 +178,54 @@ class ExactBackend:
     sum: a support's weight parity is fixed by its (syndrome, coset) row,
     and the two cosets of a syndrome have opposite parities.  Syndromes are
     grouped into classes of equal even-weight coset row, odd-weight coset
-    row and recovery parity, straight from the count table's rows, and only
-    each class's first syndrome is laid out: weight-major, split by weight
-    parity, in the count table's narrow dtype.  ``_table[j, q, c]`` counts
-    the weight-(2j+q) supports of class c's coset of weight parity q (the
-    half of the weights that is always zero is dropped); the identity coset
-    is the one with the recovery's weight parity.  ``_classes[s]`` is the
-    class of syndrome s in the smallest unsigned dtype; the count table is
-    freed once the backend is built (the 5x5 X-Shor code keeps 21 columns
-    and 1 MB of class indices).
+    row and recovery parity as the count rows are built, and only each
+    class's rows are laid out: weight-major, split by weight parity, in the
+    rows' narrow dtype.  ``_table[j, q, c]`` counts the weight-(2j+q)
+    supports of class c's coset of weight parity q (the half of the weights
+    that is always zero is dropped); the identity coset is the one with the
+    recovery's weight parity.  ``_classes[s]`` is the class of syndrome s in
+    the smallest unsigned dtype (the 5x5 X-Shor code keeps 21 columns and
+    1 MB of class indices).
     """
 
     def __init__(self, code: CompassCode):
         self.code = code
-        self.n = code.n
-        self.num_checks = len(code.x_stabilizers)
-        table_bytes = (2 << self.num_checks) * (self.n + 1) * 8
-        if self.n > MAX_QUBITS or table_bytes > MAX_TABLE_BYTES:
+        self.n = n = code.n
+        self.num_checks = r = len(code.x_stabilizers)
+        held = _held_bytes(n, r)
+        if n > MAX_QUBITS or held > MAX_HELD_BYTES:
             raise TooLargeError(
-                f"exact backend supports n <= {MAX_QUBITS} and count tables of at most "
-                f"{MAX_TABLE_BYTES} bytes; n={self.n}, r={self.num_checks} needs {table_bytes}")
-        masks = [s.mask for s in code.x_stabilizers]
-        counts = _kernels.count_table(self.n, masks, code.logical_x.mask).reshape(-1, self.n + 1)
+                f"exact backend supports n <= {MAX_QUBITS} and builds holding at most "
+                f"{MAX_HELD_BYTES} bytes; n={n}, r={r} holds {held} bytes")
         self.graph = build_matching_graph(code)
-        # a key holds the weight from bit n up, below it the mirrored support complemented
+        # a key holds the weight from bit n up, below it the mirrored support
+        # complemented.  Kept in place: the weight parity (bit n) and the
+        # complemented support under logical X, whose bit count differs from
+        # the recovery's overlap with logical X (its coset) by |xbar|.  The
+        # coset bit of each syndrome's even-weight row, coset ^ parity, is
+        # then the parity of |xbar| plus every bit kept.
         keys = self.graph.table()
-        xbar = bit_reverse(code.logical_x.mask, self.n)
-        parity = keys >> self.n & 1
-        coset = np.bitwise_count(~keys & xbar) & 1
-        # the row of each syndrome's even-weight coset; the odd one is its ^ 1
-        even_rows = np.arange(0, len(counts), 2) | (coset ^ parity)
-        del keys, coset  # freed before the grouping's transients
-        reps, self._classes = _group_rows(counts, even_rows, parity)
-        even, odd = counts[even_rows[reps]], counts[even_rows[reps] ^ 1]
+        xbar = bit_reverse(code.logical_x.mask, n)
+        keys &= xbar | 1 << n
+        even_bit = np.bitwise_count(keys)
+        even_bit += xbar.bit_count()
+        even_bit &= 1
+        keys >>= n
+        parity = keys.astype(np.uint8)
+        del keys  # freed before the count rows are built
+        masks = [s.mask for s in code.x_stabilizers]
+        first, rows, self._classes = _kernels.count_table(
+            n, masks, code.logical_x.mask, even_bit, parity)
+        even, odd = rows[:, 0], rows[:, 1]
         # every row equals its class's first row, so checking those checks all
         if even[:, 1::2].any() or odd[:, 0::2].any():
             raise InvalidCodeError("a (syndrome, coset) row holds supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
-        self._table = np.zeros((self.n // 2 + 1, 2, len(reps)), counts.dtype)
+        self._table = np.zeros((n // 2 + 1, 2, len(rows)), rows.dtype)
         self._table[:, 0] = even[:, 0::2].T
-        self._table[:(self.n + 1) // 2, 1] = odd[:, 1::2].T
-        parity = parity[reps]
+        self._table[:(n + 1) // 2, 1] = odd[:, 1::2].T
+        parity = parity[first].astype(np.int64)
         self._id_odd = parity.astype(bool)
         self._rec_parity = parity
         self._rec_parity.setflags(write=False)  # shared by the distributions
@@ -272,64 +286,6 @@ def _ascending_sum(table: np.ndarray, wvec: np.ndarray) -> np.ndarray:
         terms = table[..., block] * wvec
         out[..., block] = np.add.accumulate(terms, out=terms)[-1]
     return out
-
-
-# Odd multiplier of the row hash (2**64 / golden ratio); any constant gives
-# an exact grouping, since every syndrome is checked against its class (0
-# puts every syndrome under one key).
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _group_rows(counts: np.ndarray, even_rows: np.ndarray, parity: np.ndarray):
-    """Group syndromes s into classes of equal even-weight coset row
-    ``counts[even_rows[s]]``, odd-weight coset row ``counts[even_rows[s] ^ 1]``
-    and recovery ``parity[s]``.
-
-    Returns the first syndrome of each class and the class of every
-    syndrome, in the smallest unsigned dtype.  Classes come from a uint64
-    hash of each syndrome's two rows and parity, the rows read as packed
-    words (the last one overlapping the one before when the rows are not a
-    whole number of words).  Syndromes with equal keys share a class only if
-    they are equal: each is compared with its class's first syndrome, and
-    one that differs becomes a class of its own.  Both passes run in blocks
-    of ``_SUM_BLOCK`` syndromes.
-    """
-    def rows(even):  # the even-weight, then the odd-weight coset row, as bytes
-        pair = counts.take(even[:, None] ^ (0, 1), axis=0)
-        return pair.reshape(len(even), -1).view(np.uint8)
-
-    size = 2 * counts.shape[1] * counts.itemsize
-    word = min(8, 1 << (size.bit_length() - 1))
-    offsets = sorted({*range(0, size - word + 1, word), size - word})
-    keys = parity.astype(np.uint64)
-    for start in range(0, len(keys), _SUM_BLOCK):
-        block = slice(start, start + _SUM_BLOCK)
-        raw, key = rows(even_rows[block]), keys[block]
-        for offset in offsets:
-            key ^= raw[:, offset:offset + word].view(f"u{word}")[:, 0]
-            key *= _HASH_MULT
-    # np.unique's sorted keys, from a sort: the hash path of recent NumPy's
-    # np.unique is slower here and imports numpy.ma
-    unique = np.sort(keys)
-    first = np.empty(len(unique), bool)
-    first[:1] = True
-    np.not_equal(unique[1:], unique[:-1], out=first[1:])
-    unique = unique[first]
-    classes = np.searchsorted(unique, keys)
-    reps = np.full(len(unique), len(keys))
-    np.minimum.at(reps, classes, np.arange(len(keys)))  # first syndrome of each class
-    stray = []
-    for start in range(0, len(classes), _SUM_BLOCK):
-        block = slice(start, start + _SUM_BLOCK)
-        rep = reps.take(classes[block])
-        same = (rows(even_rows[block]) == rows(even_rows.take(rep))).all(axis=1)
-        same &= parity[block] == parity.take(rep)
-        stray.append(start + np.flatnonzero(~same))
-    stray = np.concatenate(stray)
-    if len(stray):
-        classes[stray] = len(reps) + np.arange(len(stray))
-        reps = np.concatenate([reps, stray])
-    return reps, classes.astype(np.min_scalar_type(len(reps) - 1))
 
 
 _CACHE: dict[CompassCode, ExactBackend] = {}

@@ -9,13 +9,17 @@ convention is part of the channel definition, not of the computation).
 ``count_table_reference`` counts all 2**n supports directly (the primal
 count), as the reference for the kernel's dual (MacWilliams) transform.
 ``per_syndrome_backend`` lays out the count table once per syndrome, with
-no grouping, as the reference for the exact backend's syndrome classes.
+no grouping, as the reference for the exact backend's syndrome classes, and
+``class_numbering_reference`` numbers the classes in two passes over the
+whole table, as the reference for the streamed grouping's class indices.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
 are the scalar Bellman-Ford and the memoized subset DP of the matching
 decoder, with tuple comparisons instead of integer keys, kept as the
 bit-exact reference for the vectorized decode table.
+``graph_edges``, ``stabilizer_free``, ``graph_dist`` and ``graph_path``
+read a matching graph's edges and all-pairs witness paths for the tests.
 ``sample_distribution_reference`` is the Monte Carlo estimator drawn by
 ``Generator.choice`` on the whole gathered distribution, the bit-exact
 reference for the sampler's own inverse CDF.
@@ -166,12 +170,7 @@ def per_syndrome_backend(code):
     per-theta code on every syndrome, so they are the bit-exact reference
     for the backend's classes."""
     n = code.n
-    counts = _kernels.count_table(n, [s.mask for s in code.x_stabilizers],
-                                  code.logical_x.mask).reshape(-1, n + 1)
-    keys = build_matching_graph(code).table()
-    parity = keys >> n & 1
-    coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1
-    even_rows = np.arange(0, len(counts), 2) | (coset ^ parity)
+    counts, even_rows, parity = _per_syndrome_rows(code)
     backend = object.__new__(ExactBackend)
     backend.n, backend.num_checks = n, len(code.x_stabilizers)
     backend._table = np.zeros((n // 2 + 1, 2, len(even_rows)), counts.dtype)
@@ -180,6 +179,49 @@ def per_syndrome_backend(code):
     backend._classes = np.arange(len(even_rows))
     backend._rec_parity, backend._id_odd = parity, parity.astype(bool)
     return backend
+
+
+def _per_syndrome_rows(code):
+    """The whole count table ``(2**(r+1), n + 1)``, from the build the cost
+    rule picks, the row of each syndrome's even-weight coset and its
+    recovery's weight parity."""
+    n, r = code.n, len(code.x_stabilizers)
+    gens = [code.logical_x.mask] + [s.mask for s in code.x_stabilizers]
+    build = _kernels._coset_blocks if _kernels._use_coset(n, r) else _kernels._dual_blocks
+    counts = np.concatenate(list(build(n, gens))).reshape(-1, n + 1)
+    keys = build_matching_graph(code).table()
+    parity = keys >> n & 1
+    coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1
+    return counts, np.arange(0, len(counts), 2) | (coset ^ parity), parity
+
+
+def class_numbering_reference(code):
+    """(first syndrome of each class, class of every syndrome) by two passes
+    over the whole count table: hash every syndrome's (even-weight row,
+    odd-weight row, parity), number the classes by sorted key with the
+    lowest syndrome as representative, then split off every syndrome that
+    differs from its representative as a class of its own, in syndrome
+    order.  Uses the kernel's hash multiplier, so forced collisions match."""
+    counts, even_rows, parity = _per_syndrome_rows(code)
+    # the even-weight, then the odd-weight coset row of each syndrome, as bytes
+    raw = counts.take(even_rows[:, None] ^ (0, 1), axis=0).reshape(len(even_rows), -1)
+    raw = raw.view(np.uint8)
+    size = raw.shape[1]
+    word = min(8, 1 << (size.bit_length() - 1))
+    keys = parity.astype(np.uint64)
+    for offset in sorted({*range(0, size - word + 1, word), size - word}):
+        keys ^= raw[:, offset:offset + word].view(f"u{word}")[:, 0]
+        keys *= _kernels._HASH_MULT
+    unique = np.unique(keys)
+    classes = np.searchsorted(unique, keys)
+    reps = np.full(len(unique), len(keys))
+    np.minimum.at(reps, classes, np.arange(len(keys)))
+    rep = reps[classes]
+    same = (raw == raw[rep]).all(axis=1) & (parity == parity[rep])
+    stray = np.flatnonzero(~same)
+    classes[stray] = len(reps) + np.arange(len(stray))
+    reps = np.concatenate([reps, stray])
+    return reps, classes.astype(np.min_scalar_type(len(reps) - 1))
 
 
 def product_distribution_reference(parts, max_classes=200_000):
@@ -231,6 +273,37 @@ def _lex_less(a: int, b: int) -> bool:
         return False
     low = diff & -diff
     return bool(a & low)
+
+
+def graph_edges(graph):
+    """Per qubit, the (check, check or boundary) pair its matching-graph edge
+    joins, or None for a qubit in no X check."""
+    checks_of = [[k for k, stab in enumerate(graph.code.x_stabilizers) if q in stab.qubits]
+                 for q in range(graph.n)]
+    return tuple(tuple((cs + [graph.boundary])[:2]) if cs else None for cs in checks_of)
+
+
+def stabilizer_free(graph):
+    """The qubits in no X check."""
+    return tuple(q for q, edge in enumerate(graph_edges(graph)) if edge is None)
+
+
+def _node_keys(graph):
+    """Witness-path keys between all nodes, checks then the boundary."""
+    full = (1 << graph.n) - 1
+    rows = [row[:a] + [full] + row[a + 1:] + [row[a]]
+            for a, row in enumerate(graph.keys.tolist())]
+    return rows + [[row[-1] for row in rows] + [full]]
+
+
+def graph_dist(graph):
+    """Witness-path lengths between all nodes, checks then the boundary."""
+    return [[key >> graph.n for key in row] for row in _node_keys(graph)]
+
+
+def graph_path(graph):
+    """Witness-path qubit masks between all nodes, checks then the boundary."""
+    return [[graph.support(key) for key in row] for row in _node_keys(graph)]
 
 
 def shortest_paths_reference(code):

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
-from compasscoh import (AnalyticFamilySource, __version__, _kernels, experiments,
+from compasscoh import (AnalyticFamilySource, __version__, _kernels, exact, experiments,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, find_crossings, load_coloring,
                         random_coloring, read_csv)
@@ -163,6 +164,7 @@ class TestChannel:
         def no_build(*args):
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)  # the 1x25 grid holds more
         out = tmp_path / "zshor_1x25.json"
         run(capsys, "code", "gen", "--family", "zshor", "--dx", "1", "--dz", "25",
             "--out", str(out))
@@ -171,7 +173,7 @@ class TestChannel:
         assert rc == 2
         error = json.loads(err)
         assert error["code"] == "computational"
-        assert "r=24" in error["message"]
+        assert re.search(r"n=25, r=24 holds \d+ bytes", error["message"])
 
     def test_analytic_rep_identity(self, capsys):
         rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep",

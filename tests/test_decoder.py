@@ -10,7 +10,8 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         family_x_shor, family_z_shor, family_z_stacked,
                         random_coloring, syndrome_of)
 from compasscoh.decoder import syndrome_to_mask
-from oracles import match_reference, shortest_paths_reference
+from oracles import (graph_dist, graph_edges, graph_path, match_reference,
+                     shortest_paths_reference, stabilizer_free)
 
 
 def rep_code(l):
@@ -22,37 +23,39 @@ class TestMatchingGraph:
         graph = build_matching_graph(rep_code(3))
         assert graph.num_checks == 2
         b = graph.boundary
-        assert graph.edges == ((0, b), (0, 1), (1, b))
-        assert graph.stabilizer_free == ()
+        assert graph_edges(graph) == ((0, b), (0, 1), (1, b))
+        assert stabilizer_free(graph) == ()
 
     def test_z_shor_parallel_edges(self):
         graph = build_matching_graph(build_code(family_z_shor(3, 3)))
         assert graph.num_checks == 2
-        pairs = [e for e in graph.edges if e == (0, 1)]
+        pairs = [e for e in graph_edges(graph) if e == (0, 1)]
         assert len(pairs) == 3  # one edge per middle-column qubit
         # lowest-index witness qubit on the collapsed parallel bundle
-        assert graph.path[0][1] == 1 << 1
+        assert graph_path(graph)[0][1] == 1 << 1
 
     def test_x_shor_disjoint_rows(self):
         graph = build_matching_graph(build_code(family_x_shor(3, 3)))
         assert graph.num_checks == 6
         # checks 0 and 3 share qubit 1 (row 0); rows connect only via boundary
-        assert graph.dist[0][3] == 1
-        assert graph.dist[0][1] == graph.dist[0][graph.boundary] + graph.dist[1][graph.boundary]
+        dist = graph_dist(graph)
+        assert dist[0][3] == 1
+        assert dist[0][1] == dist[0][graph.boundary] + dist[1][graph.boundary]
 
     def test_distances_symmetric_triangle(self):
         graph = build_matching_graph(build_code(family_rotated_surface(5)))
+        dist = graph_dist(graph)
         nodes = range(graph.num_checks + 1)
         for a in nodes:
             for b in nodes:
-                assert graph.dist[a][b] == graph.dist[b][a]
+                assert dist[a][b] == dist[b][a]
                 for c in nodes:
-                    assert graph.dist[a][b] <= graph.dist[a][c] + graph.dist[c][b]
+                    assert dist[a][b] <= dist[a][c] + dist[c][b]
 
     def test_single_column_code_has_no_checks(self):
         graph = build_matching_graph(build_code(Coloring(4, 1, ())))
         assert graph.num_checks == 0
-        assert len(graph.stabilizer_free) == 4
+        assert len(stabilizer_free(graph)) == 4
 
 
 class TestDecodeExamples:
@@ -193,7 +196,7 @@ def test_key_shortest_paths_match_reference(colorings):
     for coloring in colorings:
         code = build_code(coloring)
         graph = build_matching_graph(code)
-        assert (graph.dist, graph.path) == shortest_paths_reference(code)
+        assert (graph_dist(graph), graph_path(graph)) == shortest_paths_reference(code)
 
 
 @pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 5),

@@ -18,8 +18,9 @@ from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
-from oracles import (count_table_reference, per_syndrome_backend,
-                     statevector_channel, statevector_distribution)
+from oracles import (class_numbering_reference, count_table_reference,
+                     per_syndrome_backend, statevector_channel,
+                     statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -187,8 +188,12 @@ class TestGuards:
         def no_build(*args):
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
-        with pytest.raises(TooLargeError, match=r"n=25, r=24"):
-            ExactBackend(build_code(family_z_shor(1, 25)))  # 7.0 GB table
+        monkeypatch.setattr(exact, "build_matching_graph", no_build)
+        # the 1x25 grid (2**24 syndromes) is bounded by 0.41 GB, within the budget
+        assert exact._held_bytes(25, 24) <= exact.MAX_HELD_BYTES
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
+        with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
+            ExactBackend(build_code(family_z_shor(1, 25)))
 
     def test_mixed_weight_parity_rows_rejected(self):
         # without its second check the all-ones support leaves span(checks, Xbar)
@@ -279,6 +284,16 @@ def _assert_same_distributions(backend, ref, thetas_over_pi):
                     theta_over_pi, recovery, name)
 
 
+def _assert_same_numbering(backend, ref, code):
+    """The classes are numbered as two passes over the whole table number
+    them, and each class holds its first syndrome's column."""
+    first, classes = class_numbering_reference(code)
+    assert backend._classes.dtype == classes.dtype
+    assert np.array_equal(backend._classes, classes)
+    assert np.array_equal(backend._table, ref._table[..., first])
+    assert np.array_equal(backend._rec_parity, ref._rec_parity[first])
+
+
 class TestColumnClasses:
     """The backend keeps one table column per class of syndromes with equal
     count column and recovery parity."""
@@ -290,12 +305,26 @@ class TestColumnClasses:
         assert backend.num_checks == 20 and backend._table.shape[-1] == 21
         ref = per_syndrome_backend(code)
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
+        _assert_same_numbering(backend, ref, code)
         _assert_same_distributions(backend, ref, [0.0, 0.01, 0.37, 0.5, 1.0])
 
     def test_rsc5_holds_fewer_columns_than_syndromes(self):
         backend = ExactBackend(build_code(family_rotated_surface(5)))
         assert backend._table.shape[-1] == 645 < 1 << backend.num_checks == 4096
         assert backend._classes.dtype == np.uint16
+
+    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
+    def test_build_peak_is_within_its_held_bytes(self, coloring):
+        # X-Shor 5x5 takes the coset build (n=25, r=20), RSC 5x5 the dual (r=12)
+        code = build_code(coloring)
+        ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
+        tracemalloc.start()
+        try:
+            ExactBackend(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= exact._held_bytes(code.n, len(code.x_stabilizers))
 
     def test_xshor5_build_peak_is_bounded(self):
         code = build_code(family_x_shor(5, 5))
@@ -306,50 +335,57 @@ class TestColumnClasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the count table alone holds 52 MB and its coset build peaks at 86 MB
-        assert peak < 110 << 20
+        # the decode keys (8 MB), then the hash keys (8 MB) and one block; the
+        # whole count table (52 MB) is never held
+        assert peak < 40 << 20
 
-    @pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_x_shor(3, 3),
-                                          random_coloring(3, 5, 0.5, 4)])
-    def test_colliding_keys_are_split_by_the_check(self, monkeypatch, coloring):
-        monkeypatch.setattr(exact, "_SUM_BLOCK", 4)  # hashed and checked in blocks of 4
+    # blocks of a few syndromes for the small codes; X-Shor 4x5 takes the
+    # coset build and has 2**16 syndromes in blocks of 97
+    @pytest.mark.parametrize("coloring,block", [
+        (family_rotated_surface(3), 80), (family_x_shor(3, 3), 80),
+        (random_coloring(3, 5, 0.5, 4), 80), (family_x_shor(4, 5), 1 << 12)])
+    def test_colliding_keys_are_split_by_the_check(self, monkeypatch, coloring, block):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
         code = build_code(coloring)
         ref = per_syndrome_backend(code)
         pairs = np.vstack([ref._table.reshape(-1, ref._table.shape[-1]), ref._rec_parity])
         distinct = np.unique(pairs, axis=1).shape[1]
-        assert ExactBackend(code)._table.shape[-1] == distinct < pairs.shape[1]
-        monkeypatch.setattr(exact, "_HASH_MULT", np.uint64(0))  # every key 0
+        backend = ExactBackend(code)
+        assert backend._table.shape[-1] == distinct < pairs.shape[1]
+        _assert_same_numbering(backend, ref, code)
+        monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(0))  # every key 0
         backend = ExactBackend(code)
         assert backend._table.shape[-1] > distinct
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
         assert np.array_equal(backend._rec_parity[backend._classes], ref._rec_parity)
+        _assert_same_numbering(backend, ref, code)
         _assert_same_distributions(backend, ref, [0.0, 0.37])
 
     @pytest.mark.parametrize("collide", [False, True])
     def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, collide):
         # a min-weight recovery's parity is that of the column's lowest weight,
         # so only synthetic rows show the parity in the class key
-        monkeypatch.setattr(exact, "_SUM_BLOCK", 3)
         if collide:
-            monkeypatch.setattr(exact, "_HASH_MULT", np.uint64(0))
+            monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(0))
         a, b, c = [1, 0, 1], [0, 2, 0], [0, 1, 0]
         # per syndrome: (coset 0 row, coset 1 row), even-weight coset, parity
         syndromes = [((a, b), 0, 0), ((a, b), 0, 1), ((a, b), 0, 0), ((a, c), 0, 0),
                      ((a, b), 0, 1), ((b, a), 1, 0), ((a, b), 1, 0), ((a, c), 0, 0)]
-        counts = np.array([row for rows, _, _ in syndromes for row in rows], np.uint8)
-        even_rows = np.array([2 * s + e for s, (_, e, _) in enumerate(syndromes)])
-        parity = np.array([p for _, _, p in syndromes])
-        reps, classes = exact._group_rows(counts, even_rows, parity)
+        counts = np.array([rows for rows, _, _ in syndromes], np.uint8)
+        even = np.array([e for _, e, _ in syndromes], np.uint8)
+        parity = np.array([p for _, _, p in syndromes], np.uint8)
+        blocks = [counts[i:i + 3] for i in range(0, len(counts), 3)]  # blocks of 3
+        first, rows, classes = _kernels._group(iter(blocks), even, parity)
         # syndrome 5 has syndrome 0's rows with the cosets swapped, 6 does not
         assert classes[0] == classes[2] == classes[5]
         assert len({classes[0], classes[1], classes[3], classes[6]}) == 4
         # a syndrome that fails the check against its class becomes a class of its own
         assert (classes[1] == classes[4]) != collide and (classes[3] == classes[7]) != collide
-        assert len(reps) == (6 if collide else 4)
-        rep = reps[classes]
+        assert len(first) == len(rows) == (6 if collide else 4)
+        rep = first[classes]
         assert np.all(rep <= np.arange(len(syndromes)))
         for flip in (0, 1):
-            assert np.array_equal(counts[even_rows[rep] ^ flip], counts[even_rows ^ flip])
+            assert np.array_equal(rows[classes, flip], counts[np.arange(8), even ^ flip])
         assert np.array_equal(parity[rep], parity)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])

@@ -11,15 +11,40 @@ from compasscoh._kernels import count_table
 from oracles import count_table_reference
 
 
-def _code_table(code):
+def _full_table(n, masks, xbar, seed=None, build=None):
+    """Every (s, b) row from ``count_table``'s class rows, with random
+    even-row bits and parities when ``seed`` is given: row (s, b) is
+    ``rows[classes[s], b ^ even[s]]``.  Also checks that ``first`` holds
+    each class's lowest syndrome and that classes are distinct."""
+    size = 1 << len(masks)
+    if seed is None:
+        even, parity = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
+    else:
+        even, parity = np.random.default_rng(seed).integers(0, 2, (2, size), np.uint8)
+    if build is None:
+        first, rows, classes = count_table(n, masks, xbar, even, parity)
+    else:
+        first, rows, classes = _kernels._group(build(n, [xbar] + masks), even, parity)
+    assert classes.dtype == np.min_scalar_type(len(rows) - 1) and len(first) == len(rows)
+    lowest = np.full(len(rows), size)
+    np.minimum.at(lowest, classes, np.arange(size))
+    assert np.array_equal(first, lowest)
+    keyed = np.column_stack([rows.reshape(len(rows), -1), parity[first]])
+    assert len(np.unique(keyed, axis=0)) == len(rows)
+    assert np.array_equal(parity[first][classes], parity)
+    full = rows[classes]
+    return np.where(even[:, None, None].astype(bool), full[:, ::-1], full)
+
+
+def _code_table(code, seed=None):
     masks = [s.mask for s in code.x_stabilizers]
-    return (count_table(code.n, masks, code.logical_x.mask),
+    return (_full_table(code.n, masks, code.logical_x.mask, seed),
             count_table_reference(code.n, masks, code.logical_x.mask))
 
 
 def test_weight_marginals_are_binomial():
     n = 10
-    counts = count_table(n, [], 0)
+    counts = _full_table(n, [], 0)
     assert counts.shape == (1, 2, n + 1)
     per_weight = counts[0, 0]
     assert per_weight.tolist() == [math.comb(n, w) for w in range(n + 1)]
@@ -28,15 +53,14 @@ def test_weight_marginals_are_binomial():
 
 def test_total_is_two_to_n():
     code = build_code(family_rotated_surface(3))
-    counts = count_table(code.n, [s.mask for s in code.x_stabilizers],
-                         code.logical_x.mask)
+    counts = _full_table(code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
     assert counts.sum() == 1 << code.n
     assert counts.shape == (1 << len(code.x_stabilizers), 2, code.n + 1)
 
 
 def test_xbar_split_halves():
     n = 8
-    counts = count_table(n, [], 0b1)
+    counts = _full_table(n, [], 0b1)
     # conditioning on one bit splits weights binomially over n-1 qubits
     assert counts[0, 0].tolist() == [math.comb(n - 1, w) if w <= n - 1 else 0
                                      for w in range(n + 1)]
@@ -45,7 +69,7 @@ def test_xbar_split_halves():
 
 def test_rejects_oversized():
     with pytest.raises(ValueError):
-        count_table(26, [], 0)
+        count_table(26, [], 0, np.zeros(1, np.uint8), np.zeros(1, np.uint8))
 
 
 def test_rsc3_matches_reference():
@@ -58,7 +82,7 @@ def test_rsc3_matches_reference():
 @pytest.mark.parametrize("d_x", [3, 4])
 def test_random_codes_match_reference(d_x, seed):
     code = build_code(random_coloring(d_x, 5, 0.5, seed))
-    table, ref = _code_table(code)
+    table, ref = _code_table(code, seed)
     assert np.array_equal(table, ref)
 
 
@@ -84,13 +108,21 @@ REGIMES = ["r+1=n", "n20-r16", "duplicate-check", "xbar-is-check"]
 @pytest.mark.parametrize("case", REGIMES)
 def test_dual_regimes_match_reference(case):
     n, masks, xbar = _generators(case)
-    assert np.array_equal(count_table(n, masks, xbar),
+    assert np.array_equal(_full_table(n, masks, xbar, seed=0),
                           count_table_reference(n, masks, xbar))
 
 
-@pytest.mark.parametrize("build", [_kernels._dual_table, _kernels._coset_table])
+def _rows(build, n, gens):
+    return np.concatenate(list(build(n, gens)))
+
+
+# small enough for several blocks, the last one short on most cases
+@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("build", [_kernels._dual_blocks, _kernels._coset_blocks])
 @pytest.mark.parametrize("case", REGIMES + ["rsc3", "random3x5", "empty", "xbar-one-bit"])
-def test_each_build_matches_reference(build, case):
+def test_each_build_matches_reference(monkeypatch, build, case, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
     if case == "random3x5":
         code = build_code(random_coloring(3, 5, 0.5, 1))
         n, masks, xbar = code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask
@@ -100,42 +132,46 @@ def test_each_build_matches_reference(build, case):
         n, masks, xbar = 8, [], 0b1
     else:
         n, masks, xbar = _generators(case)
-    table = build(n, [xbar] + masks)
     ref = count_table_reference(n, masks, xbar)
     rank = len(gf2.reduce_basis([xbar] + masks))
+    table = _rows(build, n, [xbar] + masks)
     assert table.dtype == np.min_scalar_type(1 << (n - rank))
-    assert np.array_equal(table.reshape(ref.shape), ref)
+    assert np.array_equal(table, ref)
+    grouped = _full_table(n, masks, xbar, seed=2, build=build)
+    assert grouped.dtype == table.dtype and np.array_equal(grouped, ref)
 
 
 def test_cost_rule_picks_the_coset_build_for_xshor_like_codes(monkeypatch):
     coset_calls = []
-    build = _kernels._coset_table
-    monkeypatch.setattr(_kernels, "_coset_table",
+    build = _kernels._coset_blocks
+    monkeypatch.setattr(_kernels, "_coset_blocks",
                         lambda n, gens: coset_calls.append(n) or build(n, gens))
     for coloring in (family_rotated_surface(3), family_x_shor(3, 3),
                      family_rotated_surface(5), family_x_shor(4, 5)):
         code = build_code(coloring)
-        count_table(code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
+        _full_table(code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
     assert coset_calls == [20]
 
 
 def test_xshor5_table_is_exact():
-    # the largest table the exact backend builds (n=25, r=20)
+    # the largest code the exact backend builds from the coset build (n=25, r=20)
     code = build_code(family_x_shor(5, 5))
     n, r = code.n, len(code.x_stabilizers)
-    counts = count_table(n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
-    assert counts.shape == (1 << r, 2, n + 1)
+    first, rows, classes = count_table(n, [s.mask for s in code.x_stabilizers],
+                                       code.logical_x.mask, np.zeros(1 << r, np.uint8),
+                                       np.zeros(1 << r, np.uint8))
+    assert rows.dtype == np.uint8 and classes.dtype == np.uint8  # exact integers
+    counts = rows[classes]
     assert np.all(counts.sum(axis=2) == 1 << (n - r - 1))
     assert counts.sum(axis=(0, 1)).tolist() == [math.comb(n, w) for w in range(n + 1)]
-    assert counts.dtype == np.uint8  # exact integers, 55 MB
 
 
 def test_xshor5_coset_build_equals_dual():
     # the largest code the coset build is claimed for; the dual is the reference
     code = build_code(family_x_shor(5, 5))
     gens = [code.logical_x.mask] + [s.mask for s in code.x_stabilizers]
-    assert np.array_equal(_kernels._coset_table(code.n, gens),
-                          _kernels._dual_table(code.n, gens))
+    assert np.array_equal(_rows(_kernels._coset_blocks, code.n, gens),
+                          _rows(_kernels._dual_blocks, code.n, gens))
 
 
 def test_backend_label():

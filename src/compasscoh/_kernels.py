@@ -31,9 +31,9 @@ cheaper:
   unreachable): 2**(n + r + 1 - rank) popcounts in all, cheap when n - rank
   is small (X-Shor-like codes).
 
-Each syndrome's two rows are grouped as soon as its block is built (see
-``count_table``), so the full ``(2**r, 2, n + 1)`` table is never held by
-the coset build.
+Each block's rows are grouped, and its class indices written, as soon as
+it is built (see ``_group``), so the full ``(2**r, 2, n + 1)`` table is
+never held by the coset build; classes are numbered as they first appear.
 """
 
 import functools
@@ -143,15 +143,6 @@ def _coset_blocks(n, gens):
         yield hist.astype(dtype).reshape(-1, 2, n + 1)
 
 
-def _first_per_key(key, idx):
-    """The first of the ascending indices ``idx`` with each distinct
-    ``key[idx]``, in key order."""
-    idx = idx[np.argsort(key[idx], kind="stable")]
-    first = np.ones(len(idx), bool)
-    np.not_equal(key[idx[1:]], key[idx[:-1]], out=first[1:])
-    return idx[first]
-
-
 def _group(blocks, even, parity):
     """Group syndromes s into classes of equal even-weight coset row, odd-weight
     coset row and recovery ``parity[s]``, one block of rows at a time.
@@ -163,15 +154,16 @@ def _group(blocks, even, parity):
 
     Each syndrome is keyed by a uint64 hash of its two rows and parity, the
     rows read as packed words (the last one overlapping the one before when
-    the rows are not a whole number of words).  A sorted registry holds the
-    rows and parity of the first syndrome seen with each key, and every
-    syndrome is compared with its key's entry: one that differs (a stray)
-    becomes a class of its own, so the grouping is exact whatever the hash
-    does.  Classes are numbered by sorted key, then the strays in syndrome
-    order.
+    the rows are not a whole number of words).  The registry holds the key
+    and rows of each class's first syndrome in class order and finds a key
+    at the first class with it (a stable sort); every syndrome is compared
+    with that class, and one that differs (a stray) becomes a class of its
+    own, so the grouping is exact whatever the hash does.  Classes are
+    numbered as they appear: each block's new keys by first syndrome, then
+    its strays.  A block's class indices are written as soon as it is
+    grouped, widening their dtype only when the classes outgrow it.
     """
-    keys = np.empty(len(parity), np.uint64)
-    strays, stray_syn = [], []
+    classes = np.empty(len(parity), np.uint8)
     stop = 0
     for table in blocks:
         start, stop = stop, stop + len(table)
@@ -182,37 +174,36 @@ def _group(blocks, even, parity):
                               parity[start:stop, None]], axis=1)
         size = syn.shape[1] - 1
         word = min(8, 1 << (size.bit_length() - 1))
-        key = keys[start:stop]
-        key[:] = parity[start:stop]
+        key = parity[start:stop].astype(np.uint64)
         for offset in sorted({*range(0, size - word + 1, word), size - word}):
             key ^= syn[:, offset:offset + word].view(f"u{word}")[:, 0]
             key *= _HASH_MULT
-        if start == 0:  # the first block's keys start the registry; it sets the step
-            reg_first = _first_per_key(key, np.arange(len(key)))
-            reg_keys, reg_syn, step = key[reg_first], syn[reg_first], len(table)
-        pos = np.searchsorted(reg_keys, key)
-        unseen = np.flatnonzero(reg_keys.take(pos, mode="clip") != key)
-        if len(unseen):  # register each new key with its first syndrome
-            new = _first_per_key(key, unseen)
-            merged = np.concatenate([reg_keys, key[new]])
-            order = np.argsort(merged, kind="stable")
-            reg_keys = merged[order]
-            reg_first = np.concatenate([reg_first, start + new])[order]
-            reg_syn = np.concatenate([reg_syn, syn[new]])[order]
-            pos = np.searchsorted(reg_keys, key)
-        differ = np.flatnonzero(syn != reg_syn.take(pos, axis=0))
-        if len(differ):
+        if start == 0:  # every key of the first block is new
+            first = unseen = np.sort(np.unique(key, return_index=True)[1])
+            reg_keys, reg_syn = key[first], syn[first]
+        else:
+            cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter), mode="clip")
+            unseen = np.flatnonzero(reg_keys.take(cls) != key)
+            if len(unseen):  # register each new key with its first syndrome, in syndrome order
+                new = np.sort(unseen[np.unique(key[unseen], return_index=True)[1]])
+                first = np.concatenate([first, start + new])
+                reg_keys = np.concatenate([reg_keys, key[new]])
+                reg_syn = np.concatenate([reg_syn, syn[new]])
+        if len(unseen):  # the registry grew: sort it and look the block up again
+            sorter = np.argsort(reg_keys, kind="stable")
+            cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter))
+        differ = np.flatnonzero(syn != reg_syn.take(cls, axis=0))
+        if len(differ):  # each stray becomes a class of its own
             stray = np.unique(differ // syn.shape[1])
-            strays.append(start + stray)
-            stray_syn.append(syn[stray])
-    strays = np.concatenate([np.empty(0, np.intp), *strays])
-    classes = np.empty(len(keys), np.min_scalar_type(len(reg_keys) + len(strays) - 1))
-    for start in range(0, len(keys), step):
-        classes[start:start + step] = np.searchsorted(reg_keys, keys[start:start + step])
-    if len(strays):
-        classes[strays] = len(reg_keys) + np.arange(len(strays))
-    rows = np.concatenate([reg_syn, *stray_syn])[:, :-1].view(table.dtype)
-    return np.concatenate([reg_first, strays]), rows.reshape(len(rows), 2, -1), classes
+            cls[stray] = len(first) + np.arange(len(stray))
+            first = np.concatenate([first, start + stray])
+            reg_syn = np.concatenate([reg_syn, syn[stray]])
+            reg_keys = np.concatenate([reg_keys, key[stray]])
+            sorter = np.argsort(reg_keys, kind="stable")
+        classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
+        classes[start:stop] = cls
+    rows = reg_syn[:, :-1].view(table.dtype)
+    return first, rows.reshape(len(rows), 2, -1), classes
 
 
 def _use_coset(n, r):
@@ -225,11 +216,12 @@ def _use_coset(n, r):
 
 def held_bytes(n, r):
     """Upper bound on the bytes ``count_table`` holds for n qubits and r
-    checks: the hash key and class index of every syndrome, one block, and,
-    when the dual runs, its float64 transient and narrow table."""
+    checks: every syndrome's class index (at most 2**r - 1) and the copy it
+    widens from, one block, and the dual's float64 transient and table when
+    it runs."""
     index = np.min_scalar_type((1 << r) - 1).itemsize
     dual = 0 if _use_coset(n, r) else (2 << r) * (n + 1) * (8 + 4)
-    return ((8 + index) << r) + _BLOCK_BYTES + dual
+    return ((index + index // 2) << r) + _BLOCK_BYTES + dual
 
 
 def count_table(n, check_masks, xbar_mask, even, parity):
@@ -242,8 +234,9 @@ def count_table(n, check_masks, xbar_mask, even, parity):
     rows ``rows[c] = (counts[s, even[s]], counts[s, even[s] ^ 1])`` of shape
     ``(classes, 2, n + 1)`` in the smallest unsigned dtype that holds
     2**(n - rank), and the class of every syndrome; ``rows[classes]`` is the
-    full table with each syndrome's even-weight row first.  At most
-    ``held_bytes(n, r)`` bytes are held besides the arguments.
+    full table with each syndrome's even-weight row first, classes numbered
+    as they first appear.  At most ``held_bytes(n, r)`` bytes are held
+    besides the arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")

@@ -205,7 +205,7 @@ def decode_bruteforce(code: CompassCode, syndrome) -> PauliSupport:
     table = _BRUTE_CACHE.get(code)
     if table is None:
         table = _brute_table(code)
-        if len(_BRUTE_CACHE) > 8:
+        if len(_BRUTE_CACHE) >= 8:
             _BRUTE_CACHE.clear()
         _BRUTE_CACHE[code] = table
     mask = syndrome_to_mask(syndrome, len(code.x_stabilizers))

@@ -32,11 +32,11 @@ column and recovery parity.  The columns are coset weight enumerators
 (MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
 code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So
 ``_kernels.count_table`` groups syndromes into classes of equal pairs as it
-builds their rows, one block at a time, and the backend lays out one column
-per class; each theta is evaluated once per class and every output array
-gathered once per syndrome, with the same bits as evaluating every
-syndrome.  A build first checks that the bytes it will hold fit
-``MAX_HELD_BYTES``.
+builds their rows, one block at a time, numbered as they first appear, and
+the backend lays out one column per class; each theta is evaluated once per
+class and every output array gathered once per syndrome, with the same bits
+as evaluating every syndrome.  A build first checks that the bytes it will
+hold fit ``MAX_HELD_BYTES``.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class ExactBackend:
     supports of class c's coset of weight parity q (the half of the weights
     that is always zero is dropped); the identity coset is the one with the
     recovery's weight parity.  ``_classes[s]`` is the class of syndrome s in
-    the smallest unsigned dtype (the 5x5 X-Shor code keeps 21 columns and
-    1 MB of class indices).
+    the smallest unsigned dtype, classes numbered as their first syndromes
+    appear (the 5x5 X-Shor code keeps 21 columns and 1 MB of class indices).
     """
 
     def __init__(self, code: CompassCode):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import families
 from .codes import build_code, random_coloring
-from .exact import MIN_WEIGHT, _check_recovery, get_backend
+from .exact import MIN_WEIGHT, SyndromeDistribution, _check_recovery, get_backend
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
 REFINE_TOL_OVER_PI = 0.001
@@ -311,7 +311,8 @@ def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray
     """Indices drawn with probabilities ``p``: those of
     ``rng.choice(len(p), n_samples, p=p / p.sum())``, by choice's own inverse
     CDF (the normalised probabilities' running sum, divided by its last
-    entry, searched with uniforms from ``rng.random``), in one buffer.
+    entry, searched with uniforms from ``rng.random``), built over ``p`` in
+    place.
 
     Like choice, raises ValueError for probabilities that are not finite,
     are negative, sum to zero, or do not sum to 1 once normalised.
@@ -319,7 +320,7 @@ def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray
     total = p.sum()
     if not (math.isfinite(total) and total != 0.0):
         raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
-    cdf = np.divide(p, total)
+    cdf = np.divide(p, total, out=p)
     if cdf.min() < 0.0:
         raise ValueError("probabilities must be non-negative")
     np.cumsum(cdf, out=cdf)
@@ -336,10 +337,14 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     2|sin theta_s|; reports sample means and standard errors of the mean.
     ``dist`` needs ``p`` and ``theta_s_at``: the cost is one sum and one
     cumulative sum of ``p``, and angles are read only at the drawn indices.
+    A SyndromeDistribution's ``p`` is gathered into the CDF's buffer and not
+    kept, so a draw holds one array of its length, not two.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    idx = _draw(np.asarray(dist.p, dtype=float), n_samples, np.random.default_rng(seed))
+    p = (dist.column_p[dist.columns] if isinstance(dist, SyndromeDistribution)
+         else np.array(dist.p, dtype=float))
+    idx = _draw(p, n_samples, np.random.default_rng(seed))
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
     mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))

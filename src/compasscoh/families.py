@@ -196,16 +196,16 @@ def _round12(x: np.ndarray) -> np.ndarray:
     1e-12 (ties to even) and returns the double nearest to that decimal.
     ``rint(v * 1e12) / 1e12`` gives the same double whenever ``rint`` picks
     the same integer, because 1e12 is exact and the division is correctly
-    rounded.  The product y = fl(v * 1e12) is off from v * 10**12 by at most
-    ``spacing(|y|) / 2``, so only entries whose fractional part lies within
-    ``spacing(|y|)`` of one half (both sides exact for |y| < 2**46), and
-    larger entries, can round differently; those go through ``round``.
+    rounded.  Rounding is monotonic and every k + 1/2 is a double for
+    |y| < 2**46, so y = fl(v * 1e12) lies on the same side of k + 1/2 as
+    v * 10**12, or on it: only exact ties of y (``|y - rint(y)| == 0.5``,
+    exact there), and larger entries, can round differently; those go
+    through ``round``.
     """
     y = x * 1e12
     r = np.rint(y)
     out = r / 1e12
-    near_half = np.abs(np.abs(y - r) - 0.5) <= np.spacing(np.abs(y))
-    slow = np.flatnonzero(near_half | ~(np.abs(y) < 2.0 ** 46))
+    slow = np.flatnonzero((np.abs(y - r) == 0.5) | ~(np.abs(y) < 2.0 ** 46))
     out[slow] = [round(float(v), 12) for v in x[slow]]
     return out
 

@@ -10,8 +10,9 @@ convention is part of the channel definition, not of the computation).
 count), as the reference for the kernel's dual (MacWilliams) transform.
 ``per_syndrome_backend`` lays out the count table once per syndrome, with
 no grouping, as the reference for the exact backend's syndrome classes, and
-``class_numbering_reference`` numbers the classes in two passes over the
-whole table, as the reference for the streamed grouping's class indices.
+``class_numbering_reference`` groups the whole table with ``np.unique``,
+no hash, and numbers the classes by their first syndromes, as the
+reference for the streamed grouping's class indices.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -196,32 +197,17 @@ def _per_syndrome_rows(code):
 
 
 def class_numbering_reference(code):
-    """(first syndrome of each class, class of every syndrome) by two passes
-    over the whole count table: hash every syndrome's (even-weight row,
-    odd-weight row, parity), number the classes by sorted key with the
-    lowest syndrome as representative, then split off every syndrome that
-    differs from its representative as a class of its own, in syndrome
-    order.  Uses the kernel's hash multiplier, so forced collisions match."""
+    """(first syndrome of each class, class of every syndrome) from the whole
+    count table, without a hash: ``np.unique`` over every syndrome's
+    (even-weight row, odd-weight row, parity), each read as one byte
+    string, with the classes ranked by their first syndromes."""
     counts, even_rows, parity = _per_syndrome_rows(code)
-    # the even-weight, then the odd-weight coset row of each syndrome, as bytes
-    raw = counts.take(even_rows[:, None] ^ (0, 1), axis=0).reshape(len(even_rows), -1)
-    raw = raw.view(np.uint8)
-    size = raw.shape[1]
-    word = min(8, 1 << (size.bit_length() - 1))
-    keys = parity.astype(np.uint64)
-    for offset in sorted({*range(0, size - word + 1, word), size - word}):
-        keys ^= raw[:, offset:offset + word].view(f"u{word}")[:, 0]
-        keys *= _kernels._HASH_MULT
-    unique = np.unique(keys)
-    classes = np.searchsorted(unique, keys)
-    reps = np.full(len(unique), len(keys))
-    np.minimum.at(reps, classes, np.arange(len(keys)))
-    rep = reps[classes]
-    same = (raw == raw[rep]).all(axis=1) & (parity == parity[rep])
-    stray = np.flatnonzero(~same)
-    classes[stray] = len(reps) + np.arange(len(stray))
-    reps = np.concatenate([reps, stray])
-    return reps, classes.astype(np.min_scalar_type(len(reps) - 1))
+    rows = counts.take(even_rows[:, None] ^ (0, 1), axis=0).reshape(len(even_rows), -1)
+    rows = np.concatenate([rows, parity[:, None].astype(rows.dtype)], axis=1)
+    strings = rows.view(f"S{rows.itemsize * rows.shape[1]}")[:, 0]
+    _, first, inverse = np.unique(strings, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    return np.sort(first), rank[inverse].astype(np.min_scalar_type(len(first) - 1))
 
 
 def product_distribution_reference(parts, max_classes=200_000):

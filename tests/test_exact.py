@@ -284,9 +284,28 @@ def _assert_same_distributions(backend, ref, thetas_over_pi):
                     theta_over_pi, recovery, name)
 
 
+def _build_with_first(monkeypatch, code):
+    """The backend of ``code`` and the first syndrome of each of its classes,
+    as the count table returned them."""
+    built, count_table = [], _kernels.count_table
+
+    def spy(*args):
+        built.append(count_table(*args))
+        return built[-1]
+    monkeypatch.setattr(_kernels, "count_table", spy)
+    backend = ExactBackend(code)
+    monkeypatch.setattr(_kernels, "count_table", count_table)
+    return backend, built[0][0]
+
+
+def _assert_numbered_by_first_syndrome(backend, first):
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(np.unique(backend._classes, return_index=True)[1], first)
+
+
 def _assert_same_numbering(backend, ref, code):
-    """The classes are numbered as two passes over the whole table number
-    them, and each class holds its first syndrome's column."""
+    """The classes are numbered as grouping the whole table without a hash
+    numbers them, and each class holds its first syndrome's column."""
     first, classes = class_numbering_reference(code)
     assert backend._classes.dtype == classes.dtype
     assert np.array_equal(backend._classes, classes)
@@ -335,9 +354,20 @@ class TestColumnClasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the decode keys (8 MB), then the hash keys (8 MB) and one block; the
-        # whole count table (52 MB) is never held
-        assert peak < 40 << 20
+        # the decode keys (8 MB), then one block and a uint8 class index per
+        # syndrome (1 MB); the whole count table (52 MB) is never held
+        assert peak < 12 << 20
+
+    # X-Shor 5x5 takes the coset build and RSC 5x5 the dual; X-Shor 4x5 in
+    # blocks of 97 syndromes meets new keys after its first block
+    @pytest.mark.parametrize("coloring,block", [
+        (family_x_shor(5, 5), None), (family_rotated_surface(5), None),
+        (family_x_shor(4, 5), 1 << 12)])
+    def test_classes_are_numbered_by_first_syndrome(self, monkeypatch, coloring, block):
+        if block:
+            monkeypatch.setattr(_kernels, "_BLOCK", block)
+        backend, first = _build_with_first(monkeypatch, build_code(coloring))
+        _assert_numbered_by_first_syndrome(backend, first)
 
     # blocks of a few syndromes for the small codes; X-Shor 4x5 takes the
     # coset build and has 2**16 syndromes in blocks of 97
@@ -354,39 +384,46 @@ class TestColumnClasses:
         assert backend._table.shape[-1] == distinct < pairs.shape[1]
         _assert_same_numbering(backend, ref, code)
         monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(0))  # every key 0
-        backend = ExactBackend(code)
+        backend, first = _build_with_first(monkeypatch, code)
         assert backend._table.shape[-1] > distinct
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
         assert np.array_equal(backend._rec_parity[backend._classes], ref._rec_parity)
-        _assert_same_numbering(backend, ref, code)
+        _assert_numbered_by_first_syndrome(backend, first)
         _assert_same_distributions(backend, ref, [0.0, 0.37])
 
-    @pytest.mark.parametrize("collide", [False, True])
-    def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, collide):
+    @pytest.mark.parametrize("mult,numbered", [
+        (None, [0, 1, 0, 2, 1, 0, 2, 3]),
+        (0, [0, 1, 0, 2, 3, 0, 4, 5]),  # every key 0: each syndrome unlike 0 is a stray
+        # the key is the low bit of the even-weight row's last entry, so the
+        # last block numbers its new key (syndrome 7) before its stray (6)
+        (1 << 63, [0, 1, 0, 2, 3, 0, 5, 4])])
+    def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, mult, numbered):
         # a min-weight recovery's parity is that of the column's lowest weight,
         # so only synthetic rows show the parity in the class key
+        collide = mult is not None
         if collide:
-            monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(0))
+            monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(mult))
         a, b, c = [1, 0, 1], [0, 2, 0], [0, 1, 0]
         # per syndrome: (coset 0 row, coset 1 row), even-weight coset, parity
         syndromes = [((a, b), 0, 0), ((a, b), 0, 1), ((a, b), 0, 0), ((a, c), 0, 0),
-                     ((a, b), 0, 1), ((b, a), 1, 0), ((a, b), 1, 0), ((a, c), 0, 0)]
+                     ((a, b), 0, 1), ((b, a), 1, 0), ((a, c), 0, 0), ((a, b), 1, 0)]
         counts = np.array([rows for rows, _, _ in syndromes], np.uint8)
         even = np.array([e for _, e, _ in syndromes], np.uint8)
         parity = np.array([p for _, _, p in syndromes], np.uint8)
         blocks = [counts[i:i + 3] for i in range(0, len(counts), 3)]  # blocks of 3
         first, rows, classes = _kernels._group(iter(blocks), even, parity)
-        # syndrome 5 has syndrome 0's rows with the cosets swapped, 6 does not
+        # syndrome 5 has syndrome 0's rows with the cosets swapped, 7 does not
         assert classes[0] == classes[2] == classes[5]
-        assert len({classes[0], classes[1], classes[3], classes[6]}) == 4
+        assert len({classes[0], classes[1], classes[3], classes[7]}) == 4
         # a syndrome that fails the check against its class becomes a class of its own
-        assert (classes[1] == classes[4]) != collide and (classes[3] == classes[7]) != collide
+        assert (classes[1] == classes[4]) != collide and (classes[3] == classes[6]) != collide
         assert len(first) == len(rows) == (6 if collide else 4)
-        rep = first[classes]
-        assert np.all(rep <= np.arange(len(syndromes)))
+        # classes are numbered as they appear, each block's strays after its new keys
+        assert classes.dtype == np.uint8 and classes.tolist() == numbered
+        assert np.array_equal(first, [numbered.index(k) for k in range(len(first))])
         for flip in (0, 1):
             assert np.array_equal(rows[classes, flip], counts[np.arange(8), even ^ flip])
-        assert np.array_equal(parity[rep], parity)
+        assert np.array_equal(parity[first[classes]], parity)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])
     def test_xshor5_matches_closed_form(self, theta_over_pi):

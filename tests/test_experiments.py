@@ -177,14 +177,15 @@ class TestSampling:
         dist = make()
         for seed in range(20):
             want_idx, want = sample_distribution_reference(dist, n_samples, seed)
-            idx = experiments._draw(dist.p, n_samples, np.random.default_rng(seed))
+            idx = experiments._draw(np.array(dist.p), n_samples, np.random.default_rng(seed))
             assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
             assert sample_distribution(dist, n_samples, seed) == want
 
     def test_reads_angles_only_where_it_draws(self):
         dist = syndrome_distribution(build_code(family_x_shor(5, 5)), 0.46 * math.pi)
         sample_distribution(dist, 400, 1)
-        assert "theta_s" not in vars(dist)  # the 2**20-entry array is never gathered
+        # neither 2**20-entry array is kept: p is gathered into the CDF's buffer
+        assert "theta_s" not in vars(dist) and "p" not in vars(dist)
 
     @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [0.5, math.inf], [0.6, -0.1, 0.5],
                                    [0.0, 0.0], [], [1.0, -1.0]])

@@ -34,16 +34,15 @@ code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So
 ``_kernels.count_table`` groups syndromes into classes of equal pairs as it
 builds their rows, one block at a time, numbered as they first appear, and
 the backend lays out one column per class; each theta is evaluated once per
-class and every output array gathered once per syndrome, with the same bits
-as evaluating every syndrome.  A build first checks that the bytes it will
-hold fit ``MAX_HELD_BYTES``.
+class, and each per-syndrome array or summand is one gather of class values,
+with the same bits as evaluating every syndrome.  A build first checks that
+the bytes it and one evaluation will hold fit ``MAX_HELD_BYTES``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +73,23 @@ class TooLargeError(RuntimeError):
 
 
 def _held_bytes(n: int, r: int) -> int:
-    """Upper bound on the bytes a backend build holds for n qubits and r
-    checks: the decode table's int64 keys and its transients (10 bytes per
-    syndrome), each syndrome's recovery parity and even-row bit (2), and
-    what the count rows' build and grouping hold."""
-    return (12 << r) + _kernels.held_bytes(n, r)
+    """Upper bound on the bytes a backend holds for n qubits and r checks:
+    its build (the decode table's int64 keys and transients, 10 bytes per
+    syndrome; each syndrome's recovery parity and even-row bit, 2; what the
+    count rows' build and grouping hold), then one evaluation."""
+    return (12 << r) + _kernels.held_bytes(n, r) + _evaluation_bytes(n, r)
+
+
+def _evaluation_bytes(n: int, r: int) -> int:
+    """Upper bound on the bytes one ``distribution`` and its ``channel`` hold
+    beyond the backend: per syndrome, the dropped-syndrome path's mask (1),
+    int64 and uint32 indices (12) and class indices, and one float64 gather
+    (8); one block of the ascending sum (its columns cast to float64, and
+    their terms).  The class values, a few dozen bytes a class, are not
+    counted: the class count is known only after the build."""
+    index = np.min_scalar_type((1 << r) - 1).itemsize
+    block = 16 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
+    return ((1 + 8 + 4 + index + 8) << r) + block
 
 
 def reduce_angle(theta: float) -> float:
@@ -99,32 +110,19 @@ def _check_recovery(recovery: str) -> str:
     return recovery
 
 
-def _per_syndrome(column_field: str) -> cached_property:
-    """A per-syndrome array of a SyndromeDistribution, gathered from its
-    ``column_field`` when first read."""
-    def gather(self) -> np.ndarray:
-        return getattr(self, column_field).take(self.columns)
-    return cached_property(gather)
-
-
 @dataclass(frozen=True, eq=False)
 class SyndromeDistribution:
     """Per-syndrome probabilities and logical angles at a physical angle.
 
     Zero-probability syndromes (exact zeros, e.g. at theta=0) are dropped.
-    ``amp_identity``/``amp_logical`` are the signed real amplitude parts,
-    with the complex phases (-i)**parity and (-i)**(1 - parity) implied by
-    ``recovery_parity``.
-
-    The values are held once per backend class (``column_*``), with
-    ``columns`` the class of each kept syndrome.  The per-syndrome arrays
-    ``syndromes``, ``p``, ``theta_s``, ``amp_identity``, ``amp_logical`` and
-    ``recovery_parity`` are gathered when first read (up to 2**r entries
-    each), and ``theta_s_at`` reads angles at a few syndromes without
-    gathering them.
+    Only values per backend class (``column_*``) are held, with ``columns``
+    the class of each kept syndrome: ``column_amp_*`` are the signed real
+    amplitude parts, their phases (-i)**parity and (-i)**(1 - parity)
+    implied by the recovery's weight parity ``column_parity`` (bool).  The
+    per-syndrome ``syndromes``, ``p`` and ``theta_s`` (up to 2**r entries)
+    are gathered on every read and never kept.
     """
 
-    theta: float
     num_checks: int
     column_p: np.ndarray
     column_theta_s: np.ndarray
@@ -134,39 +132,44 @@ class SyndromeDistribution:
     columns: np.ndarray
     kept: np.ndarray | None  # the kept syndromes; None when every one is kept
 
-    @cached_property
-    def syndromes(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept
+    def gather(self, column_values: np.ndarray) -> np.ndarray:
+        """Each kept syndrome's class value; fancy indexing, unlike ``take``,
+        does not first widen all the class indices to intp."""
+        return column_values[self.columns]
 
-    p = _per_syndrome("column_p")
-    theta_s = _per_syndrome("column_theta_s")
-    amp_identity = _per_syndrome("column_amp_identity")
-    amp_logical = _per_syndrome("column_amp_logical")
-    recovery_parity = _per_syndrome("column_parity")
+    @property
+    def syndromes(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept.copy()
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.gather(self.column_p)
+
+    @property
+    def theta_s(self) -> np.ndarray:
+        return self.gather(self.column_theta_s)
 
     def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
-        """``theta_s[idx]``, read through ``columns`` without gathering
-        ``theta_s`` whole."""
+        """``theta_s[idx]``, without gathering ``theta_s`` whole."""
         return self.column_theta_s.take(self.columns.take(idx))
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def syndrome_bits(self, i: int) -> str:
-        s = int(self.syndromes[i])
-        return "".join("1" if s >> k & 1 else "0" for k in range(self.num_checks))
-
     @property
     def entries(self) -> list[tuple[str, float, float]]:
-        return [(self.syndrome_bits(i), float(self.p[i]), float(self.theta_s[i]))
-                for i in range(len(self))]
+        """(syndrome bits, p_s, theta_s) per kept syndrome; character k is check k."""
+        top = 1 << self.num_checks  # a leading 1 keeps all r bits, and none when r = 0
+        return [(format(s | top, "b")[:0:-1], p, theta_s) for s, p, theta_s in zip(
+            self.syndromes.tolist(), self.p.tolist(), self.theta_s.tolist())]
 
     def channel(self) -> LogicalPTM:
-        """Logical channel from the amplitudes: eps = 2 sum A1^2,
-        delta = 2 sum (-1)**parity A0 A1."""
-        eps = float(2.0 * np.sum(self.amp_logical ** 2))
-        sign = 1.0 - 2.0 * self.recovery_parity
-        delta = float(2.0 * np.sum(sign * self.amp_identity * self.amp_logical))
+        """Logical channel from the amplitudes: eps = 2 sum A1^2, delta =
+        2 sum (-1)**parity A0 A1, each summand taken per class, then gathered."""
+        a0, a1 = self.column_amp_identity, self.column_amp_logical
+        eps = float(2.0 * np.sum(self.gather(a1 ** 2)))
+        sign = 1.0 - 2.0 * self.column_parity
+        delta = float(2.0 * np.sum(self.gather(sign * a0 * a1)))
         return LogicalPTM(eps, delta)
 
 
@@ -183,9 +186,9 @@ class ExactBackend:
     rows' narrow dtype.  ``_table[j, q, c]`` counts the weight-(2j+q)
     supports of class c's coset of weight parity q (the half of the weights
     that is always zero is dropped); the identity coset is the one with the
-    recovery's weight parity.  ``_classes[s]`` is the class of syndrome s in
-    the smallest unsigned dtype, classes numbered as their first syndromes
-    appear (the 5x5 X-Shor code keeps 21 columns and 1 MB of class indices).
+    recovery's weight parity ``_parity[c]``.  ``_classes[s]`` is the class of
+    syndrome s in the smallest unsigned dtype, classes numbered as their first
+    syndromes appear (the 5x5 X-Shor code keeps 21 columns, 1 MB of indices).
     """
 
     def __init__(self, code: CompassCode):
@@ -225,10 +228,8 @@ class ExactBackend:
         self._table = np.zeros((n // 2 + 1, 2, len(rows)), rows.dtype)
         self._table[:, 0] = even[:, 0::2].T
         self._table[:(n + 1) // 2, 1] = odd[:, 1::2].T
-        parity = parity[first].astype(np.int64)
-        self._id_odd = parity.astype(bool)
-        self._rec_parity = parity
-        self._rec_parity.setflags(write=False)  # shared by the distributions
+        self._parity = parity[first].astype(bool)
+        self._parity.setflags(write=False)  # shared by the distributions
 
     def _amplitudes(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Signed real identity and logical coset amplitudes of every table
@@ -239,13 +240,13 @@ class ExactBackend:
         if n % 2 == 0:
             wvec.append(0.0)  # the odd half has no weight n + 1
         even, odd = _ascending_sum(self._table, np.array(wvec).reshape(-1, 2, 1))
-        return np.where(self._id_odd, odd, even), np.where(self._id_odd, even, odd)
+        return np.where(self._parity, odd, even), np.where(self._parity, even, odd)
 
     def distribution(self, theta: float, recovery: str = MIN_WEIGHT) -> SyndromeDistribution:
         _check_recovery(recovery)
         theta = reduce_angle(theta)
         s_id, s_log = self._amplitudes(theta)
-        parity = self._rec_parity
+        parity = self._parity
         if recovery == ML:
             swap = np.abs(s_log) > np.abs(s_id)
             s_id, s_log = np.where(swap, s_log, s_id), np.where(swap, s_id, s_log)
@@ -260,9 +261,9 @@ class ExactBackend:
         columns, kept = self._classes, None  # the class of each kept syndrome
         if not keep.all():
             kept = np.flatnonzero(keep[columns]).astype(np.uint32)
-            columns = columns.take(kept)
+            columns = columns[kept]
         return SyndromeDistribution(
-            theta=theta, num_checks=self.num_checks,
+            num_checks=self.num_checks,
             column_p=p, column_theta_s=theta_s, column_amp_identity=s_id,
             column_amp_logical=s_log, column_parity=parity,
             columns=columns, kept=kept)

@@ -337,13 +337,12 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     2|sin theta_s|; reports sample means and standard errors of the mean.
     ``dist`` needs ``p`` and ``theta_s_at``: the cost is one sum and one
     cumulative sum of ``p``, and angles are read only at the drawn indices.
-    A SyndromeDistribution's ``p`` is gathered into the CDF's buffer and not
-    kept, so a draw holds one array of its length, not two.
+    A SyndromeDistribution's ``p`` is a fresh gather, the CDF's buffer, so a
+    draw holds one array of its length, not two; another ``p`` is copied.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    p = (dist.column_p[dist.columns] if isinstance(dist, SyndromeDistribution)
-         else np.array(dist.p, dtype=float))
+    p = dist.p if isinstance(dist, SyndromeDistribution) else np.array(dist.p, dtype=float)
     idx = _draw(p, n_samples, np.random.default_rng(seed))
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)

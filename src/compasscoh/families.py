@@ -57,7 +57,6 @@ def _check_stacked(l, h) -> None:
 class AngleDistribution:
     """Aggregated (probability, logical angle) classes of an analytic channel."""
 
-    theta: float
     p: np.ndarray
     theta_s: np.ndarray
 
@@ -139,7 +138,7 @@ def repetition_distribution(l: int, theta: float,
     theta = reduce_angle(theta)
     ln_p, theta_w, *_ = _rep_classes(l, theta, recovery)
     keep = ln_p > -np.inf
-    return AngleDistribution(theta=theta, p=np.exp(ln_p[keep]), theta_s=theta_w[keep])
+    return AngleDistribution(p=np.exp(ln_p[keep]), theta_s=theta_w[keep])
 
 
 def repetition_stirling(l: int, theta: float) -> LogicalPTM:
@@ -264,7 +263,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     order = np.argsort(angles)
     angles, probs = angles[order], probs[order]
     wrapped = np.arctan2(np.sin(angles), np.cos(angles))
-    return AngleDistribution(theta=math.nan, p=probs, theta_s=wrapped)
+    return AngleDistribution(p=probs, theta_s=wrapped)
 
 
 def _group_parts(parts):

@@ -12,7 +12,9 @@ count), as the reference for the kernel's dual (MacWilliams) transform.
 no grouping, as the reference for the exact backend's syndrome classes, and
 ``class_numbering_reference`` groups the whole table with ``np.unique``,
 no hash, and numbers the classes by their first syndromes, as the
-reference for the streamed grouping's class indices.
+reference for the streamed grouping's class indices.  ``channel_reference``
+sums the channel over whole per-syndrome gathers, the bit-exact reference
+for summing one gather of per-class products.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -178,8 +180,19 @@ def per_syndrome_backend(code):
     backend._table[:, 0] = counts[even_rows, 0::2].T
     backend._table[:(n + 1) // 2, 1] = counts[even_rows ^ 1, 1::2].T
     backend._classes = np.arange(len(even_rows))
-    backend._rec_parity, backend._id_odd = parity, parity.astype(bool)
+    backend._parity = parity.astype(bool)
     return backend
+
+
+def channel_reference(dist):
+    """(eps, delta) of a ``SyndromeDistribution`` summed over per-syndrome
+    arrays, each class array gathered whole with ``take``:
+    eps = 2 sum A1^2, delta = 2 sum (-1)**parity A0 A1."""
+    a0, a1, parity = (values.take(dist.columns) for values in (
+        dist.column_amp_identity, dist.column_amp_logical, dist.column_parity))
+    eps = float(2.0 * np.sum(a1 ** 2))
+    sign = 1.0 - 2.0 * parity
+    return eps, float(2.0 * np.sum(sign * a0 * a1))
 
 
 def _per_syndrome_rows(code):
@@ -231,7 +244,7 @@ def product_distribution_reference(parts, max_classes=200_000):
     angles = np.array(sorted(acc))
     probs = np.array([acc[a] for a in angles])
     wrapped = np.arctan2(np.sin(angles), np.cos(angles))
-    return AngleDistribution(theta=math.nan, p=probs, theta_s=wrapped)
+    return AngleDistribution(p=probs, theta_s=wrapped)
 
 
 _INF = 10 ** 9

@@ -68,10 +68,10 @@ def test_c01_oracle_equivalence():
         theta = top * math.pi
         dist = syndrome_distribution(rsc, theta)
         oracle = statevector_distribution(rsc, theta)
-        for i, s in enumerate(dist.syndromes):
+        for s, p, theta_s in zip(dist.syndromes, dist.p, dist.theta_s):
             p_o, th_o, _, _ = oracle[int(s)]
-            assert abs(dist.p[i] - p_o) <= TOL_ORACLE
-            assert abs(dist.theta_s[i] - th_o) <= TOL_ORACLE
+            assert abs(p - p_o) <= TOL_ORACLE
+            assert abs(theta_s - th_o) <= TOL_ORACLE
     assert time.monotonic() - start < 60.0
 
 

@@ -138,9 +138,12 @@ class TestChannel:
         assert payload["epsilon"] == pytest.approx(1 - math.cos(0.3 * math.pi))
         assert payload["config"]["recovery"] == "minweight"
 
-    def test_exact_distribution_dump(self, tmp_path, capsys):
-        code_path = tmp_path / "rep3.json"
-        run(capsys, "code", "gen", "--family", "zshor", "--dx", "1", "--dz", "3",
+    # check k's bit at position k; the 1x1 code has no checks, so its one
+    # syndrome is the empty string
+    @pytest.mark.parametrize("dz,syndromes", [("3", ["00", "10", "01", "11"]), ("1", [""])])
+    def test_exact_distribution_dump(self, tmp_path, capsys, dz, syndromes):
+        code_path = tmp_path / "rep.json"
+        run(capsys, "code", "gen", "--family", "zshor", "--dx", "1", "--dz", dz,
             "--out", str(code_path))
         dump = tmp_path / "dist.json"
         rc, _, _ = run(capsys, "channel", "exact", "--code", str(code_path),
@@ -149,6 +152,7 @@ class TestChannel:
         dist = json.loads(dump.read_text())
         assert isinstance(dist, list)
         assert set(dist[0]) == {"syndrome", "p", "theta_s"}
+        assert [e["syndrome"] for e in dist] == syndromes
         assert sum(e["p"] for e in dist) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_too_large_exit_2(self, tmp_path, capsys):

@@ -18,9 +18,9 @@ from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
-from oracles import (class_numbering_reference, count_table_reference,
-                     per_syndrome_backend, statevector_channel,
-                     statevector_distribution)
+from oracles import (channel_reference, class_numbering_reference,
+                     count_table_reference, per_syndrome_backend,
+                     statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,10 +43,10 @@ class TestAgainstStatevectorOracle:
         dist = syndrome_distribution(code, theta)
         oracle = statevector_distribution(code, theta)
         assert len(dist) == len(oracle)
-        for i, s in enumerate(dist.syndromes):
+        for s, p, theta_s in zip(dist.syndromes, dist.p, dist.theta_s):
             p_o, th_o, _, _ = oracle[int(s)]
-            assert dist.p[i] == pytest.approx(p_o, abs=1e-12)
-            assert dist.theta_s[i] == pytest.approx(th_o, abs=1e-12)
+            assert p == pytest.approx(p_o, abs=1e-12)
+            assert theta_s == pytest.approx(th_o, abs=1e-12)
 
     @pytest.mark.parametrize("coloring", SMALL_CODES)
     def test_ml_channel_matches(self, coloring):
@@ -136,10 +136,12 @@ class TestInvariants:
     def test_amplitude_ratio_purely_imaginary(self, coloring):
         """The identity/logical amplitude pair is I-phase vs Z-phase split."""
         dist = syndrome_distribution(build_code(coloring), 0.3 * math.pi)
-        for i in range(len(dist)):
-            odd = int(dist.recovery_parity[i])  # phases (-i)**parity, (-i)**(1 - parity)
-            a0 = (-1.0j if odd else 1.0) * float(dist.amp_identity[i])
-            a1 = (1.0 if odd else -1.0j) * float(dist.amp_logical[i])
+        for odd, amp_identity, amp_logical in zip(
+                *map(dist.gather, (dist.column_parity, dist.column_amp_identity,
+                                   dist.column_amp_logical))):
+            # phases (-i)**parity, (-i)**(1 - parity)
+            a0 = (-1.0j if odd else 1.0) * float(amp_identity)
+            a1 = (1.0 if odd else -1.0j) * float(amp_logical)
             prod = a1 * np.conj(a0)
             assert abs(prod.real) <= 1e-12 * max(abs(a0) * abs(a1), 1e-30)
 
@@ -149,9 +151,9 @@ class TestInvariants:
         theta = 0.07 * math.pi
         dist = syndrome_distribution(code, theta)
         merged: dict[tuple, float] = {}
-        for i in range(len(dist)):
-            key = (round(float(dist.p[i]), 14), round(float(dist.theta_s[i]), 14))
-            merged[key] = merged.get(key, 0.0) + float(dist.p[i])
+        for p, theta_s in zip(dist.p.tolist(), dist.theta_s.tolist()):
+            key = (round(p, 14), round(theta_s, 14))
+            merged[key] = merged.get(key, 0.0) + p
         assert len(merged) < len(dist)
         # recompute from merged classes using the class angle
         eps_m = sum(p_tot * (1 - math.cos(ts)) for (p, ts), p_tot in merged.items())
@@ -189,7 +191,7 @@ class TestGuards:
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
         monkeypatch.setattr(exact, "build_matching_graph", no_build)
-        # the 1x25 grid (2**24 syndromes) is bounded by 0.41 GB, within the budget
+        # the 1x25 grid (2**24 syndromes) is bounded by 0.73 GB, within the budget
         assert exact._held_bytes(25, 24) <= exact.MAX_HELD_BYTES
         monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
         with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
@@ -272,14 +274,22 @@ def test_amplitudes_bit_exact_against_ascending_python_sum(
     assert np.array_equal(s_id[classes], ref_id) and np.array_equal(s_log[classes], ref_log)
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _assert_same_distributions(backend, ref, thetas_over_pi):
     for theta_over_pi in thetas_over_pi:
         for recovery in ("minweight", "ml"):
-            got = backend.distribution(theta_over_pi * math.pi, recovery)
-            want = ref.distribution(theta_over_pi * math.pi, recovery)
-            for name in ("syndromes", "p", "theta_s", "amp_identity", "amp_logical",
-                         "recovery_parity"):
-                a, b = getattr(got, name), getattr(want, name)
+            got = _per_syndrome_arrays(backend.distribution(theta_over_pi * math.pi, recovery))
+            want = _per_syndrome_arrays(ref.distribution(theta_over_pi * math.pi, recovery))
+            for name, a in got.items():
+                b = want[name]
                 assert a.dtype == b.dtype and np.array_equal(a, b), (
                     theta_over_pi, recovery, name)
 
@@ -310,7 +320,7 @@ def _assert_same_numbering(backend, ref, code):
     assert backend._classes.dtype == classes.dtype
     assert np.array_equal(backend._classes, classes)
     assert np.array_equal(backend._table, ref._table[..., first])
-    assert np.array_equal(backend._rec_parity, ref._rec_parity[first])
+    assert np.array_equal(backend._parity, ref._parity[first])
 
 
 class TestColumnClasses:
@@ -337,23 +347,14 @@ class TestColumnClasses:
         # X-Shor 5x5 takes the coset build (n=25, r=20), RSC 5x5 the dual (r=12)
         code = build_code(coloring)
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
-        tracemalloc.start()
-        try:
-            ExactBackend(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= exact._held_bytes(code.n, len(code.x_stabilizers))
+        peak = _traced_peak(lambda: ExactBackend(code))
+        n, r = code.n, len(code.x_stabilizers)
+        assert peak <= exact._held_bytes(n, r) - exact._evaluation_bytes(n, r)
 
     def test_xshor5_build_peak_is_bounded(self):
         code = build_code(family_x_shor(5, 5))
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
-        tracemalloc.start()
-        try:
-            ExactBackend(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: ExactBackend(code))
         # the decode keys (8 MB), then one block and a uint8 class index per
         # syndrome (1 MB); the whole count table (52 MB) is never held
         assert peak < 12 << 20
@@ -378,7 +379,7 @@ class TestColumnClasses:
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         code = build_code(coloring)
         ref = per_syndrome_backend(code)
-        pairs = np.vstack([ref._table.reshape(-1, ref._table.shape[-1]), ref._rec_parity])
+        pairs = np.vstack([ref._table.reshape(-1, ref._table.shape[-1]), ref._parity])
         distinct = np.unique(pairs, axis=1).shape[1]
         backend = ExactBackend(code)
         assert backend._table.shape[-1] == distinct < pairs.shape[1]
@@ -387,7 +388,7 @@ class TestColumnClasses:
         backend, first = _build_with_first(monkeypatch, code)
         assert backend._table.shape[-1] > distinct
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
-        assert np.array_equal(backend._rec_parity[backend._classes], ref._rec_parity)
+        assert np.array_equal(backend._parity[backend._classes], ref._parity)
         _assert_numbered_by_first_syndrome(backend, first)
         _assert_same_distributions(backend, ref, [0.0, 0.37])
 
@@ -435,8 +436,11 @@ class TestColumnClasses:
         assert abs(diamond_avg(dist) - diamond_avg(x_shor_distribution(5, 5, theta))) <= 1e-10
 
 
-_PER_SYNDROME = ("syndromes", "p", "theta_s", "amp_identity", "amp_logical",
-                 "recovery_parity")
+def _per_syndrome_arrays(dist):
+    """Every per-syndrome array of ``dist``, each read once."""
+    return {"syndromes": dist.syndromes, "p": dist.p, "theta_s": dist.theta_s,
+            **{name: dist.gather(getattr(dist, "column_" + name))
+               for name in ("amp_identity", "amp_logical", "parity")}}
 
 
 def _eager_arrays(backend, dist):
@@ -451,11 +455,13 @@ def _eager_arrays(backend, dist):
         syndromes = syndromes[keep[columns]]
         columns = columns[syndromes]
     arrays = tuple(a.take(columns) for a in arrays)
-    return dict(zip(_PER_SYNDROME, (syndromes, *arrays)))
+    names = ("syndromes", "p", "theta_s", "amp_identity", "amp_logical", "parity")
+    return dict(zip(names, (syndromes, *arrays)))
 
 
 class TestLazyArrays:
-    """Per-syndrome arrays are gathered from the column arrays when first read."""
+    """Per-syndrome arrays are gathered from the class values when read, and
+    never kept."""
 
     # at full size and with blocks of 4; theta = 0 and pi drop every
     # syndrome but one
@@ -475,22 +481,57 @@ class TestLazyArrays:
                 assert len(dist) == len(want["p"])
                 idx = rng.integers(len(dist), size=50)
                 assert np.array_equal(dist.theta_s_at(idx), want["theta_s"][idx])
-                for name, array in want.items():
-                    got = getattr(dist, name)
+                for name, got in _per_syndrome_arrays(dist).items():
+                    array = want[name]
                     assert got.dtype == array.dtype and np.array_equal(got, array), (
                         theta_over_pi, recovery, name)
+                # each read gathers afresh: writing to one leaves the next intact
+                for name in ("syndromes", "p", "theta_s"):
+                    getattr(dist, name)[:] = 0
+                    assert np.array_equal(getattr(dist, name), want[name]), name
 
-    def test_xshor5_distribution_allocates_under_a_quarter_until_read(self):
+    def test_xshor5_distribution_allocates_no_per_syndrome_array(self):
         backend = get_backend(build_code(family_x_shor(5, 5)))
         backend.distribution(0.46 * math.pi)  # any one-off set-up happens outside
-        tracemalloc.start()
-        try:
-            dist = backend.distribution(0.46 * math.pi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        eager = sum(getattr(dist, name).nbytes for name in _PER_SYNDROME)
-        assert eager > 40 << 20 and peak < eager / 4
+        # every syndrome is kept; a per-syndrome float64 array is 8 MiB
+        assert _traced_peak(lambda: backend.distribution(0.46 * math.pi)) < 1 << 20
+
+    def test_xshor5_channel_peaks_at_one_gather(self):
+        backend = get_backend(build_code(family_x_shor(5, 5)))
+        backend.channel(0.37 * math.pi)
+        # one float64 gather of 2**20 syndromes (8 MiB) at a time, its uint8
+        # class indices read in buffered chunks
+        assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 12 << 20
+
+    # X-Shor 5x5 drops syndromes at theta = 0 and pi; RSC 5x5 has 645
+    # classes among 4,096 syndromes
+    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
+    def test_evaluation_peak_is_within_its_held_bytes(self, coloring):
+        backend = get_backend(build_code(coloring))
+        backend.channel(0.37 * math.pi)
+        bound = exact._evaluation_bytes(backend.n, backend.num_checks)
+        for theta_over_pi in (0.0, 0.37, 0.5, 1.0):
+            for recovery in ("minweight", "ml"):
+                peak = _traced_peak(
+                    lambda: backend.channel(theta_over_pi * math.pi, recovery))
+                assert peak <= bound, (theta_over_pi, recovery)
+
+
+class TestChannelPerClass:
+    """``channel`` sums one gather of per-class products: the same array, so
+    the same bits, as summing products of whole per-syndrome gathers."""
+
+    @pytest.mark.parametrize("coloring", [
+        family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2), family_rotated_surface(5),
+        family_z_stacked(5, 2)])
+    def test_bit_identical_to_per_syndrome_sums(self, coloring):
+        backend = get_backend(build_code(coloring))
+        for theta_over_pi in (0.0, 0.01, 0.37, 0.5, 1.0):
+            for recovery in ("minweight", "ml"):
+                dist = backend.distribution(theta_over_pi * math.pi, recovery)
+                ch = dist.channel()
+                assert (repr(ch.epsilon), repr(ch.delta)) == tuple(
+                    map(repr, channel_reference(dist))), (theta_over_pi, recovery)
 
 
 @pytest.mark.parametrize("gen,extra", [

@@ -190,7 +190,7 @@ class TestSampling:
     @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [0.5, math.inf], [0.6, -0.1, 0.5],
                                    [0.0, 0.0], [], [1.0, -1.0]])
     def test_bad_probabilities_raise_value_error_like_choice(self, p):
-        dist = AngleDistribution(theta=0.0, p=np.array(p), theta_s=np.zeros(len(p)))
+        dist = AngleDistribution(p=np.array(p), theta_s=np.zeros(len(p)))
         with pytest.raises(ValueError), np.errstate(invalid="ignore", divide="ignore"):
             sample_distribution_reference(dist, 10, 0)
         with pytest.raises(ValueError, match="probabilities"):

@@ -173,10 +173,19 @@ def _cmd_channel_exact(args):
     dist = backend.distribution(theta, args.recovery)
     ch = dist.channel()
     if args.dump_distribution:
+        # json.dump(..., indent=2) bytes, one entry at a time: the values are
+        # finite floats, which json writes as repr does.  Character k of a
+        # syndrome is check k; a leading 1 keeps all r bits
+        top, sep = 1 << dist.num_checks, "[\n"
+        arrays = dist.syndromes, dist.p, dist.theta_s
         with open(args.dump_distribution, "w") as fh:
-            json.dump([{"syndrome": bits, "p": p, "theta_s": ts}
-                       for bits, p, ts in dist.entries], fh, indent=2)
-            fh.write("\n")
+            for start in range(0, len(dist), 1 << 16):
+                block = slice(start, start + (1 << 16))
+                for s, p_s, t_s in zip(*(a[block].tolist() for a in arrays)):
+                    fh.write(f'{sep}  {{\n    "syndrome": "{format(s | top, "b")[:0:-1]}",\n'
+                             f'    "p": {p_s!r},\n    "theta_s": {t_s!r}\n  }}')
+                    sep = ",\n"
+            fh.write("\n]\n")
     _print_json({"epsilon": ch.epsilon, "delta": ch.delta, "kappa": kappa(ch),
                  "r1": r1(ch), "config": _config_dict(args, "channel exact")})
     return 0

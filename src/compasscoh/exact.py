@@ -84,11 +84,11 @@ def _evaluation_bytes(n: int, r: int) -> int:
     """Upper bound on the bytes one ``distribution`` and its ``channel`` hold
     beyond the backend: per syndrome, the dropped-syndrome path's mask (1),
     int64 and uint32 indices (12) and class indices, and one float64 gather
-    (8); one block of the ascending sum (its columns cast to float64, and
-    their terms).  The class values, a few dozen bytes a class, are not
-    counted: the class count is known only after the build."""
+    (8); one float64 block of the ascending sum's terms.  The class values,
+    a few dozen bytes a class, are not counted: the class count is known
+    only after the build."""
     index = np.min_scalar_type((1 << r) - 1).itemsize
-    block = 16 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
+    block = 8 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
     return ((1 + 8 + 4 + index + 8) << r) + block
 
 
@@ -155,13 +155,6 @@ class SyndromeDistribution:
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    @property
-    def entries(self) -> list[tuple[str, float, float]]:
-        """(syndrome bits, p_s, theta_s) per kept syndrome; character k is check k."""
-        top = 1 << self.num_checks  # a leading 1 keeps all r bits, and none when r = 0
-        return [(format(s | top, "b")[:0:-1], p, theta_s) for s, p, theta_s in zip(
-            self.syndromes.tolist(), self.p.tolist(), self.theta_s.tolist())]
 
     def channel(self) -> LogicalPTM:
         """Logical channel from the amplitudes: eps = 2 sum A1^2, delta =
@@ -275,17 +268,20 @@ class ExactBackend:
 def _ascending_sum(table: np.ndarray, wvec: np.ndarray) -> np.ndarray:
     """``sum_j table[j] * wvec[j]`` over the first axis, added in ascending j.
 
-    Each block of ``_SUM_BLOCK`` columns takes one multiply and one
-    ``add.accumulate``, which is defined as r[j] = r[j-1] + x[j]: the same
-    elementwise IEEE operations in the same order for every column, so the
-    bits depend neither on the BLAS build and its threads nor on the table
-    size or the block boundaries.
+    Each block of ``_SUM_BLOCK`` columns is cast exactly into one float64
+    block, multiplied there and summed by one ``add.accumulate``, defined as
+    r[j] = r[j-1] + x[j]: the same elementwise IEEE operations in the same
+    order for every column, so the bits depend neither on the BLAS build
+    and its threads nor on the table size or the block boundaries.
     """
     out = np.empty(table.shape[1:])
+    terms = np.empty(table.shape[:-1] + (min(table.shape[-1], _SUM_BLOCK),))
     for start in range(0, out.shape[-1], _SUM_BLOCK):
         block = slice(start, start + _SUM_BLOCK)
-        terms = table[..., block] * wvec
-        out[..., block] = np.add.accumulate(terms, out=terms)[-1]
+        t = terms[..., :out[..., block].shape[-1]]
+        t[...] = table[..., block]
+        t *= wvec
+        out[..., block] = np.add.accumulate(t, out=t)[-1]
     return out
 
 

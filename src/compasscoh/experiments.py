@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -393,6 +392,7 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
               *(int(x) for x in child.generate_state(2)))
              for child in np.random.SeedSequence(seed).spawn(n_codes)]
     if jobs is not None and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_task, tasks, chunksize=8))
     else:

@@ -16,6 +16,7 @@ channels at angle h * theta with leftover single rows at theta.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -199,32 +200,15 @@ def _round12(x: np.ndarray) -> np.ndarray:
     |y| < 2**46, so y = fl(v * 1e12) lies on the same side of k + 1/2 as
     v * 10**12, or on it: only exact ties of y (``|y - rint(y)| == 0.5``,
     exact there), and larger entries, can round differently; those go
-    through ``round``.
+    through ``round``.  Beside x, it holds two float arrays of its length.
     """
     y = x * 1e12
-    r = np.rint(y)
-    out = r / 1e12
-    slow = np.flatnonzero((np.abs(y - r) == 0.5) | ~(np.abs(y) < 2.0 ** 46))
+    out = np.rint(y)
+    big = ~((y > -2.0 ** 46) & (y < 2.0 ** 46))
+    slow = np.flatnonzero(big | (np.abs(np.subtract(y, out, out=y), out=y) == 0.5))
+    out /= 1e12
     out[slow] = [round(float(v), 12) for v in x[slow]]
     return out
-
-
-def _first_occurrence_classes(keys: np.ndarray):
-    """Group equal keys (as dict keys would: -0.0 == 0.0) in first-occurrence order.
-
-    Returns (first, inverse): the index of each class's first key, classes
-    ordered by it, and the class of every key.
-    """
-    perm = np.argsort(keys)
-    sorted_keys = keys[perm]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    first = np.minimum.reduceat(perm, starts)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.repeat(rank, np.diff(np.append(starts, len(keys))))
-    return first[order], inverse
 
 
 def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
@@ -241,39 +225,50 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     classes stay in first-insertion order, and each class sums its
     probabilities in pair order.  The result is bit-identical to folding
     the pairs one at a time into a dict keyed by the rounded angle.  A step
-    holds at most ``MAX_CLASSES * k`` pairs for a part with k classes.
+    sorts its pair keys once: a run of equal keys (-0.0 == 0.0) is a class,
+    numbered by how many runs start at or before its least pair, and the
+    last step's runs give the result's ascending order.  A step holds
+    ``MAX_CLASSES * k`` pairs at most for a part with k classes, and three
+    arrays of that length at once.
     """
     bound = 1
-    for part, reps in _group_parts(parts):
+    for part, run in itertools.groupby(parts):  # runs of one object: eq is identity
         k = len(part.p)
-        bound *= math.comb(reps + k - 1, k - 1)
+        bound *= math.comb(len(list(run)) + k - 1, k - 1)
         if bound > MAX_CLASSES:
             raise ValueError("product distribution too large for exact convolution")
-    angles = np.zeros(1)
+    angles = sorted_angles = np.zeros(1)  # in class order, and ascending
     probs = np.ones(1)
+    ascending = np.zeros(1, dtype=np.intp)  # the class of each sorted angle
     for part in parts:
         keys = _round12((angles[:, None] + part.theta_s).ravel())
-        first, inverse = _first_occurrence_classes(keys)
+        perm = np.argsort(keys)
+        sorted_keys = keys[perm]
+        runs = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        del sorted_keys  # each pair-length array is freed before the next is made
+        first = np.minimum.reduceat(perm, np.flatnonzero(runs))
         if len(first) > MAX_CLASSES:
             raise ValueError("product distribution too large for exact convolution")
+        sorted_angles = keys[first]
+        del keys
+        marks = np.zeros(len(perm), dtype=bool)
+        marks[first] = True
+        ascending = np.cumsum(marks, dtype=np.int32)[first] - 1  # <= MAX_CLASSES runs
+        del marks, first
+        sorted_class = ascending[np.cumsum(runs, dtype=np.int32) - 1]
+        pair_class = np.empty_like(perm)
+        pair_class[perm] = sorted_class
+        del perm, runs, sorted_class
         # bincount adds the weights in pair order, like the dict fold
-        probs = np.bincount(inverse, weights=(probs[:, None] * part.p).ravel(),
-                            minlength=len(first))
-        angles = keys[first]
-    order = np.argsort(angles)
-    angles, probs = angles[order], probs[order]
-    wrapped = np.arctan2(np.sin(angles), np.cos(angles))
-    return AngleDistribution(p=probs, theta_s=wrapped)
-
-
-def _group_parts(parts):
-    groups: list[tuple[AngleDistribution, int]] = []
-    for part in parts:
-        if groups and groups[-1][0] is part:
-            groups[-1] = (part, groups[-1][1] + 1)
-        else:
-            groups.append((part, 1))
-    return groups
+        probs = np.bincount(pair_class, weights=(probs[:, None] * part.p).ravel(),
+                            minlength=len(ascending))
+        del pair_class
+        angles = np.empty(len(ascending))
+        angles[ascending] = sorted_angles
+    del angles
+    wrapped = np.sin(sorted_angles)
+    np.arctan2(wrapped, np.cos(sorted_angles), out=wrapped)
+    return AngleDistribution(p=probs[ascending], theta_s=wrapped)
 
 
 def x_shor_distribution(d_x: int, d_z: int, theta: float) -> AngleDistribution:

@@ -116,10 +116,10 @@ def kappa(a: LogicalPTM) -> float:
 
 
 def diamond_avg(dist) -> float:
-    """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|).
-
-    Accepts any distribution object with ``p`` and ``theta_s`` arrays.
-    """
-    p = np.asarray(dist.p, dtype=float)
-    theta_s = np.asarray(dist.theta_s, dtype=float)
-    return float(np.sum(p * 2.0 * np.abs(np.sin(theta_s))))
+    """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|) of a
+    distribution's ``p`` and ``theta_s``; taken per class and gathered once
+    when the distribution gathers them from class values (the same bits)."""
+    if hasattr(dist, "gather"):
+        return float(np.sum(dist.gather(
+            dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s)))))
+    return float(np.sum(dist.p * 2.0 * np.abs(np.sin(dist.theta_s))))

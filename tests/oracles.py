@@ -13,8 +13,9 @@ no grouping, as the reference for the exact backend's syndrome classes, and
 ``class_numbering_reference`` groups the whole table with ``np.unique``,
 no hash, and numbers the classes by their first syndromes, as the
 reference for the streamed grouping's class indices.  ``channel_reference``
-sums the channel over whole per-syndrome gathers, the bit-exact reference
-for summing one gather of per-class products.
+sums the channel over whole per-syndrome gathers, and ``diamond_reference``
+the diamond value, the bit-exact references for summing one gather of
+per-class products.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -38,7 +39,7 @@ from compasscoh import _kernels, build_matching_graph, decode_mwpm
 from compasscoh.decoder import bit_reverse
 from compasscoh.exact import ExactBackend
 from compasscoh.experiments import SampleEstimate
-from compasscoh.families import AngleDistribution, _group_parts
+from compasscoh.families import AngleDistribution
 
 
 def _z_phases(n, mask):
@@ -195,6 +196,12 @@ def channel_reference(dist):
     return eps, float(2.0 * np.sum(sign * a0 * a1))
 
 
+def diamond_reference(dist):
+    """``diamond_avg`` of a ``SyndromeDistribution`` from its whole
+    per-syndrome ``p`` and ``theta_s``: sum p_s * 2|sin theta_s|."""
+    return float(np.sum(dist.p * 2.0 * np.abs(np.sin(dist.theta_s))))
+
+
 def _per_syndrome_rows(code):
     """The whole count table ``(2**(r+1), n + 1)``, from the build the cost
     rule picks, the row of each syndrome's even-weight coset and its
@@ -226,9 +233,9 @@ def class_numbering_reference(code):
 def product_distribution_reference(parts, max_classes=200_000):
     """Angle convolution as one dict fold per (class, class) pair."""
     bound = 1
-    for part, reps in _group_parts(parts):
+    for part, run in itertools.groupby(parts):
         k = len(part.p)
-        bound *= math.comb(reps + k - 1, k - 1)
+        bound *= math.comb(len(list(run)) + k - 1, k - 1)
         if bound > max_classes:
             raise ValueError("product distribution too large for exact convolution")
     acc: dict[float, float] = {0.0: 1.0}

@@ -1,13 +1,17 @@
+import concurrent.futures
 import csv
 import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from compasscoh import (AnalyticFamilySource, __version__, _kernels, exact, experiments,
-                        family_rotated_surface, family_x_shor, family_z_shor,
+from compasscoh import (AnalyticFamilySource, __version__, _kernels, build_code, exact,
+                        experiments, family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, find_crossings, load_coloring,
                         random_coloring, read_csv)
 from compasscoh.cli import UsageError, _parse_thetas, main
@@ -154,6 +158,30 @@ class TestChannel:
         assert set(dist[0]) == {"syndrome", "p", "theta_s"}
         assert [e["syndrome"] for e in dist] == syndromes
         assert sum(e["p"] for e in dist) == pytest.approx(1.0, abs=1e-12)
+
+    # the dump is written one entry at a time; the 1x1 code has one entry
+    @pytest.mark.parametrize("gen,recovery", [
+        (("--family", "zshor", "--dx", "1", "--dz", "1"), "minweight"),
+        (("--family", "zshor", "--dx", "1", "--dz", "3"), "minweight"),
+        (("--family", "rsc", "--dx", "3"), "ml")])
+    def test_exact_dump_bytes_equal_json_dump(self, tmp_path, capsys, gen, recovery):
+        code_path, dump = tmp_path / "code.json", tmp_path / "dist.json"
+        run(capsys, "code", "gen", *gen, "--out", str(code_path))
+        rc, _, _ = run(capsys, "channel", "exact", "--code", str(code_path),
+                       "--theta-over-pi", "0.37", "--recovery", recovery,
+                       "--dump-distribution", str(dump))
+        assert rc == 0
+        dist = exact.syndrome_distribution(build_code(load_coloring(code_path)),
+                                           0.37 * math.pi, recovery)
+        r = dist.num_checks
+        want = [{"syndrome": "".join(str(s >> k & 1) for k in range(r)), "p": p, "theta_s": t}
+                for s, p, t in zip(dist.syndromes.tolist(), dist.p.tolist(),
+                                   dist.theta_s.tolist())]
+        assert len(want) == 1 << r
+        assert dump.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+        if r == 0:
+            assert json.loads(dump.read_text()) == [
+                {"syndrome": "", "p": 1.0, "theta_s": want[0]["theta_s"]}]
 
     def test_exact_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "big.json"
@@ -373,7 +401,7 @@ class TestSweepThreshold:
             raise AssertionError("a process pool was started without --jobs")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         outs = {}
         for jobs in (None, 1):
             path = tmp_path / "curve.csv"
@@ -385,6 +413,15 @@ class TestSweepThreshold:
             assert json.loads(config[2:])["jobs"] == jobs
             outs[jobs] = rows
         assert outs[None] == outs[1]
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, compasscoh.cli; "
+             "print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_interpolate(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

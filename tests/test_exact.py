@@ -19,7 +19,7 @@ from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
 from oracles import (channel_reference, class_numbering_reference,
-                     count_table_reference, per_syndrome_backend,
+                     count_table_reference, diamond_reference, per_syndrome_backend,
                      statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -503,6 +503,13 @@ class TestLazyArrays:
         # class indices read in buffered chunks
         assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 12 << 20
 
+    def test_rsc5_evaluation_holds_no_float_copy_of_the_table(self):
+        backend = get_backend(build_code(family_rotated_surface(5)))
+        backend.channel(0.37 * math.pi)
+        # the terms of 645 classes x 2 x 13 weights take 134 KB; a float64
+        # copy of the uint16 table beside them took the peak to 270 KB
+        assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 240_000
+
     # X-Shor 5x5 drops syndromes at theta = 0 and pi; RSC 5x5 has 645
     # classes among 4,096 syndromes
     @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
@@ -532,6 +539,14 @@ class TestChannelPerClass:
                 ch = dist.channel()
                 assert (repr(ch.epsilon), repr(ch.delta)) == tuple(
                     map(repr, channel_reference(dist))), (theta_over_pi, recovery)
+                assert repr(diamond_avg(dist)) == repr(diamond_reference(dist)), (
+                    theta_over_pi, recovery)
+
+    def test_xshor5_diamond_peaks_at_one_gather(self):
+        dist = get_backend(build_code(family_x_shor(5, 5))).distribution(0.37 * math.pi)
+        diamond_avg(dist)
+        # one float64 gather of 2**20 syndromes (8 MiB), as in channel
+        assert _traced_peak(lambda: diamond_avg(dist)) < 12 << 20
 
 
 @pytest.mark.parametrize("gen,extra", [

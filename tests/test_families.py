@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from compasscoh import (Coloring, build_code, closed_form_threshold,
                         repetition_distribution, repetition_exact,
                         repetition_stirling, syndrome_distribution,
                         x_shor_channel, z_shor_channel, z_stacked_channel)
-from compasscoh.families import (_first_occurrence_classes, _round12,
-                                 product_distribution, x_shor_distribution,
-                                 z_shor_distribution, z_stacked_distribution)
+from compasscoh.families import (AngleDistribution, _round12, product_distribution,
+                                 x_shor_distribution, z_shor_distribution,
+                                 z_stacked_distribution)
 from oracles import product_distribution_reference
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
@@ -369,11 +370,6 @@ class TestRound12:
         assert np.array_equal(_bits(_round12(xs)), _bits([round(float(x), 12) for x in xs]))
 
 
-def test_classes_keep_first_key_and_merge_signed_zeros():
-    first, inverse = _first_occurrence_classes(np.array([0.5, -0.0, 0.5, 0.0, -1.0, -0.0]))
-    assert first.tolist() == [0, 1, 4] and inverse.tolist() == [0, 1, 0, 1, 2, 1]
-
-
 class TestProductMatchesReference:
     """The vectorized convolution gives the dict fold's bits."""
 
@@ -402,8 +398,47 @@ class TestProductMatchesReference:
                  + [repetition_distribution(l, theta)] * t_h)
         self._assert_identical(parts, z_stacked_distribution(l, h, theta))
 
+    @pytest.mark.parametrize("top", [0.13, 0.168, 0.21])
+    def test_z_stacked_largest_criterion_7_fold(self, top):
+        # seven parts of 11 classes: 88,088 pairs merge into 19,448 classes
+        theta = top * math.pi
+        parts = [repetition_distribution(21, 3 * theta)] * 7
+        self._assert_identical(parts, z_stacked_distribution(21, 3, theta))
+
     def test_mixed_parts_and_empty_product(self):
         parts = [repetition_distribution(5, 0.3), repetition_distribution(7, -1.1),
                  repetition_distribution(5, 0.3), repetition_distribution(3, 2.9)]
         self._assert_identical(parts, product_distribution(parts))
         self._assert_identical([], product_distribution([]))
+
+    def test_classes_keep_first_key_and_merge_signed_zeros(self):
+        # the rounded pair sums put -0.0 before 0.0 in both folds, and the
+        # zero class of the first sums to another double in reverse order
+        tiny = 1e-15
+        first = AngleDistribution(p=np.array([0.05, 0.1, 0.05, 0.2, 0.3, 0.3]),
+                                  theta_s=np.array([0.5, -tiny, 0.5, tiny, -1.0, -tiny]))
+        second = AngleDistribution(p=np.array([0.3, 0.6, 0.1]),
+                                   theta_s=np.array([-0.5 - 2 * tiny, tiny, 0.5]))
+        for parts in ([first], [first, second]):
+            got = product_distribution(parts)
+            self._assert_identical(parts, got)
+            zero = np.flatnonzero(got.theta_s == 0.0)
+            assert len(zero) == 1 and np.signbit(got.theta_s[zero[0]])
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        assert product_distribution([first]).p.tolist() == [0.3, 0.1 + 0.2 + 0.3, 0.05 + 0.05]
+
+
+def test_largest_criterion_7_fold_peak():
+    """The l=21, h=3 fold holds at most three float64-sized arrays of its
+    last step's 88,088 pairs (0.7 MB each) at once, beside the accumulated
+    classes: 2.6 MB.  Rounding through five temporaries of that length
+    peaked at 4.95 MB; keeping the sorted keys and their permutation alive
+    through the step, at 3.3 MB."""
+    theta = 0.15 * math.pi
+    tracemalloc.start()
+    try:
+        z_stacked_distribution(21, 3, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6

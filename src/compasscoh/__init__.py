@@ -26,8 +26,8 @@ from .families import (closed_form_threshold, repetition_distribution,
 from .ptm import (IDENTITY, LogicalPTM, PolarPTM, compose, diamond_avg,
                   from_polar, kappa, power, pure_rotation, r1, rm_exact,
                   to_polar)
-from .experiments import (AnalyticFamilySource, CodeSource, EnsembleResult,
-                          EnsembleSource, SweepRow, SweepTable,
+from .experiments import (AnalyticFamilySource, CodeSource, EnsembleSource,
+                          SampleEstimate, SweepRow, SweepTable,
                           ThresholdEstimate, ensemble_estimate, find_crossings,
                           interpolation_curve, read_csv, sample_distribution,
                           sweep, write_csv)

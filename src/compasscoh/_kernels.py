@@ -18,11 +18,13 @@ cheaper:
   with u_a the XOR of the generators a selects and K_w(x) = [z^w]
   (1-z)**x (1+z)**(n-x) a Krawtchouk polynomial.  Bit 0 of a is logical X
   and bit k+1 is check k, so the sum is one Walsh-Hadamard transform indexed
-  by ``s << 1 | b``: about (r+1) 2**(r+1) (n+1) float64 updates, cheap when
-  r is small.  Intermediates are integers of magnitude at most
-  2**(r+1) C(n, w) (<= 2**50 for independent generators, n <= 25), so the
-  float64 sums are exact.  The whole table is transformed at once, a float64
-  transient of 2**(r+1) (n+1) * 8 bytes, and then handed out in blocks.
+  by ``s << 1 | b``: about (r+1) 2**(r+1) (n+1) int64 updates, cheap when
+  r is small.  Intermediates have magnitude at most 2**(r+1) C(n, w) <
+  2**(r+1+n), and the cost rule runs the dual only while 2**(r+1) <
+  2**(n+2) + 2**14, so at n <= 25 they stay below 2**52, far inside int64;
+  the final division by 2**(r+1) is an exact shift.  The whole table is
+  transformed at once, an int64 transient of 2**(r+1) (n+1) * 8 bytes, and
+  then handed out in blocks.
 * Coset: Gaussian elimination on the qubits' generator columns, reduced so
   that each pivot bit of a row index appears in one pivot row only, makes
   the particular support v0 of row t, and the row t' = t that it reaches, a
@@ -55,10 +57,10 @@ _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 @functools.cache
 def _krawtchouk(n):
-    """``K[x, w] = [z^w] (1-z)**x (1+z)**(n-x)`` as exact float64 integers."""
+    """``K[x, w] = [z^w] (1-z)**x (1+z)**(n-x)`` as int64."""
     return np.array([[sum((-1) ** j * math.comb(x, j) * math.comb(n - x, w - j)
                           for j in range(max(0, w - n + x), min(x, w) + 1))
-                      for w in range(n + 1)] for x in range(n + 1)], dtype=np.float64)
+                      for w in range(n + 1)] for x in range(n + 1)], dtype=np.int64)
 
 
 def _span(vectors):
@@ -76,22 +78,21 @@ def _syndromes_per_block(n, row_supports):
 
 
 def _dual_table(n, gens):
-    size = 1 << len(gens)
     table = _krawtchouk(n).take(np.bitwise_count(_span(gens)), axis=0)
     for k in range(len(gens)):
         pairs = table.reshape(-1, 2, 1 << k, n + 1)
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi
-        hi *= -2.0  # hi <- lo - hi without a temporary
+        hi *= -2  # hi <- lo - hi without a temporary
         hi += lo
-    table *= 1.0 / size
+    table >>= len(gens)
     # row 0 is the kernel itself: 2**(n - rank) supports
     return table.astype(np.min_scalar_type(int(table[0].sum()))).reshape(-1, 2, n + 1)
 
 
 def _dual_blocks(n, gens):
     """The count rows of consecutive syndrome blocks, ``(syndromes, 2, n + 1)``
-    each, from one transform of the whole table (its float64 transient is
+    each, from one transform of the whole table (its int64 transient is
     freed before the first block)."""
     table = _dual_table(n, gens)
     block = _syndromes_per_block(n, 1)
@@ -217,7 +218,7 @@ def _use_coset(n, r):
 def held_bytes(n, r):
     """Upper bound on the bytes ``count_table`` holds for n qubits and r
     checks: every syndrome's class index (at most 2**r - 1) and the copy it
-    widens from, one block, and the dual's float64 transient and table when
+    widens from, one block, and the dual's int64 transient and table when
     it runs."""
     index = np.min_scalar_type((1 << r) - 1).itemsize
     dual = 0 if _use_coset(n, r) else (2 << r) * (n + 1) * (8 + 4)

@@ -27,6 +27,8 @@ while ``n + n.bit_length() < 63`` and Python ints beyond.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .codes import CompassCode, InvalidCodeError, PauliSupport
@@ -166,6 +168,7 @@ def decode_mwpm(graph: MatchingGraph, syndrome) -> PauliSupport:
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 
+@functools.lru_cache(maxsize=8)
 def _brute_table(code: CompassCode) -> tuple[np.ndarray, np.ndarray]:
     """Per-syndrome (min weight, tie-broken correction) by full enumeration."""
     n = code.n
@@ -190,9 +193,6 @@ def _brute_table(code: CompassCode) -> tuple[np.ndarray, np.ndarray]:
     return weight, corr
 
 
-_BRUTE_CACHE: dict[CompassCode, tuple[np.ndarray, np.ndarray]] = {}
-
-
 class BruteForceTooLargeError(ValueError):
     """Brute-force decoding rejected: it enumerates 2**n supports, n <= 20."""
 
@@ -202,11 +202,5 @@ def decode_bruteforce(code: CompassCode, syndrome) -> PauliSupport:
     if code.n > 20:
         raise BruteForceTooLargeError(
             f"brute-force decoding limited to n <= 20, got n={code.n}")
-    table = _BRUTE_CACHE.get(code)
-    if table is None:
-        table = _brute_table(code)
-        if len(_BRUTE_CACHE) >= 8:
-            _BRUTE_CACHE.clear()
-        _BRUTE_CACHE[code] = table
     mask = syndrome_to_mask(syndrome, len(code.x_stabilizers))
-    return PauliSupport("Z", code.n, int(table[1][mask]))
+    return PauliSupport("Z", code.n, int(_brute_table(code)[1][mask]))

@@ -62,6 +62,9 @@ MAX_HELD_BYTES = 1 << 30
 # Columns per add.accumulate of the ascending-weight sum: each block's
 # transients stay near 3 MB, whatever the number of classes.
 _SUM_BLOCK = 1 << 14
+# Bytes one evaluation holds whatever its size: array headers and a dozen
+# small temporaries, about 5 KB when r is small (tracemalloc).
+_EVALUATION_FIXED = 16 << 10
 
 MIN_WEIGHT = "minweight"
 ML = "ml"
@@ -81,15 +84,16 @@ def _held_bytes(n: int, r: int) -> int:
 
 
 def _evaluation_bytes(n: int, r: int) -> int:
-    """Upper bound on the bytes one ``distribution`` and its ``channel`` hold
-    beyond the backend: per syndrome, the dropped-syndrome path's mask (1),
-    int64 and uint32 indices (12) and class indices, and one float64 gather
-    (8); one float64 block of the ascending sum's terms.  The class values,
-    a few dozen bytes a class, are not counted: the class count is known
-    only after the build."""
+    """Upper bound on the bytes one ``distribution``, its ``channel`` and
+    its ``diamond_avg`` hold beyond the backend: per syndrome, the
+    dropped-syndrome path's mask (1), int64 and uint32 indices (12) and
+    class indices, and one float64 gather (8); one float64 block of the
+    ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The class
+    values, a few dozen bytes a class, are not counted: the class count is
+    known only after the build."""
     index = np.min_scalar_type((1 << r) - 1).itemsize
     block = 8 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
-    return ((1 + 8 + 4 + index + 8) << r) + block
+    return ((1 + 8 + 4 + index + 8) << r) + block + _EVALUATION_FIXED
 
 
 def reduce_angle(theta: float) -> float:

@@ -11,7 +11,9 @@ exchanged as theta/pi everywhere at this interface.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -349,40 +351,28 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     return SampleEstimate(mean_r1, r1_stderr, mean_diamond, diamond_stderr)
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    mean_r1: float
-    r1_stderr: float
-    mean_diamond: float
-    diamond_stderr: float
-    shot_r1_variance: float
-    shot_diamond_variance: float
-    n_codes: int
-    n_samples: int | None
-
-
 def _ensemble_task(args):
     d_x, d_z, q_shor, theta, recovery, n_samples, code_seed, sample_seed = args
     backend = get_backend(build_code(random_coloring(d_x, d_z, q_shor, code_seed)))
     dist = backend.distribution(theta, recovery)
     if n_samples is None:
-        return r1(dist.channel()), diamond_avg(dist), 0.0, 0.0
+        return r1(dist.channel()), diamond_avg(dist)
     est = sample_distribution(dist, n_samples, sample_seed)
-    return est.mean_r1, est.mean_diamond, est.r1_stderr ** 2, est.diamond_stderr ** 2
+    return est.mean_r1, est.mean_diamond
 
 
 def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
                       theta: float, seed: int, recovery: str = MIN_WEIGHT,
-                      n_samples: int | None = None,
-                      jobs: int | None = 1) -> EnsembleResult:
+                      n_samples: int | None = None, run=map) -> SampleEstimate:
     """Mean logical metrics over random colorings of density ``q_shor``.
 
     Each code gets its own seed stream (split per code index, so results do
-    not depend on execution order or ``jobs``); ``jobs`` > 1 runs the codes
-    in that many worker processes, otherwise they run in-process.  Per-code
-    metrics are exact when ``n_samples`` is None, otherwise Monte Carlo; the
-    reported stderr is the ensemble standard error of the per-code means,
-    with the shot contribution also exposed separately.
+    not depend on execution order); ``run(task, tasks)`` maps the per-code
+    task over the codes and yields the results in order, like the builtin
+    ``map`` (in-process, one at a time) or a process pool's ``map``.
+    Per-code metrics are exact when ``n_samples`` is None, otherwise Monte
+    Carlo; the reported stderr is the ensemble standard error of the
+    per-code means.
     """
     _check_recovery(recovery)
     if n_codes < 1:
@@ -391,40 +381,28 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
     tasks = [(d_x, d_z, q_shor, theta, recovery, n_samples,
               *(int(x) for x in child.generate_state(2)))
              for child in np.random.SeedSequence(seed).spawn(n_codes)]
-    if jobs is not None and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_ensemble_task, tasks, chunksize=8))
-    else:
-        results = [_ensemble_task(t) for t in tasks]
-
-    r1s, dias, shot_r1s, shot_dias = (np.array(col) for col in zip(*results))
+    r1s, dias = (np.array(col) for col in zip(*run(_ensemble_task, tasks)))
 
     def sem(vals):
         if len(vals) < 2 or vals.max() == vals.min():
             return 0.0
         return _mean_stderr(vals)[1]
 
-    return EnsembleResult(
-        mean_r1=float(r1s.mean()), r1_stderr=sem(r1s),
-        mean_diamond=float(dias.mean()), diamond_stderr=sem(dias),
-        shot_r1_variance=float(shot_r1s.mean()),
-        shot_diamond_variance=float(shot_dias.mean()),
-        n_codes=n_codes, n_samples=n_samples)
+    return SampleEstimate(float(r1s.mean()), sem(r1s), float(dias.mean()), sem(dias))
 
 
 class EnsembleSource:
-    """Sampled random-coloring source for sweeps (square d x d grids)."""
+    """Sampled random-coloring source for sweeps (square d x d grids); its
+    codes run through ``run``, as in ``ensemble_estimate``."""
 
     def __init__(self, q_shor: float, n_codes: int, seed: int,
-                 recovery: str = MIN_WEIGHT, n_samples: int | None = None,
-                 jobs: int | None = 1):
+                 recovery: str = MIN_WEIGHT, n_samples: int | None = None, run=map):
         self.q_shor = q_shor
         self.n_codes = n_codes
         self.seed = seed
         self.recovery = _check_recovery(recovery)
         self.n_samples = n_samples
-        self.jobs = jobs
+        self.run = run
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         out = []
@@ -437,29 +415,40 @@ class EnsembleSource:
             ).generate_state(1)[0])
             res = ensemble_estimate(distance, distance, self.q_shor, self.n_codes,
                                     top * math.pi, cell_seed, self.recovery,
-                                    self.n_samples, self.jobs)
+                                    self.n_samples, self.run)
             out.append(SweepRow(
                 family="random", dx=distance, dz=distance,
                 q_shor=self.q_shor, seed=self.seed, theta_over_pi=top,
                 provenance="sampled", epsilon=3.0 * res.mean_r1, delta=math.nan,
                 kappa=math.nan, r1=res.mean_r1, r1_stderr=res.r1_stderr,
                 diamond=res.mean_diamond, diamond_stderr=res.diamond_stderr,
-                n_codes=res.n_codes, n_samples=res.n_samples))
+                n_codes=self.n_codes, n_samples=self.n_samples))
         return out
 
 
 def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
                         seed: int, recovery: str = MIN_WEIGHT,
-                        n_samples: int | None = None, jobs: int | None = 1):
-    """Ensemble sweeps per q_shor with grid-level threshold estimates."""
+                        n_samples: int | None = None, jobs: int | None = None):
+    """Ensemble sweeps per q_shor with grid-level threshold estimates.
+
+    ``jobs`` > 1 runs the codes of every cell in one pool of that many
+    worker processes, kept for the whole run, so each worker's backend
+    cache carries over from cell to cell; otherwise they run in-process.
+    """
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}
-    for q in q_shors:
-        src = EnsembleSource(q, n_codes, seed, recovery, n_samples, jobs)
-        tab = sweep(src, thetas_over_pi, distances)
-        tables.append(tab)
-        if len(list(distances)) >= 2:
-            estimates[q] = find_crossings(tab, "r1")
+    with contextlib.ExitStack() as stack:
+        run = map
+        if jobs is not None and jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            run = functools.partial(pool.map, chunksize=8)
+        for q in q_shors:
+            tab = sweep(EnsembleSource(q, n_codes, seed, recovery, n_samples, run),
+                        thetas_over_pi, distances)
+            tables.append(tab)
+            if len(list(distances)) >= 2:
+                estimates[q] = find_crossings(tab, "r1")
     merged = SweepTable(tuple(row for tab in tables for row in tab.rows))
     return merged, estimates
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -222,15 +223,10 @@ class TestEnsemble:
         assert a == b
 
     def test_jobs_do_not_change_results(self):
-        a = ensemble_estimate(3, 3, 0.5, 6, 0.2 * math.pi, seed=9, jobs=1)
-        b = ensemble_estimate(3, 3, 0.5, 6, 0.2 * math.pi, seed=9, jobs=2)
+        a = ensemble_estimate(3, 3, 0.5, 6, 0.2 * math.pi, seed=9)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            b = ensemble_estimate(3, 3, 0.5, 6, 0.2 * math.pi, seed=9, run=pool.map)
         assert a == b
-
-    def test_shot_component_reported(self):
-        res = ensemble_estimate(3, 3, 0.5, 4, 0.2 * math.pi, seed=2, n_samples=50)
-        assert res.shot_r1_variance > 0
-        exact = ensemble_estimate(3, 3, 0.5, 4, 0.2 * math.pi, seed=2)
-        assert exact.shot_r1_variance == 0.0
 
 
 class TestInterpolation:
@@ -256,6 +252,29 @@ class TestInterpolation:
         e = est0[0.0]
         assert e.one_sided
         assert e.upper_over_pi == 0.10 and e.lower_over_pi is None
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools, maps = [], []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                maps.append(self)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        args = ([3], [0.25, 0.75], [0.2, 0.3])
+        kw = dict(n_codes=4, seed=6, n_samples=20)
+        pooled, _ = interpolation_curve(*args, **kw, jobs=2)
+        assert len(pools) == 1 and maps == pools * 4  # four cells, one pool
+        in_process, _ = interpolation_curve(*args, **kw)
+        assert len(pools) == 1 and len(maps) == 4
+        values = lambda table: [(r.r1, r.r1_stderr, r.diamond, r.diamond_stderr)
+                                for r in table.rows]
+        assert len(pooled.rows) == 4 and values(pooled) == values(in_process)
 
     def test_includes_rsc_coloring_at_half(self):
         # the checkerboard is a realizable q=1/2 coloring (seed 29 draws it)

@@ -7,7 +7,7 @@ X, then the r checks; dependent ones included) form a kernel K of dimension
 n - rank, and every reachable (s, b) row is one coset v0 ^ K.  So each entry
 is at most 2**(n - rank), and rows are held in the smallest unsigned dtype
 that holds that.  Rows are produced in blocks of consecutive syndromes, one
-of two exact ways, whichever the cost rule of ``count_table`` estimates
+of three exact ways, whichever the cost rule of ``count_table`` estimates
 cheaper:
 
 * Dual: the MacWilliams identity (MacWilliams & Sloane, *The Theory of
@@ -32,10 +32,20 @@ cheaper:
   the weight histogram of v0 ^ k over all k in K, or zero when t' != t (t
   unreachable): 2**(n + r + 1 - rank) popcounts in all, cheap when n - rank
   is small (X-Shor-like codes).
+* Factored: when the X checks split the qubits into parts that share no
+  check (X-Shor d x d into d rows of d qubits), a support is a disjoint
+  union of one support per part.  Its syndrome concatenates the parts'
+  syndromes, its weight is the sum of their weights and its logical-X
+  parity the XOR of theirs, so ``counts[s, b]`` is the convolution over the
+  parts of their rows, b the XOR of their coset bits.  Each part is built
+  by one of the two ways above (2**4 syndromes a part for X-Shor 5x5, not
+  2**20), and a syndrome's rows are a function of its parts' classes: the
+  rows are convolved once per distinct combination, never per syndrome.
 
 Each block's rows are grouped, and its class indices written, as soon as
 it is built (see ``_group``), so the full ``(2**r, 2, n + 1)`` table is
-never held by the coset build; classes are numbered as they first appear.
+never held by the coset or factored build; classes are numbered as they
+first appear.
 """
 
 import functools
@@ -175,7 +185,7 @@ def _group(blocks, even, parity):
                               parity[start:stop, None]], axis=1)
         size = syn.shape[1] - 1
         word = min(8, 1 << (size.bit_length() - 1))
-        key = parity[start:stop].astype(np.uint64)
+        key = parity[start:stop] * _HASH_MULT  # not XORed into a row bit
         for offset in sorted({*range(0, size - word + 1, word), size - word}):
             key ^= syn[:, offset:offset + word].view(f"u{word}")[:, 0]
             key *= _HASH_MULT
@@ -207,22 +217,184 @@ def _group(blocks, even, parity):
     return first, rows.reshape(len(rows), 2, -1), classes
 
 
+def _costs(n, r):
+    """The (dual, coset) whole-code build costs in units of one dual update:
+    the dual costs (r+1) 2**(r+1) (n+1), the coset build 3 * 2**n plus
+    2**14 for its fixed set-up (elimination and a few dozen extra NumPy
+    calls)."""
+    return ((r + 1) << (r + 1)) * (n + 1), 3 * (1 << n) + (1 << 14)
+
+
 def _use_coset(n, r):
-    """The cost rule, in units of one dual update: the dual costs
-    (r+1) 2**(r+1) (n+1), the coset build 3 * 2**n plus 2**14 for its fixed
-    set-up (elimination and a few dozen extra NumPy calls); the cheaper one
-    runs.  Both give the same rows."""
-    return 3 * (1 << n) + (1 << 14) < ((r + 1) << (r + 1)) * (n + 1)
+    """Whether the coset build is the cheaper whole-code build; both give
+    the same rows."""
+    dual, coset = _costs(n, r)
+    return coset < dual
 
 
-def held_bytes(n, r):
-    """Upper bound on the bytes ``count_table`` holds for n qubits and r
-    checks: every syndrome's class index (at most 2**r - 1) and the copy it
-    widens from, one block, and the dual's int64 transient and table when
-    it runs."""
+def _components(n, check_masks):
+    """The (qubit mask, check indices) of each part of the qubits that no X
+    check joins to another part: first the qubits in no check, together as
+    one part without checks, then each connected component of the
+    qubit-X-check graph, by first check."""
+    parts = []
+    for k, m in enumerate(map(int, check_masks)):
+        joined = [p for p in parts if p[0] & m]
+        parts = [p for p in parts if not p[0] & m]
+        parts.append((m | sum(p[0] for p in joined),
+                      sorted([k, *(i for p in joined for i in p[1])])))
+    free = ((1 << n) - 1) & ~sum(p[0] for p in parts)
+    return [(free, [])] * bool(free) + sorted(parts, key=lambda p: p[1][0])
+
+
+def _split(n, check_masks):
+    """The parts ``count_table`` builds apart, or None when the cheaper
+    whole-code build is estimated cheaper still, as it always is when the
+    qubits do not split.  The factored estimate, in the units of
+    ``_costs``, is the sum of the parts' whole-code costs, 16 a syndrome
+    for the tuple index and merge (20-35 ns a syndrome), and 2**22 for
+    the fixed set-up: folds, groupings and a few hundred NumPy calls,
+    1-3 ms, rounded up so that dual builds at r <= 12 (Z-stacked 5x5 h=2)
+    keep their route."""
+    r = len(check_masks)
+    whole, overhead = min(_costs(n, r)), (16 << r) + (1 << 22)
+    if whole <= overhead:  # no split can be cheaper: skip finding the parts
+        return None
+    parts = _components(n, check_masks)
+    factored = sum(min(_costs(m.bit_count(), len(ks))) for m, ks in parts) + overhead
+    return parts if len(parts) > 1 and factored < whole else None
+
+
+def _whole_held_bytes(n, r):
     index = np.min_scalar_type((1 << r) - 1).itemsize
     dual = 0 if _use_coset(n, r) else (2 << r) * (n + 1) * (8 + 4)
     return ((index + index // 2) << r) + _BLOCK_BYTES + dual
+
+
+def held_bytes(n, check_masks):
+    """Upper bound on the bytes ``count_table`` holds for n qubits and these
+    X checks, besides its arguments.
+
+    The whole-code build holds every syndrome's class index (at most
+    2**r - 1) and the copy it widens from, one block, and the dual's int64
+    transient and table when it runs.  The factored build holds the largest
+    part's own whole-code build; each part's int64 tuple digit of every
+    part syndrome, its copy while a fold rescales it and the part's class
+    (24 bytes a part syndrome); one block; and the class of every tuple, at
+    most 2**r of them.  While a fold grows the tuple classes it also holds
+    the previous ones, half as many and widened to int64, and the fold's
+    class of every pair with its widening copy; the per-syndrome pass holds
+    every syndrome's class index and its widening copy instead.  Like the
+    class rows of every build, what grows with the classes (a few hundred
+    bytes a class: rows, four keys and their groups) is not counted: the
+    class count is known only after the build.
+    """
+    r = len(check_masks)
+    parts = _split(n, check_masks)
+    if parts is None:
+        return _whole_held_bytes(n, r)
+    index = np.min_scalar_type((1 << r) - 1).itemsize
+    own = max(_whole_held_bytes(m.bit_count(), len(ks)) for m, ks in parts)
+    digits = sum(24 << len(ks) for _, ks in parts)
+    return own + digits + ((3 * index + 4) << r) + _BLOCK_BYTES
+
+
+def _compress(mask, qubits):
+    """The bits of ``mask`` at ``qubits``, packed in that order."""
+    return sum((mask >> q & 1) << j for j, q in enumerate(qubits))
+
+
+def _convolve(prefix, rows):
+    """The rows of every (prefix class i, part class j), in the order
+    i * len(rows) + j: the supports lie on disjoint qubits, so weights add
+    and coset bits XOR."""
+    m = prefix.shape[-1]
+    out = np.zeros((len(prefix), len(rows), 2, m + rows.shape[-1] - 1), np.int64)
+    for b in (0, 1):
+        shifted = prefix[:, None, [b, b ^ 1]]  # the prefix's coset XOR b
+        for w in range(rows.shape[-1]):
+            out[..., w:w + m] += shifted * rows[:, b, w, None, None]
+    return out.reshape(-1, 2, out.shape[-1])
+
+
+def _factored(n, parts, gens, even, parity):
+    """``count_table`` of a code whose X checks split its qubits into
+    ``parts``, from the parts' own count rows: the whole-code route's first
+    syndromes, class rows and classes, dtypes included, whenever that
+    route's hash makes no stray class.
+
+    Each part is built by the whole-code route and its syndromes grouped
+    into part classes of equal (coset 0, coset 1) rows.  A syndrome's tuple
+    is the mixed-radix number of its parts' classes, the first part's digit
+    the most significant.  The parts are folded in one at a time: the rows
+    of every (prefix class, part class) pair are convolved (``_convolve``)
+    and grouped again, so a fold holds only distinct rows, and ``tuples``
+    maps each tuple to its class.  A syndrome's key is its tuple's class
+    with ``even[s]`` and ``parity[s]``; the keys are grouped by (even-weight
+    row, odd-weight row, parity) as syndromes are, and the groups numbered
+    as their first syndromes appear, one block of syndromes at a time.
+    """
+    r = len(gens) - 1
+    prefix = np.array([[[1], [0]]], np.int64)  # no qubits: the empty support, coset 0
+    tuples = np.zeros(1, np.uint8)
+    digits, order = [], []  # order: the checks, part by part
+    for qubits, checks in parts:
+        qs = [q for q in range(n) if qubits >> q & 1]
+        sub = [_compress(g, qs) for g in [gens[0], *(gens[k + 1] for k in checks)]]
+        build = _coset_blocks if _use_coset(len(qs), len(checks)) else _dual_blocks
+        zeros = np.zeros(1 << len(checks), np.uint8)
+        _, rows, part_classes = _group(build(len(qs), sub), zeros, zeros)
+        step = max(1, _syndromes_per_block(n, 1) // len(rows))
+        zeros = np.zeros(len(prefix) * len(rows), np.uint8)
+        _, prefix, merged = _group((_convolve(prefix[i:i + step], rows)
+                                    for i in range(0, len(prefix), step)), zeros, zeros)
+        tuples = merged.reshape(-1, len(rows)).take(tuples, axis=0).ravel()
+        digits = [(at, width, digit * len(rows)) for at, width, digit in digits]
+        digits.append((len(order), len(checks), part_classes.astype(np.intp)))
+        order += checks
+    step = max(1, _syndromes_per_block(n, 1) // 4)
+    keyed = (np.repeat(prefix[i:i + step], 4, axis=0) for i in range(0, len(prefix), step))
+    key_even = np.tile(np.array([0, 0, 1, 1], np.uint8), len(prefix))
+    key_parity = np.tile(np.array([0, 1, 0, 1], np.uint8), len(prefix))
+    _, key_rows, key_group = _group(keyed, key_even, key_parity)
+    class_of_group = np.full(len(key_rows), -1, np.intp)
+    class_of_key = class_of_group.take(key_group)
+    first = np.zeros(0, np.intp)
+    classes = np.empty(1 << r, np.uint8)
+    # check k moves to bit position[k], so each part's checks are contiguous.
+    # A block is 2**low syndromes, so its moved syndromes are one lookup
+    # table of the low bits XOR one value of the high bits
+    position = np.empty(r, np.intp)
+    position[order] = np.arange(r)
+    block = 1 << (max(1, _BLOCK // 2).bit_length() - 1)
+    low = min(r, block.bit_length() - 1)
+    low_bits = _span([1 << int(p) for p in position[:low]]).astype(np.intp)
+    for start in range(0, 1 << r, block):
+        stop = start + len(low_bits)
+        s = low_bits ^ sum(1 << int(position[k]) for k in range(low, r) if start >> k & 1)
+        t = np.zeros_like(s)
+        for at, width, digit in digits:
+            t += digit.take(s >> at & ((1 << width) - 1))
+        key = np.multiply(tuples.take(t), 4, dtype=np.intp)
+        key |= even[start:stop] << 1
+        key |= parity[start:stop]
+        cls = class_of_key.take(key)
+        if cls.min() < 0:  # number each new group by its first syndrome
+            new = np.flatnonzero(cls < 0)
+            groups = key_group.take(key[new])
+            at = np.sort(np.unique(groups, return_index=True)[1])
+            class_of_group[groups[at]] = len(first) + np.arange(len(at))
+            first = np.concatenate([first, start + new[at]])
+            class_of_key = class_of_group.take(key_group)
+            cls = class_of_key.take(key)
+        classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
+        classes[start:stop] = cls
+    group = np.empty(len(first), np.intp)
+    seen = np.flatnonzero(class_of_group >= 0)
+    group[class_of_group[seen]] = seen
+    # syndrome 0 is tuple 0, whose coset 0 is the generators' kernel
+    dtype = np.min_scalar_type(int(prefix[tuples[0], 0].sum()))
+    return first, key_rows[group].astype(dtype), classes
 
 
 def count_table(n, check_masks, xbar_mask, even, parity):
@@ -236,11 +408,16 @@ def count_table(n, check_masks, xbar_mask, even, parity):
     ``(classes, 2, n + 1)`` in the smallest unsigned dtype that holds
     2**(n - rank), and the class of every syndrome; ``rows[classes]`` is the
     full table with each syndrome's even-weight row first, classes numbered
-    as they first appear.  At most ``held_bytes(n, r)`` bytes are held
-    besides the arguments.
+    as they first appear.  When the X checks split the qubits and the
+    estimate of ``_split`` favours it, the rows come from the parts
+    (``_factored``), with the same classes, rows and dtypes.  At most
+    ``held_bytes(n, check_masks)`` bytes are held besides the arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")
     gens = [int(xbar_mask)] + [int(m) for m in check_masks]
+    parts = _split(n, check_masks)
+    if parts is not None:
+        return _factored(n, parts, gens, even, parity)
     build = _coset_blocks if _use_coset(n, len(check_masks)) else _dual_blocks
     return _group(build(n, gens), even, parity)

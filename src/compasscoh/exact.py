@@ -5,14 +5,16 @@ c_v = cos(theta/2)**(n-|v|) * (-i sin(theta/2))**|v|.  Supports sharing a
 syndrome and a Z-stabilizer coset add coherently, so the channel is fully
 determined by the theta-independent table counting supports per (syndrome,
 coset, weight), which ``_kernels`` builds as exact integers, from the dual
-code when r (the number of X checks) is small or from the cosets of the
-check kernel when n - r is.  Per theta, each amplitude is the sum of count *
-weight term in ascending weight order, taken with elementwise IEEE
-operations, so the outputs do not depend on the BLAS build or its thread
-count.  Because stabilizers have even weight and the logical Z odd weight,
-the two coset amplitudes of a syndrome carry opposite real/imaginary parity;
-they are stored as signed reals S with the phase (-i)**parity implied, which
-makes the logical action
+code when r (the number of X checks) is small, from the cosets of the
+check kernel when n - r is, or, when the X checks split the qubits into
+parts that share no check (X-Shor), from each part's own table, since
+independent parts' weights add and their logical-X parities XOR.  Per
+theta, each amplitude is the sum of count * weight term in ascending weight
+order, taken with elementwise IEEE operations, so the outputs do not depend
+on the BLAS build or its thread count.  Because stabilizers have even
+weight and the logical Z odd weight, the two coset amplitudes of a syndrome
+carry opposite real/imaginary parity; they are stored as signed reals S
+with the phase (-i)**parity implied, which makes the logical action
 
     A0 * I + A1 * Zbar  ->  exp(-i(theta_s/2) Zbar),
     theta_s = (-1)**p0 * 2*atan(S1/S0)         (pi when S0 = 0)
@@ -75,12 +77,13 @@ class TooLargeError(RuntimeError):
     """Exact backend rejected: n over MAX_QUBITS or a build over MAX_HELD_BYTES."""
 
 
-def _held_bytes(n: int, r: int) -> int:
-    """Upper bound on the bytes a backend holds for n qubits and r checks:
-    its build (the decode table's int64 keys and transients, 10 bytes per
-    syndrome; each syndrome's recovery parity and even-row bit, 2; what the
-    count rows' build and grouping hold), then one evaluation."""
-    return (12 << r) + _kernels.held_bytes(n, r) + _evaluation_bytes(n, r)
+def _held_bytes(n: int, masks: list[int]) -> int:
+    """Upper bound on the bytes a backend holds for n qubits and these X
+    check masks: its build (the decode table's int64 keys and transients,
+    10 bytes per syndrome; each syndrome's recovery parity and even-row bit,
+    2; what the count rows' build and grouping hold), then one evaluation."""
+    r = len(masks)
+    return (12 << r) + _kernels.held_bytes(n, masks) + _evaluation_bytes(n, r)
 
 
 def _evaluation_bytes(n: int, r: int) -> int:
@@ -192,7 +195,8 @@ class ExactBackend:
         self.code = code
         self.n = n = code.n
         self.num_checks = r = len(code.x_stabilizers)
-        held = _held_bytes(n, r)
+        masks = [s.mask for s in code.x_stabilizers]
+        held = _held_bytes(n, masks)
         if n > MAX_QUBITS or held > MAX_HELD_BYTES:
             raise TooLargeError(
                 f"exact backend supports n <= {MAX_QUBITS} and builds holding at most "
@@ -213,7 +217,6 @@ class ExactBackend:
         keys >>= n
         parity = keys.astype(np.uint8)
         del keys  # freed before the count rows are built
-        masks = [s.mask for s in code.x_stabilizers]
         first, rows, self._classes = _kernels.count_table(
             n, masks, code.logical_x.mask, even_bit, parity)
         even, odd = rows[:, 0], rows[:, 1]

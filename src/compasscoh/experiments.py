@@ -204,7 +204,8 @@ class CodeSource:
 def sweep(source, thetas_over_pi, distances) -> SweepTable:
     """One row per (distance, theta); deterministic given the source seeds."""
     thetas = [float(t) for t in thetas_over_pi]
-    if not thetas or not list(distances):
+    distances = list(distances)  # read once: it may be an iterator
+    if not thetas or not distances:
         raise ValueError("sweep needs a non-empty theta grid and distance list")
     rows: list[SweepRow] = []
     for d in distances:
@@ -435,6 +436,7 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
     """
+    distances = list(distances)  # read once per q: it may be an iterator
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}
     with contextlib.ExitStack() as stack:
@@ -447,7 +449,7 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
             tab = sweep(EnsembleSource(q, n_codes, seed, recovery, n_samples, run),
                         thetas_over_pi, distances)
             tables.append(tab)
-            if len(list(distances)) >= 2:
+            if len(distances) >= 2:
                 estimates[q] = find_crossings(tab, "r1")
     merged = SweepTable(tuple(row for tab in tables for row in tab.rows))
     return merged, estimates

@@ -192,7 +192,8 @@ class TestGuards:
         monkeypatch.setattr(_kernels, "count_table", no_build)
         monkeypatch.setattr(exact, "build_matching_graph", no_build)
         # the 1x25 grid (2**24 syndromes) is bounded by 0.73 GB, within the budget
-        assert exact._held_bytes(25, 24) <= exact.MAX_HELD_BYTES
+        grid = build_code(family_z_shor(1, 25))
+        assert exact._held_bytes(25, [s.mask for s in grid.x_stabilizers]) <= exact.MAX_HELD_BYTES
         monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
         with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
             ExactBackend(build_code(family_z_shor(1, 25)))
@@ -342,14 +343,21 @@ class TestColumnClasses:
         assert backend._table.shape[-1] == 645 < 1 << backend.num_checks == 4096
         assert backend._classes.dtype == np.uint16
 
-    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
+    # X-Shor 5x5 (n=25, r=20) and the two random 5x5 codes (r=18) take the
+    # factored build, RSC 5x5 and Z-stacked 5x5 h=2 (r=12) the dual, the
+    # 1x21 grid (r=20) the coset build
+    @pytest.mark.parametrize("coloring", [
+        family_x_shor(5, 5), family_rotated_surface(5), family_rotated_surface(3),
+        family_z_shor(3, 3), family_x_shor(3, 3), family_z_stacked(3, 2),
+        random_coloring(3, 3, 0.5, 1), family_z_stacked(5, 2),
+        random_coloring(5, 5, 0.75, 3), random_coloring(5, 5, 0.9, 5),
+        *(family_z_shor(1, l) for l in range(1, 22, 2))])
     def test_build_peak_is_within_its_held_bytes(self, coloring):
-        # X-Shor 5x5 takes the coset build (n=25, r=20), RSC 5x5 the dual (r=12)
         code = build_code(coloring)
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
         peak = _traced_peak(lambda: ExactBackend(code))
-        n, r = code.n, len(code.x_stabilizers)
-        assert peak <= exact._held_bytes(n, r) - exact._evaluation_bytes(n, r)
+        n, masks = code.n, [s.mask for s in code.x_stabilizers]
+        assert peak <= exact._held_bytes(n, masks) - exact._evaluation_bytes(n, len(masks))
 
     def test_xshor5_build_peak_is_bounded(self):
         code = build_code(family_x_shor(5, 5))

@@ -75,6 +75,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(rep_source(), [], [3])
 
+    def test_distances_may_be_an_iterator(self):
+        table = sweep(rep_source(), [0.2], iter([3, 5]))
+        assert [r.distance for r in table.rows] == [3, 5]
+
 
 class TestFindCrossings:
     def test_repetition_crossing_brackets_half_pi(self):
@@ -252,6 +256,12 @@ class TestInterpolation:
         e = est0[0.0]
         assert e.one_sided
         assert e.upper_over_pi == 0.10 and e.lower_over_pi is None
+
+    def test_distances_may_be_an_iterator(self):
+        args = ([0.0, 1.0], [0.3, 0.4], 2, 3)
+        got = interpolation_curve(iter([3, 5]), *args, n_samples=50)
+        assert got == interpolation_curve([3, 5], *args, n_samples=50)
+        assert len(got[0].rows) == 8 and set(got[1]) == {0.0, 1.0}
 
     def test_one_pool_per_run(self, monkeypatch):
         pools, maps = [], []

@@ -2,27 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compasscoh import (KERNEL_BACKEND, _kernels, build_code,
+from compasscoh import (KERNEL_BACKEND, _kernels, build_code, build_matching_graph,
                         family_rotated_surface, family_x_shor, family_z_shor,
-                        gf2, random_coloring)
+                        family_z_stacked, gf2, random_coloring)
 from compasscoh._kernels import count_table
+from compasscoh.decoder import bit_reverse
 
 from oracles import count_table_reference
 
 
-def _full_table(n, masks, xbar, seed=None, build=None):
-    """Every (s, b) row from ``count_table``'s class rows, with random
-    even-row bits and parities when ``seed`` is given: row (s, b) is
-    ``rows[classes[s], b ^ even[s]]``.  Also checks that ``first`` holds
-    each class's lowest syndrome and that classes are distinct."""
+def _full_table(n, masks, xbar, seed=None, build=None, route=count_table):
+    """Every (s, b) row from ``route``'s class rows (``_group`` over
+    ``build``'s blocks when given), with random even-row bits and parities
+    when ``seed`` is given: row (s, b) is ``rows[classes[s], b ^ even[s]]``.
+    Also checks that ``first`` holds each class's lowest syndrome and that
+    classes are distinct."""
     size = 1 << len(masks)
     if seed is None:
         even, parity = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
     else:
         even, parity = np.random.default_rng(seed).integers(0, 2, (2, size), np.uint8)
     if build is None:
-        first, rows, classes = count_table(n, masks, xbar, even, parity)
+        first, rows, classes = route(n, masks, xbar, even, parity)
     else:
         first, rows, classes = _kernels._group(build(n, [xbar] + masks), even, parity)
     assert classes.dtype == np.min_scalar_type(len(rows) - 1) and len(first) == len(rows)
@@ -172,6 +176,101 @@ def test_xshor5_coset_build_equals_dual():
     gens = [code.logical_x.mask] + [s.mask for s in code.x_stabilizers]
     assert np.array_equal(_rows(_kernels._coset_blocks, code.n, gens),
                           _rows(_kernels._dual_blocks, code.n, gens))
+
+
+def _assert_factored_equals_whole_code_route(n, masks, xbar, even, parity):
+    """``_factored`` and ``count_table`` return the whole-code route's
+    first syndromes, class rows and classes, dtypes included."""
+    r = len(masks)
+    gens = [xbar] + masks
+    build = _kernels._coset_blocks if _kernels._use_coset(n, r) else _kernels._dual_blocks
+    want = _kernels._group(build(n, gens), even, parity)
+    for got in (_factored(n, masks, xbar, even, parity),
+                count_table(n, masks, xbar, even, parity)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _factored(n, masks, xbar, even, parity):
+    return _kernels._factored(n, _kernels._components(n, masks), [xbar] + masks, even, parity)
+
+
+def _decoder_bits(code):
+    """Each syndrome's even-row coset bit and recovery parity, read off the
+    decode table as ``ExactBackend`` reads them."""
+    keys = build_matching_graph(code).table()
+    parity = (keys >> code.n & 1).astype(np.uint8)
+    coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, code.n)) & 1
+    return coset ^ parity, parity
+
+
+def _split_5x5():
+    """X-Shor 5x5, Z-stacked 5x5 h=2, and every random 5x5 coloring among
+    seeds 0-11 at q = 0.5, 0.75 and 0.9 whose X checks split the qubits."""
+    colorings = {"xshor": family_x_shor(5, 5), "zstacked-h2": family_z_stacked(5, 2)}
+    for q in (0.5, 0.75, 0.9):
+        for seed in range(12):
+            code = build_code(random_coloring(5, 5, q, seed))
+            if len(_kernels._components(code.n, [s.mask for s in code.x_stabilizers])) > 1:
+                colorings[f"random-q{q}-seed{seed}"] = code.coloring
+    return colorings
+
+
+SPLIT_5X5 = _split_5x5()
+
+
+@pytest.mark.parametrize("name", SPLIT_5X5)
+def test_factored_route_equals_whole_code_route(name):
+    code = build_code(SPLIT_5X5[name])
+    n, masks = code.n, [s.mask for s in code.x_stabilizers]
+    assert len(_kernels._components(n, masks)) > 1
+    # random bits make more keys to merge than the decoder's do
+    even, parity = np.random.default_rng(len(masks)).integers(0, 2, (2, 1 << len(masks)), np.uint8)
+    _assert_factored_equals_whole_code_route(n, masks, code.logical_x.mask, even, parity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 3, 5]), st.floats(0.0, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_factored_route_equals_whole_code_route_on_random_colorings(d_x, d_z, q, seed):
+    code = build_code(random_coloring(d_x, d_z, q, seed))
+    masks = [s.mask for s in code.x_stabilizers]
+    _assert_factored_equals_whole_code_route(code.n, masks, code.logical_x.mask,
+                                             *_decoder_bits(code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6),
+    st.integers(0, (1 << n) - 1))))
+def test_factored_route_matches_reference_on_any_generators(case):
+    # zero, repeated and dependent checks, qubits in no check, any logical X;
+    # checked against the primal count, with the class properties of _full_table
+    n, masks, xbar = case
+    table = _full_table(n, masks, xbar, seed=n, route=_factored)
+    assert np.array_equal(table, count_table_reference(n, masks, xbar))
+
+
+def test_components_split_on_shared_checks_only():
+    # checks 0 and 2 share qubit 1, check 1 stands alone, qubits 5-7 are in none
+    parts = _kernels._components(8, [0b0000011, 0b0011000, 0b0000110])
+    assert parts == [(0b11100000, []), (0b111, [0, 2]), (0b11000, [1])]
+    xshor = build_code(family_x_shor(5, 5))
+    parts = _kernels._components(xshor.n, [s.mask for s in xshor.x_stabilizers])
+    assert parts == [(0b11111 << 5 * i, list(range(i, 20, 5))) for i in range(5)]
+
+
+def test_cost_rule_factors_only_expensive_split_codes():
+    def split(coloring):
+        code = build_code(coloring)
+        return _kernels._split(code.n, [s.mask for s in code.x_stabilizers]) is not None
+    # one part, or a split code whose whole-code build is cheap: n = 9, or
+    # Z-stacked 5x5 h=2 on the dual at r = 12
+    for coloring in (family_rotated_surface(5), family_z_shor(5, 5), family_z_shor(1, 25),
+                     family_x_shor(3, 3), family_z_stacked(3, 2), family_z_stacked(5, 2),
+                     *(random_coloring(3, 3, q, seed) for q in (0.5, 1.0) for seed in range(8))):
+        assert not split(coloring), coloring
+    assert split(family_x_shor(5, 5)) and split(random_coloring(5, 5, 0.75, 3))
 
 
 def test_backend_label():

@@ -1,51 +1,48 @@
 """The theta-independent count rows, built one block of syndromes at a time
 and grouped into classes as they are built.
 
-``counts[s, b, w]`` counts the weight-w supports with X-check syndrome s and
-logical-X parity b.  The supports orthogonal to all r+1 generators (logical
-X, then the r checks; dependent ones included) form a kernel K of dimension
-n - rank, and every reachable (s, b) row is one coset v0 ^ K.  So each entry
-is at most 2**(n - rank), and rows are held in the smallest unsigned dtype
-that holds that.  Rows are produced in blocks of consecutive syndromes, one
-of three exact ways, whichever the cost rule of ``count_table`` estimates
-cheaper:
+``counts[s, w]`` counts the weight-w supports with X-check syndrome s.  The
+supports orthogonal to all r checks (dependent ones included) form a
+kernel K of dimension n - rank, and every reachable row s is one coset
+v0 ^ K.  So each entry is at most 2**(n - rank), and rows are held in the
+smallest unsigned dtype that holds that.  Rows are produced in blocks of
+consecutive syndromes, one of three exact ways, whichever the cost rule of
+``count_table`` estimates cheaper:
 
 * Dual: the MacWilliams identity (MacWilliams & Sloane, *The Theory of
   Error-Correcting Codes*, ch. 5) gives
 
-      counts[s, b, w] = 2**-(r+1) * sum_a (-1)**(a . (s, b)) * K_w(|u_a|),
+      counts[s, w] = 2**-r * sum_a (-1)**(a . s) * K_w(|u_a|),
 
-  with u_a the XOR of the generators a selects and K_w(x) = [z^w]
-  (1-z)**x (1+z)**(n-x) a Krawtchouk polynomial.  Bit 0 of a is logical X
-  and bit k+1 is check k, so the sum is one Walsh-Hadamard transform indexed
-  by ``s << 1 | b``: about (r+1) 2**(r+1) (n+1) int64 updates, cheap when
-  r is small.  Intermediates have magnitude at most 2**(r+1) C(n, w) <
-  2**(r+1+n), and the cost rule runs the dual only while 2**(r+1) <
-  2**(n+2) + 2**14, so at n <= 25 they stay below 2**52, far inside int64;
-  the final division by 2**(r+1) is an exact shift.  The whole table is
-  transformed at once, an int64 transient of 2**(r+1) (n+1) * 8 bytes, and
-  then handed out in blocks.
-* Coset: Gaussian elimination on the qubits' generator columns, reduced so
-  that each pivot bit of a row index appears in one pivot row only, makes
-  the particular support v0 of row t, and the row t' = t that it reaches, a
-  linear function of t's bits: XORs of per-byte lookup tables.  The row is
-  the weight histogram of v0 ^ k over all k in K, or zero when t' != t (t
-  unreachable): 2**(n + r + 1 - rank) popcounts in all, cheap when n - rank
-  is small (X-Shor-like codes).
+  with u_a the XOR of the checks a selects and K_w(x) = [z^w]
+  (1-z)**x (1+z)**(n-x) a Krawtchouk polynomial.  Bit k of a is check k,
+  so the sum is one Walsh-Hadamard transform indexed by the syndrome:
+  about r 2**r (n+1) int64 updates, cheap when r is small.  Intermediates
+  have magnitude at most 2**r C(n, w) < 2**(r+n), and the cost rule runs
+  the dual only while 2**r < 2**(n+2) + 2**14, so at n <= 25 they stay
+  below 2**52, far inside int64; the final division by 2**r is an exact
+  shift.  The whole table is transformed at once, an int64 transient of
+  2**r (n+1) * 8 bytes, and then handed out in blocks.
+* Coset: Gaussian elimination on the qubits' check columns, reduced so
+  that each pivot bit of a syndrome appears in one pivot row only, makes
+  the particular support v0 of syndrome t, and the syndrome t' = t that it
+  reaches, a linear function of t's bits: XORs of per-byte lookup tables.
+  The row is the weight histogram of v0 ^ k over all k in K, or zero when
+  t' != t (t unreachable): 2**(n + r - rank) popcounts in all, cheap when
+  n - rank is small (X-Shor-like codes).
 * Factored: when the X checks split the qubits into parts that share no
   check (X-Shor d x d into d rows of d qubits), a support is a disjoint
   union of one support per part.  Its syndrome concatenates the parts'
-  syndromes, its weight is the sum of their weights and its logical-X
-  parity the XOR of theirs, so ``counts[s, b]`` is the convolution over the
-  parts of their rows, b the XOR of their coset bits.  Each part is built
-  by one of the two ways above (2**4 syndromes a part for X-Shor 5x5, not
-  2**20), and a syndrome's rows are a function of its parts' classes: the
+  syndromes and its weight is the sum of their weights, so ``counts[s]``
+  is the convolution over the parts of their rows.  Each part is built by
+  one of the two ways above (2**4 syndromes a part for X-Shor 5x5, not
+  2**20), and a syndrome's row is a function of its parts' classes: the
   rows are convolved once per distinct combination, never per syndrome.
 
 Each block's rows are grouped, and its class indices written, as soon as
-it is built (see ``_group``), so the full ``(2**r, 2, n + 1)`` table is
-never held by the coset or factored build; classes are numbered as they
-first appear.
+it is built (see ``_group``), so the full ``(2**r, n + 1)`` table is never
+held by the coset or factored build; classes are numbered as they first
+appear.
 """
 
 import functools
@@ -82,41 +79,43 @@ def _span(vectors):
 
 
 def _syndromes_per_block(n, row_supports):
-    """Syndromes per block: two rows each, of ``row_supports`` supports and
+    """Syndromes per block: one row each, of ``row_supports`` supports and
     n + 1 count entries, about ``_BLOCK`` of the larger in all."""
-    return max(1, _BLOCK // (2 * max(row_supports, n + 1)))
+    return max(1, _BLOCK // max(row_supports, n + 1))
 
 
-def _dual_table(n, gens):
-    table = _krawtchouk(n).take(np.bitwise_count(_span(gens)), axis=0)
-    for k in range(len(gens)):
+def _dual_table(n, checks):
+    """The whole ``(2**r, n + 1)`` count table by the MacWilliams sum over
+    the r checks: one Walsh-Hadamard transform in int64, r levels."""
+    table = _krawtchouk(n).take(np.bitwise_count(_span(checks)), axis=0)
+    for k in range(len(checks)):
         pairs = table.reshape(-1, 2, 1 << k, n + 1)
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi
         hi *= -2  # hi <- lo - hi without a temporary
         hi += lo
-    table >>= len(gens)
+    table >>= len(checks)
     # row 0 is the kernel itself: 2**(n - rank) supports
-    return table.astype(np.min_scalar_type(int(table[0].sum()))).reshape(-1, 2, n + 1)
+    return table.astype(np.min_scalar_type(int(table[0].sum())))
 
 
-def _dual_blocks(n, gens):
-    """The count rows of consecutive syndrome blocks, ``(syndromes, 2, n + 1)``
+def _dual_blocks(n, checks):
+    """The count rows of consecutive syndrome blocks, ``(syndromes, n + 1)``
     each, from one transform of the whole table (its int64 transient is
     freed before the first block)."""
-    table = _dual_table(n, gens)
+    table = _dual_table(n, checks)
     block = _syndromes_per_block(n, 1)
     for start in range(0, len(table), block):
         yield table[start:start + block]
 
 
-def _coset_blocks(n, gens):
-    """The count rows of consecutive syndrome blocks, ``(syndromes, 2, n + 1)``
-    each, histogrammed from the cosets of the generators' kernel."""
-    pivots = {}  # leading generator bit -> [row index, support mapping onto it]
+def _coset_blocks(n, checks):
+    """The count rows of consecutive syndrome blocks, ``(syndromes, n + 1)``
+    each, histogrammed from the cosets of the checks' kernel."""
+    pivots = {}  # leading syndrome bit -> [syndrome, support mapping onto it]
     kernel = []
     for q in range(n):
-        row = sum((g >> q & 1) << i for i, g in enumerate(gens))
+        row = sum((g >> q & 1) << i for i, g in enumerate(checks))
         v = 1 << q
         while row:
             top = row.bit_length() - 1
@@ -134,15 +133,15 @@ def _coset_blocks(n, gens):
             if top > low and pivot[0] >> low & 1:
                 pivot[0] ^= pivots[low][0]
                 pivot[1] ^= pivots[low][1]
-    by_bit = [pivots.get(bit, (0, 0)) for bit in range(len(gens))]
+    by_bit = [pivots.get(bit, (0, 0)) for bit in range(len(checks))]
     luts = [(_span([row for row, _ in by_bit[i:i + 8]]), _span([v for _, v in by_bit[i:i + 8]]))
-            for i in range(0, len(gens), 8)]
+            for i in range(0, len(checks), 8)]
     ker = _span(kernel)
     dtype = np.min_scalar_type(len(ker))
     block = _syndromes_per_block(n, len(ker))
-    offsets = np.arange(0, 2 * block * (n + 1), n + 1)[:, None]
-    for start in range(0, 1 << (len(gens) - 1), block):
-        t = np.arange(2 * start, 2 * min(start + block, 1 << (len(gens) - 1)), dtype=np.uint64)
+    offsets = np.arange(0, block * (n + 1), n + 1)[:, None]
+    for start in range(0, 1 << len(checks), block):
+        t = np.arange(start, min(start + block, 1 << len(checks)), dtype=np.uint64)
         reached, v0 = np.zeros_like(t), np.zeros_like(t)
         for i, (row_lut, v_lut) in enumerate(luts):
             byte = (t >> np.uint64(8 * i)) & np.uint64(0xFF)
@@ -151,21 +150,20 @@ def _coset_blocks(n, gens):
         weights = np.bitwise_count(v0[:, None] ^ ker) + offsets[:len(t)]
         hist = np.bincount(weights.ravel(), minlength=len(t) * (n + 1)).reshape(-1, n + 1)
         hist[reached != t] = 0  # unreachable rows: v0 is the support of another row
-        yield hist.astype(dtype).reshape(-1, 2, n + 1)
+        yield hist.astype(dtype)
 
 
-def _group(blocks, even, parity):
-    """Group syndromes s into classes of equal even-weight coset row, odd-weight
-    coset row and recovery ``parity[s]``, one block of rows at a time.
+def _group(blocks, parity):
+    """Group syndromes s into classes of equal count row and recovery
+    ``parity[s]``, one block of rows at a time.
 
-    ``blocks`` yields the count rows of consecutive syndromes, ``even[s]``
-    is the coset bit of syndrome s's even-weight row.  Returns the first
-    syndrome of each class, the class's (even-weight, odd-weight) rows and
-    the class of every syndrome in the smallest unsigned dtype.
+    ``blocks`` yields the count rows of consecutive syndromes.  Returns the
+    first syndrome of each class, the class's row and the class of every
+    syndrome in the smallest unsigned dtype.
 
-    Each syndrome is keyed by a uint64 hash of its two rows and parity, the
-    rows read as packed words (the last one overlapping the one before when
-    the rows are not a whole number of words).  The registry holds the key
+    Each syndrome is keyed by a uint64 hash of its row and parity, the row
+    read as packed words (the last one overlapping the one before when the
+    row is not a whole number of words).  The registry holds the key
     and rows of each class's first syndrome in class order and finds a key
     at the first class with it (a stable sort); every syndrome is compared
     with that class, and one that differs (a stray) becomes a class of its
@@ -178,11 +176,8 @@ def _group(blocks, even, parity):
     stop = 0
     for table in blocks:
         start, stop = stop, stop + len(table)
-        even_rows = np.arange(0, 2 * len(table), 2) | even[start:stop]
-        rows = table.reshape(-1, table.shape[-1]).take(even_rows[:, None] ^ (0, 1), axis=0)
-        # each syndrome's even-weight and odd-weight rows as bytes, then its parity
-        syn = np.concatenate([rows.reshape(len(rows), -1).view(np.uint8),
-                              parity[start:stop, None]], axis=1)
+        # each syndrome's row as bytes, then its parity
+        syn = np.concatenate([table.view(np.uint8), parity[start:stop, None]], axis=1)
         size = syn.shape[1] - 1
         word = min(8, 1 << (size.bit_length() - 1))
         key = parity[start:stop] * _HASH_MULT  # not XORed into a row bit
@@ -213,16 +208,15 @@ def _group(blocks, even, parity):
             sorter = np.argsort(reg_keys, kind="stable")
         classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
         classes[start:stop] = cls
-    rows = reg_syn[:, :-1].view(table.dtype)
-    return first, rows.reshape(len(rows), 2, -1), classes
+    return first, reg_syn[:, :-1].view(table.dtype), classes
 
 
 def _costs(n, r):
     """The (dual, coset) whole-code build costs in units of one dual update:
-    the dual costs (r+1) 2**(r+1) (n+1), the coset build 3 * 2**n plus
-    2**14 for its fixed set-up (elimination and a few dozen extra NumPy
-    calls)."""
-    return ((r + 1) << (r + 1)) * (n + 1), 3 * (1 << n) + (1 << 14)
+    the dual over r checks costs r 2**r (n+1), the coset build 3 * 2**n
+    plus 2**14 for its fixed set-up (elimination and a few dozen extra
+    NumPy calls)."""
+    return (r << r) * (n + 1), 3 * (1 << n) + (1 << 14)
 
 
 def _use_coset(n, r):
@@ -267,7 +261,7 @@ def _split(n, check_masks):
 
 def _whole_held_bytes(n, r):
     index = np.min_scalar_type((1 << r) - 1).itemsize
-    dual = 0 if _use_coset(n, r) else (2 << r) * (n + 1) * (8 + 4)
+    dual = 0 if _use_coset(n, r) else (1 << r) * (n + 1) * (8 + 4)
     return ((index + index // 2) << r) + _BLOCK_BYTES + dual
 
 
@@ -276,17 +270,18 @@ def held_bytes(n, check_masks):
     X checks, besides its arguments.
 
     The whole-code build holds every syndrome's class index (at most
-    2**r - 1) and the copy it widens from, one block, and the dual's int64
-    transient and table when it runs.  The factored build holds the largest
-    part's own whole-code build; each part's int64 tuple digit of every
-    part syndrome, its copy while a fold rescales it and the part's class
-    (24 bytes a part syndrome); one block; and the class of every tuple, at
-    most 2**r of them.  While a fold grows the tuple classes it also holds
+    2**r - 1) and the copy it widens from, one block, and, when the dual
+    runs, its int64 transient and narrow table of 2**r rows (12 bytes an
+    entry).  The factored build holds the largest part's own whole-code
+    build; each part's int64 tuple digit of every part syndrome, its copy
+    while a fold rescales it and the part's class (24 bytes a part
+    syndrome); one block; and the class of every tuple, at most 2**r of
+    them.  While a fold grows the tuple classes it also holds
     the previous ones, half as many and widened to int64, and the fold's
     class of every pair with its widening copy; the per-syndrome pass holds
     every syndrome's class index and its widening copy instead.  Like the
     class rows of every build, what grows with the classes (a few hundred
-    bytes a class: rows, four keys and their groups) is not counted: the
+    bytes a class: rows, two keys and their groups) is not counted: the
     class count is known only after the build.
     """
     r = len(check_masks)
@@ -306,57 +301,51 @@ def _compress(mask, qubits):
 
 def _convolve(prefix, rows):
     """The rows of every (prefix class i, part class j), in the order
-    i * len(rows) + j: the supports lie on disjoint qubits, so weights add
-    and coset bits XOR."""
+    i * len(rows) + j: the supports lie on disjoint qubits, so weights add."""
     m = prefix.shape[-1]
-    out = np.zeros((len(prefix), len(rows), 2, m + rows.shape[-1] - 1), np.int64)
-    for b in (0, 1):
-        shifted = prefix[:, None, [b, b ^ 1]]  # the prefix's coset XOR b
-        for w in range(rows.shape[-1]):
-            out[..., w:w + m] += shifted * rows[:, b, w, None, None]
-    return out.reshape(-1, 2, out.shape[-1])
+    out = np.zeros((len(prefix), len(rows), m + rows.shape[-1] - 1), np.int64)
+    for w in range(rows.shape[-1]):
+        out[..., w:w + m] += prefix[:, None] * rows[:, w, None]
+    return out.reshape(-1, out.shape[-1])
 
 
-def _factored(n, parts, gens, even, parity):
+def _factored(n, parts, checks, parity):
     """``count_table`` of a code whose X checks split its qubits into
     ``parts``, from the parts' own count rows: the whole-code route's first
     syndromes, class rows and classes, dtypes included, whenever that
     route's hash makes no stray class.
 
     Each part is built by the whole-code route and its syndromes grouped
-    into part classes of equal (coset 0, coset 1) rows.  A syndrome's tuple
-    is the mixed-radix number of its parts' classes, the first part's digit
-    the most significant.  The parts are folded in one at a time: the rows
-    of every (prefix class, part class) pair are convolved (``_convolve``)
-    and grouped again, so a fold holds only distinct rows, and ``tuples``
-    maps each tuple to its class.  A syndrome's key is its tuple's class
-    with ``even[s]`` and ``parity[s]``; the keys are grouped by (even-weight
-    row, odd-weight row, parity) as syndromes are, and the groups numbered
-    as their first syndromes appear, one block of syndromes at a time.
+    into part classes of equal rows.  A syndrome's tuple is the mixed-radix
+    number of its parts' classes, the first part's digit the most
+    significant.  The parts are folded in one at a time: the rows of every
+    (prefix class, part class) pair are convolved (``_convolve``) and
+    grouped again, so a fold holds only distinct rows, and ``tuples`` maps
+    each tuple to its class.  A syndrome's key is its tuple's class with
+    ``parity[s]``; the keys are grouped by (row, parity) as syndromes are,
+    and the groups numbered as their first syndromes appear, one block of
+    syndromes at a time.
     """
-    r = len(gens) - 1
-    prefix = np.array([[[1], [0]]], np.int64)  # no qubits: the empty support, coset 0
+    r = len(checks)
+    prefix = np.ones((1, 1), np.int64)  # no qubits: the empty support
     tuples = np.zeros(1, np.uint8)
     digits, order = [], []  # order: the checks, part by part
-    for qubits, checks in parts:
+    for qubits, part_checks in parts:
         qs = [q for q in range(n) if qubits >> q & 1]
-        sub = [_compress(g, qs) for g in [gens[0], *(gens[k + 1] for k in checks)]]
-        build = _coset_blocks if _use_coset(len(qs), len(checks)) else _dual_blocks
-        zeros = np.zeros(1 << len(checks), np.uint8)
-        _, rows, part_classes = _group(build(len(qs), sub), zeros, zeros)
+        sub = [_compress(checks[k], qs) for k in part_checks]
+        build = _coset_blocks if _use_coset(len(qs), len(sub)) else _dual_blocks
+        _, rows, part_classes = _group(build(len(qs), sub), np.zeros(1 << len(sub), np.uint8))
         step = max(1, _syndromes_per_block(n, 1) // len(rows))
-        zeros = np.zeros(len(prefix) * len(rows), np.uint8)
         _, prefix, merged = _group((_convolve(prefix[i:i + step], rows)
-                                    for i in range(0, len(prefix), step)), zeros, zeros)
+                                    for i in range(0, len(prefix), step)),
+                                   np.zeros(len(prefix) * len(rows), np.uint8))
         tuples = merged.reshape(-1, len(rows)).take(tuples, axis=0).ravel()
         digits = [(at, width, digit * len(rows)) for at, width, digit in digits]
-        digits.append((len(order), len(checks), part_classes.astype(np.intp)))
-        order += checks
-    step = max(1, _syndromes_per_block(n, 1) // 4)
-    keyed = (np.repeat(prefix[i:i + step], 4, axis=0) for i in range(0, len(prefix), step))
-    key_even = np.tile(np.array([0, 0, 1, 1], np.uint8), len(prefix))
-    key_parity = np.tile(np.array([0, 1, 0, 1], np.uint8), len(prefix))
-    _, key_rows, key_group = _group(keyed, key_even, key_parity)
+        digits.append((len(order), len(sub), part_classes.astype(np.intp)))
+        order += part_checks
+    step = max(1, _syndromes_per_block(n, 1) // 2)
+    keyed = (np.repeat(prefix[i:i + step], 2, axis=0) for i in range(0, len(prefix), step))
+    _, key_rows, key_group = _group(keyed, np.tile(np.array([0, 1], np.uint8), len(prefix)))
     class_of_group = np.full(len(key_rows), -1, np.intp)
     class_of_key = class_of_group.take(key_group)
     first = np.zeros(0, np.intp)
@@ -375,8 +364,7 @@ def _factored(n, parts, gens, even, parity):
         t = np.zeros_like(s)
         for at, width, digit in digits:
             t += digit.take(s >> at & ((1 << width) - 1))
-        key = np.multiply(tuples.take(t), 4, dtype=np.intp)
-        key |= even[start:stop] << 1
+        key = np.multiply(tuples.take(t), 2, dtype=np.intp)
         key |= parity[start:stop]
         cls = class_of_key.take(key)
         if cls.min() < 0:  # number each new group by its first syndrome
@@ -392,32 +380,31 @@ def _factored(n, parts, gens, even, parity):
     group = np.empty(len(first), np.intp)
     seen = np.flatnonzero(class_of_group >= 0)
     group[class_of_group[seen]] = seen
-    # syndrome 0 is tuple 0, whose coset 0 is the generators' kernel
-    dtype = np.min_scalar_type(int(prefix[tuples[0], 0].sum()))
+    # syndrome 0 is tuple 0, whose row is the checks' kernel
+    dtype = np.min_scalar_type(int(prefix[tuples[0]].sum()))
     return first, key_rows[group].astype(dtype), classes
 
 
-def count_table(n, check_masks, xbar_mask, even, parity):
-    """Exact counts of supports by (syndrome, coset bit, weight), grouped
-    into classes of syndromes as they are built.
+def count_table(n, check_masks, parity):
+    """Exact counts of supports by (syndrome, weight), grouped into classes
+    of syndromes as they are built.
 
-    ``even[s]`` is the coset bit b of syndrome s's even-weight row and
-    ``parity[s]`` its recovery's weight parity (uint8 arrays of length 2**r
-    for r X checks).  Returns the first syndrome of each class, the class
-    rows ``rows[c] = (counts[s, even[s]], counts[s, even[s] ^ 1])`` of shape
-    ``(classes, 2, n + 1)`` in the smallest unsigned dtype that holds
-    2**(n - rank), and the class of every syndrome; ``rows[classes]`` is the
-    full table with each syndrome's even-weight row first, classes numbered
-    as they first appear.  When the X checks split the qubits and the
-    estimate of ``_split`` favours it, the rows come from the parts
-    (``_factored``), with the same classes, rows and dtypes.  At most
-    ``held_bytes(n, check_masks)`` bytes are held besides the arguments.
+    ``parity[s]`` is syndrome s's recovery weight parity (a uint8 array of
+    length 2**r for r X checks).  Returns the first syndrome of each class,
+    the class rows ``rows[c] = counts[s]`` of shape ``(classes, n + 1)`` in
+    the smallest unsigned dtype that holds 2**(n - rank), and the class of
+    every syndrome; ``rows[classes]`` is the full table, classes of equal
+    (row, parity) numbered as they first appear.  When the X checks split
+    the qubits and the estimate of ``_split`` favours it, the rows come from
+    the parts (``_factored``), with the same classes, rows and dtypes.  At
+    most ``held_bytes(n, check_masks)`` bytes are held besides the
+    arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")
-    gens = [int(xbar_mask)] + [int(m) for m in check_masks]
-    parts = _split(n, check_masks)
+    checks = [int(m) for m in check_masks]
+    parts = _split(n, checks)
     if parts is not None:
-        return _factored(n, parts, gens, even, parity)
-    build = _coset_blocks if _use_coset(n, len(check_masks)) else _dual_blocks
-    return _group(build(n, gens), even, parity)
+        return _factored(n, parts, checks, parity)
+    build = _coset_blocks if _use_coset(n, len(checks)) else _dual_blocks
+    return _group(build(n, checks), parity)

@@ -2,32 +2,32 @@
 
 The rotation expands as sum_v c_v Z(v) over all 2**n supports with
 c_v = cos(theta/2)**(n-|v|) * (-i sin(theta/2))**|v|.  Supports sharing a
-syndrome and a Z-stabilizer coset add coherently, so the channel is fully
-determined by the theta-independent table counting supports per (syndrome,
-coset, weight), which ``_kernels`` builds as exact integers, from the dual
-code when r (the number of X checks) is small, from the cosets of the
-check kernel when n - r is, or, when the X checks split the qubits into
-parts that share no check (X-Shor), from each part's own table, since
-independent parts' weights add and their logical-X parities XOR.  Per
-theta, each amplitude is the sum of count * weight term in ascending weight
-order, taken with elementwise IEEE operations, so the outputs do not depend
-on the BLAS build or its thread count.  Because stabilizers have even
-weight and the logical Z odd weight, the two coset amplitudes of a syndrome
-carry opposite real/imaginary parity; they are stored as signed reals S
-with the phase (-i)**parity implied, which makes the logical action
+syndrome and a Z-stabilizer coset add coherently.  Every Z stabilizer has
+even weight and the logical Z odd weight, so the all-ones support plus
+logical X lies in the span of the X checks (checked before a build): a
+support's weight parity is its logical-X parity plus a fixed function of
+its syndrome.  A syndrome's two cosets are therefore its even-weight and
+its odd-weight supports, and the channel is fully determined by the
+theta-independent table counting supports per (syndrome, weight), which
+``_kernels`` builds as exact integers, from the dual code when r (the
+number of X checks) is small, from the cosets of the check kernel when
+n - r is, or, when the X checks split the qubits into parts that share no
+check (X-Shor), from each part's own table, since independent parts'
+weights add.  Per theta, each amplitude is the sum of count * weight term
+in ascending weight order, taken with elementwise IEEE operations, so the
+outputs do not depend on the BLAS build or its thread count.  The two
+coset amplitudes of a syndrome carry opposite real/imaginary parity; they
+are stored as signed reals S with the phase (-i)**parity implied, which
+makes the logical action
 
     A0 * I + A1 * Zbar  ->  exp(-i(theta_s/2) Zbar),
     theta_s = (-1)**p0 * 2*atan(S1/S0)         (pi when S0 = 0)
 
-with p0 the recovery-weight parity.  Coset membership is read off the
-logical-X overlap parity: logical X commutes with every Z stabilizer and
-anticommutes with logical Z, so it is exactly the indicator functional of
-the logical coset (equivalent to classifying against an F2 basis of the
-Z-stabilizer row space, but O(1) per support).  The recovery of every
-syndrome comes from the decoder's table of 2**r correction keys
-(``MatchingGraph.table``): p0 is the key's lowest weight bit and the
-recovery's coset the overlap parity of the key's support, both read for
-all syndromes in a few array operations.
+with p0 the recovery-weight parity: the identity coset holds the weights
+of parity p0, the logical coset the others.  p0 of every syndrome is the
+parity of the decoder's table of 2**r minimum weights
+(``MatchingGraph.min_weights``); which minimum-weight correction the
+decoder would pick does not matter, since they all have that parity.
 
 Every per-syndrome output is an elementwise function of the syndrome's count
 column and recovery parity.  The columns are coset weight enumerators
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, gf2
 from .codes import CompassCode, InvalidCodeError
-from .decoder import bit_reverse, build_matching_graph
+from .decoder import build_matching_graph
 from .ptm import LogicalPTM
 
 # Also bounds the per-theta float error, not only the table cost: amplitudes
@@ -79,11 +79,12 @@ class TooLargeError(RuntimeError):
 
 def _held_bytes(n: int, masks: list[int]) -> int:
     """Upper bound on the bytes a backend holds for n qubits and these X
-    check masks: its build (the decode table's int64 keys and transients,
-    10 bytes per syndrome; each syndrome's recovery parity and even-row bit,
-    2; what the count rows' build and grouping hold), then one evaluation."""
+    check masks: its build (the uint8 minimum weights, turned into each
+    syndrome's recovery parity in place, and the DP's temporaries, at most
+    a quarter byte per syndrome: 2 bytes a syndrome; what the count rows'
+    build and grouping hold), then one evaluation."""
     r = len(masks)
-    return (12 << r) + _kernels.held_bytes(n, masks) + _evaluation_bytes(n, r)
+    return (2 << r) + _kernels.held_bytes(n, masks) + _evaluation_bytes(n, r)
 
 
 def _evaluation_bytes(n: int, r: int) -> int:
@@ -177,18 +178,17 @@ class ExactBackend:
     """Caches the theta-independent count and recovery tables of a code.
 
     Every Z stabilizer has even weight and logical Z odd weight, so the
-    all-ones support lies in span(X checks, logical X) with logical X in the
-    sum: a support's weight parity is fixed by its (syndrome, coset) row,
-    and the two cosets of a syndrome have opposite parities.  Syndromes are
-    grouped into classes of equal even-weight coset row, odd-weight coset
-    row and recovery parity as the count rows are built, and only each
-    class's rows are laid out: weight-major, split by weight parity, in the
-    rows' narrow dtype.  ``_table[j, q, c]`` counts the weight-(2j+q)
-    supports of class c's coset of weight parity q (the half of the weights
-    that is always zero is dropped); the identity coset is the one with the
-    recovery's weight parity ``_parity[c]``.  ``_classes[s]`` is the class of
-    syndrome s in the smallest unsigned dtype, classes numbered as their first
-    syndromes appear (the 5x5 X-Shor code keeps 21 columns, 1 MB of indices).
+    all-ones support plus logical X lies in span(X checks): a syndrome's
+    coset of the recovery is the supports with the recovery's weight
+    parity, and its logical coset the supports of the other parity.
+    Syndromes are grouped into classes of equal count row and recovery
+    parity as the count rows are built, and only each class's row is laid
+    out: weight-major, split by weight parity, in the rows' narrow dtype.
+    ``_table[j, q, c]`` counts class c's weight-(2j+q) supports; the
+    identity coset is the half of weight parity ``_parity[c]``, the
+    recovery's.  ``_classes[s]`` is the class of syndrome s in the smallest
+    unsigned dtype, classes numbered as their first syndromes appear (the
+    5x5 X-Shor code keeps 21 columns, 1 MB of indices).
     """
 
     def __init__(self, code: CompassCode):
@@ -201,33 +201,17 @@ class ExactBackend:
             raise TooLargeError(
                 f"exact backend supports n <= {MAX_QUBITS} and builds holding at most "
                 f"{MAX_HELD_BYTES} bytes; n={n}, r={r} holds {held} bytes")
-        self.graph = build_matching_graph(code)
-        # a key holds the weight from bit n up, below it the mirrored support
-        # complemented.  Kept in place: the weight parity (bit n) and the
-        # complemented support under logical X, whose bit count differs from
-        # the recovery's overlap with logical X (its coset) by |xbar|.  The
-        # coset bit of each syndrome's even-weight row, coset ^ parity, is
-        # then the parity of |xbar| plus every bit kept.
-        keys = self.graph.table()
-        xbar = bit_reverse(code.logical_x.mask, n)
-        keys &= xbar | 1 << n
-        even_bit = np.bitwise_count(keys)
-        even_bit += xbar.bit_count()
-        even_bit &= 1
-        keys >>= n
-        parity = keys.astype(np.uint8)
-        del keys  # freed before the count rows are built
-        first, rows, self._classes = _kernels.count_table(
-            n, masks, code.logical_x.mask, even_bit, parity)
-        even, odd = rows[:, 0], rows[:, 1]
-        # every row equals its class's first row, so checking those checks all
-        if even[:, 1::2].any() or odd[:, 0::2].any():
-            raise InvalidCodeError("a (syndrome, coset) row holds supports of both weight "
+        if not gf2.in_span(((1 << n) - 1) ^ code.logical_x.mask, gf2.reduce_basis(masks)):
+            raise InvalidCodeError("a syndrome's cosets hold supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
+        self.graph = build_matching_graph(code)
+        parity = self.graph.min_weights()
+        parity &= 1
+        first, rows, self._classes = _kernels.count_table(n, masks, parity)
         self._table = np.zeros((n // 2 + 1, 2, len(rows)), rows.dtype)
-        self._table[:, 0] = even[:, 0::2].T
-        self._table[:(n + 1) // 2, 1] = odd[:, 1::2].T
+        self._table[:, 0] = rows[:, 0::2].T
+        self._table[:(n + 1) // 2, 1] = rows[:, 1::2].T
         self._parity = parity[first].astype(bool)
         self._parity.setflags(write=False)  # shared by the distributions
 

@@ -21,9 +21,10 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import families
+from . import exact, families
 from .codes import build_code, random_coloring
-from .exact import MIN_WEIGHT, SyndromeDistribution, _check_recovery, get_backend
+from .exact import (MIN_WEIGHT, SyndromeDistribution, TooLargeError, _check_recovery,
+                    get_backend)
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
 REFINE_TOL_OVER_PI = 0.001
@@ -307,6 +308,11 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 
 # Generator.choice's tolerance on the sum of normalised probabilities
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# Bytes ``sample_distribution`` holds per sample beyond the distribution's
+# own gather of p (tracemalloc, 32.0 at 2**16 and 2**20 samples on codes
+# with r = 3 to 20): the uniforms and the drawn indices, then the angles at
+# those indices and the scores' temporaries.
+_SAMPLE_BYTES = 32
 
 
 def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -435,7 +441,13 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     ``jobs`` > 1 runs the codes of every cell in one pool of that many
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
+    Raises TooLargeError before any build when one code's ``n_samples``
+    draws would hold more than ``exact.MAX_HELD_BYTES``.
     """
+    if n_samples is not None and n_samples * _SAMPLE_BYTES > exact.MAX_HELD_BYTES:
+        raise TooLargeError(
+            f"{n_samples} samples hold {n_samples * _SAMPLE_BYTES} bytes "
+            f"({_SAMPLE_BYTES} a sample), over the budget of {exact.MAX_HELD_BYTES} bytes")
     distances = list(distances)  # read once per q: it may be an iterator
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}

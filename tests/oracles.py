@@ -7,15 +7,18 @@ recovery operator itself is shared with the package (the recovery
 convention is part of the channel definition, not of the computation).
 
 ``count_table_reference`` counts all 2**n supports directly (the primal
-count), as the reference for the kernel's dual (MacWilliams) transform.
-``per_syndrome_backend`` lays out the count table once per syndrome, with
-no grouping, as the reference for the exact backend's syndrome classes, and
-``class_numbering_reference`` groups the whole table with ``np.unique``,
-no hash, and numbers the classes by their first syndromes, as the
-reference for the streamed grouping's class indices.  ``channel_reference``
-sums the channel over whole per-syndrome gathers, and ``diamond_reference``
-the diamond value, the bit-exact references for summing one gather of
-per-class products.
+count), as the reference for the kernel's dual (MacWilliams) transform;
+``coset_count_table_reference`` splits each syndrome's count by the
+logical-X coset, as the reference for the backend's reading of the two
+cosets as the even- and odd-weight supports.
+``per_syndrome_backend`` lays out the coset-split count table once per
+syndrome, with no grouping, as the reference for the exact backend's
+syndrome classes, and ``class_numbering_reference`` groups the whole table
+with ``np.unique``, no hash, and numbers the classes by their first
+syndromes, as the reference for the streamed grouping's class indices.
+``channel_reference`` sums the channel over whole per-syndrome gathers, and
+``diamond_reference`` the diamond value, the bit-exact references for
+summing one gather of per-class products.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -152,17 +155,25 @@ def haar_average_infidelity(eps, delta, m, n_polar=6, n_azimuth=7):
     return 1.0 - total / 2.0
 
 
-def count_table_reference(n, check_masks, xbar_mask):
-    """(syndrome, coset bit, weight) counts from one array of all 2**n supports."""
-    v = np.arange(1 << n, dtype=np.uint64)
-    key = np.zeros(1 << n, dtype=np.int64)
-    for k, m in enumerate(check_masks):
-        key |= (np.bitwise_count(v & np.uint64(m)) & 1).astype(np.int64) << k
-    key = key << 1 | (np.bitwise_count(v & np.uint64(xbar_mask)) & 1)
-    key = key * (n + 1) + np.bitwise_count(v)
+def count_table_reference(n, check_masks):
+    """(syndrome, weight) counts of all 2**n supports, 2**20 at a time."""
     r = len(check_masks)
-    counts = np.bincount(key, minlength=(1 << (r + 1)) * (n + 1))
-    return counts.reshape(1 << r, 2, n + 1)
+    counts = np.zeros((1 << r) * (n + 1), np.int64)
+    for start in range(0, 1 << n, 1 << 20):
+        v = np.arange(start, min(start + (1 << 20), 1 << n), dtype=np.uint64)
+        key = np.zeros(len(v), dtype=np.int64)
+        for k, m in enumerate(check_masks):
+            key |= (np.bitwise_count(v & np.uint64(m)) & 1).astype(np.int64) << k
+        key = key * (n + 1) + np.bitwise_count(v)
+        counts += np.bincount(key, minlength=len(counts))
+    return counts.reshape(1 << r, n + 1)
+
+
+def coset_count_table_reference(n, check_masks, xbar_mask):
+    """(syndrome, logical-X coset bit, weight) counts of all 2**n supports:
+    logical X read as one more check."""
+    counts = count_table_reference(n, [*check_masks, xbar_mask])
+    return counts.reshape(2, -1, n + 1).swapaxes(0, 1)
 
 
 def per_syndrome_backend(code):
@@ -203,13 +214,15 @@ def diamond_reference(dist):
 
 
 def _per_syndrome_rows(code):
-    """The whole count table ``(2**(r+1), n + 1)``, from the build the cost
-    rule picks, the row of each syndrome's even-weight coset and its
-    recovery's weight parity."""
+    """The whole coset-split count table ``(2**(r+1), n + 1)``, row
+    ``s << 1 | b`` counting syndrome s's supports of logical-X parity b,
+    from the kernel's build over the checks and logical X, the row of each
+    syndrome's even-weight coset and its recovery's weight parity, both
+    read off the decoder's tie-broken correction keys."""
     n, r = code.n, len(code.x_stabilizers)
     gens = [code.logical_x.mask] + [s.mask for s in code.x_stabilizers]
-    build = _kernels._coset_blocks if _kernels._use_coset(n, r) else _kernels._dual_blocks
-    counts = np.concatenate(list(build(n, gens))).reshape(-1, n + 1)
+    build = _kernels._coset_blocks if _kernels._use_coset(n, r + 1) else _kernels._dual_blocks
+    counts = np.concatenate(list(build(n, gens)))
     keys = build_matching_graph(code).table()
     parity = keys >> n & 1
     coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1

@@ -207,6 +207,19 @@ class TestChannel:
         assert error["code"] == "computational"
         assert re.search(r"n=25, r=24 holds \d+ bytes", error["message"])
 
+    def test_interpolate_samples_over_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a code was built")
+        monkeypatch.setattr(experiments, "build_code", no_build)
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 100 * experiments._SAMPLE_BYTES - 1)
+        out = tmp_path / "curve.csv"
+        rc, _, err = run(capsys, "interpolate", "--q-shors", "0.5", "--d", "3",
+                         "--codes", "2", "--samples", "100", "--out", str(out))
+        assert rc == 2 and not out.exists()
+        error = json.loads(err)
+        assert error["code"] == "computational"
+        assert f"100 samples hold {100 * experiments._SAMPLE_BYTES} bytes" in error["message"]
+
     def test_analytic_rep_identity(self, capsys):
         rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep",
                             "--l", "3", "--theta-over-pi", "0")

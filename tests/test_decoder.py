@@ -9,7 +9,7 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         decode_bruteforce, decode_mwpm, family_rotated_surface,
                         family_x_shor, family_z_shor, family_z_stacked,
                         random_coloring, syndrome_of)
-from compasscoh.decoder import syndrome_to_mask
+from compasscoh.decoder import _brute_table, syndrome_to_mask
 from oracles import (graph_dist, graph_edges, graph_path, match_reference,
                      shortest_paths_reference, stabilizer_free)
 
@@ -109,10 +109,13 @@ def _all_syndrome_comparison(code):
         assert mwpm.mask == brute.mask, (code.coloring, s)
 
 
-@pytest.mark.parametrize("coloring", [
+EXHAUSTIVE = [
     family_z_shor(3, 3), family_x_shor(3, 3), family_rotated_surface(3),
     family_z_stacked(3, 2), Coloring(1, 7, ()),
-])
+]
+
+
+@pytest.mark.parametrize("coloring", EXHAUSTIVE)
 def test_mwpm_matches_bruteforce_exhaustively(coloring):
     _all_syndrome_comparison(build_code(coloring))
 
@@ -120,6 +123,22 @@ def test_mwpm_matches_bruteforce_exhaustively(coloring):
 @pytest.mark.parametrize("seed", range(6))
 def test_mwpm_matches_bruteforce_random_3x5(seed):
     _all_syndrome_comparison(build_code(random_coloring(3, 5, 0.5, seed)))
+
+
+@pytest.mark.parametrize("coloring", EXHAUSTIVE + [
+    random_coloring(3, 5, 0.5, seed) for seed in range(6)])
+def test_min_weights_equal_bruteforce(coloring):
+    code = build_code(coloring)
+    weights = build_matching_graph(code).min_weights()
+    assert weights.dtype == np.uint8 and len(weights) == 1 << len(code.x_stabilizers)
+    assert np.array_equal(weights, _brute_table(code)[0])
+
+
+@pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
+def test_min_weights_equal_the_weights_of_the_table_keys(coloring):
+    # n = 25 is above the brute force's n <= 20
+    graph = build_matching_graph(build_code(coloring))
+    assert np.array_equal(graph.min_weights(), graph.table() >> graph.n)
 
 
 def test_determinism_across_instances():

@@ -12,14 +12,14 @@ import pytest
 from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
                         build_code, build_matching_graph, diamond_avg, exact,
                         family_rotated_surface, family_x_shor, family_z_shor,
-                        family_z_stacked, logical_channel, random_coloring,
+                        family_z_stacked, gf2, logical_channel, random_coloring,
                         syndrome_distribution, x_shor_channel)
 from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
-from oracles import (channel_reference, class_numbering_reference,
-                     count_table_reference, diamond_reference, per_syndrome_backend,
+from oracles import (channel_reference, class_numbering_reference, count_table_reference,
+                     coset_count_table_reference, diamond_reference, per_syndrome_backend,
                      statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -191,15 +191,20 @@ class TestGuards:
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
         monkeypatch.setattr(exact, "build_matching_graph", no_build)
-        # the 1x25 grid (2**24 syndromes) is bounded by 0.73 GB, within the budget
+        # the 1x25 grid (2**24 syndromes) is bounded by 0.56 GB, within the budget
         grid = build_code(family_z_shor(1, 25))
         assert exact._held_bytes(25, [s.mask for s in grid.x_stabilizers]) <= exact.MAX_HELD_BYTES
         monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
         with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
             ExactBackend(build_code(family_z_shor(1, 25)))
 
-    def test_mixed_weight_parity_rows_rejected(self):
-        # without its second check the all-ones support leaves span(checks, Xbar)
+    def test_mixed_weight_parity_rows_rejected(self, monkeypatch):
+        # without its second check the all-ones support plus Xbar leaves
+        # span(checks); rejected before the decode or count tables are built
+        def no_build(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(_kernels, "count_table", no_build)
+        monkeypatch.setattr(exact, "build_matching_graph", no_build)
         code = build_code(Coloring(1, 3, ()))
         broken = dataclasses.replace(code, x_stabilizers=code.x_stabilizers[:1])
         with pytest.raises(InvalidCodeError, match="both weight parities"):
@@ -223,6 +228,25 @@ class TestGuards:
         assert get_backend(code) is get_backend(code)
 
 
+@pytest.mark.parametrize("coloring", [
+    Coloring(1, 3, ()), family_rotated_surface(3), family_x_shor(3, 3), family_z_shor(3, 3),
+    family_z_stacked(3, 2), family_z_stacked(5, 2),
+    *(random_coloring(3, 5, q, seed) for q in (0.25, 0.5, 0.9) for seed in range(2))])
+def test_cosets_are_the_even_and_odd_weight_supports(coloring):
+    # the backend reads a syndrome's two logical-X cosets off its row of the
+    # checks alone as its even- and odd-weight supports
+    code = build_code(coloring)
+    n, masks = code.n, [s.mask for s in code.x_stabilizers]
+    assert gf2.in_span(((1 << n) - 1) ^ code.logical_x.mask, gf2.reduce_basis(masks))
+    cosets = coset_count_table_reference(n, masks, code.logical_x.mask)
+    odd = np.arange(n + 1) % 2 == 1
+    holds_even, holds_odd = cosets[..., ~odd].any(axis=-1), cosets[..., odd].any(axis=-1)
+    # each coset holds one weight parity, the two of a syndrome opposite ones
+    assert np.all(holds_even != holds_odd)
+    assert np.all(holds_even[:, 0] != holds_even[:, 1])
+    assert np.array_equal(cosets.sum(axis=1), count_table_reference(n, masks))
+
+
 def test_channel_consistency_with_distribution():
     code = build_code(random_coloring(3, 5, 0.6, 3))
     theta = 0.18 * math.pi
@@ -239,7 +263,7 @@ def _python_amplitudes(code, theta):
     Python sum of count * weight term over ascending weight."""
     n = code.n
     masks = [s.mask for s in code.x_stabilizers]
-    counts = count_table_reference(n, masks, code.logical_x.mask)
+    counts = coset_count_table_reference(n, masks, code.logical_x.mask)
     graph = build_matching_graph(code)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     wvec = [(-1.0) ** (w // 2) * c ** (n - w) * s ** w for w in range(n + 1)]
@@ -363,9 +387,10 @@ class TestColumnClasses:
         code = build_code(family_x_shor(5, 5))
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
         peak = _traced_peak(lambda: ExactBackend(code))
-        # the decode keys (8 MB), then one block and a uint8 class index per
-        # syndrome (1 MB); the whole count table (52 MB) is never held
-        assert peak < 12 << 20
+        # the uint8 recovery parities (1 MB), then the factored build's blocks
+        # and a uint8 class index per syndrome (5.3 MB in all); neither the
+        # int64 decode keys (8 MB) nor the whole count table (26 MB) is held
+        assert peak < 8 << 20
 
     # X-Shor 5x5 takes the coset build and RSC 5x5 the dual; X-Shor 4x5 in
     # blocks of 97 syndromes meets new keys after its first block
@@ -403,8 +428,8 @@ class TestColumnClasses:
     @pytest.mark.parametrize("mult,numbered", [
         (None, [0, 1, 0, 2, 1, 0, 2, 3]),
         (0, [0, 1, 0, 2, 3, 0, 4, 5]),  # every key 0: each syndrome unlike 0 is a stray
-        # the key is the low bit of the even-weight row's last entry, so the
-        # last block numbers its new key (syndrome 7) before its stray (6)
+        # the key is the low bit of the row's middle entry, so the last block
+        # numbers its new key (syndrome 7) before its stray (6)
         (1 << 63, [0, 1, 0, 2, 3, 0, 5, 4])])
     def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, mult, numbered):
         # a min-weight recovery's parity is that of the column's lowest weight,
@@ -412,16 +437,13 @@ class TestColumnClasses:
         collide = mult is not None
         if collide:
             monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(mult))
-        a, b, c = [1, 0, 1], [0, 2, 0], [0, 1, 0]
-        # per syndrome: (coset 0 row, coset 1 row), even-weight coset, parity
-        syndromes = [((a, b), 0, 0), ((a, b), 0, 1), ((a, b), 0, 0), ((a, c), 0, 0),
-                     ((a, b), 0, 1), ((b, a), 1, 0), ((a, c), 0, 0), ((a, b), 1, 0)]
-        counts = np.array([rows for rows, _, _ in syndromes], np.uint8)
-        even = np.array([e for _, e, _ in syndromes], np.uint8)
-        parity = np.array([p for _, _, p in syndromes], np.uint8)
+        a, b, c = [1, 1, 0], [0, 1, 1], [1, 2, 0]
+        # per syndrome: row, parity
+        syndromes = [(a, 0), (a, 1), (a, 0), (b, 0), (a, 1), (a, 0), (b, 0), (c, 0)]
+        counts = np.array([row for row, _ in syndromes], np.uint8)
+        parity = np.array([p for _, p in syndromes], np.uint8)
         blocks = [counts[i:i + 3] for i in range(0, len(counts), 3)]  # blocks of 3
-        first, rows, classes = _kernels._group(iter(blocks), even, parity)
-        # syndrome 5 has syndrome 0's rows with the cosets swapped, 7 does not
+        first, rows, classes = _kernels._group(iter(blocks), parity)
         assert classes[0] == classes[2] == classes[5]
         assert len({classes[0], classes[1], classes[3], classes[7]}) == 4
         # a syndrome that fails the check against its class becomes a class of its own
@@ -430,8 +452,7 @@ class TestColumnClasses:
         # classes are numbered as they appear, each block's strays after its new keys
         assert classes.dtype == np.uint8 and classes.tolist() == numbered
         assert np.array_equal(first, [numbered.index(k) for k in range(len(first))])
-        for flip in (0, 1):
-            assert np.array_equal(rows[classes, flip], counts[np.arange(8), even ^ flip])
+        assert np.array_equal(rows[classes], counts)
         assert np.array_equal(parity[first[classes]], parity)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])

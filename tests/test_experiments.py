@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from compasscoh import (AnalyticFamilySource, CodeSource, EnsembleSource,
                         write_csv, z_shor_channel)
 from compasscoh.experiments import (CSV_COLUMNS, PairCrossing, SweepRow,
                                     SweepTable, source_for_rows, table_to_json)
-from compasscoh import experiments, families
+from compasscoh import exact, experiments, families
+from compasscoh.exact import TooLargeError
 from compasscoh.families import AngleDistribution, repetition_exact
 from compasscoh import family_z_stacked
 
@@ -186,6 +188,18 @@ class TestSampling:
             assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
             assert sample_distribution(dist, n_samples, seed) == want
 
+    def test_peak_is_within_its_sample_bytes(self):
+        dist = syndrome_distribution(build_code(family_rotated_surface(3)), 0.37 * math.pi)
+        sample_distribution(dist, 1000, 1)  # any one-off set-up happens outside
+        tracemalloc.start()
+        try:
+            sample_distribution(dist, 1 << 16, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the distribution's own p gather is a term of the evaluation's bound
+        assert peak <= (experiments._SAMPLE_BYTES << 16) + exact._evaluation_bytes(9, 4)
+
     def test_reads_angles_only_where_it_draws(self):
         dist = syndrome_distribution(build_code(family_x_shor(5, 5)), 0.46 * math.pi)
         sample_distribution(dist, 400, 1)
@@ -285,6 +299,16 @@ class TestInterpolation:
         values = lambda table: [(r.r1, r.r1_stderr, r.diamond, r.diamond_stderr)
                                 for r in table.rows]
         assert len(pooled.rows) == 4 and values(pooled) == values(in_process)
+
+    def test_samples_over_budget_rejected_before_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a code was built")
+        monkeypatch.setattr(experiments, "build_code", no_build)
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 1000 * experiments._SAMPLE_BYTES)
+        with pytest.raises(TooLargeError, match=(
+                f"1001 samples hold {1001 * experiments._SAMPLE_BYTES} bytes .*"
+                f"budget of {1000 * experiments._SAMPLE_BYTES} bytes")):
+            interpolation_curve([3], [0.5], [0.1], n_codes=2, seed=0, n_samples=1001, jobs=2)
 
     def test_includes_rsc_coloring_at_half(self):
         # the checkerboard is a realizable q=1/2 coloring (seed 29 draws it)

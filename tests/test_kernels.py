@@ -9,76 +9,69 @@ from compasscoh import (KERNEL_BACKEND, _kernels, build_code, build_matching_gra
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, gf2, random_coloring)
 from compasscoh._kernels import count_table
-from compasscoh.decoder import bit_reverse
 
 from oracles import count_table_reference
 
 
-def _full_table(n, masks, xbar, seed=None, build=None, route=count_table):
-    """Every (s, b) row from ``route``'s class rows (``_group`` over
-    ``build``'s blocks when given), with random even-row bits and parities
-    when ``seed`` is given: row (s, b) is ``rows[classes[s], b ^ even[s]]``.
-    Also checks that ``first`` holds each class's lowest syndrome and that
-    classes are distinct."""
+def _full_table(n, masks, seed=None, build=None, route=count_table):
+    """Every syndrome's row from ``route``'s class rows (``_group`` over
+    ``build``'s blocks when given), with random parities when ``seed`` is
+    given: row s is ``rows[classes[s]]``.  Also checks that ``first`` holds
+    each class's lowest syndrome and that classes are distinct."""
     size = 1 << len(masks)
     if seed is None:
-        even, parity = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
+        parity = np.zeros(size, np.uint8)
     else:
-        even, parity = np.random.default_rng(seed).integers(0, 2, (2, size), np.uint8)
+        parity = np.random.default_rng(seed).integers(0, 2, size, np.uint8)
     if build is None:
-        first, rows, classes = route(n, masks, xbar, even, parity)
+        first, rows, classes = route(n, masks, parity)
     else:
-        first, rows, classes = _kernels._group(build(n, [xbar] + masks), even, parity)
+        first, rows, classes = _kernels._group(build(n, masks), parity)
     assert classes.dtype == np.min_scalar_type(len(rows) - 1) and len(first) == len(rows)
     lowest = np.full(len(rows), size)
     np.minimum.at(lowest, classes, np.arange(size))
     assert np.array_equal(first, lowest)
-    keyed = np.column_stack([rows.reshape(len(rows), -1), parity[first]])
+    keyed = np.column_stack([rows, parity[first]])
     assert len(np.unique(keyed, axis=0)) == len(rows)
     assert np.array_equal(parity[first][classes], parity)
-    full = rows[classes]
-    return np.where(even[:, None, None].astype(bool), full[:, ::-1], full)
+    return rows[classes]
 
 
 def _code_table(code, seed=None):
     masks = [s.mask for s in code.x_stabilizers]
-    return (_full_table(code.n, masks, code.logical_x.mask, seed),
-            count_table_reference(code.n, masks, code.logical_x.mask))
+    return _full_table(code.n, masks, seed), count_table_reference(code.n, masks)
 
 
 def test_weight_marginals_are_binomial():
     n = 10
-    counts = _full_table(n, [], 0)
-    assert counts.shape == (1, 2, n + 1)
-    per_weight = counts[0, 0]
-    assert per_weight.tolist() == [math.comb(n, w) for w in range(n + 1)]
-    assert counts[0, 1].sum() == 0
+    counts = _full_table(n, [])
+    assert counts.shape == (1, n + 1)
+    assert counts[0].tolist() == [math.comb(n, w) for w in range(n + 1)]
 
 
 def test_total_is_two_to_n():
     code = build_code(family_rotated_surface(3))
-    counts = _full_table(code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
+    counts = _full_table(code.n, [s.mask for s in code.x_stabilizers])
     assert counts.sum() == 1 << code.n
-    assert counts.shape == (1 << len(code.x_stabilizers), 2, code.n + 1)
+    assert counts.shape == (1 << len(code.x_stabilizers), code.n + 1)
 
 
-def test_xbar_split_halves():
+def test_one_bit_check_splits_halves():
     n = 8
-    counts = _full_table(n, [], 0b1)
+    counts = _full_table(n, [0b1])
     # conditioning on one bit splits weights binomially over n-1 qubits
-    assert counts[0, 0].tolist() == [math.comb(n - 1, w) if w <= n - 1 else 0
-                                     for w in range(n + 1)]
-    assert counts[0, 1, 0] == 0
+    assert counts[0].tolist() == [math.comb(n - 1, w) for w in range(n)] + [0]
+    assert counts[1].tolist() == [0] + [math.comb(n - 1, w) for w in range(n)]
 
 
 def test_rejects_oversized():
     with pytest.raises(ValueError):
-        count_table(26, [], 0, np.zeros(1, np.uint8), np.zeros(1, np.uint8))
+        count_table(26, [], np.zeros(1, np.uint8))
 
 
 def test_rsc3_matches_reference():
     table, ref = _code_table(build_code(family_rotated_surface(3)))
-    assert table.dtype == np.uint8  # entries <= 2**(n - r - 1) = 16
+    assert table.dtype == np.uint8  # entries <= 2**(n - r) = 32
     assert np.array_equal(table, ref)
 
 
@@ -91,57 +84,54 @@ def test_random_codes_match_reference(d_x, seed):
 
 
 def _generators(case):
-    """(n, check masks, xbar mask) for the regimes the dual transform newly covers."""
-    if case == "r+1=n":
+    """(n, check masks) for the regimes the dual transform newly covers."""
+    if case == "r=n-1":
         code = build_code(family_z_shor(1, 13))
     elif case == "n20-r16":
         code = build_code(family_x_shor(4, 5))
     else:
         code = build_code(family_rotated_surface(3))
     masks = [s.mask for s in code.x_stabilizers]
-    if case == "duplicate-check":
-        return code.n, masks + masks[:1], code.logical_x.mask
-    if case == "xbar-is-check":
-        return code.n, masks, masks[1]
-    return code.n, masks, code.logical_x.mask
+    if case == "duplicate-check":  # a dependent check: half the rows unreachable
+        return code.n, masks + masks[:1]
+    return code.n, masks
 
 
-REGIMES = ["r+1=n", "n20-r16", "duplicate-check", "xbar-is-check"]
+REGIMES = ["r=n-1", "n20-r16", "duplicate-check"]
 
 
 @pytest.mark.parametrize("case", REGIMES)
 def test_dual_regimes_match_reference(case):
-    n, masks, xbar = _generators(case)
-    assert np.array_equal(_full_table(n, masks, xbar, seed=0),
-                          count_table_reference(n, masks, xbar))
+    n, masks = _generators(case)
+    assert np.array_equal(_full_table(n, masks, seed=0), count_table_reference(n, masks))
 
 
-def _rows(build, n, gens):
-    return np.concatenate(list(build(n, gens)))
+def _rows(build, n, checks):
+    return np.concatenate(list(build(n, checks)))
 
 
 # small enough for several blocks, the last one short on most cases
 @pytest.mark.parametrize("block", [None, 100])
 @pytest.mark.parametrize("build", [_kernels._dual_blocks, _kernels._coset_blocks])
-@pytest.mark.parametrize("case", REGIMES + ["rsc3", "random3x5", "empty", "xbar-one-bit"])
+@pytest.mark.parametrize("case", REGIMES + ["rsc3", "random3x5", "empty", "one-bit-check"])
 def test_each_build_matches_reference(monkeypatch, build, case, block):
     if block is not None:
         monkeypatch.setattr(_kernels, "_BLOCK", block)
     if case == "random3x5":
         code = build_code(random_coloring(3, 5, 0.5, 1))
-        n, masks, xbar = code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask
+        n, masks = code.n, [s.mask for s in code.x_stabilizers]
     elif case == "empty":
-        n, masks, xbar = 10, [], 0
-    elif case == "xbar-one-bit":
-        n, masks, xbar = 8, [], 0b1
+        n, masks = 10, []
+    elif case == "one-bit-check":
+        n, masks = 8, [0b1]
     else:
-        n, masks, xbar = _generators(case)
-    ref = count_table_reference(n, masks, xbar)
-    rank = len(gf2.reduce_basis([xbar] + masks))
-    table = _rows(build, n, [xbar] + masks)
+        n, masks = _generators(case)
+    ref = count_table_reference(n, masks)
+    rank = len(gf2.reduce_basis(masks))
+    table = _rows(build, n, masks)
     assert table.dtype == np.min_scalar_type(1 << (n - rank))
     assert np.array_equal(table, ref)
-    grouped = _full_table(n, masks, xbar, seed=2, build=build)
+    grouped = _full_table(n, masks, seed=2, build=build)
     assert grouped.dtype == table.dtype and np.array_equal(grouped, ref)
 
 
@@ -149,11 +139,11 @@ def test_cost_rule_picks_the_coset_build_for_xshor_like_codes(monkeypatch):
     coset_calls = []
     build = _kernels._coset_blocks
     monkeypatch.setattr(_kernels, "_coset_blocks",
-                        lambda n, gens: coset_calls.append(n) or build(n, gens))
+                        lambda n, checks: coset_calls.append(n) or build(n, checks))
     for coloring in (family_rotated_surface(3), family_x_shor(3, 3),
                      family_rotated_surface(5), family_x_shor(4, 5)):
         code = build_code(coloring)
-        _full_table(code.n, [s.mask for s in code.x_stabilizers], code.logical_x.mask)
+        _full_table(code.n, [s.mask for s in code.x_stabilizers])
     assert coset_calls == [20]
 
 
@@ -162,46 +152,41 @@ def test_xshor5_table_is_exact():
     code = build_code(family_x_shor(5, 5))
     n, r = code.n, len(code.x_stabilizers)
     first, rows, classes = count_table(n, [s.mask for s in code.x_stabilizers],
-                                       code.logical_x.mask, np.zeros(1 << r, np.uint8),
                                        np.zeros(1 << r, np.uint8))
     assert rows.dtype == np.uint8 and classes.dtype == np.uint8  # exact integers
     counts = rows[classes]
-    assert np.all(counts.sum(axis=2) == 1 << (n - r - 1))
-    assert counts.sum(axis=(0, 1)).tolist() == [math.comb(n, w) for w in range(n + 1)]
+    assert np.all(counts.sum(axis=1) == 1 << (n - r))
+    assert counts.sum(axis=0).tolist() == [math.comb(n, w) for w in range(n + 1)]
 
 
 def test_xshor5_coset_build_equals_dual():
     # the largest code the coset build is claimed for; the dual is the reference
     code = build_code(family_x_shor(5, 5))
-    gens = [code.logical_x.mask] + [s.mask for s in code.x_stabilizers]
-    assert np.array_equal(_rows(_kernels._coset_blocks, code.n, gens),
-                          _rows(_kernels._dual_blocks, code.n, gens))
+    masks = [s.mask for s in code.x_stabilizers]
+    assert np.array_equal(_rows(_kernels._coset_blocks, code.n, masks),
+                          _rows(_kernels._dual_blocks, code.n, masks))
 
 
-def _assert_factored_equals_whole_code_route(n, masks, xbar, even, parity):
+def _assert_factored_equals_whole_code_route(n, masks, parity):
     """``_factored`` and ``count_table`` return the whole-code route's
     first syndromes, class rows and classes, dtypes included."""
-    r = len(masks)
-    gens = [xbar] + masks
-    build = _kernels._coset_blocks if _kernels._use_coset(n, r) else _kernels._dual_blocks
-    want = _kernels._group(build(n, gens), even, parity)
-    for got in (_factored(n, masks, xbar, even, parity),
-                count_table(n, masks, xbar, even, parity)):
+    build = _kernels._coset_blocks if _kernels._use_coset(n, len(masks)) else _kernels._dual_blocks
+    want = _kernels._group(build(n, masks), parity)
+    for got in (_factored(n, masks, parity), count_table(n, masks, parity)):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _factored(n, masks, xbar, even, parity):
-    return _kernels._factored(n, _kernels._components(n, masks), [xbar] + masks, even, parity)
+def _factored(n, masks, parity):
+    return _kernels._factored(n, _kernels._components(n, masks), masks, parity)
 
 
-def _decoder_bits(code):
-    """Each syndrome's even-row coset bit and recovery parity, read off the
-    decode table as ``ExactBackend`` reads them."""
-    keys = build_matching_graph(code).table()
-    parity = (keys >> code.n & 1).astype(np.uint8)
-    coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, code.n)) & 1
-    return coset ^ parity, parity
+def _decoder_parity(code):
+    """Each syndrome's recovery parity, read off the decoder as
+    ``ExactBackend`` reads it."""
+    parity = build_matching_graph(code).min_weights()
+    parity &= 1
+    return parity
 
 
 def _split_5x5():
@@ -224,9 +209,9 @@ def test_factored_route_equals_whole_code_route(name):
     code = build_code(SPLIT_5X5[name])
     n, masks = code.n, [s.mask for s in code.x_stabilizers]
     assert len(_kernels._components(n, masks)) > 1
-    # random bits make more keys to merge than the decoder's do
-    even, parity = np.random.default_rng(len(masks)).integers(0, 2, (2, 1 << len(masks)), np.uint8)
-    _assert_factored_equals_whole_code_route(n, masks, code.logical_x.mask, even, parity)
+    # random parities make more keys to merge than the decoder's do
+    parity = np.random.default_rng(len(masks)).integers(0, 2, 1 << len(masks), np.uint8)
+    _assert_factored_equals_whole_code_route(n, masks, parity)
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,20 +220,18 @@ def test_factored_route_equals_whole_code_route(name):
 def test_factored_route_equals_whole_code_route_on_random_colorings(d_x, d_z, q, seed):
     code = build_code(random_coloring(d_x, d_z, q, seed))
     masks = [s.mask for s in code.x_stabilizers]
-    _assert_factored_equals_whole_code_route(code.n, masks, code.logical_x.mask,
-                                             *_decoder_bits(code))
+    _assert_factored_equals_whole_code_route(code.n, masks, _decoder_parity(code))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6),
-    st.integers(0, (1 << n) - 1))))
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=7))))
 def test_factored_route_matches_reference_on_any_generators(case):
-    # zero, repeated and dependent checks, qubits in no check, any logical X;
-    # checked against the primal count, with the class properties of _full_table
-    n, masks, xbar = case
-    table = _full_table(n, masks, xbar, seed=n, route=_factored)
-    assert np.array_equal(table, count_table_reference(n, masks, xbar))
+    # zero, repeated and dependent checks, qubits in no check; checked
+    # against the primal count, with the class properties of _full_table
+    n, masks = case
+    table = _full_table(n, masks, seed=n, route=_factored)
+    assert np.array_equal(table, count_table_reference(n, masks))
 
 
 def test_components_split_on_shared_checks_only():

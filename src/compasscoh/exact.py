@@ -38,13 +38,17 @@ builds their rows, one block at a time, numbered as they first appear, and
 the backend lays out one column per class; each theta is evaluated once per
 class, and each per-syndrome array or summand is one gather of class values,
 with the same bits as evaluating every syndrome.  A build first checks that
-the bytes it and one evaluation will hold fit ``MAX_HELD_BYTES``.
+the bytes it and one evaluation will hold fit ``MAX_HELD_BYTES``.  The
+backend keeps its last evaluation, so callers asking for one (theta,
+recovery) in turn, such as the equal codes of an ensemble cell, share one
+distribution and the one inverse CDF their samplers search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,19 +86,22 @@ def _held_bytes(n: int, masks: list[int]) -> int:
     check masks: its build (the uint8 minimum weights, turned into each
     syndrome's recovery parity in place, and the DP's temporaries, at most
     a quarter byte per syndrome: 2 bytes a syndrome; what the count rows'
-    build and grouping hold), then one evaluation."""
+    build and grouping hold), then one evaluation, which the backend keeps
+    until it is asked for another (theta, recovery)."""
     r = len(masks)
     return (2 << r) + _kernels.held_bytes(n, masks) + _evaluation_bytes(n, r)
 
 
 def _evaluation_bytes(n: int, r: int) -> int:
-    """Upper bound on the bytes one ``distribution``, its ``channel`` and
-    its ``diamond_avg`` hold beyond the backend: per syndrome, the
-    dropped-syndrome path's mask (1), int64 and uint32 indices (12) and
+    """Upper bound on the bytes one ``distribution``, its ``channel``, its
+    ``diamond_avg`` and its ``cdf`` hold beyond the backend: per syndrome,
+    the dropped-syndrome path's mask (1), int64 and uint32 indices (12) and
     class indices, and one float64 gather (8); one float64 block of the
-    ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The class
-    values, a few dozen bytes a class, are not counted: the class count is
-    known only after the build."""
+    ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The
+    backend keeps the distribution and, once built, its CDF (that one
+    float64 gather) until the next (theta, recovery).  The class values, a
+    few dozen bytes a class, are not counted: the class count is known
+    only after the build."""
     index = np.min_scalar_type((1 << r) - 1).itemsize
     block = 8 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
     return ((1 + 8 + 4 + index + 8) << r) + block + _EVALUATION_FIXED
@@ -118,6 +125,32 @@ def _check_recovery(recovery: str) -> str:
     return recovery
 
 
+# Generator.choice's tolerance on the sum of normalised probabilities
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def inverse_cdf(p: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s inverse CDF of probabilities ``p``, built over
+    ``p`` in place: the normalised probabilities' running sum, divided by
+    its last entry.  Searching it with uniforms from ``rng.random`` draws
+    the indices of ``rng.choice(len(p), n, p=p / p.sum())``.
+
+    Like choice, raises ValueError for probabilities that are not finite,
+    are negative, sum to zero, or do not sum to 1 once normalised.
+    """
+    total = p.sum()
+    if not (math.isfinite(total) and total != 0.0):
+        raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
+    cdf = np.divide(p, total, out=p)
+    if cdf.min() < 0.0:
+        raise ValueError("probabilities must be non-negative")
+    np.cumsum(cdf, out=cdf)
+    if abs(cdf[-1] - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities sum to {cdf[-1]}, not 1, once normalised")
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True, eq=False)
 class SyndromeDistribution:
     """Per-syndrome probabilities and logical angles at a physical angle.
@@ -128,7 +161,10 @@ class SyndromeDistribution:
     amplitude parts, their phases (-i)**parity and (-i)**(1 - parity)
     implied by the recovery's weight parity ``column_parity`` (bool).  The
     per-syndrome ``syndromes``, ``p`` and ``theta_s`` (up to 2**r entries)
-    are gathered on every read and never kept.
+    are gathered on every read and never kept; the inverse CDF of ``p``,
+    ``cdf``, is built from one such gather when first read, and kept.
+    A backend hands the same distribution to every caller that asks for
+    its (theta, recovery), so every array it holds is read-only.
     """
 
     num_checks: int
@@ -139,6 +175,12 @@ class SyndromeDistribution:
     column_parity: np.ndarray
     columns: np.ndarray
     kept: np.ndarray | None  # the kept syndromes; None when every one is kept
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def gather(self, column_values: np.ndarray) -> np.ndarray:
         """Each kept syndrome's class value; fancy indexing, unlike ``take``,
@@ -160,6 +202,14 @@ class SyndromeDistribution:
     def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
         """``theta_s[idx]``, without gathering ``theta_s`` whole."""
         return self.column_theta_s.take(self.columns.take(idx))
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """``inverse_cdf(p)``, built over one fresh gather of ``p`` when first
+        read; every sampler of this distribution then searches it."""
+        cdf = inverse_cdf(self.p)
+        cdf.setflags(write=False)
+        return cdf
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -189,7 +239,15 @@ class ExactBackend:
     recovery's.  ``_classes[s]`` is the class of syndrome s in the smallest
     unsigned dtype, classes numbered as their first syndromes appear (the
     5x5 X-Shor code keeps 21 columns, 1 MB of indices).
+
+    ``distribution`` keeps its last result, keyed by the reduced angle's
+    bits and the recovery: asked again for that key, it returns the same
+    (read-only) distribution, whose CDF is then built once for every
+    sampler of it; asked for another key, it drops the kept one first, so
+    a backend holds at most one evaluation.
     """
+
+    _last: tuple | None = None  # ((theta bits, recovery), distribution)
 
     def __init__(self, code: CompassCode):
         self.code = code
@@ -229,6 +287,10 @@ class ExactBackend:
     def distribution(self, theta: float, recovery: str = MIN_WEIGHT) -> SyndromeDistribution:
         _check_recovery(recovery)
         theta = reduce_angle(theta)
+        key = theta.hex(), recovery  # 0.0 and -0.0 stay apart
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        self._last = None
         s_id, s_log = self._amplitudes(theta)
         parity = self._parity
         if recovery == ML:
@@ -246,11 +308,13 @@ class ExactBackend:
         if not keep.all():
             kept = np.flatnonzero(keep[columns]).astype(np.uint32)
             columns = columns[kept]
-        return SyndromeDistribution(
+        dist = SyndromeDistribution(
             num_checks=self.num_checks,
             column_p=p, column_theta_s=theta_s, column_amp_identity=s_id,
             column_amp_logical=s_log, column_parity=parity,
             columns=columns, kept=kept)
+        self._last = key, dist
+        return dist
 
     def channel(self, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
         return self.distribution(theta, recovery).channel()

@@ -24,7 +24,7 @@ import numpy as np
 from . import exact, families
 from .codes import build_code, random_coloring
 from .exact import (MIN_WEIGHT, SyndromeDistribution, TooLargeError, _check_recovery,
-                    get_backend)
+                    get_backend, inverse_cdf)
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
 REFINE_TOL_OVER_PI = 0.001
@@ -306,8 +306,6 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
 
 
-# Generator.choice's tolerance on the sum of normalised probabilities
-_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # Bytes ``sample_distribution`` holds per sample beyond the distribution's
 # own gather of p (tracemalloc, 32.0 at 2**16 and 2**20 samples on codes
 # with r = 3 to 20): the uniforms and the drawn indices, then the angles at
@@ -318,24 +316,9 @@ _SAMPLE_BYTES = 32
 def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Indices drawn with probabilities ``p``: those of
     ``rng.choice(len(p), n_samples, p=p / p.sum())``, by choice's own inverse
-    CDF (the normalised probabilities' running sum, divided by its last
-    entry, searched with uniforms from ``rng.random``), built over ``p`` in
-    place.
-
-    Like choice, raises ValueError for probabilities that are not finite,
-    are negative, sum to zero, or do not sum to 1 once normalised.
-    """
-    total = p.sum()
-    if not (math.isfinite(total) and total != 0.0):
-        raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
-    cdf = np.divide(p, total, out=p)
-    if cdf.min() < 0.0:
-        raise ValueError("probabilities must be non-negative")
-    np.cumsum(cdf, out=cdf)
-    if abs(cdf[-1] - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probabilities sum to {cdf[-1]}, not 1, once normalised")
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n_samples), side="right")
+    CDF (``exact.inverse_cdf``, which raises ValueError where choice does),
+    built over ``p`` in place and searched with uniforms from ``rng.random``."""
+    return inverse_cdf(p).searchsorted(rng.random(n_samples), side="right")
 
 
 def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
@@ -343,15 +326,20 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
 
     Draws syndromes with probability p_s and scores (1 - cos theta_s)/3 and
     2|sin theta_s|; reports sample means and standard errors of the mean.
-    ``dist`` needs ``p`` and ``theta_s_at``: the cost is one sum and one
-    cumulative sum of ``p``, and angles are read only at the drawn indices.
-    A SyndromeDistribution's ``p`` is a fresh gather, the CDF's buffer, so a
-    draw holds one array of its length, not two; another ``p`` is copied.
+    ``dist`` needs ``p`` and ``theta_s_at``, and angles are read only at
+    the drawn indices.  A SyndromeDistribution's inverse CDF is its kept
+    ``cdf``: one sum and one cumulative sum of one gather of ``p``, built
+    by its first sampler and searched by every later one with that
+    sampler's own uniforms.  Any other ``dist`` has its ``p`` copied into
+    a CDF built for this call.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    p = dist.p if isinstance(dist, SyndromeDistribution) else np.array(dist.p, dtype=float)
-    idx = _draw(p, n_samples, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    if isinstance(dist, SyndromeDistribution):
+        idx = dist.cdf.searchsorted(rng.random(n_samples), side="right")
+    else:
+        idx = _draw(np.array(dist.p, dtype=float), n_samples, rng)
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
     mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
-                        build_code, build_matching_graph, diamond_avg, exact,
+                        build_code, build_matching_graph, diamond_avg, exact, experiments,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, gf2, logical_channel, random_coloring,
-                        syndrome_distribution, x_shor_channel)
+                        sample_distribution, syndrome_distribution, x_shor_channel)
 from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
@@ -521,20 +521,22 @@ class TestLazyArrays:
 
     def test_xshor5_distribution_allocates_no_per_syndrome_array(self):
         backend = get_backend(build_code(family_x_shor(5, 5)))
-        backend.distribution(0.46 * math.pi)  # any one-off set-up happens outside
+        # any one-off set-up happens outside, at another angle, which the
+        # backend would otherwise hand back without evaluating
+        backend.distribution(0.45 * math.pi)
         # every syndrome is kept; a per-syndrome float64 array is 8 MiB
         assert _traced_peak(lambda: backend.distribution(0.46 * math.pi)) < 1 << 20
 
     def test_xshor5_channel_peaks_at_one_gather(self):
         backend = get_backend(build_code(family_x_shor(5, 5)))
-        backend.channel(0.37 * math.pi)
+        backend.channel(0.36 * math.pi)
         # one float64 gather of 2**20 syndromes (8 MiB) at a time, its uint8
         # class indices read in buffered chunks
         assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 12 << 20
 
     def test_rsc5_evaluation_holds_no_float_copy_of_the_table(self):
         backend = get_backend(build_code(family_rotated_surface(5)))
-        backend.channel(0.37 * math.pi)
+        backend.channel(0.36 * math.pi)
         # the terms of 645 classes x 2 x 13 weights take 134 KB; a float64
         # copy of the uint16 table beside them took the peak to 270 KB
         assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 240_000
@@ -562,6 +564,105 @@ class TestLazyArrays:
             for recovery in ("minweight", "ml"):
                 peak = _traced_peak(lambda: evaluate(theta_over_pi * math.pi, recovery))
                 assert peak <= bound, (theta_over_pi, recovery)
+
+
+    # X-Shor 5x5 keeps a 2**20-entry CDF; theta = 0 and pi drop syndromes,
+    # so the kept distribution holds its own kept indices and classes
+    @pytest.mark.parametrize("coloring", [
+        family_x_shor(5, 5), family_rotated_surface(5), family_rotated_surface(3)])
+    def test_kept_evaluation_and_peak_are_within_its_held_bytes(self, coloring):
+        backend = get_backend(build_code(coloring))
+        n_samples = 400
+
+        def evaluate(theta):
+            sample_distribution(backend.distribution(theta), n_samples, 1)
+
+        evaluate(0.36 * math.pi)  # any one-off set-up happens outside
+        # the draws are budgeted apart, at _SAMPLE_BYTES a sample
+        bound = (exact._evaluation_bytes(backend.n, backend.num_checks)
+                 + n_samples * experiments._SAMPLE_BYTES)
+        for theta_over_pi in (0.0, 0.37, 0.5, 1.0):
+            tracemalloc.start()
+            try:
+                evaluate(theta_over_pi * math.pi)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # what the backend keeps until the next angle, plus this call's
+            # peak: room for the next evaluation while a caller holds this one
+            assert "cdf" in vars(backend._last[1])
+            assert held + peak <= bound, theta_over_pi
+
+
+class TestKeptDistribution:
+    """A backend hands back its last distribution when asked for the same
+    reduced angle, bit for bit, and recovery, and keeps no other."""
+
+    def test_same_key_same_object(self):
+        backend = ExactBackend(build_code(family_rotated_surface(3)))
+        dist = backend.distribution(0.37 * math.pi)
+        assert backend.distribution(0.37 * math.pi) is dist
+        assert backend.distribution(0.37 * math.pi, "minweight") is dist
+        zero = backend.distribution(0.0)
+        assert backend.distribution(0.0) is zero
+        others = [backend.distribution(-0.0), backend.distribution(0.0, "ml"),
+                  backend.distribution(math.nextafter(0.0, 1.0), "ml"),
+                  backend.distribution(0.37 * math.pi)]
+        assert len({id(d) for d in [dist, zero, *others]}) == 6
+        assert backend.distribution(0.37 * math.pi) is others[-1]
+
+    def test_drops_the_kept_distribution_before_the_next(self):
+        backend = ExactBackend(build_code(family_rotated_surface(3)))
+        real = backend._amplitudes
+        seen = []
+
+        def spy(theta):
+            seen.append(backend._last)
+            return real(theta)
+        backend._amplitudes = spy
+        backend.distribution(0.37 * math.pi)
+        backend.distribution(0.37 * math.pi, "ml")
+        assert seen == [None, None]
+
+    @pytest.mark.parametrize("coloring", [
+        family_x_shor(5, 5), family_rotated_surface(5), random_coloring(3, 3, 0.5, 1)])
+    def test_hit_is_bit_equal_to_a_fresh_backend(self, coloring):
+        code = build_code(coloring)
+        backend = ExactBackend(code)
+        for theta_over_pi in (0.0, 0.37, 1.0):
+            for recovery in ("minweight", "ml"):
+                theta = theta_over_pi * math.pi
+                dist = backend.distribution(theta, recovery)
+                hit = backend.distribution(theta, recovery)
+                fresh = ExactBackend(code).distribution(theta, recovery)
+                assert hit is dist
+                for name in ("p", "theta_s"):
+                    a, b = getattr(hit, name), getattr(fresh, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                want = fresh.channel()
+                for ch in (hit.channel(), backend.channel(theta, recovery)):
+                    assert (repr(ch.epsilon), repr(ch.delta)) == (
+                        repr(want.epsilon), repr(want.delta))
+
+    # theta = 0 drops every syndrome but one, so ``kept`` is an array
+    @pytest.mark.parametrize("theta_over_pi", [0.0, 0.37])
+    def test_shared_arrays_are_read_only(self, theta_over_pi):
+        backend = ExactBackend(build_code(family_rotated_surface(3)))
+        theta = theta_over_pi * math.pi
+        dist = backend.distribution(theta)
+        dist.cdf
+        names = [f.name for f in dataclasses.fields(dist)
+                 if isinstance(getattr(dist, f.name), np.ndarray)] + ["cdf"]
+        assert {"columns", "column_p", "cdf"} <= set(names)
+        assert ("kept" in names) == (theta_over_pi == 0.0)
+        want = {name: getattr(dist, name).copy() for name in names}
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dist, name)[...] = 0
+        again = backend.distribution(theta)
+        assert again is dist
+        for name in names:
+            assert getattr(again, name).tobytes() == want[name].tobytes(), name
 
 
 class TestChannelPerClass:

@@ -189,8 +189,11 @@ class TestSampling:
             assert sample_distribution(dist, n_samples, seed) == want
 
     def test_peak_is_within_its_sample_bytes(self):
-        dist = syndrome_distribution(build_code(family_rotated_surface(3)), 0.37 * math.pi)
-        sample_distribution(dist, 1000, 1)  # any one-off set-up happens outside
+        code = build_code(family_rotated_surface(3))
+        # any one-off set-up happens outside, on another distribution: this
+        # one's CDF is built by the traced call
+        sample_distribution(syndrome_distribution(code, 0.36 * math.pi), 1000, 1)
+        dist = syndrome_distribution(code, 0.37 * math.pi)
         tracemalloc.start()
         try:
             sample_distribution(dist, 1 << 16, 1)
@@ -201,10 +204,31 @@ class TestSampling:
         assert peak <= (experiments._SAMPLE_BYTES << 16) + exact._evaluation_bytes(9, 4)
 
     def test_reads_angles_only_where_it_draws(self):
-        dist = syndrome_distribution(build_code(family_x_shor(5, 5)), 0.46 * math.pi)
+        backend = exact.get_backend(build_code(family_x_shor(5, 5)))
+        dist = backend.distribution(0.46 * math.pi)
         sample_distribution(dist, 400, 1)
-        # neither 2**20-entry array is kept: p is gathered into the CDF's buffer
+        # neither p nor theta_s is kept: p is gathered into the CDF's buffer,
+        # and the CDF is the one 2**20-entry array the distribution adds to
+        # the backend's class indices
         assert "theta_s" not in vars(dist) and "p" not in vars(dist)
+        per_syndrome = {name for name, value in vars(dist).items()
+                        if isinstance(value, np.ndarray) and value.size == 1 << 20}
+        assert per_syndrome == {"columns", "cdf"} and dist.columns is backend._classes
+
+    def test_one_gather_of_p_for_every_sampler_at_one_angle(self, monkeypatch):
+        gathers = []
+        p = exact.SyndromeDistribution.p
+        monkeypatch.setattr(exact.SyndromeDistribution, "p",
+                            property(lambda dist: gathers.append(dist) or p.fget(dist)))
+        backend = exact.ExactBackend(build_code(family_x_shor(5, 5)))
+        estimates = [sample_distribution(backend.distribution(0.46 * math.pi), 400, seed)
+                     for seed in range(6)]
+        assert len(gathers) == 1
+        assert len(set(estimates)) == 6  # each code keeps its own draws
+        monkeypatch.setattr(exact.SyndromeDistribution, "p", p)
+        fresh = exact.ExactBackend(build_code(family_x_shor(5, 5)))
+        assert estimates == [sample_distribution(fresh.distribution(0.46 * math.pi), 400, seed)
+                             for seed in range(6)]
 
     @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [0.5, math.inf], [0.6, -0.1, 0.5],
                                    [0.0, 0.0], [], [1.0, -1.0]])

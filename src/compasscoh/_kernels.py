@@ -41,8 +41,10 @@ consecutive syndromes, one of three exact ways, whichever the cost rule of
 
 Each block's rows are grouped, and its class indices written, as soon as
 it is built (see ``_group``), so the full ``(2**r, n + 1)`` table is never
-held by the coset or factored build; classes are numbered as they first
-appear.
+held by the coset or factored build; classes of equal rows are numbered
+as they first appear.  A row also holds its syndrome's minimum correction
+weight, the lowest w with a nonzero count, so a class fixes the recovery
+parity of its syndromes and no decoder table is needed beside the rows.
 """
 
 import functools
@@ -153,40 +155,39 @@ def _coset_blocks(n, checks):
         yield hist.astype(dtype)
 
 
-def _group(blocks, parity):
-    """Group syndromes s into classes of equal count row and recovery
-    ``parity[s]``, one block of rows at a time.
+def _group(blocks, size):
+    """Group ``size`` syndromes into classes of equal count rows, one block
+    of rows at a time.
 
     ``blocks`` yields the count rows of consecutive syndromes.  Returns the
     first syndrome of each class, the class's row and the class of every
     syndrome in the smallest unsigned dtype.
 
-    Each syndrome is keyed by a uint64 hash of its row and parity, the row
-    read as packed words (the last one overlapping the one before when the
-    row is not a whole number of words).  The registry holds the key
-    and rows of each class's first syndrome in class order and finds a key
-    at the first class with it (a stable sort); every syndrome is compared
-    with that class, and one that differs (a stray) becomes a class of its
-    own, so the grouping is exact whatever the hash does.  Classes are
-    numbered as they appear: each block's new keys by first syndrome, then
-    its strays.  A block's class indices are written as soon as it is
-    grouped, widening their dtype only when the classes outgrow it.
+    Each syndrome is keyed by a uint64 hash of its row, read as packed
+    words (the last one overlapping the one before when the row is not a
+    whole number of words).  The registry holds the key and row of each
+    class's first syndrome in class order and finds a key at the first
+    class with it (a stable sort); every syndrome is compared with that
+    class, and one that differs (a stray) becomes a class of its own, so
+    the grouping is exact whatever the hash does.  Classes are numbered as
+    they appear: each block's new keys by first syndrome, then its strays.
+    A block's class indices are written as soon as it is grouped, widening
+    their dtype only when the classes outgrow it.
     """
-    classes = np.empty(len(parity), np.uint8)
+    classes = np.empty(size, np.uint8)
     stop = 0
     for table in blocks:
         start, stop = stop, stop + len(table)
-        # each syndrome's row as bytes, then its parity
-        syn = np.concatenate([table.view(np.uint8), parity[start:stop, None]], axis=1)
-        size = syn.shape[1] - 1
-        word = min(8, 1 << (size.bit_length() - 1))
-        key = parity[start:stop] * _HASH_MULT  # not XORed into a row bit
-        for offset in sorted({*range(0, size - word + 1, word), size - word}):
+        syn = table.view(np.uint8)  # each syndrome's row as bytes
+        width = syn.shape[1]
+        word = min(8, 1 << (width.bit_length() - 1))
+        key = np.zeros(len(syn), np.uint64)
+        for offset in sorted({*range(0, width - word + 1, word), width - word}):
             key ^= syn[:, offset:offset + word].view(f"u{word}")[:, 0]
             key *= _HASH_MULT
         if start == 0:  # every key of the first block is new
             first = unseen = np.sort(np.unique(key, return_index=True)[1])
-            reg_keys, reg_syn = key[first], syn[first]
+            reg_keys, reg_rows = key[first], table[first]
         else:
             cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter), mode="clip")
             unseen = np.flatnonzero(reg_keys.take(cls) != key)
@@ -194,21 +195,21 @@ def _group(blocks, parity):
                 new = np.sort(unseen[np.unique(key[unseen], return_index=True)[1]])
                 first = np.concatenate([first, start + new])
                 reg_keys = np.concatenate([reg_keys, key[new]])
-                reg_syn = np.concatenate([reg_syn, syn[new]])
+                reg_rows = np.concatenate([reg_rows, table[new]])
         if len(unseen):  # the registry grew: sort it and look the block up again
             sorter = np.argsort(reg_keys, kind="stable")
             cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter))
-        differ = np.flatnonzero(syn != reg_syn.take(cls, axis=0))
+        differ = np.flatnonzero(table != reg_rows.take(cls, axis=0))
         if len(differ):  # each stray becomes a class of its own
-            stray = np.unique(differ // syn.shape[1])
+            stray = np.unique(differ // table.shape[1])
             cls[stray] = len(first) + np.arange(len(stray))
             first = np.concatenate([first, start + stray])
-            reg_syn = np.concatenate([reg_syn, syn[stray]])
+            reg_rows = np.concatenate([reg_rows, table[stray]])
             reg_keys = np.concatenate([reg_keys, key[stray]])
             sorter = np.argsort(reg_keys, kind="stable")
         classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
         classes[start:stop] = cls
-    return first, reg_syn[:, :-1].view(table.dtype), classes
+    return first, reg_rows, classes
 
 
 def _costs(n, r):
@@ -281,7 +282,7 @@ def held_bytes(n, check_masks):
     class of every pair with its widening copy; the per-syndrome pass holds
     every syndrome's class index and its widening copy instead.  Like the
     class rows of every build, what grows with the classes (a few hundred
-    bytes a class: rows, two keys and their groups) is not counted: the
+    bytes a class: rows, keys and their lookups) is not counted: the
     class count is known only after the build.
     """
     r = len(check_masks)
@@ -309,7 +310,7 @@ def _convolve(prefix, rows):
     return out.reshape(-1, out.shape[-1])
 
 
-def _factored(n, parts, checks, parity):
+def _factored(n, parts, checks):
     """``count_table`` of a code whose X checks split its qubits into
     ``parts``, from the parts' own count rows: the whole-code route's first
     syndromes, class rows and classes, dtypes included, whenever that
@@ -321,9 +322,8 @@ def _factored(n, parts, checks, parity):
     significant.  The parts are folded in one at a time: the rows of every
     (prefix class, part class) pair are convolved (``_convolve``) and
     grouped again, so a fold holds only distinct rows, and ``tuples`` maps
-    each tuple to its class.  A syndrome's key is its tuple's class with
-    ``parity[s]``; the keys are grouped by (row, parity) as syndromes are,
-    and the groups numbered as their first syndromes appear, one block of
+    each tuple to its class.  A syndrome's class is its tuple's class after
+    the last fold, renumbered as the first syndromes appear, one block of
     syndromes at a time.
     """
     r = len(checks)
@@ -334,20 +334,16 @@ def _factored(n, parts, checks, parity):
         qs = [q for q in range(n) if qubits >> q & 1]
         sub = [_compress(checks[k], qs) for k in part_checks]
         build = _coset_blocks if _use_coset(len(qs), len(sub)) else _dual_blocks
-        _, rows, part_classes = _group(build(len(qs), sub), np.zeros(1 << len(sub), np.uint8))
+        _, rows, part_classes = _group(build(len(qs), sub), 1 << len(sub))
         step = max(1, _syndromes_per_block(n, 1) // len(rows))
         _, prefix, merged = _group((_convolve(prefix[i:i + step], rows)
                                     for i in range(0, len(prefix), step)),
-                                   np.zeros(len(prefix) * len(rows), np.uint8))
+                                   len(prefix) * len(rows))
         tuples = merged.reshape(-1, len(rows)).take(tuples, axis=0).ravel()
         digits = [(at, width, digit * len(rows)) for at, width, digit in digits]
         digits.append((len(order), len(sub), part_classes.astype(np.intp)))
         order += part_checks
-    step = max(1, _syndromes_per_block(n, 1) // 2)
-    keyed = (np.repeat(prefix[i:i + step], 2, axis=0) for i in range(0, len(prefix), step))
-    _, key_rows, key_group = _group(keyed, np.tile(np.array([0, 1], np.uint8), len(prefix)))
-    class_of_group = np.full(len(key_rows), -1, np.intp)
-    class_of_key = class_of_group.take(key_group)
+    class_of_row = np.full(len(prefix), -1, np.intp)
     first = np.zeros(0, np.intp)
     classes = np.empty(1 << r, np.uint8)
     # check k moves to bit position[k], so each part's checks are contiguous.
@@ -364,47 +360,42 @@ def _factored(n, parts, checks, parity):
         t = np.zeros_like(s)
         for at, width, digit in digits:
             t += digit.take(s >> at & ((1 << width) - 1))
-        key = np.multiply(tuples.take(t), 2, dtype=np.intp)
-        key |= parity[start:stop]
-        cls = class_of_key.take(key)
-        if cls.min() < 0:  # number each new group by its first syndrome
+        row = tuples.take(t)
+        cls = class_of_row.take(row)
+        if cls.min() < 0:  # number each new row by its first syndrome
             new = np.flatnonzero(cls < 0)
-            groups = key_group.take(key[new])
-            at = np.sort(np.unique(groups, return_index=True)[1])
-            class_of_group[groups[at]] = len(first) + np.arange(len(at))
+            at = np.sort(np.unique(row[new], return_index=True)[1])
+            class_of_row[row[new[at]]] = len(first) + np.arange(len(at))
             first = np.concatenate([first, start + new[at]])
-            class_of_key = class_of_group.take(key_group)
-            cls = class_of_key.take(key)
+            cls = class_of_row.take(row)
         classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
         classes[start:stop] = cls
-    group = np.empty(len(first), np.intp)
-    seen = np.flatnonzero(class_of_group >= 0)
-    group[class_of_group[seen]] = seen
+    row_of_class = np.empty(len(first), np.intp)
+    seen = np.flatnonzero(class_of_row >= 0)
+    row_of_class[class_of_row[seen]] = seen
     # syndrome 0 is tuple 0, whose row is the checks' kernel
     dtype = np.min_scalar_type(int(prefix[tuples[0]].sum()))
-    return first, key_rows[group].astype(dtype), classes
+    return first, prefix[row_of_class].astype(dtype), classes
 
 
-def count_table(n, check_masks, parity):
+def count_table(n, check_masks):
     """Exact counts of supports by (syndrome, weight), grouped into classes
     of syndromes as they are built.
 
-    ``parity[s]`` is syndrome s's recovery weight parity (a uint8 array of
-    length 2**r for r X checks).  Returns the first syndrome of each class,
-    the class rows ``rows[c] = counts[s]`` of shape ``(classes, n + 1)`` in
-    the smallest unsigned dtype that holds 2**(n - rank), and the class of
-    every syndrome; ``rows[classes]`` is the full table, classes of equal
-    (row, parity) numbered as they first appear.  When the X checks split
-    the qubits and the estimate of ``_split`` favours it, the rows come from
-    the parts (``_factored``), with the same classes, rows and dtypes.  At
-    most ``held_bytes(n, check_masks)`` bytes are held besides the
-    arguments.
+    Returns the first syndrome of each class, the class rows ``rows[c] =
+    counts[s]`` of shape ``(classes, n + 1)`` in the smallest unsigned
+    dtype that holds 2**(n - rank), and the class of every syndrome;
+    ``rows[classes]`` is the full table, classes of equal rows numbered as
+    they first appear.  When the X checks split the qubits and the estimate
+    of ``_split`` favours it, the rows come from the parts (``_factored``),
+    with the same classes, rows and dtypes.  At most ``held_bytes(n,
+    check_masks)`` bytes are held besides the arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")
     checks = [int(m) for m in check_masks]
     parts = _split(n, checks)
     if parts is not None:
-        return _factored(n, parts, checks, parity)
+        return _factored(n, parts, checks)
     build = _coset_blocks if _use_coset(n, len(checks)) else _dual_blocks
-    return _group(build(n, checks), parity)
+    return _group(build(n, checks), 1 << len(checks))

@@ -20,9 +20,8 @@ minimize this key, so ``decode_mwpm`` equals ``decode_bruteforce``.
 
 The DP matches the lowest node a of a subset to the boundary or to a
 higher node, so one NumPy level per check, from the highest index down,
-fills all 2^r syndromes in O(r 2^r) work and 8 bytes each, or 1 byte each
-for the weights alone (``min_weights``); one decode runs the same levels
-over the subsets of its flagged checks.  Keys are int64
+fills all 2^r syndromes in O(r 2^r) work and 8 bytes each; one decode
+runs the same levels over the subsets of its flagged checks.  Keys are int64
 while ``n + n.bit_length() < 63`` and Python ints beyond.
 """
 
@@ -68,8 +67,7 @@ def bit_reverse(mask: int, n: int) -> int:
 
 
 def _min_weight_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Best correction key of every subset of the checks of ``MatchingGraph.keys``
-    (or of their weights alone, ``keys >> n``, with n = 0)."""
+    """Best correction key of every subset of the checks of ``MatchingGraph.keys``."""
     k = len(keys)
     step = keys - ((1 << n) - 1)  # adding step[i, j] appends the i-j path
     best = np.empty(1 << k, dtype=keys.dtype)
@@ -148,18 +146,6 @@ class MatchingGraph:
     def table(self) -> np.ndarray:
         """Best correction key of every syndrome, indexed by syndrome mask."""
         return _min_weight_keys(self.keys, self.n)
-
-    def min_weights(self) -> np.ndarray:
-        """Minimum correction weight of every syndrome, indexed by syndrome
-        mask: the DP of ``table`` on the witness paths' weights alone, with
-        no tie-break part, in the smallest unsigned dtype that holds 2n
-        (uint8 up to n = 127; a subset's best is at most n and each
-        candidate at most 2n).  Every minimum-weight correction of a
-        syndrome has this weight, whichever one the tie-break picks, so the
-        exact channel, which reads only its parity, does not depend on the
-        tie-break."""
-        weights = (self.keys >> self.n).astype(np.min_scalar_type(2 * self.n))
-        return _min_weight_keys(weights, 0)
 
     def match(self, flagged_mask: int) -> tuple[int, int]:
         """Minimum matching cost and tie-broken correction mask for a syndrome."""

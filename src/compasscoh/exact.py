@@ -24,20 +24,21 @@ makes the logical action
     theta_s = (-1)**p0 * 2*atan(S1/S0)         (pi when S0 = 0)
 
 with p0 the recovery-weight parity: the identity coset holds the weights
-of parity p0, the logical coset the others.  p0 of every syndrome is the
-parity of the decoder's table of 2**r minimum weights
-(``MatchingGraph.min_weights``); which minimum-weight correction the
-decoder would pick does not matter, since they all have that parity.
+of parity p0, the logical coset the others.  A minimum-weight correction
+of a syndrome is one of its lowest-weight supports, so p0 is the parity of
+the lowest weight its count row holds, and no decoder runs; which
+minimum-weight correction the decoder would pick does not matter, since
+they all have that parity.
 
-Every per-syndrome output is an elementwise function of the syndrome's count
-column and recovery parity.  The columns are coset weight enumerators
+Every per-syndrome output is therefore an elementwise function of the
+syndrome's count column.  The columns are coset weight enumerators
 (MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
-code has 21 distinct (column, parity) pairs among its 2**20 syndromes.  So
-``_kernels.count_table`` groups syndromes into classes of equal pairs as it
-builds their rows, one block at a time, numbered as they first appear, and
-the backend lays out one column per class; each theta is evaluated once per
-class, and each per-syndrome array or summand is one gather of class values,
-with the same bits as evaluating every syndrome.  A build first checks that
+code has 21 distinct columns among its 2**20 syndromes.  So
+``_kernels.count_table`` groups syndromes into classes of equal columns as
+it builds their rows, one block at a time, numbered as they first appear,
+and the backend lays out one column per class; each theta is evaluated once
+per class, and each per-syndrome array or summand is one gather of class
+values, with the same bits as evaluating every syndrome.  A build first checks that
 the bytes it and one evaluation will hold fit ``MAX_HELD_BYTES``.  The
 backend keeps its last evaluation, so callers asking for one (theta,
 recovery) in turn, such as the equal codes of an ensemble cell, share one
@@ -54,7 +55,6 @@ import numpy as np
 
 from . import _kernels, gf2
 from .codes import CompassCode, InvalidCodeError
-from .decoder import build_matching_graph
 from .ptm import LogicalPTM
 
 # Also bounds the per-theta float error, not only the table cost: amplitudes
@@ -83,13 +83,10 @@ class TooLargeError(RuntimeError):
 
 def _held_bytes(n: int, masks: list[int]) -> int:
     """Upper bound on the bytes a backend holds for n qubits and these X
-    check masks: its build (the uint8 minimum weights, turned into each
-    syndrome's recovery parity in place, and the DP's temporaries, at most
-    a quarter byte per syndrome: 2 bytes a syndrome; what the count rows'
-    build and grouping hold), then one evaluation, which the backend keeps
-    until it is asked for another (theta, recovery)."""
-    r = len(masks)
-    return (2 << r) + _kernels.held_bytes(n, masks) + _evaluation_bytes(n, r)
+    check masks: its build (what the count rows' build and grouping hold),
+    then one evaluation, which the backend keeps until it is asked for
+    another (theta, recovery)."""
+    return _kernels.held_bytes(n, masks) + _evaluation_bytes(n, len(masks))
 
 
 def _evaluation_bytes(n: int, r: int) -> int:
@@ -225,20 +222,21 @@ class SyndromeDistribution:
 
 
 class ExactBackend:
-    """Caches the theta-independent count and recovery tables of a code.
+    """Caches the theta-independent count table of a code.
 
     Every Z stabilizer has even weight and logical Z odd weight, so the
     all-ones support plus logical X lies in span(X checks): a syndrome's
     coset of the recovery is the supports with the recovery's weight
     parity, and its logical coset the supports of the other parity.
-    Syndromes are grouped into classes of equal count row and recovery
-    parity as the count rows are built, and only each class's row is laid
-    out: weight-major, split by weight parity, in the rows' narrow dtype.
-    ``_table[j, q, c]`` counts class c's weight-(2j+q) supports; the
-    identity coset is the half of weight parity ``_parity[c]``, the
-    recovery's.  ``_classes[s]`` is the class of syndrome s in the smallest
-    unsigned dtype, classes numbered as their first syndromes appear (the
-    5x5 X-Shor code keeps 21 columns, 1 MB of indices).
+    Syndromes are grouped into classes of equal count rows as the rows are
+    built, and only each class's row is laid out: weight-major, split by
+    weight parity, in the rows' narrow dtype.  ``_table[j, q, c]`` counts
+    class c's weight-(2j+q) supports; the identity coset is the half of
+    weight parity ``_parity[c]``, that of the row's lowest weight, which
+    every minimum-weight recovery has.  ``_classes[s]`` is the class of
+    syndrome s in the smallest unsigned dtype, classes numbered as their
+    first syndromes appear (the 5x5 X-Shor code keeps 21 columns, 1 MB of
+    indices).
 
     ``distribution`` keeps its last result, keyed by the reduced angle's
     bits and the recovery: asked again for that key, it returns the same
@@ -263,14 +261,12 @@ class ExactBackend:
             raise InvalidCodeError("a syndrome's cosets hold supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
-        self.graph = build_matching_graph(code)
-        parity = self.graph.min_weights()
-        parity &= 1
-        first, rows, self._classes = _kernels.count_table(n, masks, parity)
+        _, rows, self._classes = _kernels.count_table(n, masks)
         self._table = np.zeros((n // 2 + 1, 2, len(rows)), rows.dtype)
         self._table[:, 0] = rows[:, 0::2].T
         self._table[:(n + 1) // 2, 1] = rows[:, 1::2].T
-        self._parity = parity[first].astype(bool)
+        # a minimum-weight recovery has its row's lowest weight
+        self._parity = (rows != 0).argmax(axis=1) % 2 == 1
         self._parity.setflags(write=False)  # shared by the distributions
 
     def _amplitudes(self, theta: float) -> tuple[np.ndarray, np.ndarray]:

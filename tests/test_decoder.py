@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,8 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         decode_bruteforce, decode_mwpm, family_rotated_surface,
                         family_x_shor, family_z_shor, family_z_stacked,
                         random_coloring, syndrome_of)
+from compasscoh._kernels import count_table
+from compasscoh.codes import XCUT, ZCUT
 from compasscoh.decoder import _brute_table, syndrome_to_mask
 from oracles import (graph_dist, graph_edges, graph_path, match_reference,
                      shortest_paths_reference, stabilizer_free)
@@ -125,20 +128,32 @@ def test_mwpm_matches_bruteforce_random_3x5(seed):
     _all_syndrome_comparison(build_code(random_coloring(3, 5, 0.5, seed)))
 
 
-@pytest.mark.parametrize("coloring", EXHAUSTIVE + [
-    random_coloring(3, 5, 0.5, seed) for seed in range(6)])
-def test_min_weights_equal_bruteforce(coloring):
+# the brute force enumerates n <= 15 here; at n = 25 the decoder's table is
+# the reference.  Random 5x5 codes at q = 0.75 seed 3 and q = 0.9 seed 5
+# split their qubits, so their rows come from their parts
+LOWEST_WEIGHT_CASES = [
+    *(Coloring(3, 3, (cells[:2], cells[2:]))
+      for cells in itertools.product((XCUT, ZCUT), repeat=4)),
+    *(random_coloring(*shape, q, seed) for shape in ((3, 5), (5, 3))
+      for q in (0.25, 0.5, 0.75) for seed in range(2)),
+    *(Coloring(1, l, ()) for l in range(1, 16, 2)),
+    *(Coloring(l, 1, ()) for l in range(1, 16)),
+    family_x_shor(5, 5), family_rotated_surface(5), family_z_stacked(5, 2),
+    random_coloring(5, 5, 0.75, 3), random_coloring(5, 5, 0.9, 5)]
+
+
+@pytest.mark.parametrize("coloring", LOWEST_WEIGHT_CASES)
+def test_count_rows_lowest_weight_is_the_minimum_correction_weight(coloring):
+    # the exact backend reads each syndrome's recovery parity off its row
     code = build_code(coloring)
-    weights = build_matching_graph(code).min_weights()
-    assert weights.dtype == np.uint8 and len(weights) == 1 << len(code.x_stabilizers)
-    assert np.array_equal(weights, _brute_table(code)[0])
-
-
-@pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
-def test_min_weights_equal_the_weights_of_the_table_keys(coloring):
-    # n = 25 is above the brute force's n <= 20
-    graph = build_matching_graph(build_code(coloring))
-    assert np.array_equal(graph.min_weights(), graph.table() >> graph.n)
+    n, masks = code.n, [s.mask for s in code.x_stabilizers]
+    _, rows, classes = count_table(n, masks)
+    lowest = (rows != 0).argmax(axis=1)[classes]
+    if n <= 15:
+        want = _brute_table(code)[0]
+    else:
+        want = build_matching_graph(code).table() >> n
+    assert len(lowest) == 1 << len(masks) and np.array_equal(lowest, want)
 
 
 def test_determinism_across_instances():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
-                        build_code, build_matching_graph, diamond_avg, exact, experiments,
-                        family_rotated_surface, family_x_shor, family_z_shor,
+                        build_code, build_matching_graph, decoder, diamond_avg, exact,
+                        experiments, family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, gf2, logical_channel, random_coloring,
                         sample_distribution, syndrome_distribution, x_shor_channel)
 from compasscoh.cli import main
@@ -190,8 +190,7 @@ class TestGuards:
         def no_build(*args):
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
-        monkeypatch.setattr(exact, "build_matching_graph", no_build)
-        # the 1x25 grid (2**24 syndromes) is bounded by 0.56 GB, within the budget
+        # the 1x25 grid (2**24 syndromes) is bounded by 0.53 GB, within the budget
         grid = build_code(family_z_shor(1, 25))
         assert exact._held_bytes(25, [s.mask for s in grid.x_stabilizers]) <= exact.MAX_HELD_BYTES
         monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
@@ -200,15 +199,34 @@ class TestGuards:
 
     def test_mixed_weight_parity_rows_rejected(self, monkeypatch):
         # without its second check the all-ones support plus Xbar leaves
-        # span(checks); rejected before the decode or count tables are built
+        # span(checks); rejected before the count table is built
         def no_build(*args):
             raise AssertionError("a table was built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
-        monkeypatch.setattr(exact, "build_matching_graph", no_build)
         code = build_code(Coloring(1, 3, ()))
         broken = dataclasses.replace(code, x_stabilizers=code.x_stabilizers[:1])
         with pytest.raises(InvalidCodeError, match="both weight parities"):
             ExactBackend(broken)
+
+    # channel(0.37 pi) of each code, (minweight, ml), as the decoder's
+    # minimum weights once gave it
+    @pytest.mark.parametrize("coloring,want", [
+        (family_x_shor(5, 5), [(1.0323593276746839, 0.18160407102231746),
+                               (0.3595083567160919, 0.10500478673119168)]),
+        (family_rotated_surface(5), [(0.8446447898168556, -0.04449871466783146),
+                                     (0.36594148926260894, 0.0221827131978743)]),
+        (random_coloring(3, 3, 0.5, 1), [(1.7075359346724321, -0.15685066981262774),
+                                         (0.059119231045774705, 1.6653345369377348e-16)])])
+    def test_build_runs_no_decoder(self, monkeypatch, coloring, want):
+        # the recovery parity is read off the count rows
+        def no_decoder(*args):
+            raise AssertionError("the decoder ran")
+        monkeypatch.setattr(decoder, "MatchingGraph", no_decoder)
+        monkeypatch.setattr(decoder, "_min_weight_keys", no_decoder)
+        backend = ExactBackend(build_code(coloring))
+        for recovery, (eps, delta) in zip(("minweight", "ml"), want):
+            ch = backend.channel(0.37 * math.pi, recovery)
+            assert (repr(ch.epsilon), repr(ch.delta)) == (repr(eps), repr(delta)), recovery
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, theta):
@@ -350,7 +368,7 @@ def _assert_same_numbering(backend, ref, code):
 
 class TestColumnClasses:
     """The backend keeps one table column per class of syndromes with equal
-    count column and recovery parity."""
+    count column, which also fixes their recovery parity."""
 
     @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2)])
     def test_bit_exact_at_full_size(self, coloring):
@@ -387,9 +405,9 @@ class TestColumnClasses:
         code = build_code(family_x_shor(5, 5))
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
         peak = _traced_peak(lambda: ExactBackend(code))
-        # the uint8 recovery parities (1 MB), then the factored build's blocks
-        # and a uint8 class index per syndrome (5.3 MB in all); neither the
-        # int64 decode keys (8 MB) nor the whole count table (26 MB) is held
+        # the factored build's blocks and a uint8 class index per syndrome
+        # (4.6 MB in all); neither a decode table (1 MB of uint8 weights or
+        # 8 MB of int64 keys) nor the whole count table (26 MB) is held
         assert peak < 8 << 20
 
     # X-Shor 5x5 takes the coset build and RSC 5x5 the dual; X-Shor 4x5 in
@@ -431,19 +449,15 @@ class TestColumnClasses:
         # the key is the low bit of the row's middle entry, so the last block
         # numbers its new key (syndrome 7) before its stray (6)
         (1 << 63, [0, 1, 0, 2, 3, 0, 5, 4])])
-    def test_equal_columns_of_different_parity_stay_apart(self, monkeypatch, mult, numbered):
-        # a min-weight recovery's parity is that of the column's lowest weight,
-        # so only synthetic rows show the parity in the class key
+    def test_colliding_rows_stay_apart(self, monkeypatch, mult, numbered):
+        # rows of real codes collide only under a synthetic hash
         collide = mult is not None
         if collide:
             monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(mult))
-        a, b, c = [1, 1, 0], [0, 1, 1], [1, 2, 0]
-        # per syndrome: row, parity
-        syndromes = [(a, 0), (a, 1), (a, 0), (b, 0), (a, 1), (a, 0), (b, 0), (c, 0)]
-        counts = np.array([row for row, _ in syndromes], np.uint8)
-        parity = np.array([p for _, p in syndromes], np.uint8)
+        a, b, c, d = [1, 1, 0], [0, 1, 1], [1, 2, 0], [0, 1, 0]
+        counts = np.array([a, d, a, b, d, a, b, c], np.uint8)
         blocks = [counts[i:i + 3] for i in range(0, len(counts), 3)]  # blocks of 3
-        first, rows, classes = _kernels._group(iter(blocks), parity)
+        first, rows, classes = _kernels._group(iter(blocks), len(counts))
         assert classes[0] == classes[2] == classes[5]
         assert len({classes[0], classes[1], classes[3], classes[7]}) == 4
         # a syndrome that fails the check against its class becomes a class of its own
@@ -453,7 +467,6 @@ class TestColumnClasses:
         assert classes.dtype == np.uint8 and classes.tolist() == numbered
         assert np.array_equal(first, [numbered.index(k) for k in range(len(first))])
         assert np.array_equal(rows[classes], counts)
-        assert np.array_equal(parity[first[classes]], parity)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])
     def test_xshor5_matches_closed_form(self, theta_over_pi):

@@ -5,41 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compasscoh import (KERNEL_BACKEND, _kernels, build_code, build_matching_graph,
-                        family_rotated_surface, family_x_shor, family_z_shor,
-                        family_z_stacked, gf2, random_coloring)
+from compasscoh import (KERNEL_BACKEND, _kernels, build_code, family_rotated_surface,
+                        family_x_shor, family_z_shor, family_z_stacked, gf2,
+                        random_coloring)
 from compasscoh._kernels import count_table
 
 from oracles import count_table_reference
 
 
-def _full_table(n, masks, seed=None, build=None, route=count_table):
+def _full_table(n, masks, build=None, route=count_table):
     """Every syndrome's row from ``route``'s class rows (``_group`` over
-    ``build``'s blocks when given), with random parities when ``seed`` is
-    given: row s is ``rows[classes[s]]``.  Also checks that ``first`` holds
-    each class's lowest syndrome and that classes are distinct."""
+    ``build``'s blocks when given): row s is ``rows[classes[s]]``.  Also
+    checks that ``first`` holds each class's lowest syndrome and that
+    classes are distinct."""
     size = 1 << len(masks)
-    if seed is None:
-        parity = np.zeros(size, np.uint8)
-    else:
-        parity = np.random.default_rng(seed).integers(0, 2, size, np.uint8)
     if build is None:
-        first, rows, classes = route(n, masks, parity)
+        first, rows, classes = route(n, masks)
     else:
-        first, rows, classes = _kernels._group(build(n, masks), parity)
+        first, rows, classes = _kernels._group(build(n, masks), size)
     assert classes.dtype == np.min_scalar_type(len(rows) - 1) and len(first) == len(rows)
     lowest = np.full(len(rows), size)
     np.minimum.at(lowest, classes, np.arange(size))
     assert np.array_equal(first, lowest)
-    keyed = np.column_stack([rows, parity[first]])
-    assert len(np.unique(keyed, axis=0)) == len(rows)
-    assert np.array_equal(parity[first][classes], parity)
+    assert len(np.unique(rows, axis=0)) == len(rows)
     return rows[classes]
 
 
-def _code_table(code, seed=None):
+def _code_table(code):
     masks = [s.mask for s in code.x_stabilizers]
-    return _full_table(code.n, masks, seed), count_table_reference(code.n, masks)
+    return _full_table(code.n, masks), count_table_reference(code.n, masks)
 
 
 def test_weight_marginals_are_binomial():
@@ -66,7 +60,7 @@ def test_one_bit_check_splits_halves():
 
 def test_rejects_oversized():
     with pytest.raises(ValueError):
-        count_table(26, [], np.zeros(1, np.uint8))
+        count_table(26, [])
 
 
 def test_rsc3_matches_reference():
@@ -79,7 +73,7 @@ def test_rsc3_matches_reference():
 @pytest.mark.parametrize("d_x", [3, 4])
 def test_random_codes_match_reference(d_x, seed):
     code = build_code(random_coloring(d_x, 5, 0.5, seed))
-    table, ref = _code_table(code, seed)
+    table, ref = _code_table(code)
     assert np.array_equal(table, ref)
 
 
@@ -103,7 +97,7 @@ REGIMES = ["r=n-1", "n20-r16", "duplicate-check"]
 @pytest.mark.parametrize("case", REGIMES)
 def test_dual_regimes_match_reference(case):
     n, masks = _generators(case)
-    assert np.array_equal(_full_table(n, masks, seed=0), count_table_reference(n, masks))
+    assert np.array_equal(_full_table(n, masks), count_table_reference(n, masks))
 
 
 def _rows(build, n, checks):
@@ -131,7 +125,7 @@ def test_each_build_matches_reference(monkeypatch, build, case, block):
     table = _rows(build, n, masks)
     assert table.dtype == np.min_scalar_type(1 << (n - rank))
     assert np.array_equal(table, ref)
-    grouped = _full_table(n, masks, seed=2, build=build)
+    grouped = _full_table(n, masks, build=build)
     assert grouped.dtype == table.dtype and np.array_equal(grouped, ref)
 
 
@@ -151,8 +145,7 @@ def test_xshor5_table_is_exact():
     # the largest code the exact backend builds from the coset build (n=25, r=20)
     code = build_code(family_x_shor(5, 5))
     n, r = code.n, len(code.x_stabilizers)
-    first, rows, classes = count_table(n, [s.mask for s in code.x_stabilizers],
-                                       np.zeros(1 << r, np.uint8))
+    first, rows, classes = count_table(n, [s.mask for s in code.x_stabilizers])
     assert rows.dtype == np.uint8 and classes.dtype == np.uint8  # exact integers
     counts = rows[classes]
     assert np.all(counts.sum(axis=1) == 1 << (n - r))
@@ -167,26 +160,18 @@ def test_xshor5_coset_build_equals_dual():
                           _rows(_kernels._dual_blocks, code.n, masks))
 
 
-def _assert_factored_equals_whole_code_route(n, masks, parity):
+def _assert_factored_equals_whole_code_route(n, masks):
     """``_factored`` and ``count_table`` return the whole-code route's
     first syndromes, class rows and classes, dtypes included."""
     build = _kernels._coset_blocks if _kernels._use_coset(n, len(masks)) else _kernels._dual_blocks
-    want = _kernels._group(build(n, masks), parity)
-    for got in (_factored(n, masks, parity), count_table(n, masks, parity)):
+    want = _kernels._group(build(n, masks), 1 << len(masks))
+    for got in (_factored(n, masks), count_table(n, masks)):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _factored(n, masks, parity):
-    return _kernels._factored(n, _kernels._components(n, masks), masks, parity)
-
-
-def _decoder_parity(code):
-    """Each syndrome's recovery parity, read off the decoder as
-    ``ExactBackend`` reads it."""
-    parity = build_matching_graph(code).min_weights()
-    parity &= 1
-    return parity
+def _factored(n, masks):
+    return _kernels._factored(n, _kernels._components(n, masks), masks)
 
 
 def _split_5x5():
@@ -209,9 +194,7 @@ def test_factored_route_equals_whole_code_route(name):
     code = build_code(SPLIT_5X5[name])
     n, masks = code.n, [s.mask for s in code.x_stabilizers]
     assert len(_kernels._components(n, masks)) > 1
-    # random parities make more keys to merge than the decoder's do
-    parity = np.random.default_rng(len(masks)).integers(0, 2, 1 << len(masks), np.uint8)
-    _assert_factored_equals_whole_code_route(n, masks, parity)
+    _assert_factored_equals_whole_code_route(n, masks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,7 +203,7 @@ def test_factored_route_equals_whole_code_route(name):
 def test_factored_route_equals_whole_code_route_on_random_colorings(d_x, d_z, q, seed):
     code = build_code(random_coloring(d_x, d_z, q, seed))
     masks = [s.mask for s in code.x_stabilizers]
-    _assert_factored_equals_whole_code_route(code.n, masks, _decoder_parity(code))
+    _assert_factored_equals_whole_code_route(code.n, masks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +213,7 @@ def test_factored_route_matches_reference_on_any_generators(case):
     # zero, repeated and dependent checks, qubits in no check; checked
     # against the primal count, with the class properties of _full_table
     n, masks = case
-    table = _full_table(n, masks, seed=n, route=_factored)
+    table = _full_table(n, masks, route=_factored)
     assert np.array_equal(table, count_table_reference(n, masks))
 
 

@@ -41,10 +41,11 @@ consecutive syndromes, one of three exact ways, whichever the cost rule of
 
 Each block's rows are grouped, and its class indices written, as soon as
 it is built (see ``_group``), so the full ``(2**r, n + 1)`` table is never
-held by the coset or factored build; classes of equal rows are numbered
-as they first appear.  A row also holds its syndrome's minimum correction
-weight, the lowest w with a nonzero count, so a class fixes the recovery
-parity of its syndromes and no decoder table is needed beside the rows.
+held by the coset or factored build.  Only ``rows[classes]``, the full
+table, is promised, not a class numbering.  A row also holds its
+syndrome's minimum correction weight, the lowest w with a nonzero count,
+so a class fixes the recovery parity of its syndromes and no decoder
+table is needed beside the rows.
 """
 
 import functools
@@ -160,19 +161,19 @@ def _group(blocks, size):
     of rows at a time.
 
     ``blocks`` yields the count rows of consecutive syndromes.  Returns the
-    first syndrome of each class, the class's row and the class of every
-    syndrome in the smallest unsigned dtype.
+    class rows and the class of every syndrome in the smallest unsigned
+    dtype.
 
     Each syndrome is keyed by a uint64 hash of its row, read as packed
     words (the last one overlapping the one before when the row is not a
     whole number of words).  The registry holds the key and row of each
-    class's first syndrome in class order and finds a key at the first
-    class with it (a stable sort); every syndrome is compared with that
-    class, and one that differs (a stray) becomes a class of its own, so
-    the grouping is exact whatever the hash does.  Classes are numbered as
-    they appear: each block's new keys by first syndrome, then its strays.
-    A block's class indices are written as soon as it is grouped, widening
-    their dtype only when the classes outgrow it.
+    class and finds a key at the first registered class with it (a stable
+    sort); every syndrome is compared with that class, and one that
+    differs (a stray) becomes a class of its own, so the grouping is exact
+    whatever the hash does.  Each block's new keys and then its strays are
+    registered after the classes already held.  A block's class indices
+    are written as soon as it is grouped, widening their dtype only when
+    the classes outgrow it.
     """
     classes = np.empty(size, np.uint8)
     stop = 0
@@ -186,30 +187,26 @@ def _group(blocks, size):
             key ^= syn[:, offset:offset + word].view(f"u{word}")[:, 0]
             key *= _HASH_MULT
         if start == 0:  # every key of the first block is new
-            first = unseen = np.sort(np.unique(key, return_index=True)[1])
-            reg_keys, reg_rows = key[first], table[first]
+            reg_keys, reg_rows, unseen = key[:0], table[:0], np.arange(len(key))
         else:
             cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter), mode="clip")
             unseen = np.flatnonzero(reg_keys.take(cls) != key)
-            if len(unseen):  # register each new key with its first syndrome, in syndrome order
-                new = np.sort(unseen[np.unique(key[unseen], return_index=True)[1]])
-                first = np.concatenate([first, start + new])
-                reg_keys = np.concatenate([reg_keys, key[new]])
-                reg_rows = np.concatenate([reg_rows, table[new]])
-        if len(unseen):  # the registry grew: sort it and look the block up again
+        new = unseen[np.unique(key[unseen], return_index=True)[1]]
+        if len(new):  # register each new key, sort the registry and look the block up again
+            reg_keys = np.concatenate([reg_keys, key[new]])
+            reg_rows = np.concatenate([reg_rows, table[new]])
             sorter = np.argsort(reg_keys, kind="stable")
             cls = sorter.take(np.searchsorted(reg_keys, key, sorter=sorter))
         differ = np.flatnonzero(table != reg_rows.take(cls, axis=0))
         if len(differ):  # each stray becomes a class of its own
             stray = np.unique(differ // table.shape[1])
-            cls[stray] = len(first) + np.arange(len(stray))
-            first = np.concatenate([first, start + stray])
+            cls[stray] = len(reg_rows) + np.arange(len(stray))
             reg_rows = np.concatenate([reg_rows, table[stray]])
             reg_keys = np.concatenate([reg_keys, key[stray]])
             sorter = np.argsort(reg_keys, kind="stable")
-        classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
+        classes = classes.astype(np.min_scalar_type(len(reg_rows) - 1), copy=False)
         classes[start:stop] = cls
-    return first, reg_rows, classes
+    return reg_rows, classes
 
 
 def _costs(n, r):
@@ -277,13 +274,13 @@ def held_bytes(n, check_masks):
     build; each part's int64 tuple digit of every part syndrome, its copy
     while a fold rescales it and the part's class (24 bytes a part
     syndrome); one block; and the class of every tuple, at most 2**r of
-    them.  While a fold grows the tuple classes it also holds
-    the previous ones, half as many and widened to int64, and the fold's
-    class of every pair with its widening copy; the per-syndrome pass holds
-    every syndrome's class index and its widening copy instead.  Like the
-    class rows of every build, what grows with the classes (a few hundred
-    bytes a class: rows, keys and their lookups) is not counted: the
-    class count is known only after the build.
+    them.  While a fold grows the tuple classes it also holds the previous
+    ones, half as many and widened to int64, and the fold's class of every
+    pair with its widening copy; the per-syndrome pass holds every
+    syndrome's class index instead, in a dtype fixed before the pass.  Like
+    the class rows of every build, what grows with the classes (a few
+    hundred bytes a class: rows, keys and their lookups) is not counted:
+    the class count is known only after the build.
     """
     r = len(check_masks)
     parts = _split(n, check_masks)
@@ -312,9 +309,8 @@ def _convolve(prefix, rows):
 
 def _factored(n, parts, checks):
     """``count_table`` of a code whose X checks split its qubits into
-    ``parts``, from the parts' own count rows: the whole-code route's first
-    syndromes, class rows and classes, dtypes included, whenever that
-    route's hash makes no stray class.
+    ``parts``, from the parts' own count rows: the whole-code route's table
+    ``rows[classes]``, row dtype and class dtype.
 
     Each part is built by the whole-code route and its syndromes grouped
     into part classes of equal rows.  A syndrome's tuple is the mixed-radix
@@ -322,9 +318,9 @@ def _factored(n, parts, checks):
     significant.  The parts are folded in one at a time: the rows of every
     (prefix class, part class) pair are convolved (``_convolve``) and
     grouped again, so a fold holds only distinct rows, and ``tuples`` maps
-    each tuple to its class.  A syndrome's class is its tuple's class after
-    the last fold, renumbered as the first syndromes appear, one block of
-    syndromes at a time.
+    each tuple to its class.  Every pair is some syndrome's tuple, so every
+    class after the last fold is some syndrome's, and a syndrome's class is
+    its tuple's, written one block of syndromes at a time.
     """
     r = len(checks)
     prefix = np.ones((1, 1), np.int64)  # no qubits: the empty support
@@ -334,18 +330,16 @@ def _factored(n, parts, checks):
         qs = [q for q in range(n) if qubits >> q & 1]
         sub = [_compress(checks[k], qs) for k in part_checks]
         build = _coset_blocks if _use_coset(len(qs), len(sub)) else _dual_blocks
-        _, rows, part_classes = _group(build(len(qs), sub), 1 << len(sub))
+        rows, part_classes = _group(build(len(qs), sub), 1 << len(sub))
         step = max(1, _syndromes_per_block(n, 1) // len(rows))
-        _, prefix, merged = _group((_convolve(prefix[i:i + step], rows)
-                                    for i in range(0, len(prefix), step)),
-                                   len(prefix) * len(rows))
+        prefix, merged = _group((_convolve(prefix[i:i + step], rows)
+                                 for i in range(0, len(prefix), step)),
+                                len(prefix) * len(rows))
         tuples = merged.reshape(-1, len(rows)).take(tuples, axis=0).ravel()
         digits = [(at, width, digit * len(rows)) for at, width, digit in digits]
         digits.append((len(order), len(sub), part_classes.astype(np.intp)))
         order += part_checks
-    class_of_row = np.full(len(prefix), -1, np.intp)
-    first = np.zeros(0, np.intp)
-    classes = np.empty(1 << r, np.uint8)
+    classes = np.empty(1 << r, np.min_scalar_type(len(prefix) - 1))
     # check k moves to bit position[k], so each part's checks are contiguous.
     # A block is 2**low syndromes, so its moved syndromes are one lookup
     # table of the low bits XOR one value of the high bits
@@ -355,41 +349,27 @@ def _factored(n, parts, checks):
     low = min(r, block.bit_length() - 1)
     low_bits = _span([1 << int(p) for p in position[:low]]).astype(np.intp)
     for start in range(0, 1 << r, block):
-        stop = start + len(low_bits)
         s = low_bits ^ sum(1 << int(position[k]) for k in range(low, r) if start >> k & 1)
         t = np.zeros_like(s)
         for at, width, digit in digits:
             t += digit.take(s >> at & ((1 << width) - 1))
-        row = tuples.take(t)
-        cls = class_of_row.take(row)
-        if cls.min() < 0:  # number each new row by its first syndrome
-            new = np.flatnonzero(cls < 0)
-            at = np.sort(np.unique(row[new], return_index=True)[1])
-            class_of_row[row[new[at]]] = len(first) + np.arange(len(at))
-            first = np.concatenate([first, start + new[at]])
-            cls = class_of_row.take(row)
-        classes = classes.astype(np.min_scalar_type(len(first) - 1), copy=False)
-        classes[start:stop] = cls
-    row_of_class = np.empty(len(first), np.intp)
-    seen = np.flatnonzero(class_of_row >= 0)
-    row_of_class[class_of_row[seen]] = seen
+        classes[start:start + len(s)] = tuples.take(t)
     # syndrome 0 is tuple 0, whose row is the checks' kernel
-    dtype = np.min_scalar_type(int(prefix[tuples[0]].sum()))
-    return first, prefix[row_of_class].astype(dtype), classes
+    return prefix.astype(np.min_scalar_type(int(prefix[tuples[0]].sum()))), classes
 
 
 def count_table(n, check_masks):
     """Exact counts of supports by (syndrome, weight), grouped into classes
     of syndromes as they are built.
 
-    Returns the first syndrome of each class, the class rows ``rows[c] =
-    counts[s]`` of shape ``(classes, n + 1)`` in the smallest unsigned
-    dtype that holds 2**(n - rank), and the class of every syndrome;
-    ``rows[classes]`` is the full table, classes of equal rows numbered as
-    they first appear.  When the X checks split the qubits and the estimate
-    of ``_split`` favours it, the rows come from the parts (``_factored``),
-    with the same classes, rows and dtypes.  At most ``held_bytes(n,
-    check_masks)`` bytes are held besides the arguments.
+    Returns ``(rows, classes)``: the class rows, of shape ``(classes, n +
+    1)`` in the smallest unsigned dtype that holds 2**(n - rank), and the
+    class of every syndrome in the smallest unsigned dtype, so that
+    ``rows[classes]`` is the full table.  No class numbering is promised.
+    When the X checks split the qubits and the estimate of ``_split``
+    favours it, the rows come from the parts (``_factored``), with the
+    same full table and dtypes.  At most ``held_bytes(n, check_masks)``
+    bytes are held besides the arguments.
     """
     if n < 0 or n > 25:
         raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")

@@ -28,6 +28,10 @@ from .ptm import kappa, r1
 
 _FAMILY_ALIASES = {family.alias: family for family in families.FAMILIES.values()}
 
+# Most points an A:B:STEP grid may hold; a larger one is refused (exit 2)
+# before its list is built.  Each point is at least one channel per distance.
+MAX_THETAS = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -50,7 +54,11 @@ def _parse_thetas(text: str) -> list[float]:
         raise UsageError("--thetas needs finite A, B and STEP")
     if step <= 0 or b < a:
         raise UsageError("--thetas needs STEP > 0 and B >= A")
-    count = int(round((b - a) / step)) + 1
+    span = (b - a) / step  # inf when b - a overflows
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_THETAS:
+        raise TooLargeError(f"--thetas {text} makes {count} points, over the limit of "
+                            f"{MAX_THETAS}")
     # a span that is not a whole number of steps may round up past B
     return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= b]
 

@@ -28,9 +28,11 @@ while ``n + n.bit_length() < 63`` and Python ints beyond.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
+from . import exact
 from .codes import CompassCode, InvalidCodeError, PauliSupport
 
 
@@ -148,8 +150,20 @@ class MatchingGraph:
         return _min_weight_keys(self.keys, self.n)
 
     def match(self, flagged_mask: int) -> tuple[int, int]:
-        """Minimum matching cost and tie-broken correction mask for a syndrome."""
+        """Minimum matching cost and tie-broken correction mask for a syndrome.
+
+        The DP over k flagged checks holds 2**k keys and temporaries of at
+        most half as many (1.11x the keys at k = 17, tracemalloc), a key
+        being 8 bytes as int64, or a pointer plus the largest key's int
+        object.  Over ``exact.MAX_HELD_BYTES``, TooLargeError before it runs.
+        """
         flagged = [k for k in range(self.num_checks) if flagged_mask >> k & 1]
+        key_bytes = 8 + (self.keys.dtype == object) * sys.getsizeof((self.n + 1) << self.n)
+        held = (3 << len(flagged)) // 2 * key_bytes
+        if held > exact.MAX_HELD_BYTES:
+            raise exact.TooLargeError(
+                f"decoding {len(flagged)} flagged checks of n={self.n} qubits holds {held} bytes "
+                f"of {key_bytes}-byte keys, over the budget of {exact.MAX_HELD_BYTES} bytes")
         key = int(_min_weight_keys(self.keys[np.ix_(flagged, flagged)], self.n)[-1])
         return key >> self.n, self.support(key)
 

@@ -35,14 +35,15 @@ syndrome's count column.  The columns are coset weight enumerators
 (MacWilliams & Sloane, ch. 5), which symmetric codes share: the 5x5 X-Shor
 code has 21 distinct columns among its 2**20 syndromes.  So
 ``_kernels.count_table`` groups syndromes into classes of equal columns as
-it builds their rows, one block at a time, numbered as they first appear,
-and the backend lays out one column per class; each theta is evaluated once
-per class, and each per-syndrome array or summand is one gather of class
-values, with the same bits as evaluating every syndrome.  A build first checks that
-the bytes it and one evaluation will hold fit ``MAX_HELD_BYTES``.  The
-backend keeps its last evaluation, so callers asking for one (theta,
-recovery) in turn, such as the equal codes of an ensemble cell, share one
-distribution and the one inverse CDF their samplers search.
+it builds their rows, one block at a time, and the backend lays out one
+column per class; each theta is evaluated once per class, and each
+per-syndrome array or summand is one gather of class values, with the
+same bits as evaluating every syndrome, whatever the class numbering.  A
+build first checks that the bytes it and one evaluation will hold fit
+``MAX_HELD_BYTES``.  The backend keeps its last evaluation, so callers
+asking for one (theta, recovery) in turn, such as the equal codes of an
+ensemble cell, share one distribution and the one inverse CDF their
+samplers search.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 
 class TooLargeError(RuntimeError):
-    """Exact backend rejected: n over MAX_QUBITS or a build over MAX_HELD_BYTES."""
+    """A size refused before work starts: n over MAX_QUBITS, a build, sample
+    or decode over MAX_HELD_BYTES, or a theta grid over ``cli.MAX_THETAS``."""
 
 
 def _held_bytes(n: int, masks: list[int]) -> int:
@@ -128,9 +130,10 @@ _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 def inverse_cdf(p: np.ndarray) -> np.ndarray:
     """``Generator.choice``'s inverse CDF of probabilities ``p``, built over
-    ``p`` in place: the normalised probabilities' running sum, divided by
-    its last entry.  Searching it with uniforms from ``rng.random`` draws
-    the indices of ``rng.choice(len(p), n, p=p / p.sum())``.
+    ``p`` in place and returned read-only, since samplers share it: the
+    normalised probabilities' running sum, divided by its last entry.
+    Searching it with uniforms from ``rng.random`` draws the indices of
+    ``rng.choice(len(p), n, p=p / p.sum())``.
 
     Like choice, raises ValueError for probabilities that are not finite,
     are negative, sum to zero, or do not sum to 1 once normalised.
@@ -145,6 +148,7 @@ def inverse_cdf(p: np.ndarray) -> np.ndarray:
     if abs(cdf[-1] - 1.0) > _SUM_ATOL:
         raise ValueError(f"probabilities sum to {cdf[-1]}, not 1, once normalised")
     cdf /= cdf[-1]
+    cdf.setflags(write=False)
     return cdf
 
 
@@ -204,9 +208,7 @@ class SyndromeDistribution:
     def cdf(self) -> np.ndarray:
         """``inverse_cdf(p)``, built over one fresh gather of ``p`` when first
         read; every sampler of this distribution then searches it."""
-        cdf = inverse_cdf(self.p)
-        cdf.setflags(write=False)
-        return cdf
+        return inverse_cdf(self.p)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -234,9 +236,9 @@ class ExactBackend:
     class c's weight-(2j+q) supports; the identity coset is the half of
     weight parity ``_parity[c]``, that of the row's lowest weight, which
     every minimum-weight recovery has.  ``_classes[s]`` is the class of
-    syndrome s in the smallest unsigned dtype, classes numbered as their
-    first syndromes appear (the 5x5 X-Shor code keeps 21 columns, 1 MB of
-    indices).
+    syndrome s in the smallest unsigned dtype (the 5x5 X-Shor code keeps 21
+    columns, 1 MB of indices).  Every output gathers class values per
+    syndrome, so no output depends on how the classes are numbered.
 
     ``distribution`` keeps its last result, keyed by the reduced angle's
     bits and the recovery: asked again for that key, it returns the same
@@ -261,7 +263,7 @@ class ExactBackend:
             raise InvalidCodeError("a syndrome's cosets hold supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "
                                    "weight parity")
-        _, rows, self._classes = _kernels.count_table(n, masks)
+        rows, self._classes = _kernels.count_table(n, masks)
         self._table = np.zeros((n // 2 + 1, 2, len(rows)), rows.dtype)
         self._table[:, 0] = rows[:, 0::2].T
         self._table[:(n + 1) // 2, 1] = rows[:, 1::2].T

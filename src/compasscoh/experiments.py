@@ -23,8 +23,7 @@ import numpy as np
 
 from . import exact, families
 from .codes import build_code, random_coloring
-from .exact import (MIN_WEIGHT, SyndromeDistribution, TooLargeError, _check_recovery,
-                    get_backend, inverse_cdf)
+from .exact import MIN_WEIGHT, TooLargeError, _check_recovery, get_backend
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
 REFINE_TOL_OVER_PI = 0.001
@@ -313,33 +312,23 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 _SAMPLE_BYTES = 32
 
 
-def _draw(p: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices drawn with probabilities ``p``: those of
-    ``rng.choice(len(p), n_samples, p=p / p.sum())``, by choice's own inverse
-    CDF (``exact.inverse_cdf``, which raises ValueError where choice does),
-    built over ``p`` in place and searched with uniforms from ``rng.random``."""
-    return inverse_cdf(p).searchsorted(rng.random(n_samples), side="right")
-
-
 def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     """Monte Carlo estimate of (r1, diamond) from an exact distribution.
 
     Draws syndromes with probability p_s and scores (1 - cos theta_s)/3 and
     2|sin theta_s|; reports sample means and standard errors of the mean.
-    ``dist`` needs ``p`` and ``theta_s_at``, and angles are read only at
-    the drawn indices.  A SyndromeDistribution's inverse CDF is its kept
-    ``cdf``: one sum and one cumulative sum of one gather of ``p``, built
-    by its first sampler and searched by every later one with that
-    sampler's own uniforms.  Any other ``dist`` has its ``p`` copied into
-    a CDF built for this call.
+    ``dist`` needs ``cdf`` and ``theta_s_at``, and angles are read only at
+    the drawn indices.  ``cdf`` is the distribution's kept inverse CDF
+    (``exact.inverse_cdf``, which raises ValueError where
+    ``Generator.choice`` does): built by its first sampler and searched by
+    every later one with that sampler's own uniforms from ``rng.random``,
+    so the draws are those of ``rng.choice(len(p), n_samples, p=p /
+    p.sum())``.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
-    if isinstance(dist, SyndromeDistribution):
-        idx = dist.cdf.searchsorted(rng.random(n_samples), side="right")
-    else:
-        idx = _draw(np.array(dist.p, dtype=float), n_samples, rng)
+    idx = dist.cdf.searchsorted(rng.random(n_samples), side="right")
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
     mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))

@@ -16,6 +16,7 @@ channels at angle h * theta with leftover single rows at theta.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MIN_WEIGHT, ML, _check_recovery, reduce_angle
+from .exact import MIN_WEIGHT, ML, _check_recovery, inverse_cdf, reduce_angle
 from .ptm import IDENTITY, LogicalPTM, compose, power
 
 REPETITION = "repetition"
@@ -63,6 +64,11 @@ class AngleDistribution:
 
     def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
         return self.theta_s[idx]
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """``inverse_cdf`` of a float copy of ``p``, kept for every sampler."""
+        return inverse_cdf(np.array(self.p, dtype=float))
 
 
 def _rep_classes(l: int, theta: float, recovery: str):

@@ -13,9 +13,7 @@ logical-X coset, as the reference for the backend's reading of the two
 cosets as the even- and odd-weight supports.
 ``per_syndrome_backend`` lays out the coset-split count table once per
 syndrome, with no grouping, as the reference for the exact backend's
-syndrome classes, and ``class_numbering_reference`` groups the whole table
-with ``np.unique``, no hash, and numbers the classes by their first
-syndromes, as the reference for the streamed grouping's class indices.
+syndrome classes.
 ``channel_reference`` sums the channel over whole per-syndrome gathers, and
 ``diamond_reference`` the diamond value, the bit-exact references for
 summing one gather of per-class products.
@@ -227,20 +225,6 @@ def _per_syndrome_rows(code):
     parity = keys >> n & 1
     coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1
     return counts, np.arange(0, len(counts), 2) | (coset ^ parity), parity
-
-
-def class_numbering_reference(code):
-    """(first syndrome of each class, class of every syndrome) from the whole
-    count table, without a hash: ``np.unique`` over every syndrome's
-    (even-weight row, odd-weight row, parity), each read as one byte
-    string, with the classes ranked by their first syndromes."""
-    counts, even_rows, parity = _per_syndrome_rows(code)
-    rows = counts.take(even_rows[:, None] ^ (0, 1), axis=0).reshape(len(even_rows), -1)
-    rows = np.concatenate([rows, parity[:, None].astype(rows.dtype)], axis=1)
-    strings = rows.view(f"S{rows.itemsize * rows.shape[1]}")[:, 0]
-    _, first, inverse = np.unique(strings, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    return np.sort(first), rank[inverse].astype(np.min_scalar_type(len(first) - 1))
 
 
 def product_distribution_reference(parts, max_classes=200_000):

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from compasscoh import (AnalyticFamilySource, __version__, _kernels, build_code, exact,
+from compasscoh import (AnalyticFamilySource, __version__, _kernels, build_code, decoder, exact,
                         experiments, family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, find_crossings, load_coloring,
                         random_coloring, read_csv)
+from compasscoh import cli
 from compasscoh.cli import UsageError, _parse_thetas, main
+from compasscoh.exact import TooLargeError
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
 
@@ -117,6 +119,19 @@ class TestDecode:
         rc, _, err = run(capsys, "decode", "--code", code_file, "--syndrome", "10")
         assert rc == 1
         assert json.loads(err)["code"] == "invalid-value"
+
+    def test_keys_over_budget_exit_2_before_the_dp(self, code_file, capsys, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("the subset DP ran")
+        monkeypatch.setattr(decoder, "_min_weight_keys", no_dp)
+        # 4 flagged checks: 2**4 int64 keys and half as many again, 192 bytes
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 191)
+        rc, stdout, err = run(capsys, "decode", "--code", code_file, "--syndrome", "1111")
+        assert rc == 2 and stdout == ""
+        error = json.loads(err)
+        assert error["code"] == "computational"
+        assert error["message"].startswith(
+            "decoding 4 flagged checks of n=5 qubits holds 192 bytes of 8-byte keys")
 
     def test_oracle_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "zshor5.json"
@@ -532,6 +547,29 @@ class TestThetaGrid:
         assert rc == 1 and not out.exists()
         assert json.loads(err) == {"code": "usage",
                                    "message": "--thetas needs finite A, B and STEP"}
+
+
+    @pytest.mark.parametrize("text,count", [("0:1:1e-12", 1_000_000_000_001),
+                                            ("-1e308:1e308:1", math.inf)])
+    def test_oversized_grid_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   text, count):
+        def no_work(*args):
+            raise AssertionError("the grid was used")
+        monkeypatch.setattr(cli, "sweep", no_work)
+        out = tmp_path / "sweep.csv"
+        rc, stdout, err = run(capsys, "sweep", "--family", "rep", "--distances", "3",
+                              f"--thetas={text}", "--out", str(out))
+        assert rc == 2 and stdout == "" and not out.exists()
+        assert json.loads(err) == {
+            "code": "computational",
+            "message": f"--thetas {text} makes {count} points, over the limit of "
+                       f"{cli.MAX_THETAS}"}
+
+    def test_grid_at_the_limit_is_kept(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_THETAS", 21)
+        assert len(_parse_thetas("0.45:0.55:0.005")) == 21
+        with pytest.raises(TooLargeError, match="makes 22 points, over the limit of 21"):
+            _parse_thetas("0.45:0.555:0.005")
 
 
 class TestJobs:

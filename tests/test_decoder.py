@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         decode_bruteforce, decode_mwpm, family_rotated_surface,
                         family_x_shor, family_z_shor, family_z_stacked,
                         random_coloring, syndrome_of)
+from compasscoh import decoder, exact
 from compasscoh._kernels import count_table
 from compasscoh.codes import XCUT, ZCUT
 from compasscoh.decoder import _brute_table, syndrome_to_mask
@@ -147,7 +149,7 @@ def test_count_rows_lowest_weight_is_the_minimum_correction_weight(coloring):
     # the exact backend reads each syndrome's recovery parity off its row
     code = build_code(coloring)
     n, masks = code.n, [s.mask for s in code.x_stabilizers]
-    _, rows, classes = count_table(n, masks)
+    rows, classes = count_table(n, masks)
     lowest = (rows != 0).argmax(axis=1)[classes]
     if n <= 15:
         want = _brute_table(code)[0]
@@ -220,6 +222,19 @@ def test_decode_rsc9_python_int_keys_match_reference():
         corr = decode_mwpm(graph, s)
         assert syndrome_of(code, corr.mask) == s
         assert (corr.weight, corr.mask) == match_reference(code, s)
+
+
+@pytest.mark.parametrize("d,key_bytes", [(5, 8), (9, 8 + sys.getsizeof(82 << 81))])
+def test_match_over_budget_raises_before_the_dp(monkeypatch, d, key_bytes):
+    # RSC 5x5 holds int64 keys, RSC 9x9 (n=81) Python ints
+    graph = build_matching_graph(build_code(family_rotated_surface(d)))
+    monkeypatch.setattr(exact, "MAX_HELD_BYTES", (3 << 6) // 2 * key_bytes)
+    assert graph.match(0b111111)[0] > 0  # six flagged checks fit the budget
+    monkeypatch.setattr(decoder, "_min_weight_keys", lambda *args: pytest.fail("DP ran"))
+    with pytest.raises(exact.TooLargeError, match=(
+            rf"^decoding 7 flagged checks of n={d * d} qubits holds {(3 << 7) // 2 * key_bytes} "
+            rf"bytes of {key_bytes}-byte keys")):
+        graph.match(0b1111111)
 
 
 @pytest.mark.parametrize("colorings", [

@@ -18,7 +18,7 @@ from compasscoh.cli import main
 from compasscoh.exact import ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
-from oracles import (channel_reference, class_numbering_reference, count_table_reference,
+from oracles import (channel_reference, count_table_reference,
                      coset_count_table_reference, diamond_reference, per_syndrome_backend,
                      statevector_channel, statevector_distribution)
 
@@ -337,33 +337,27 @@ def _assert_same_distributions(backend, ref, thetas_over_pi):
                     theta_over_pi, recovery, name)
 
 
-def _build_with_first(monkeypatch, code):
-    """The backend of ``code`` and the first syndrome of each of its classes,
-    as the count table returned them."""
-    built, count_table = [], _kernels.count_table
-
-    def spy(*args):
-        built.append(count_table(*args))
-        return built[-1]
-    monkeypatch.setattr(_kernels, "count_table", spy)
-    backend = ExactBackend(code)
-    monkeypatch.setattr(_kernels, "count_table", count_table)
-    return backend, built[0][0]
+def _assert_same_classes(backend, ref):
+    """Each syndrome's class holds its column and recovery parity, there is
+    one class for each distinct column, and the class indices are in the
+    smallest unsigned dtype: what ``count_table`` promises, whatever its
+    class numbering."""
+    assert np.array_equal(backend._table[..., backend._classes], ref._table)
+    assert np.array_equal(backend._parity[backend._classes], ref._parity)
+    distinct = np.unique(ref._table.reshape(-1, ref._table.shape[-1]), axis=1).shape[1]
+    assert backend._table.shape[-1] == distinct
+    assert backend._classes.dtype == np.min_scalar_type(distinct - 1)
 
 
-def _assert_numbered_by_first_syndrome(backend, first):
-    assert np.all(np.diff(first) > 0)
-    assert np.array_equal(np.unique(backend._classes, return_index=True)[1], first)
-
-
-def _assert_same_numbering(backend, ref, code):
-    """The classes are numbered as grouping the whole table without a hash
-    numbers them, and each class holds its first syndrome's column."""
-    first, classes = class_numbering_reference(code)
-    assert backend._classes.dtype == classes.dtype
-    assert np.array_equal(backend._classes, classes)
-    assert np.array_equal(backend._table, ref._table[..., first])
-    assert np.array_equal(backend._parity, ref._parity[first])
+def _permuted(rows, classes):
+    """``count_table``'s class rows permuted and its class indices remapped
+    to match, in their own dtype: the same full table under another class
+    numbering."""
+    perm = np.random.default_rng(len(rows)).permutation(len(rows))
+    renumber = np.empty_like(perm)
+    renumber[perm] = np.arange(len(perm))
+    assert not np.array_equal(perm, np.arange(len(perm)))
+    return rows[perm], renumber[classes].astype(classes.dtype)
 
 
 class TestColumnClasses:
@@ -376,9 +370,29 @@ class TestColumnClasses:
         backend = ExactBackend(code)
         assert backend.num_checks == 20 and backend._table.shape[-1] == 21
         ref = per_syndrome_backend(code)
-        assert np.array_equal(backend._table[..., backend._classes], ref._table)
-        _assert_same_numbering(backend, ref, code)
+        _assert_same_classes(backend, ref)
         _assert_same_distributions(backend, ref, [0.0, 0.01, 0.37, 0.5, 1.0])
+
+    # X-Shor 5x5 takes the factored build, RSC 5x5 the dual
+    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), family_rotated_surface(5)])
+    def test_class_numbering_is_not_observable(self, monkeypatch, coloring):
+        code = build_code(coloring)
+        backend = ExactBackend(code)
+        count_table = _kernels.count_table
+        monkeypatch.setattr(_kernels, "count_table",
+                            lambda n, masks: _permuted(*count_table(n, masks)))
+        permuted = ExactBackend(code)
+        assert not np.array_equal(permuted._classes, backend._classes)
+        for theta_over_pi in (0.0, 0.37, 0.5):
+            for recovery in ("minweight", "ml"):
+                want, got = (each.distribution(theta_over_pi * math.pi, recovery)
+                             for each in (backend, permuted))
+                for name in ("syndromes", "p", "theta_s", "cdf"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert got.channel() == want.channel()
+                assert diamond_avg(got) == diamond_avg(want)
+                assert sample_distribution(got, 400, 1) == sample_distribution(want, 400, 1)
 
     def test_rsc5_holds_fewer_columns_than_syndromes(self):
         backend = ExactBackend(build_code(family_rotated_surface(5)))
@@ -406,20 +420,9 @@ class TestColumnClasses:
         ExactBackend(build_code(family_x_shor(3, 3)))  # one-off set-up happens outside
         peak = _traced_peak(lambda: ExactBackend(code))
         # the factored build's blocks and a uint8 class index per syndrome
-        # (4.6 MB in all); neither a decode table (1 MB of uint8 weights or
+        # (3.7 MB in all); neither a decode table (1 MB of uint8 weights or
         # 8 MB of int64 keys) nor the whole count table (26 MB) is held
         assert peak < 8 << 20
-
-    # X-Shor 5x5 takes the coset build and RSC 5x5 the dual; X-Shor 4x5 in
-    # blocks of 97 syndromes meets new keys after its first block
-    @pytest.mark.parametrize("coloring,block", [
-        (family_x_shor(5, 5), None), (family_rotated_surface(5), None),
-        (family_x_shor(4, 5), 1 << 12)])
-    def test_classes_are_numbered_by_first_syndrome(self, monkeypatch, coloring, block):
-        if block:
-            monkeypatch.setattr(_kernels, "_BLOCK", block)
-        backend, first = _build_with_first(monkeypatch, build_code(coloring))
-        _assert_numbered_by_first_syndrome(backend, first)
 
     # blocks of a few syndromes for the small codes; X-Shor 4x5 takes the
     # coset build and has 2**16 syndromes in blocks of 97
@@ -434,22 +437,20 @@ class TestColumnClasses:
         distinct = np.unique(pairs, axis=1).shape[1]
         backend = ExactBackend(code)
         assert backend._table.shape[-1] == distinct < pairs.shape[1]
-        _assert_same_numbering(backend, ref, code)
+        _assert_same_classes(backend, ref)
         monkeypatch.setattr(_kernels, "_HASH_MULT", np.uint64(0))  # every key 0
-        backend, first = _build_with_first(monkeypatch, code)
+        backend = ExactBackend(code)
         assert backend._table.shape[-1] > distinct
         assert np.array_equal(backend._table[..., backend._classes], ref._table)
         assert np.array_equal(backend._parity[backend._classes], ref._parity)
-        _assert_numbered_by_first_syndrome(backend, first)
         _assert_same_distributions(backend, ref, [0.0, 0.37])
 
-    @pytest.mark.parametrize("mult,numbered", [
-        (None, [0, 1, 0, 2, 1, 0, 2, 3]),
-        (0, [0, 1, 0, 2, 3, 0, 4, 5]),  # every key 0: each syndrome unlike 0 is a stray
-        # the key is the low bit of the row's middle entry, so the last block
-        # numbers its new key (syndrome 7) before its stray (6)
-        (1 << 63, [0, 1, 0, 2, 3, 0, 5, 4])])
-    def test_colliding_rows_stay_apart(self, monkeypatch, mult, numbered):
+    @pytest.mark.parametrize("mult,count", [
+        (None, 4),
+        (0, 6),  # every key 0: each syndrome unlike 0 is a stray
+        # the key is the low bit of the row's middle entry: only c's differs
+        (1 << 63, 6)])
+    def test_colliding_rows_stay_apart(self, monkeypatch, mult, count):
         # rows of real codes collide only under a synthetic hash
         collide = mult is not None
         if collide:
@@ -457,15 +458,13 @@ class TestColumnClasses:
         a, b, c, d = [1, 1, 0], [0, 1, 1], [1, 2, 0], [0, 1, 0]
         counts = np.array([a, d, a, b, d, a, b, c], np.uint8)
         blocks = [counts[i:i + 3] for i in range(0, len(counts), 3)]  # blocks of 3
-        first, rows, classes = _kernels._group(iter(blocks), len(counts))
+        rows, classes = _kernels._group(iter(blocks), len(counts))
         assert classes[0] == classes[2] == classes[5]
         assert len({classes[0], classes[1], classes[3], classes[7]}) == 4
         # a syndrome that fails the check against its class becomes a class of its own
         assert (classes[1] == classes[4]) != collide and (classes[3] == classes[6]) != collide
-        assert len(first) == len(rows) == (6 if collide else 4)
-        # classes are numbered as they appear, each block's strays after its new keys
-        assert classes.dtype == np.uint8 and classes.tolist() == numbered
-        assert np.array_equal(first, [numbered.index(k) for k in range(len(first))])
+        assert len(rows) == count and classes.dtype == np.uint8
+        assert np.array_equal(np.unique(classes), np.arange(count))  # every class is used
         assert np.array_equal(rows[classes], counts)
 
     @pytest.mark.parametrize("theta_over_pi", [0.02, 0.1, 0.37, 0.46, 0.5, 0.75])

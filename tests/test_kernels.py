@@ -16,17 +16,14 @@ from oracles import count_table_reference
 def _full_table(n, masks, build=None, route=count_table):
     """Every syndrome's row from ``route``'s class rows (``_group`` over
     ``build``'s blocks when given): row s is ``rows[classes[s]]``.  Also
-    checks that ``first`` holds each class's lowest syndrome and that
-    classes are distinct."""
-    size = 1 << len(masks)
+    checks that the class indices are in the smallest unsigned dtype, that
+    every class holds a syndrome and that classes are distinct."""
     if build is None:
-        first, rows, classes = route(n, masks)
+        rows, classes = route(n, masks)
     else:
-        first, rows, classes = _kernels._group(build(n, masks), size)
-    assert classes.dtype == np.min_scalar_type(len(rows) - 1) and len(first) == len(rows)
-    lowest = np.full(len(rows), size)
-    np.minimum.at(lowest, classes, np.arange(size))
-    assert np.array_equal(first, lowest)
+        rows, classes = _kernels._group(build(n, masks), 1 << len(masks))
+    assert classes.dtype == np.min_scalar_type(len(rows) - 1)
+    assert np.array_equal(np.unique(classes), np.arange(len(rows)))
     assert len(np.unique(rows, axis=0)) == len(rows)
     return rows[classes]
 
@@ -145,7 +142,7 @@ def test_xshor5_table_is_exact():
     # the largest code the exact backend builds from the coset build (n=25, r=20)
     code = build_code(family_x_shor(5, 5))
     n, r = code.n, len(code.x_stabilizers)
-    first, rows, classes = count_table(n, [s.mask for s in code.x_stabilizers])
+    rows, classes = count_table(n, [s.mask for s in code.x_stabilizers])
     assert rows.dtype == np.uint8 and classes.dtype == np.uint8  # exact integers
     counts = rows[classes]
     assert np.all(counts.sum(axis=1) == 1 << (n - r))
@@ -161,13 +158,14 @@ def test_xshor5_coset_build_equals_dual():
 
 
 def _assert_factored_equals_whole_code_route(n, masks):
-    """``_factored`` and ``count_table`` return the whole-code route's
-    first syndromes, class rows and classes, dtypes included."""
+    """``_factored`` and ``count_table`` return the whole-code route's full
+    table ``rows[classes]``, class count and dtypes."""
     build = _kernels._coset_blocks if _kernels._use_coset(n, len(masks)) else _kernels._dual_blocks
-    want = _kernels._group(build(n, masks), 1 << len(masks))
-    for got in (_factored(n, masks), count_table(n, masks)):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    want_rows, want_classes = _kernels._group(build(n, masks), 1 << len(masks))
+    for rows, classes in (_factored(n, masks), count_table(n, masks)):
+        assert rows.dtype == want_rows.dtype and classes.dtype == want_classes.dtype
+        assert len(rows) == len(want_rows)
+        assert np.array_equal(rows[classes], want_rows[want_classes])
 
 
 def _factored(n, masks):

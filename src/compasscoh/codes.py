@@ -10,7 +10,9 @@ colorings of X-check density ``q_shor``) are all specific colorings.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,9 +23,22 @@ from . import gf2
 XCUT = "X"
 ZCUT = "Z"
 
+# Codes ``build_code`` keeps, the least recently used dropped first.  A 3x3
+# grid has 16 colorings, so nearly every code of a d=3 ensemble cell is a
+# hit.  A 5x5 code and its coloring hold about 4.2 KB (tracemalloc), so a
+# memo full of them holds about 1.1 MB.
+BUILD_CACHE_SIZE = 256
+
 
 class InvalidCodeError(ValueError):
     """Raised for malformed colorings or corrupt code data."""
+
+
+def _check_grid(d_x: int, d_z: int) -> None:
+    if d_x < 1 or d_z < 1:
+        raise InvalidCodeError(f"grid must be >= 1x1, got {d_x}x{d_z}")
+    if d_z % 2 == 0:
+        raise InvalidCodeError(f"d_z must be odd, got {d_z}")
 
 
 def qubit_index(r: int, c: int, d_z: int) -> int:
@@ -40,10 +55,7 @@ class Coloring:
     cells: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if self.d_x < 1 or self.d_z < 1:
-            raise InvalidCodeError(f"grid must be >= 1x1, got {self.d_x}x{self.d_z}")
-        if self.d_z % 2 == 0:
-            raise InvalidCodeError(f"d_z must be odd, got {self.d_z}")
+        _check_grid(self.d_x, self.d_z)
         cells = tuple(tuple(row) for row in self.cells)
         if self.d_x == 1 or self.d_z == 1:  # empty grid, canonically ()
             if any(row for row in cells):
@@ -120,6 +132,15 @@ class PauliSupport:
 
 @dataclass(frozen=True)
 class CompassCode:
+    """A coloring's stabilizers and logicals, as ``build_code`` makes them.
+
+    Equality compares every field, so a hand-built code with another
+    code's coloring but other stabilizers is a different code.  The hash is
+    the coloring's alone: equal codes have equal colorings, so it agrees
+    with equality, and a lookup (``exact.get_backend``) hashes a few cells
+    instead of every support.
+    """
+
     coloring: Coloring
     x_stabilizers: tuple[PauliSupport, ...]
     z_stabilizers: tuple[PauliSupport, ...]
@@ -138,6 +159,9 @@ class CompassCode:
     def d_z(self) -> int:
         return self.coloring.d_z
 
+    def __hash__(self) -> int:
+        return hash(self.coloring)
+
 
 def _segments(length: int, cut_after: set[int]) -> list[tuple[int, int]]:
     """Maximal uncut runs of 0..length-1; a cut sits between i and i+1."""
@@ -151,6 +175,7 @@ def _segments(length: int, cut_after: set[int]) -> list[tuple[int, int]]:
     return segs
 
 
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_code(coloring: Coloring) -> CompassCode:
     """Construct the compass code of a coloring.
 
@@ -158,6 +183,11 @@ def build_code(coloring: Coloring) -> CompassCode:
     split into segments wherever an XCut cell sits; Z stabilizers are the
     row/column mirror image with ZCut cells.  The logical Z acts on qubit
     row 0, the logical X on qubit column 0.
+
+    Memoised: equal colorings get the same code object, kept for the last
+    ``BUILD_CACHE_SIZE`` colorings asked for.  The code and its supports
+    are frozen, so every caller can share it; ``build_code.__wrapped__``
+    builds a fresh one.
     """
     d_x, d_z = coloring.d_x, coloring.d_z
     n = coloring.n
@@ -237,9 +267,21 @@ def family_z_stacked(l: int, h: int) -> Coloring:
 
 
 def random_coloring(d_x: int, d_z: int, q_shor: float, seed: int) -> Coloring:
-    """IID coloring: each cell is XCut with probability ``q_shor``."""
+    """IID coloring: each cell is XCut with probability ``q_shor``.
+
+    Cell (r, c) is XCut when the (r, c) entry of ``rng.random((d_x - 1,
+    d_z - 1))``, from an RNG seeded by ``SeedSequence(seed)``, is below
+    ``q_shor``.  Every draw lies in [0, 1), so at q_shor 0 or 1 the coloring
+    is all-ZCut or all-XCut whatever the seed, and no RNG is made; the seed
+    is still checked, as ``SeedSequence`` would check it.
+    """
     if not 0.0 <= q_shor <= 1.0:
         raise InvalidCodeError(f"q_shor must be in [0, 1], got {q_shor}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_grid(d_x, d_z)
+    if q_shor in (0.0, 1.0):
+        return _uniform(d_x, d_z, XCUT if q_shor else ZCUT)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.random((d_x - 1, d_z - 1))
     cells = tuple(tuple(XCUT if draws[r, c] < q_shor else ZCUT for c in range(d_z - 1))

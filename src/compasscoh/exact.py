@@ -79,8 +79,9 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 
 class TooLargeError(RuntimeError):
-    """A size refused before work starts: n over MAX_QUBITS, a build, sample
-    or decode over MAX_HELD_BYTES, or a theta grid over ``cli.MAX_THETAS``."""
+    """A size refused before work starts: n over MAX_QUBITS, a build, sample,
+    ensemble or decode over MAX_HELD_BYTES, or a theta grid over
+    ``cli.MAX_THETAS``."""
 
 
 def _held_bytes(n: int, masks: list[int]) -> int:
@@ -342,6 +343,12 @@ _CACHE: dict[CompassCode, ExactBackend] = {}
 
 
 def get_backend(code: CompassCode) -> ExactBackend:
+    """The cached backend of ``code``, built on a miss; the cache drops all
+    its 8 entries when a ninth arrives.  It is keyed by the code, so the
+    lookup hashes the code's coloring and compares every field: a code
+    built by hand with another code's coloring but other stabilizers gets
+    its own backend, and the same code object, which ``build_code`` hands
+    out for equal colorings, is found by identity."""
     backend = _CACHE.get(code)
     if backend is None:
         backend = ExactBackend(code)

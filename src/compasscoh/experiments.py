@@ -310,6 +310,21 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 # with r = 3 to 20): the uniforms and the drawn indices, then the angles at
 # those indices and the scores' temporaries.
 _SAMPLE_BYTES = 32
+# Bytes ``ensemble_estimate`` holds per code of a cell, in-process or
+# through a pool (tracemalloc, 527 to 543 at 10**4 to 10**5 codes): the
+# spawned seed sequences, the task tuples and the per-code results.
+_CODE_BYTES = 544
+
+
+def _check_ensemble_size(n_codes: int, n_samples: int | None) -> None:
+    """Raise TooLargeError when one cell's ``n_codes`` or one code's
+    ``n_samples`` draws would hold more than ``exact.MAX_HELD_BYTES``."""
+    for count, what, each in ((n_samples, "samples", _SAMPLE_BYTES),
+                              (n_codes, "codes", _CODE_BYTES)):
+        if count is not None and count * each > exact.MAX_HELD_BYTES:
+            raise TooLargeError(
+                f"{count} {what} hold {count * each} bytes ({each} a {what[:-1]}), "
+                f"over the budget of {exact.MAX_HELD_BYTES} bytes")
 
 
 def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
@@ -356,11 +371,14 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
     ``map`` (in-process, one at a time) or a process pool's ``map``.
     Per-code metrics are exact when ``n_samples`` is None, otherwise Monte
     Carlo; the reported stderr is the ensemble standard error of the
-    per-code means.
+    per-code means.  Raises TooLargeError before the seeds are drawn when
+    the codes or one code's draws would hold more than
+    ``exact.MAX_HELD_BYTES``.
     """
     _check_recovery(recovery)
     if n_codes < 1:
         raise ValueError("need at least one code")
+    _check_ensemble_size(n_codes, n_samples)
     # (code_seed, sample_seed) per code
     tasks = [(d_x, d_z, q_shor, theta, recovery, n_samples,
               *(int(x) for x in child.generate_state(2)))
@@ -418,13 +436,11 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     ``jobs`` > 1 runs the codes of every cell in one pool of that many
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
-    Raises TooLargeError before any build when one code's ``n_samples``
-    draws would hold more than ``exact.MAX_HELD_BYTES``.
+    Raises TooLargeError before any pool opens or seed is drawn when one
+    cell's ``n_codes`` or one code's ``n_samples`` draws would hold more
+    than ``exact.MAX_HELD_BYTES``.
     """
-    if n_samples is not None and n_samples * _SAMPLE_BYTES > exact.MAX_HELD_BYTES:
-        raise TooLargeError(
-            f"{n_samples} samples hold {n_samples * _SAMPLE_BYTES} bytes "
-            f"({_SAMPLE_BYTES} a sample), over the budget of {exact.MAX_HELD_BYTES} bytes")
+    _check_ensemble_size(n_codes, n_samples)
     distances = list(distances)  # read once per q: it may be an iterator
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}

@@ -235,6 +235,30 @@ class TestChannel:
         assert error["code"] == "computational"
         assert f"100 samples hold {100 * experiments._SAMPLE_BYTES} bytes" in error["message"]
 
+    def test_interpolate_codes_over_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the ensemble was started")
+        for name in ("ensemble_estimate", "build_code", "random_coloring"):
+            monkeypatch.setattr(experiments, name, no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 100 * experiments._CODE_BYTES - 1)
+        out = tmp_path / "curve.csv"
+        rc, stdout, err = run(capsys, "interpolate", "--q-shors", "0.5", "--d", "3",
+                              "--codes", "100", "--samples", "2", "--jobs", "2",
+                              "--out", str(out))
+        assert rc == 2 and stdout == "" and not out.exists()
+        assert json.loads(err) == {
+            "code": "computational",
+            "message": f"100 codes hold {100 * experiments._CODE_BYTES} bytes "
+                       f"({experiments._CODE_BYTES} a code), over the budget of "
+                       f"{100 * experiments._CODE_BYTES - 1} bytes"}
+
+    def test_interpolate_codes_at_the_budget_are_kept(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 100 * experiments._CODE_BYTES)
+        experiments._check_ensemble_size(100, 2)
+        with pytest.raises(TooLargeError, match="101 codes hold"):
+            experiments._check_ensemble_size(101, 2)
+
     def test_analytic_rep_identity(self, capsys):
         rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep",
                             "--l", "3", "--theta-over-pi", "0")

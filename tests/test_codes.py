@@ -1,5 +1,7 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from compasscoh import (Coloring, InvalidCodeError, PauliSupport, build_code,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, load_coloring, random_coloring,
                         save_coloring, validate)
-from compasscoh.codes import XCUT, ZCUT, coloring_from_dict, coloring_to_dict
+from compasscoh import codes
+from compasscoh.codes import XCUT, ZCUT, CompassCode, coloring_from_dict, coloring_to_dict
+from compasscoh.exact import get_backend
 
 
 def colorings(max_d=5):
@@ -78,7 +82,10 @@ class TestFamilies:
         with pytest.raises(InvalidCodeError):
             family_z_stacked(5, 6)
 
-    def test_random_endpoints(self):
+    def test_random_endpoints(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("an RNG was seeded")
+        monkeypatch.setattr(np.random, "SeedSequence", no_rng)
         assert random_coloring(3, 3, 0.0, 7) == family_z_shor(3, 3)
         assert random_coloring(3, 3, 1.0, 7) == family_x_shor(3, 3)
 
@@ -91,6 +98,34 @@ class TestFamilies:
     def test_random_rejects_bad_density(self):
         with pytest.raises(InvalidCodeError):
             random_coloring(3, 3, 1.5, 0)
+
+    @pytest.mark.parametrize("q_shor", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d_x,d_z", [(0, 3), (3, 0), (-1, 3), (3, -1), (3, 4)])
+    def test_random_rejects_bad_grid_before_drawing(self, d_x, d_z, q_shor):
+        # with and without the RNG, Coloring's own message, not NumPy's
+        with pytest.raises(InvalidCodeError) as want:
+            Coloring(d_x, d_z, ())
+        with pytest.raises(InvalidCodeError) as got:
+            random_coloring(d_x, d_z, q_shor, 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("q_shor", [0.0, 0.5, 1.0])
+    def test_random_rejects_negative_seed(self, q_shor):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            random_coloring(3, 3, q_shor, -1)
+
+    @pytest.mark.parametrize("q_shor", [0.0, 1.0])
+    @pytest.mark.parametrize("d_x,d_z", [(3, 3), (3, 5), (1, 5), (5, 1)])
+    def test_random_edges_equal_the_drawn_coloring(self, d_x, d_z, q_shor):
+        def drawn(seed):  # every cell compared with its own draw
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            draws = rng.random((d_x - 1, d_z - 1))
+            cells = tuple(tuple(XCUT if draws[r, c] < q_shor else ZCUT
+                                for c in range(d_z - 1)) for r in range(d_x - 1))
+            return Coloring(d_x, d_z, cells)
+
+        for seed in range(100):
+            assert random_coloring(d_x, d_z, q_shor, seed) == drawn(seed)
 
 
 class TestBuildCode:
@@ -122,6 +157,45 @@ class TestBuildCode:
         assert code.logical_z.qubits == (0, 1, 2, 3, 4)
         assert code.logical_x.qubits == (0, 5, 10, 15, 20)
         assert not code.logical_z.commutes_with(code.logical_x)
+
+
+def _copy(coloring: Coloring) -> Coloring:
+    """An equal coloring that is another object, down to its cell rows."""
+    return Coloring(coloring.d_x, coloring.d_z, tuple(list(row) for row in coloring.cells))
+
+
+class TestBuildMemo:
+    @pytest.mark.parametrize("coloring", [
+        *(Coloring(3, 3, (cells[:2], cells[2:]))
+          for cells in itertools.product((XCUT, ZCUT), repeat=4)),
+        family_rotated_surface(5), family_x_shor(5, 5), family_z_stacked(5, 2)])
+    def test_equal_colorings_share_one_code(self, coloring):
+        code = build_code(coloring)
+        assert build_code(_copy(coloring)) is code
+        fresh = build_code.__wrapped__(_copy(coloring))
+        assert fresh is not code and fresh == code and hash(fresh) == hash(code)
+
+    def test_same_coloring_other_stabilizers_is_another_code(self):
+        code = build_code(family_rotated_surface(3))
+        # the same checks in another order: a valid code, with its own syndromes
+        other = CompassCode(code.coloring, code.x_stabilizers[::-1],
+                            code.z_stabilizers, code.logical_z, code.logical_x)
+        assert validate(other).passed
+        assert other != code and hash(other) == hash(code) == hash(code.coloring)
+        backend = get_backend(code)
+        other_backend = get_backend(other)
+        assert other_backend is not backend
+        assert other_backend.code is other and backend.code is code
+
+    def test_memo_stays_within_its_bound(self):
+        seeds = itertools.count()
+        seen = set()
+        while len(seen) <= codes.BUILD_CACHE_SIZE:
+            coloring = random_coloring(5, 5, 0.5, next(seeds))
+            seen.add(coloring)
+            build_code(coloring)
+            assert build_code.cache_info().currsize <= codes.BUILD_CACHE_SIZE
+        assert build_code.cache_info().currsize == codes.BUILD_CACHE_SIZE
 
 
 class TestValidate:

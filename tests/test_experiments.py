@@ -335,6 +335,14 @@ class TestInterpolation:
                 f"budget of {1000 * experiments._SAMPLE_BYTES} bytes")):
             interpolation_curve([3], [0.5], [0.1], n_codes=2, seed=0, n_samples=1001, jobs=2)
 
+    def test_codes_over_budget_rejected_before_seeds(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the codes were run")
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 10 * experiments._CODE_BYTES - 1)
+        monkeypatch.setattr(np.random, "SeedSequence", no_run)
+        with pytest.raises(TooLargeError, match=f"10 codes hold {10 * experiments._CODE_BYTES} "):
+            experiments.ensemble_estimate(3, 3, 0.5, 10, 0.3, seed=0, n_samples=2, run=no_run)
+
     def test_includes_rsc_coloring_at_half(self):
         # the checkerboard is a realizable q=1/2 coloring (seed 29 draws it)
         from compasscoh import family_rotated_surface, random_coloring

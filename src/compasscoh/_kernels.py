@@ -53,6 +53,10 @@ import math
 
 import numpy as np
 
+# Largest n built; it also bounds the error of the cancelling per-theta sums
+# (Z-Shor channels miss their closed forms by 1.2e-13 at n=25, 2.5e-10 at 49).
+MAX_QUBITS = 25
+
 # Supports histogrammed (coset) or count entries handed out (dual) per block,
 # at least one syndrome each.  Every transient of a block is a small
 # multiple of it, bounded by _BLOCK_BYTES.
@@ -371,8 +375,8 @@ def count_table(n, check_masks):
     same full table and dtypes.  At most ``held_bytes(n, check_masks)``
     bytes are held besides the arguments.
     """
-    if n < 0 or n > 25:
-        raise ValueError(f"kernel supports 0 <= n <= 25, got {n}")
+    if n < 0 or n > MAX_QUBITS:
+        raise ValueError(f"kernel supports 0 <= n <= {MAX_QUBITS}, got {n}")
     checks = [int(m) for m in check_masks]
     parts = _split(n, checks)
     if parts is not None:

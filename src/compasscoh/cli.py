@@ -18,9 +18,9 @@ from . import __version__, families
 from .codes import (InvalidCodeError, build_code, family_rotated_surface,
                     family_x_shor, family_z_shor, family_z_stacked,
                     load_coloring, random_coloring, save_coloring, validate)
-from .decoder import (BruteForceTooLargeError, build_matching_graph,
-                      decode_bruteforce, decode_mwpm)
-from .exact import MIN_WEIGHT, ML, TooLargeError, get_backend
+from .decoder import build_matching_graph, decode_bruteforce, decode_mwpm
+from .exact import (MIN_WEIGHT, ML, TooLargeError, check_budget, check_qubits,
+                    get_backend)
 from .experiments import (AnalyticFamilySource, CodeSource, find_crossings,
                           interpolation_curve, read_csv, read_csv_config,
                           source_for_rows, sweep, table_to_json, write_csv)
@@ -31,6 +31,10 @@ _FAMILY_ALIASES = {family.alias: family for family in families.FAMILIES.values()
 # Most points an A:B:STEP grid may hold; a larger one is refused (exit 2)
 # before its list is built.  Each point is at least one channel per distance.
 MAX_THETAS = 100_000
+# Bytes ``code gen`` holds per cell of the grid (tracemalloc, 16.1 at
+# 1001x1001 and 2001x2001 for every family): the coloring's cell tuples,
+# then the lists its file is written from.
+_GEN_CELL_BYTES = 17
 
 
 class UsageError(Exception):
@@ -140,11 +144,18 @@ _GEN_FAMILIES = {
 
 
 def _cmd_code_gen(args):
+    """Write a family's coloring; its (d_x - 1)(d_z - 1) cells, at
+    ``_GEN_CELL_BYTES`` each, are checked against the budget before the
+    family is built."""
     _require(args, "out", "family")
     flags, build = _GEN_FAMILIES[args.family]
     _require(args, *flags)
     if "dz" not in flags and args.dz is not None and args.dz != args.dx:
         raise UsageError(f"{args.family} is square; --dz must match --dx")
+    d_z = args.dz if "dz" in flags else args.dx
+    cells = max(args.dx - 1, 0) * max(d_z - 1, 0)
+    check_budget(cells * _GEN_CELL_BYTES, f"a {args.dx}x{d_z} grid's {cells} cells hold",
+                 f" ({_GEN_CELL_BYTES} a cell)")
     save_coloring(build(args), args.out, meta=_config_dict(args, "code gen"))
     return 0
 
@@ -175,8 +186,9 @@ def _cmd_decode(args):
 
 def _cmd_channel_exact(args):
     _require(args, "code", "theta_over_pi")
-    code = build_code(load_coloring(args.code))
-    backend = get_backend(code)
+    coloring = load_coloring(args.code)
+    check_qubits(coloring.n, f", r={coloring.num_x_checks}")  # before a long build
+    backend = get_backend(build_code(coloring))
     theta = args.theta_over_pi * math.pi
     dist = backend.distribution(theta, args.recovery)
     ch = dist.channel()
@@ -234,8 +246,12 @@ def _make_sweep_source(args):
 def _cmd_sweep(args):
     _require(args, "family", "thetas", "distances", "out")
     source = _make_sweep_source(args)
-    table = sweep(source, _parse_thetas(args.thetas),
-                  _parse_list(args.distances, "--distances"))
+    thetas = _parse_thetas(args.thetas)
+    distances = _parse_list(args.distances, "--distances")
+    if args.family == "rsc":  # every code's size, before the first cell
+        for d in distances:
+            check_qubits(d * d, f" (d={d})")
+    table = sweep(source, thetas, distances)
     _write_table(table, args, _config_dict(args, "sweep"))
     return 0
 
@@ -413,7 +429,7 @@ def main(argv=None) -> int:
         return _fail(1, "missing-file", str(exc))
     except (InvalidCodeError, json.JSONDecodeError) as exc:
         return _fail(1, "invalid-input", str(exc))
-    except (TooLargeError, BruteForceTooLargeError, MemoryError) as exc:
+    except (TooLargeError, MemoryError) as exc:
         return _fail(2, "computational", str(exc))
     except ValueError as exc:
         return _fail(1, "invalid-value", str(exc))

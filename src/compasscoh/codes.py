@@ -80,6 +80,12 @@ class Coloring:
         return self.d_x * self.d_z
 
     @property
+    def num_x_checks(self) -> int:
+        """r, the X checks ``build_code`` makes: a strip per pair of adjacent
+        qubit columns, split once more by each XCut cell."""
+        return self.d_z - 1 + sum(row.count(XCUT) for row in self.cells)
+
+    @property
     def num_cells(self) -> int:
         return (self.d_x - 1) * (self.d_z - 1)
 

@@ -159,11 +159,9 @@ class MatchingGraph:
         """
         flagged = [k for k in range(self.num_checks) if flagged_mask >> k & 1]
         key_bytes = 8 + (self.keys.dtype == object) * sys.getsizeof((self.n + 1) << self.n)
-        held = (3 << len(flagged)) // 2 * key_bytes
-        if held > exact.MAX_HELD_BYTES:
-            raise exact.TooLargeError(
-                f"decoding {len(flagged)} flagged checks of n={self.n} qubits holds {held} bytes "
-                f"of {key_bytes}-byte keys, over the budget of {exact.MAX_HELD_BYTES} bytes")
+        exact.check_budget((3 << len(flagged)) // 2 * key_bytes,
+                           f"decoding {len(flagged)} flagged checks of n={self.n} qubits holds",
+                           f" of {key_bytes}-byte keys")
         key = int(_min_weight_keys(self.keys[np.ix_(flagged, flagged)], self.n)[-1])
         return key >> self.n, self.support(key)
 
@@ -207,14 +205,9 @@ def _brute_table(code: CompassCode) -> tuple[np.ndarray, np.ndarray]:
     return weight, corr
 
 
-class BruteForceTooLargeError(ValueError):
-    """Brute-force decoding rejected: it enumerates 2**n supports, n <= 20."""
-
-
 def decode_bruteforce(code: CompassCode, syndrome) -> PauliSupport:
-    """Exhaustive minimum-weight decoder; same tie-break as ``decode_mwpm``."""
+    """Exhaustive minimum-weight decoder (n <= 20); same tie-break as ``decode_mwpm``."""
     if code.n > 20:
-        raise BruteForceTooLargeError(
-            f"brute-force decoding limited to n <= 20, got n={code.n}")
+        raise exact.TooLargeError(f"brute-force decoding limited to n <= 20, got n={code.n}")
     mask = syndrome_to_mask(syndrome, len(code.x_stabilizers))
     return PauliSupport("Z", code.n, int(_brute_table(code)[1][mask]))

@@ -39,7 +39,7 @@ it builds their rows, one block at a time, and the backend lays out one
 column per class; each theta is evaluated once per class, and each
 per-syndrome array or summand is one gather of class values, with the
 same bits as evaluating every syndrome, whatever the class numbering.  A
-build first checks that the bytes it and one evaluation will hold fit
+build first checks n, then that the bytes it and one evaluation hold fit
 ``MAX_HELD_BYTES``.  The backend keeps its last evaluation, so callers
 asking for one (theta, recovery) in turn, such as the equal codes of an
 ensemble cell, share one distribution and the one inverse CDF their
@@ -55,15 +55,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels, gf2
+from ._kernels import MAX_QUBITS
 from .codes import CompassCode, InvalidCodeError
 from .ptm import LogicalPTM
 
-# Also bounds the per-theta float error, not only the table cost: amplitudes
-# are cancelling sums of counts * cos^(n-w) sin^w.  With exact tables, Z-Shor
-# channels miss their closed forms by <= 1.2e-13 at n=25, 2.5e-10 at n=49.
-MAX_QUBITS = 25
-# Budget on the bytes a backend build holds (``_held_bytes``), checked
-# before anything is allocated.
+# Budget on the bytes one step holds (a backend build, a decode, ...),
+# checked by ``check_budget`` before anything is allocated.
 MAX_HELD_BYTES = 1 << 30
 
 # Columns per add.accumulate of the ascending-weight sum: each block's
@@ -79,9 +76,23 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 
 class TooLargeError(RuntimeError):
-    """A size refused before work starts: n over MAX_QUBITS, a build, sample,
-    ensemble or decode over MAX_HELD_BYTES, or a theta grid over
-    ``cli.MAX_THETAS``."""
+    """Every size refused before work starts: n (``check_qubits``), bytes
+    (``check_budget``), a product distribution over ``families.MAX_CLASSES``,
+    a brute-force decode over n = 20 or a grid over ``cli.MAX_THETAS``."""
+
+
+def check_qubits(n: int, detail: str = "") -> None:
+    """Refuse n over MAX_QUBITS; ``detail`` follows n in the message."""
+    if n > MAX_QUBITS:
+        raise TooLargeError(f"exact backend supports n <= {MAX_QUBITS}, got n={n}{detail}")
+
+
+def check_budget(held: int, subject: str, detail: str = "") -> None:
+    """Refuse ``held`` bytes over MAX_HELD_BYTES, read at call time, with the
+    message "{subject} {held} bytes{detail}, over the budget of ... bytes"."""
+    if held > MAX_HELD_BYTES:
+        raise TooLargeError(
+            f"{subject} {held} bytes{detail}, over the budget of {MAX_HELD_BYTES} bytes")
 
 
 def _held_bytes(n: int, masks: list[int]) -> int:
@@ -254,12 +265,9 @@ class ExactBackend:
         self.code = code
         self.n = n = code.n
         self.num_checks = r = len(code.x_stabilizers)
+        check_qubits(n, f", r={r}")
         masks = [s.mask for s in code.x_stabilizers]
-        held = _held_bytes(n, masks)
-        if n > MAX_QUBITS or held > MAX_HELD_BYTES:
-            raise TooLargeError(
-                f"exact backend supports n <= {MAX_QUBITS} and builds holding at most "
-                f"{MAX_HELD_BYTES} bytes; n={n}, r={r} holds {held} bytes")
+        check_budget(_held_bytes(n, masks), f"exact backend build of n={n}, r={r} holds")
         if not gf2.in_span(((1 << n) - 1) ^ code.logical_x.mask, gf2.reduce_basis(masks)):
             raise InvalidCodeError("a syndrome's cosets hold supports of both weight "
                                    "parities: some Z stabilizer or logical Z has the wrong "

@@ -127,8 +127,8 @@ def _metric_fn(source, metric: str):
         if metric == "r1":
             return r1(source.channel(distance, theta))
         dist = source.distribution(distance, theta)
-        if dist is None:
-            raise ValueError("diamond refinement unavailable for this family size")
+        if dist is None:  # the product form was refused
+            raise TooLargeError("diamond refinement unavailable for this family size")
         return diamond_avg(dist)
     return value
 
@@ -157,7 +157,7 @@ class AnalyticFamilySource:
     def distribution(self, distance: int, theta: float):
         try:
             return self.entry.distribution(*self._params(distance), theta, self.recovery)
-        except ValueError:
+        except TooLargeError:
             return None  # product form too large for exact convolution
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
@@ -311,9 +311,11 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 # those indices and the scores' temporaries.
 _SAMPLE_BYTES = 32
 # Bytes ``ensemble_estimate`` holds per code of a cell, in-process or
-# through a pool (tracemalloc, 527 to 543 at 10**4 to 10**5 codes): the
-# spawned seed sequences, the task tuples and the per-code results.
-_CODE_BYTES = 544
+# through a pool (tracemalloc at 10**4 and 10**5 codes: 192 to 202
+# in-process, the per-code results; 318 to 331 through a 2-worker pool,
+# which also holds a future per chunk of codes).  No seed is held: each
+# task makes its own from (cell seed, code index).
+_CODE_BYTES = 332
 
 
 def _check_ensemble_size(n_codes: int, n_samples: int | None) -> None:
@@ -321,10 +323,8 @@ def _check_ensemble_size(n_codes: int, n_samples: int | None) -> None:
     ``n_samples`` draws would hold more than ``exact.MAX_HELD_BYTES``."""
     for count, what, each in ((n_samples, "samples", _SAMPLE_BYTES),
                               (n_codes, "codes", _CODE_BYTES)):
-        if count is not None and count * each > exact.MAX_HELD_BYTES:
-            raise TooLargeError(
-                f"{count} {what} hold {count * each} bytes ({each} a {what[:-1]}), "
-                f"over the budget of {exact.MAX_HELD_BYTES} bytes")
+        if count is not None:
+            exact.check_budget(count * each, f"{count} {what} hold", f" ({each} a {what[:-1]})")
 
 
 def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
@@ -350,8 +350,11 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     return SampleEstimate(mean_r1, r1_stderr, mean_diamond, diamond_stderr)
 
 
-def _ensemble_task(args):
-    d_x, d_z, q_shor, theta, recovery, n_samples, code_seed, sample_seed = args
+def _ensemble_task(d_x, d_z, q_shor, theta, recovery, n_samples, seed, i):
+    """Code i of a cell: its code and sample seeds are the two words of
+    ``SeedSequence(seed).spawn(i + 1)[i]``, made from (seed, i) alone."""
+    words = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2)
+    code_seed, sample_seed = words.tolist()
     backend = get_backend(build_code(random_coloring(d_x, d_z, q_shor, code_seed)))
     dist = backend.distribution(theta, recovery)
     if n_samples is None:
@@ -365,25 +368,24 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
                       n_samples: int | None = None, run=map) -> SampleEstimate:
     """Mean logical metrics over random colorings of density ``q_shor``.
 
-    Each code gets its own seed stream (split per code index, so results do
-    not depend on execution order); ``run(task, tasks)`` maps the per-code
-    task over the codes and yields the results in order, like the builtin
-    ``map`` (in-process, one at a time) or a process pool's ``map``.
-    Per-code metrics are exact when ``n_samples`` is None, otherwise Monte
-    Carlo; the reported stderr is the ensemble standard error of the
-    per-code means.  Raises TooLargeError before the seeds are drawn when
-    the codes or one code's draws would hold more than
+    Code i gets its own seed stream, the i-th child of ``SeedSequence(seed)``,
+    made by its task from (seed, i) alone, so results do not depend on
+    execution order and no seed is held per code; ``run(task, indices)``
+    maps the per-code task, which holds the cell's constants once, over the
+    code indices and yields the results in order, like the builtin ``map``
+    (in-process, one at a time) or a process pool's ``map``.  Per-code
+    metrics are exact when ``n_samples`` is None, otherwise Monte Carlo;
+    the reported stderr is the ensemble standard error of the per-code
+    means.  Raises TooLargeError before any seed is made when the codes
+    (``_CODE_BYTES`` each) or one code's draws would hold more than
     ``exact.MAX_HELD_BYTES``.
     """
     _check_recovery(recovery)
     if n_codes < 1:
         raise ValueError("need at least one code")
     _check_ensemble_size(n_codes, n_samples)
-    # (code_seed, sample_seed) per code
-    tasks = [(d_x, d_z, q_shor, theta, recovery, n_samples,
-              *(int(x) for x in child.generate_state(2)))
-             for child in np.random.SeedSequence(seed).spawn(n_codes)]
-    r1s, dias = (np.array(col) for col in zip(*run(_ensemble_task, tasks)))
+    task = functools.partial(_ensemble_task, d_x, d_z, q_shor, theta, recovery, n_samples, seed)
+    r1s, dias = (np.array(col) for col in zip(*run(task, range(n_codes))))
 
     def sem(vals):
         if len(vals) < 2 or vals.max() == vals.min():
@@ -438,10 +440,13 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     cache carries over from cell to cell; otherwise they run in-process.
     Raises TooLargeError before any pool opens or seed is drawn when one
     cell's ``n_codes`` or one code's ``n_samples`` draws would hold more
-    than ``exact.MAX_HELD_BYTES``.
+    than ``exact.MAX_HELD_BYTES``, or when a distance d makes d*d qubits,
+    over ``exact.MAX_QUBITS``.
     """
     _check_ensemble_size(n_codes, n_samples)
     distances = list(distances)  # read once per q: it may be an iterator
+    for d in distances:
+        exact.check_qubits(d * d, f" (d={d})")
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}
     with contextlib.ExitStack() as stack:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MIN_WEIGHT, ML, _check_recovery, inverse_cdf, reduce_angle
+from .exact import (MIN_WEIGHT, ML, TooLargeError, _check_recovery, check_budget,
+                    inverse_cdf, reduce_angle)
 from .ptm import IDENTITY, LogicalPTM, compose, power
 
 REPETITION = "repetition"
@@ -33,6 +34,11 @@ X_SHOR = "xshor"
 Z_STACKED = "zstacked"
 
 MAX_CLASSES = 200_000  # largest merged class count convolved exactly
+# Bytes a repetition channel or distribution holds per class of
+# ``_rep_classes`` (tracemalloc at l = 2*10**5 + 1 and 2*10**6 + 1: 112
+# under minimum weight, 113 under ML; about 8 more below 32,768 classes,
+# whose arrays are too small for NumPy to reuse temporaries in place).
+_REP_CLASS_BYTES = 113
 
 
 # Each family's parameter rule, run by its channel, its distribution and
@@ -76,11 +82,16 @@ def _rep_classes(l: int, theta: float, recovery: str):
 
     Returns (log_prob, theta_w, log_eps_terms, delta_sign, log_delta_terms)
     over the min-weight classes w = 0..(l-1)/2 including multiplicity.
+    With the callers' temporaries they hold ``_REP_CLASS_BYTES`` a class,
+    checked against the budget (``check_budget``) before any is made.
     """
+    classes = (l + 1) // 2
+    check_budget(classes * _REP_CLASS_BYTES, f"{classes} classes of the length-{l} "
+                 "repetition code hold", f" ({_REP_CLASS_BYTES} a class)")
     sgn_theta = 1.0 if theta >= 0 else -1.0
     a = abs(theta)
     c, s = math.cos(a / 2.0), math.sin(a / 2.0)
-    w = np.arange((l + 1) // 2)
+    w = np.arange(classes)
     with np.errstate(divide="ignore"):
         ln_c, ln_s = np.log(c), np.log(s)
     lnC = np.array([math.lgamma(l + 1) - math.lgamma(k + 1) - math.lgamma(l - k + 1)
@@ -242,7 +253,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
         k = len(part.p)
         bound *= math.comb(len(list(run)) + k - 1, k - 1)
         if bound > MAX_CLASSES:
-            raise ValueError("product distribution too large for exact convolution")
+            raise TooLargeError("product distribution too large for exact convolution")
     angles = sorted_angles = np.zeros(1)  # in class order, and ascending
     probs = np.ones(1)
     ascending = np.zeros(1, dtype=np.intp)  # the class of each sorted angle
@@ -254,7 +265,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
         del sorted_keys  # each pair-length array is freed before the next is made
         first = np.minimum.reduceat(perm, np.flatnonzero(runs))
         if len(first) > MAX_CLASSES:
-            raise ValueError("product distribution too large for exact convolution")
+            raise TooLargeError("product distribution too large for exact convolution")
         sorted_angles = keys[first]
         del keys
         marks = np.zeros(len(perm), dtype=bool)

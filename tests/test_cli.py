@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from compasscoh import (AnalyticFamilySource, __version__, _kernels, build_code, decoder, exact,
-                        experiments, family_rotated_surface, family_x_shor, family_z_shor,
-                        family_z_stacked, find_crossings, load_coloring,
-                        random_coloring, read_csv)
+                        experiments, families, family_rotated_surface, family_x_shor,
+                        family_z_shor, family_z_stacked, find_crossings, load_coloring,
+                        random_coloring, read_csv, save_coloring)
 from compasscoh import cli
 from compasscoh.cli import UsageError, _parse_thetas, main
 from compasscoh.exact import TooLargeError
@@ -321,6 +321,150 @@ class TestChannel:
         assert rc == 0
         assert json.loads(stdout)["epsilon"] == pytest.approx(
             z_shor_channel(3, 3, 0.2 * math.pi, "ml").epsilon, abs=1e-14)
+
+
+class TestSignOfZero:
+    # At theta = -0.0 only syndrome 0 is kept.  Its theta_s is -0.0 on the
+    # 1x1 code, but 0.0 where n is even: the odd half's zero-count slot for
+    # weight n + 1 adds a +0.0 term to the n = 2 odd sum, and 2x3 and 4x1
+    # keep that sign.  Any rewrite of the per-theta evaluation must keep it
+    @pytest.mark.parametrize("recovery", ["minweight", "ml"])
+    @pytest.mark.parametrize("dx,dz,syndrome,theta_s", [
+        (1, 1, "", "-0.0"), (2, 1, "", "0.0"), (4, 1, "", "0.0"), (2, 3, "00", "0.0")])
+    def test_exact_at_minus_zero_bytes(self, tmp_path, capsys, monkeypatch, recovery,
+                                       dx, dz, syndrome, theta_s):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "code", "gen", "--family", "zshor", "--dx", str(dx), "--dz", str(dz),
+            "--out", "code.json")
+        rc, stdout, err = run(capsys, "channel", "exact", "--code", "code.json",
+                              "--theta-over-pi", "-0.0", "--recovery", recovery,
+                              "--dump-distribution", "dist.json")
+        assert (rc, err) == (0, "")
+        assert stdout == (
+            '{"config": {"code": "code.json", "command": "channel exact", '
+            '"dump_distribution": "dist.json", "jobs": null, '
+            f'"recovery": "{recovery}", "theta_over_pi": -0.0, "version": "{__version__}"}}, '
+            '"delta": 0.0, "epsilon": 0.0, "kappa": 0.0, "r1": 0.0}\n')
+        assert (tmp_path / "dist.json").read_text() == (
+            f'[\n  {{\n    "syndrome": "{syndrome}",\n    "p": 1.0,\n'
+            f'    "theta_s": {theta_s}\n  }}\n]\n')
+
+
+class TestFailFast:
+    """Every oversized size exits 2 with "computational", naming the size,
+    before the work it would start."""
+
+    @staticmethod
+    def _fail(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return fail
+
+    def _refused(self, capsys, *argv):
+        rc, stdout, err = run(capsys, *argv)
+        assert rc == 2 and stdout == "", err
+        error = json.loads(err)
+        assert error["code"] == "computational"
+        return error["message"]
+
+    # the rule n <= 25 comes first: no code is built and no byte count made
+    @pytest.mark.parametrize("coloring,n,r", [
+        (lambda: family_rotated_surface(101), 10201, 5100),
+        (lambda: family_rotated_surface(171), 29241, 14620),
+        (lambda: family_z_shor(501, 501), 251001, 500),
+        (lambda: family_z_shor(3, 9), 27, 8)])
+    def test_exact_n_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                              coloring, n, r):
+        path = tmp_path / "code.json"
+        save_coloring(coloring(), path)
+        monkeypatch.setattr(cli, "build_code", self._fail("build_code"))
+        monkeypatch.setattr(exact, "_held_bytes", self._fail("_held_bytes"))
+        message = self._refused(capsys, "channel", "exact", "--code", str(path),
+                                "--theta-over-pi", "0.1")
+        assert message == f"exact backend supports n <= 25, got n={n}, r={r}"
+
+    def test_sweep_rsc_refuses_every_distance_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_code", self._fail("build_code"))
+        out = tmp_path / "sweep.csv"
+        message = self._refused(capsys, "sweep", "--family", "rsc", "--distances", "3,5,7",
+                                "--thetas", "0.1:0.2:0.1", "--out", str(out))
+        assert message == "exact backend supports n <= 25, got n=49 (d=7)"
+        assert not out.exists()
+
+    def test_interpolate_refuses_every_distance_first(self, tmp_path, capsys, monkeypatch):
+        for name in ("ensemble_estimate", "build_code"):
+            monkeypatch.setattr(experiments, name, self._fail(name))
+        out = tmp_path / "curve.csv"
+        message = self._refused(capsys, "interpolate", "--q-shors", "0,0.5,1", "--d", "3,7",
+                                "--codes", "2", "--samples", "2", "--out", str(out))
+        assert message == "exact backend supports n <= 25, got n=49 (d=7)"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("channel", "analytic", "--family", "rep", "--l", "21", "--theta-over-pi", "0.3"),
+        ("channel", "analytic", "--family", "zshor", "--dx", "3", "--dz", "21",
+         "--theta-over-pi", "0.3"),
+        ("channel", "analytic", "--family", "zstacked", "--l", "21", "--h", "2",
+         "--theta-over-pi", "0.3")])
+    def test_analytic_length_over_budget(self, capsys, monkeypatch, argv):
+        # l = 21 has 11 classes; the budget admits 10
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 10 * families._REP_CLASS_BYTES)
+        monkeypatch.setattr(families.np, "arange", self._fail("np.arange"))
+        b = families._REP_CLASS_BYTES
+        assert self._refused(capsys, *argv) == (
+            f"11 classes of the length-21 repetition code hold {11 * b} bytes ({b} a class), "
+            f"over the budget of {10 * b} bytes")
+
+    def test_analytic_length_at_the_budget_is_kept(self, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 11 * families._REP_CLASS_BYTES)
+        rc, stdout, _ = run(capsys, "channel", "analytic", "--family", "rep", "--l", "21",
+                            "--theta-over-pi", "0.3")
+        assert rc == 0
+        assert json.loads(stdout)["epsilon"] == repetition_exact(21, 0.3 * math.pi).epsilon
+
+    def test_analytic_sweep_and_refinement_over_budget(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        rc, _, _ = run(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.6:0.1",
+                       "--distances", "11,21", "--out", str(out))
+        assert rc == 0
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 10 * families._REP_CLASS_BYTES)
+        monkeypatch.setattr(families.np, "arange", self._fail("np.arange"))
+        assert self._refused(capsys, "threshold", "--in", str(out)).startswith(
+            "11 classes of the length-21 repetition code hold")
+        again = tmp_path / "again.csv"
+        assert self._refused(capsys, "sweep", "--family", "rep", "--thetas", "0.3:0.6:0.1",
+                             "--distances", "21", "--out", str(again)).startswith(
+            "11 classes of the length-21 repetition code hold")
+        assert not again.exists()
+
+    @pytest.mark.parametrize("gen,shape,cells", [
+        (("--family", "zshor", "--dx", "5", "--dz", "7"), "5x7", 24),
+        (("--family", "xshor", "--dx", "7", "--dz", "5"), "7x5", 24),
+        (("--family", "rsc", "--dx", "7"), "7x7", 36),
+        (("--family", "zstacked", "--dx", "7", "--h", "2"), "7x7", 36),
+        (("--family", "random", "--dx", "5", "--dz", "7", "--q-shor", "0.5"), "5x7", 24)])
+    def test_code_gen_grid_over_budget(self, tmp_path, capsys, monkeypatch, gen, shape, cells):
+        for name in ("family_z_shor", "family_x_shor", "family_rotated_surface",
+                     "family_z_stacked", "random_coloring", "save_coloring"):
+            monkeypatch.setattr(cli, name, self._fail(name))
+        each = cli._GEN_CELL_BYTES
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", cells * each - 1)
+        out = tmp_path / "code.json"
+        assert self._refused(capsys, "code", "gen", *gen, "--out", str(out)) == (
+            f"a {shape} grid's {cells} cells hold {cells * each} bytes ({each} a cell), "
+            f"over the budget of {cells * each - 1} bytes")
+        assert not out.exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", cells * each)
+        rc, _, _ = run(capsys, "code", "gen", *gen, "--out", str(out))
+        assert rc == 0 and load_coloring(out).num_cells == cells
+
+    # a negative side counts no cells, so the grid check still reports it
+    @pytest.mark.parametrize("dx,dz", [("-3", "5"), ("-30001", "-30001"), ("1", "-9")])
+    def test_code_gen_bad_grid_stays_invalid_input(self, tmp_path, capsys, dx, dz):
+        rc, _, err = run(capsys, "code", "gen", "--family", "zshor", "--dx", dx, "--dz", dz,
+                         "--out", str(tmp_path / "code.json"))
+        assert rc == 1 and json.loads(err)["code"] == "invalid-input"
 
 
 class TestSweepThreshold:

@@ -152,6 +152,13 @@ class TestBuildCode:
         weights = sorted(s.weight for s in code.z_stabilizers)
         assert weights.count(2 * 7) == 3  # one weight-2l glue per block boundary
 
+    @pytest.mark.parametrize("coloring", [
+        Coloring(1, 1, ()), Coloring(1, 5, ()), Coloring(5, 1, ()), family_z_shor(3, 7),
+        family_x_shor(5, 3), family_rotated_surface(7), family_z_stacked(9, 2),
+        *(random_coloring(4, 5, q, seed) for q in (0.3, 0.7) for seed in range(3))])
+    def test_x_check_count_without_a_build(self, coloring):
+        assert coloring.num_x_checks == len(build_code.__wrapped__(coloring).x_stabilizers)
+
     def test_logicals(self):
         code = build_code(family_rotated_surface(5))
         assert code.logical_z.qubits == (0, 1, 2, 3, 4)

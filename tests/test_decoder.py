@@ -99,7 +99,8 @@ class TestDecodeExamples:
 
     def test_bruteforce_size_limit(self):
         code = build_code(family_z_shor(5, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(exact.TooLargeError, match="^brute-force decoding limited to "
+                                                      "n <= 20, got n=25$"):
             decode_bruteforce(code, 0)
 
 

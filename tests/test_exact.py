@@ -197,6 +197,30 @@ class TestGuards:
         with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
             ExactBackend(build_code(family_z_shor(1, 25)))
 
+    def test_n_refused_before_the_byte_estimate(self, monkeypatch):
+        # RSC 171's byte count has over 4,300 digits: it must never be made
+        monkeypatch.setattr(exact, "_held_bytes", lambda *args: pytest.fail("bytes estimated"))
+        fake = type("Code", (), {"n": 29241, "x_stabilizers": [None] * 14620})()
+        with pytest.raises(TooLargeError) as info:
+            ExactBackend(fake)
+        assert str(info.value) == "exact backend supports n <= 25, got n=29241, r=14620"
+
+    def test_one_qubit_bound(self):
+        assert exact.MAX_QUBITS is _kernels.MAX_QUBITS == 25
+        exact.check_qubits(25)
+        with pytest.raises(TooLargeError, match=r"^exact backend supports n <= 25, got n=26 x$"):
+            exact.check_qubits(26, " x")
+
+    def test_budget_message_and_edge(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 100)  # read at call time
+        exact.check_budget(100, "never")
+        with pytest.raises(TooLargeError) as info:
+            exact.check_budget(101, "7 things hold", " (13 a thing)")
+        assert str(info.value) == ("7 things hold 101 bytes (13 a thing), "
+                                   "over the budget of 100 bytes")
+        with pytest.raises(TooLargeError, match="^it holds 101 bytes, over the budget of 100"):
+            exact.check_budget(101, "it holds")
+
     def test_mixed_weight_parity_rows_rejected(self, monkeypatch):
         # without its second check the all-ones support plus Xbar leaves
         # span(checks); rejected before the count table is built

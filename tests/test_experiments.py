@@ -31,6 +31,14 @@ class TestAnalyticFamilySource:
         with pytest.raises(ValueError, match="no maximum-likelihood form"):
             AnalyticFamilySource(family, "ml", h)
 
+    def test_only_a_refused_product_has_no_distribution(self):
+        src = AnalyticFamilySource("xshor")
+        assert src.distribution(21, 0.2 * math.pi) is None  # over MAX_CLASSES
+        with pytest.raises(ValueError, match="l must be an odd positive integer, got 4"):
+            src.distribution(4, 0.2 * math.pi)
+        with pytest.raises(TooLargeError, match="diamond refinement unavailable"):
+            src.metric_fn("diamond")(21, 0.2)
+
     def test_calls_family_functions_at_call_time(self, monkeypatch):
         # wrappers installed on the families module after import see the calls
         calls = []
@@ -272,7 +280,59 @@ class TestEnsemble:
         assert a == b
 
 
+    @pytest.mark.parametrize("q_shor,n_samples", [(0.5, None), (0.5, 30), (0.75, 30)])
+    def test_seeds_are_the_spawned_children(self, q_shor, n_samples):
+        # code i's seeds are made from (seed, i) alone; they equal the words
+        # of SeedSequence(seed).spawn(n_codes)[i], as the codes once got them
+        from compasscoh.exact import get_backend
+        from compasscoh.ptm import diamond_avg, r1
+
+        def spawned(seed, n_codes):
+            r1s, dias = [], []
+            for child in np.random.SeedSequence(seed).spawn(n_codes):
+                code_seed, sample_seed = (int(x) for x in child.generate_state(2))
+                dist = get_backend(build_code(random_coloring(3, 3, q_shor, code_seed))
+                                   ).distribution(0.3 * math.pi)
+                if n_samples is None:
+                    r1s.append(r1(dist.channel()))
+                    dias.append(diamond_avg(dist))
+                else:
+                    est = sample_distribution(dist, n_samples, sample_seed)
+                    r1s.append(est.mean_r1)
+                    dias.append(est.mean_diamond)
+            return r1s, dias
+
+        for seed in (0, 7, 2**40 + 3):
+            got = []
+            ensemble_estimate(3, 3, q_shor, 24, 0.3 * math.pi, seed, n_samples=n_samples,
+                              run=lambda task, indices: got.extend(map(task, indices)) or got)
+            assert [list(col) for col in zip(*got)] == list(spawned(seed, 24))
+
+    def test_codes_hold_at_most_their_bytes(self):
+        # in-process the results are all a code holds (192 to 202 bytes at
+        # 10**4 to 10**5 codes); a pool adds a future per chunk of codes
+        kw = dict(theta=0.3 * math.pi, seed=5, n_samples=None)
+        ensemble_estimate(3, 3, 1.0, 4, **kw)
+        tracemalloc.start()
+        try:
+            ensemble_estimate(3, 3, 1.0, 5000, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5000 * experiments._CODE_BYTES
+
+
 class TestInterpolation:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_distance_over_n_rejected_before_any_cell(self, monkeypatch, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was started")
+        monkeypatch.setattr(experiments, "ensemble_estimate", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        with pytest.raises(TooLargeError, match=r"^exact backend supports n <= 25, "
+                                                r"got n=49 \(d=7\)$"):
+            interpolation_curve([3, 7], [0.0, 0.5, 1.0], [0.1], n_codes=2, seed=0, jobs=jobs)
+
     def test_endpoints_and_monotone_trend(self):
         table, estimates = interpolation_curve(
             [3], [0.0, 0.5, 1.0], [0.2], n_codes=8, seed=3)

@@ -4,14 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from compasscoh import (Coloring, build_code, closed_form_threshold,
+from compasscoh import (Coloring, TooLargeError, build_code, closed_form_threshold,
                         diamond_avg, kappa, logical_channel, power,
                         repetition_distribution, repetition_exact,
                         repetition_stirling, syndrome_distribution,
                         x_shor_channel, z_shor_channel, z_stacked_channel)
+from compasscoh import exact, families
 from compasscoh.families import (AngleDistribution, _round12, product_distribution,
                                  x_shor_distribution, z_shor_distribution,
                                  z_stacked_distribution)
+
 from oracles import product_distribution_reference
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
@@ -20,6 +22,39 @@ THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
 def assert_channels_close(a, b, atol=1e-10):
     assert abs(a.epsilon - b.epsilon) <= atol, (a, b)
     assert abs(a.delta - b.delta) <= atol, (a, b)
+
+
+class TestLengthBudget:
+    # l = 2001 has 1001 classes; the budget admits 1000
+    @pytest.mark.parametrize("call", [
+        lambda: repetition_exact(2001, 0.3 * math.pi, "ml"),
+        lambda: repetition_distribution(2001, -0.3 * math.pi),
+        lambda: z_shor_channel(3, 2001, 0.3 * math.pi),
+        lambda: x_shor_channel(3, 2001, 0.3 * math.pi),
+        lambda: z_stacked_channel(2001, 2, 0.3 * math.pi),
+        lambda: z_stacked_distribution(2001, 2, 0.3 * math.pi)])
+    def test_classes_over_budget_rejected_before_any_array(self, monkeypatch, call):
+        b = families._REP_CLASS_BYTES
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 1000 * b)
+        monkeypatch.setattr(np, "arange", lambda *args: pytest.fail("classes made"))
+        with pytest.raises(TooLargeError) as info:
+            call()
+        assert str(info.value) == (
+            f"1001 classes of the length-2001 repetition code hold {1001 * b} bytes "
+            f"({b} a class), over the budget of {1000 * b} bytes")
+
+    @pytest.mark.parametrize("recovery", ["minweight", "ml"])
+    def test_classes_hold_at_most_their_bytes(self, recovery):
+        for call in (repetition_exact, repetition_distribution):
+            tracemalloc.start()
+            try:
+                call(100_001, 0.37 * math.pi, recovery)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # plus about 4 KB whatever l is, once the arrays are large enough
+            # (256 KiB) for NumPy to reuse temporaries in place
+            assert peak <= 50_001 * families._REP_CLASS_BYTES + (8 << 10)
 
 
 class TestRepetitionExact:
@@ -250,6 +285,8 @@ class TestParameterChecks:
 class TestThresholds:
     def test_closed_forms(self):
         assert closed_form_threshold("repetition", l=11) == math.pi / 2
+        # no class is made: a length far over the class budget is fine
+        assert closed_form_threshold("zstacked", l=2 * 10**9 + 1, h=2) == math.pi / 4
         assert closed_form_threshold("zshor", d_x=3, d_z=3) == pytest.approx(math.pi / 6)
         assert closed_form_threshold("xshor", d_x=9, d_z=9) == math.pi / 2
         assert closed_form_threshold("zstacked", l=9, h=2) == pytest.approx(math.pi / 4)
@@ -327,7 +364,7 @@ class TestProductDistributions:
         assert analytic == pytest.approx(exact, abs=1e-12)
 
     def test_too_large_convolution_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooLargeError, match="^product distribution too large"):
             x_shor_distribution(21, 21, 0.2 * math.pi)
 
 

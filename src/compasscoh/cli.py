@@ -10,6 +10,7 @@ included) plus the tool version.  Errors go to stderr as one-line JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,12 @@ MAX_THETAS = 100_000
 # 1001x1001 and 2001x2001 for every family): the coloring's cell tuples,
 # then the lists its file is written from.
 _GEN_CELL_BYTES = 17
+# Bytes a built code holds per qubit besides its masks' digits, and whatever
+# its size; bytes a matching-graph key holds besides its digits: an int
+# object and two pointers, 44 to 48 bytes by tracemalloc.
+_CODE_QUBIT_BYTES = 400
+_CODE_FIXED_BYTES = 20 << 10
+_GRAPH_KEY_BYTES = 64
 
 
 class UsageError(Exception):
@@ -160,8 +167,37 @@ def _cmd_code_gen(args):
     return 0
 
 
+def _check_code_bytes(coloring, keys: bool) -> None:
+    """Refuse a code whose build, and with ``keys`` its matching graph,
+    would hold more than the budget.
+
+    The code holds one mask of at most n bits per qubit (n - 1 stabilizers
+    and two logicals), 4 bytes per 30 bits, plus ``_CODE_QUBIT_BYTES`` a
+    qubit and ``_CODE_FIXED_BYTES``; the graph holds r x r keys of at most
+    n + bitlen(n) bits, each its digits plus ``_GRAPH_KEY_BYTES``.  Over
+    eight families at d = 3 to 31, the estimate is 1.2 to 2.3 times the
+    tracemalloc peak of ``code validate`` and 1.1 to 4.1 times that of
+    ``decode`` (1.03 times at RSC 61, which peaks at 1.9 GB and is refused).
+    Z-Shor 501x501 would hold 8.5 GB.
+    """
+    n, r = coloring.n, coloring.num_x_checks
+    per_qubit = 4 * -(-n // 30) + _CODE_QUBIT_BYTES
+    held = n * per_qubit + _CODE_FIXED_BYTES
+    if not keys:
+        check_budget(held, f"a code of n={n} qubits holds", f" ({per_qubit} a qubit)")
+        return
+    per_key = 4 * -(-(n + n.bit_length()) // 30) + _GRAPH_KEY_BYTES
+    check_budget(held + r * r * per_key,
+                 f"a code of n={n} qubits and its {r}x{r} matching keys hold",
+                 f" ({per_qubit} a qubit, {per_key} a key)")
+
+
 def _cmd_code_validate(args):
-    code = build_code(load_coloring(args.file))
+    """Report a code file's structural checks; the code's bytes are checked
+    against the budget (``_check_code_bytes``) before it is built."""
+    coloring = load_coloring(args.file)
+    _check_code_bytes(coloring, keys=False)
+    code = build_code(coloring)
     report = validate(code)
     _print_json({
         "config": _config_dict(args, "code validate"),
@@ -174,8 +210,12 @@ def _cmd_code_validate(args):
 
 
 def _cmd_decode(args):
+    """Decode one syndrome; the code and, unless ``--oracle``, its matching
+    graph are checked against the budget before either is built."""
     _require(args, "code", "syndrome")
-    code = build_code(load_coloring(args.code))
+    coloring = load_coloring(args.code)
+    _check_code_bytes(coloring, keys=not args.oracle)
+    code = build_code(coloring)
     if args.oracle:
         corr = decode_bruteforce(code, args.syndrome)
     else:
@@ -295,7 +335,11 @@ def _cmd_interpolate(args):
 # ---------------------------------------------------------------------------
 # Parser assembly
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser tree, built on the first call and shared by every later
+    one in the process; nothing may change it after the build
+    (``_parse_args`` puts back what a ``--config`` file sets)."""
     parser = _Parser(prog="compasscoh", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,28 +432,44 @@ def _build_parser() -> _Parser:
 
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``; a ``--config`` file's values become the command's
-    defaults and ``argv`` is parsed again, so every flag given wins."""
+    defaults and ``argv`` is parsed again, so every flag given wins.
+
+    A config key must be a flag (or positional) of the command itself; the
+    namespace's own entries, such as ``func`` or ``command``, are refused.
+    The values apply to this call alone: each flag's own default is put back
+    after the second parse, so the shared parser keeps no config (and two
+    threads must not parse at once).
+    """
     args = parser.parse_args(argv)
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise UsageError("--config file must hold a JSON object")
+        leaf = args.parser
+        flags = {action.dest for action in leaf._actions} - {"help", "config"}
         for key in config:
-            if not hasattr(args, key.replace("-", "_")):
+            if key.replace("-", "_") not in flags:
                 raise UsageError(f"config key {key!r} is not a flag of this command")
         config = {key.replace("-", "_"): value for key, value in config.items()}
-        for action in args.parser._actions:
+        for action in leaf._actions:
             if action.dest in config:
                 value = config[action.dest]
                 try:  # the checks its command-line spelling gets: type, then choices
                     if value is not None:
-                        args.parser._get_value(action, str(value))
-                    args.parser._check_value(action, value)
+                        leaf._get_value(action, str(value))
+                    leaf._check_value(action, value)
                 except argparse.ArgumentError as exc:
                     raise UsageError(str(exc)) from exc
-        args.parser.set_defaults(**config)
-        args = parser.parse_args(argv)
+        changed = [(action, action.default) for action in leaf._actions
+                   if action.dest in config]
+        try:
+            for action, _ in changed:
+                action.default = config[action.dest]
+            args = parser.parse_args(argv)
+        finally:
+            for action, default in changed:
+                action.default = default
     return args
 
 
@@ -419,6 +479,12 @@ def _fail(exit_code: int, code: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit status is 0, 1 or 2 as the module says.
+
+    The parser is built on the first call and kept for the process, so
+    repeated calls skip the build; a ``--config`` file applies to its own
+    call only, and a key that is not a flag of the command is refused.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(_build_parser(), argv)

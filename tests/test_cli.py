@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,18 +122,21 @@ class TestDecode:
         assert rc == 1
         assert json.loads(err)["code"] == "invalid-value"
 
-    def test_keys_over_budget_exit_2_before_the_dp(self, code_file, capsys, monkeypatch):
+    def test_keys_over_budget_exit_2_before_the_dp(self, tmp_path, capsys, monkeypatch):
         def no_dp(*args):
             raise AssertionError("the subset DP ran")
         monkeypatch.setattr(decoder, "_min_weight_keys", no_dp)
-        # 4 flagged checks: 2**4 int64 keys and half as many again, 192 bytes
-        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 191)
-        rc, stdout, err = run(capsys, "decode", "--code", code_file, "--syndrome", "1111")
+        # the 1x25 grid with all 24 checks flagged: 2**24 int64 keys and half
+        # as many again, far more than the code and its graph hold
+        out = tmp_path / "grid.json"
+        save_coloring(family_z_shor(1, 25), out)
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", (3 << 24) // 2 * 8 - 1)
+        rc, stdout, err = run(capsys, "decode", "--code", str(out), "--syndrome", "1" * 24)
         assert rc == 2 and stdout == ""
         error = json.loads(err)
         assert error["code"] == "computational"
         assert error["message"].startswith(
-            "decoding 4 flagged checks of n=5 qubits holds 192 bytes of 8-byte keys")
+            "decoding 24 flagged checks of n=25 qubits holds 201326592 bytes of 8-byte keys")
 
     def test_oracle_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "zshor5.json"
@@ -467,6 +472,77 @@ class TestFailFast:
         assert rc == 1 and json.loads(err)["code"] == "invalid-input"
 
 
+    # code validate and decode: the code, and decode's matching keys unless
+    # --oracle, are checked against the budget before build_code
+    @pytest.mark.parametrize("argv,keys", [
+        (("code", "validate", "{code}"), False),
+        (("decode", "--code", "{code}", "--syndrome", "0000", "--oracle"), False),
+        (("decode", "--code", "{code}", "--syndrome", "0000"), True)])
+    def test_code_over_budget_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                       argv, keys):
+        path = tmp_path / "code.json"
+        save_coloring(family_z_shor(3, 5), path)  # n=15, r=4: one 30-bit digit a mask
+        argv = [arg.format(code=path) for arg in argv]
+        per_qubit = 4 + cli._CODE_QUBIT_BYTES
+        held = 15 * per_qubit + cli._CODE_FIXED_BYTES
+        if keys:
+            per_key = 4 + cli._GRAPH_KEY_BYTES
+            held += 16 * per_key
+            subject = "a code of n=15 qubits and its 4x4 matching keys hold"
+            detail = f"{per_qubit} a qubit, {per_key} a key"
+        else:
+            subject, detail = "a code of n=15 qubits holds", f"{per_qubit} a qubit"
+        monkeypatch.setattr(cli, "build_code", self._fail("build_code"))
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", held - 1)
+        assert self._refused(capsys, *argv) == (
+            f"{subject} {held} bytes ({detail}), over the budget of {held - 1} bytes")
+        monkeypatch.undo()
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", held)
+        rc, stdout, err = run(capsys, *argv)
+        assert rc == 0 and stdout, err
+
+    def test_z_shor_501_validate_and_decode_refused(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "zs501.json"
+        save_coloring(family_z_shor(501, 501), path)
+        monkeypatch.setattr(cli, "build_code", self._fail("build_code"))
+        assert self._refused(capsys, "code", "validate", str(path)) == (
+            "a code of n=251001 qubits holds 8500922348 bytes (33868 a qubit), "
+            "over the budget of 1073741824 bytes")
+        assert self._refused(capsys, "decode", "--code", str(path), "--syndrome", "0" * 500) == (
+            "a code of n=251001 qubits and its 500x500 matching keys hold 16884922348 bytes "
+            "(33868 a qubit, 33536 a key), over the budget of 1073741824 bytes")
+
+    # the estimate bounds what the command holds, by tracemalloc
+    @pytest.mark.parametrize("coloring", [
+        lambda: family_rotated_surface(13), lambda: family_x_shor(13, 13),
+        lambda: family_z_shor(1, 169), lambda: random_coloring(13, 13, 0.5, 1)])
+    @pytest.mark.parametrize("command", ["validate", "decode"])
+    def test_code_bytes_bound_the_peak(self, tmp_path, capsys, monkeypatch, coloring, command):
+        coloring = coloring()
+        path = tmp_path / "code.json"
+        save_coloring(coloring, path)
+        r = coloring.num_x_checks
+        if command == "validate":
+            argv = ["code", "validate", str(path)]
+        else:
+            argv = ["decode", "--code", str(path), "--syndrome", "1" + "0" * (r - 2) + "1"]
+        estimates = []
+
+        def record(held, subject, detail=""):
+            estimates.append(held)
+        run(capsys, *argv)  # the parser and every import, outside the measurement
+        monkeypatch.setattr(cli, "check_budget", record)
+        build_code.cache_clear()
+        tracemalloc.start()
+        try:
+            rc, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, err
+        assert peak <= estimates[0]
+
+
 class TestSweepThreshold:
     def test_sweep_threshold_pipeline(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -687,6 +763,111 @@ class TestConfigFile:
         flag_rc, _, flag_err = run(capsys, *argv, f"--{key}", value)
         assert flag_rc == 1 and json.loads(err) == json.loads(flag_err)
         assert json.loads(err)["code"] == "usage"
+
+    # keys of the namespace that are no flag of the command
+    @pytest.mark.parametrize("key", ["func", "parser", "command", "subcommand", "config"])
+    def test_namespace_keys_are_not_flags(self, tmp_path, capsys, monkeypatch, key):
+        code = tmp_path / "code.json"
+        save_coloring(family_z_shor(3, 3), code)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 3}))
+        monkeypatch.setattr(cli, "build_code", TestFailFast._fail("build_code"))
+        rc, stdout, err = run(capsys, "code", "validate", str(code), "--config", str(cfg))
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {
+            "code": "usage", "message": f"config key {key!r} is not a flag of this command"}
+
+
+def _parser_state(parser):
+    """Every default of every parser in the tree: each parser's own
+    ``set_defaults`` and each action's ``default``."""
+    state = [(dict(parser._defaults), [(a.dest, a.default) for a in parser._actions])]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                state.append((name, _parser_state(sub)))
+    return state
+
+
+class TestParserReuse:
+    """One parser serves every main() call in a process, and a --config call
+    leaves nothing in it for the next call."""
+
+    @pytest.fixture()
+    def rsc3(self, tmp_path):
+        path = tmp_path / "rsc3.json"
+        save_coloring(family_rotated_surface(3), path)
+        return str(path)
+
+    # the plain analytic call lacks --l, so it fails whatever the config held
+    @pytest.mark.parametrize("argv,config", [
+        (("channel", "exact", "--code", "{code}", "--theta-over-pi", "0.1"),
+         {"recovery": "ml"}),
+        (("channel", "analytic", "--family", "rep", "--theta-over-pi", "0.1"),
+         {"l": 5, "recovery": "ml"}),
+        (("code", "validate", "{code}"), {"jobs": 2})])
+    def test_config_applies_to_its_own_call_only(self, tmp_path, capsys, rsc3, argv, config):
+        argv = [arg.format(code=rsc3) for arg in argv]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        plain = run(capsys, *argv)
+        rc, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 0, err
+        payload = json.loads(stdout)["config"]
+        assert {key: payload[key] for key in config} == config
+        assert run(capsys, *argv) == plain
+
+    def test_config_call_leaves_the_parser_tree_unchanged(self, tmp_path, capsys, rsc3):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recovery": "ml", "jobs": 2, "dump-distribution": None}))
+        argv = ("channel", "exact", "--code", rsc3, "--theta-over-pi", "0.1")
+        run(capsys, *argv)
+        before = _parser_state(cli._build_parser())
+        assert run(capsys, *argv, "--config", str(cfg))[0] == 0
+        assert _parser_state(cli._build_parser()) == before
+
+    # rejected by the flag's type, by its choices, or by an unknown key beside a valid one
+    @pytest.mark.parametrize("config", [{"jobs": 0}, {"recovery": "bogus"},
+                                        {"theta-over-pi": "x"}, {"jobs": 2, "nope": 1}])
+    def test_rejected_config_leaves_the_next_call_intact(self, tmp_path, capsys, rsc3, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ("channel", "exact", "--code", rsc3, "--theta-over-pi", "0.1")
+        plain = run(capsys, *argv)
+        rc, stdout, _ = run(capsys, *argv, "--config", str(cfg))
+        assert (rc, stdout) == (1, "")
+        assert run(capsys, *argv) == plain
+
+    # counted in a fresh process, by every ArgumentParser constructed: none
+    # at import, the whole tree on the first call, none after it (the
+    # analytic call is a usage error: --oracle is no flag of it)
+    def test_parser_tree_built_once_per_process(self, rsc3):
+        script = f"""
+import argparse, contextlib, io, json
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from compasscoh.cli import main
+counts = [built]
+for argv in 2 * [["code", "validate", {rsc3!r}],
+                 ["channel", "exact", "--code", {rsc3!r}, "--theta-over-pi", "0.1"],
+                 ["channel", "analytic", "--family", "rep", "--l", "3", "--oracle"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    counts.append(built)
+print(json.dumps(counts))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")))
+        assert proc.returncode == 0, proc.stderr
+        at_import, first, *rest = json.loads(proc.stdout)
+        assert at_import == 0 and first > 0
+        assert rest == [first] * 5
 
 
 class TestThetaGrid:

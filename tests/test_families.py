@@ -92,6 +92,14 @@ class TestRepetitionExact:
         assert 0 < ch.delta < 1e-50
         assert math.isfinite(kappa(ch))
 
+    # far above threshold the log-domain sum's rounding passes LogicalPTM's
+    # contractivity tolerance at large l (eps = 2 + 1.2e-12 here; l = 101
+    # passes): a known defect, kept on record until the sums are fixed
+    @pytest.mark.xfail(strict=True, raises=ValueError)
+    def test_l_1001_far_above_threshold(self):
+        ch = repetition_exact(1001, 0.9 * math.pi)
+        assert ch.epsilon <= 2.0
+
     def test_periodicity_and_parity(self):
         for l in [3, 7]:
             a = repetition_exact(l, 0.22 * math.pi)

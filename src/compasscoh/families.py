@@ -7,8 +7,11 @@ C(l, w), w = 0..(l-1)/2) carries signed coset amplitudes
     S0 = (-1)**(w//2)     * cos(t/2)**(l-w) * sin(t/2)**w
     S1 = (-1)**((l-w)//2) * cos(t/2)**w     * sin(t/2)**(l-w)
 
-from which eps, delta and the class angles follow exactly at any l (sums
-run in the log domain so l ~ 10**3 stays finite).  Z-Shor codes zip onto
+(sin(t/2)**0 is 1 at t = 0 too, where the w = 0 class has probability 1).
+Each class has its own channel, a point of the unit circle, and its own
+angle.  The repetition channel is the probability-weighted mean of the
+class channels, the weights scaled from their logs, so it is contractive
+at any l.  Z-Shor codes zip onto
 the repetition code at angle d_x * theta; X-Shor codes are d_x column
 channels composed, i.e. a PTM power; Z-stacked codes compose block
 channels at angle h * theta with leftover single rows at theta.
@@ -35,10 +38,11 @@ Z_STACKED = "zstacked"
 
 MAX_CLASSES = 200_000  # largest merged class count convolved exactly
 # Bytes a repetition channel or distribution holds per class of
-# ``_rep_classes`` (tracemalloc at l = 2*10**5 + 1 and 2*10**6 + 1: 112
-# under minimum weight, 113 under ML; about 8 more below 32,768 classes,
-# whose arrays are too small for NumPy to reuse temporaries in place).
-_REP_CLASS_BYTES = 113
+# ``_rep_classes`` (tracemalloc at l = 2*10**5 + 1 and 2*10**6 + 1: 64 for
+# a channel and for an ML distribution, 56 for a minimum-weight one; about
+# 8 more below 32,768 classes, whose arrays are too small for NumPy to
+# reuse temporaries in place).
+_REP_CLASS_BYTES = 64
 
 
 # Each family's parameter rule, run by its channel, its distribution and
@@ -78,74 +82,59 @@ class AngleDistribution:
 
 
 def _rep_classes(l: int, theta: float, recovery: str):
-    """Log-domain class data for the repetition code at a reduced angle.
+    """Class data for the repetition code at a reduced angle.
 
-    Returns (log_prob, theta_w, log_eps_terms, delta_sign, log_delta_terms)
-    over the min-weight classes w = 0..(l-1)/2 including multiplicity.
+    Returns (ln_p, x, sg, sign) over the min-weight classes w of nonzero
+    probability, w = 0..(l-1)/2 (w = 0 alone at theta = 0): ln_p is the log
+    of the class probability C(l, w) * (S0**2 + S1**2); x = ln|S1/S0|, with
+    S0 the coset amplitude the recovery keeps; sg is the sign of S0 * S1
+    and sign that of the class angle.  A class's channel is
+    (2 / (1 + exp(-2x)), sign * sg / cosh x), a point of the unit circle,
+    and its angle is sign * 2 * arctan(sg * exp(x)).
     With the callers' temporaries they hold ``_REP_CLASS_BYTES`` a class,
     checked against the budget (``check_budget``) before any is made.
     """
     classes = (l + 1) // 2
     check_budget(classes * _REP_CLASS_BYTES, f"{classes} classes of the length-{l} "
                  "repetition code hold", f" ({_REP_CLASS_BYTES} a class)")
-    sgn_theta = 1.0 if theta >= 0 else -1.0
     a = abs(theta)
     c, s = math.cos(a / 2.0), math.sin(a / 2.0)
-    w = np.arange(classes)
+    w = np.arange(classes if s else 1)  # at s = 0 every other class has p = 0
     with np.errstate(divide="ignore"):
         ln_c, ln_s = np.log(c), np.log(s)
-    lnC = np.array([math.lgamma(l + 1) - math.lgamma(k + 1) - math.lgamma(l - k + 1)
-                    for k in w])
-    with np.errstate(invalid="ignore"):
-        ln0 = (l - w) * ln_c + w * ln_s
-        ln1 = w * ln_c + (l - w) * ln_s
-    ln0 = np.where(np.isnan(ln0), -np.inf, ln0)
-    ln1 = np.where(np.isnan(ln1), -np.inf, ln1)
-    sg0 = (-1.0) ** (w // 2)
-    sg1 = (-1.0) ** ((l - w) // 2)
-    parity = w & 1
-
-    if recovery == ML:
-        swap = ln1 > ln0
-        ln0, ln1 = np.where(swap, ln1, ln0), np.where(swap, ln0, ln1)
-        sg0, sg1 = np.where(swap, sg1, sg0), np.where(swap, sg0, sg1)
-        parity = parity ^ swap
-
-    # class probability C * (S0^2 + S1^2), stable pairwise logaddexp
+    ln_l = math.lgamma(l + 1)
+    lnC = np.array([ln_l - math.lgamma(k + 1) - math.lgamma(l - k + 1) for k in w])
+    ln0 = (l - w) * ln_c
+    ln0[1:] += w[1:] * ln_s  # s**0 is 1, also at s = 0
+    ln1 = w * ln_c + (l - w) * ln_s
     ln_p = lnC + np.logaddexp(2 * ln0, 2 * ln1)
-
-    sign = 1.0 - 2.0 * parity
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = sg0 * sg1 * np.exp(ln1 - ln0)  # nan on zero-probability classes
-    theta_w = np.where(np.isneginf(ln0), math.pi, sign * 2.0 * np.arctan(ratio))
-    theta_w = sgn_theta * theta_w
-
-    ln_eps = lnC + math.log(2.0) + 2 * ln1
-    ln_del = lnC + math.log(2.0) + ln0 + ln1
-    del_sign = sgn_theta * sign * sg0 * sg1
-    return ln_p, theta_w, ln_eps, del_sign, ln_del
-
-
-def _signed_logsumexp(log_terms: np.ndarray, signs=None) -> float:
-    finite = log_terms > -np.inf
-    if not np.any(finite):
-        return 0.0
-    m = float(np.max(log_terms[finite]))
-    scaled = np.exp(log_terms[finite] - m)
-    if signs is not None:
-        scaled = scaled * np.asarray(signs)[finite]
-    return math.exp(m) * float(np.sum(scaled)) if m > -np.inf else 0.0
+    del lnC
+    x = np.subtract(ln1, ln0, out=ln1)
+    del ln0
+    sg = (-1.0) ** (w // 2) * (-1.0) ** ((l - w) // 2)
+    parity = w & 1
+    if recovery == ML:  # keep the likelier coset: S0 and S1 swap where x > 0
+        parity ^= x > 0
+        x = -np.abs(x)
+    sign = (1.0 if theta >= 0 else -1.0) * (1.0 - 2.0 * parity)
+    return ln_p, x, sg, sign
 
 
 def repetition_exact(l: int, theta: float, recovery: str = MIN_WEIGHT) -> LogicalPTM:
-    """Exact repetition-code logical channel from the class sums."""
+    """Exact repetition-code logical channel: the probability-weighted mean
+    of the classes' own channels, so it is contractive at every l.  Each
+    sum is ``np.sum``'s, in one pairwise order, and fl(q * eps_w) <= 2q, so
+    eps <= 2 holds in floats too (``np.dot`` would keep neither that nor
+    the bits from one BLAS to another)."""
     _check_repetition(l)
     _check_recovery(recovery)
-    theta = reduce_angle(theta)
-    _, _, ln_eps, del_sign, ln_del = _rep_classes(l, theta, recovery)
-    eps = _signed_logsumexp(ln_eps)
-    delta = _signed_logsumexp(ln_del, del_sign)
-    return LogicalPTM(eps, delta)
+    ln_p, x, sg, sign = _rep_classes(l, reduce_angle(theta), recovery)
+    q = np.exp(ln_p - np.max(ln_p))
+    with np.errstate(over="ignore"):
+        eps_w = 2.0 / (1.0 + np.exp(-2.0 * x))
+        del_w = sign * sg / np.cosh(x)
+    total = np.sum(q)
+    return LogicalPTM(np.sum(q * eps_w) / total, np.sum(q * del_w) / total)
 
 
 def repetition_distribution(l: int, theta: float,
@@ -153,10 +142,10 @@ def repetition_distribution(l: int, theta: float,
     """Class-aggregated angle distribution of the repetition channel."""
     _check_repetition(l)
     _check_recovery(recovery)
-    theta = reduce_angle(theta)
-    ln_p, theta_w, *_ = _rep_classes(l, theta, recovery)
-    keep = ln_p > -np.inf
-    return AngleDistribution(p=np.exp(ln_p[keep]), theta_s=theta_w[keep])
+    ln_p, x, sg, sign = _rep_classes(l, reduce_angle(theta), recovery)
+    with np.errstate(over="ignore"):
+        theta_s = sign * 2.0 * np.arctan(sg * np.exp(x))
+    return AngleDistribution(p=np.exp(ln_p), theta_s=theta_s)
 
 
 def repetition_stirling(l: int, theta: float) -> LogicalPTM:

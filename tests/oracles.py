@@ -17,6 +17,8 @@ syndrome classes.
 ``channel_reference`` sums the channel over whole per-syndrome gathers, and
 ``diamond_reference`` the diamond value, the bit-exact references for
 summing one gather of per-class products.
+``repetition_reference`` is the exact repetition channel from integer
+class sums, the reference for the closed-form class route at large l.
 ``product_distribution_reference`` is the scalar dict fold that defines
 the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
@@ -225,6 +227,42 @@ def _per_syndrome_rows(code):
     parity = keys >> n & 1
     coset = np.bitwise_count(~keys & bit_reverse(code.logical_x.mask, n)) & 1
     return counts, np.arange(0, len(counts), 2) | (coset ^ parity), parity
+
+
+def repetition_reference(l, theta):
+    """Exact ``{recovery: (eps, delta)}`` of the length-l repetition channel
+    at a float angle theta in (0, pi], by integer sums at the code's own
+    c = cos(theta/2) and s = sin(theta/2).
+
+    Both are dyadic floats, a / 2**k and b / 2**k, so class w's coset
+    weights S0**2 and S1**2 are U = a**(2(l-w)) * b**(2w) and
+    V = a**(2w) * b**(2(l-w)) over 2**(2kl), and |S0 * S1| is (ab)**l over
+    it for every class.  With multiplicity C(l, w) and the sign
+    (-1)**(w//2 + (l-w)//2 + w) of the class's delta, eps = 2 sum C V / P
+    and delta = 2 (ab)**l sum(sign C) / P, P = sum C (U + V); ML keeps the
+    likelier coset, so V > U swaps the two and flips the sign.  Each
+    ratio is one correctly rounded int division; both recoveries share
+    the terms.
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    (a, c_den), (b, s_den) = c.as_integer_ratio(), s.as_integer_ratio()
+    den = max(c_den, s_den)
+    a, b = a * (den // c_den), b * (den // s_den)
+    a2, b2 = a * a, b * b
+    u, v, comb = a2 ** l, b2 ** l, 1
+    total = eps_mw = eps_ml = del_mw = del_ml = 0
+    for w in range((l + 1) // 2):
+        sign = (-1) ** (w // 2 + (l - w) // 2 + w)
+        total += comb * (u + v)
+        eps_mw += comb * v
+        eps_ml += comb * min(u, v)
+        del_mw += sign * comb
+        del_ml += (sign if v <= u else -sign) * comb
+        u, v = u // a2 * b2, v // b2 * a2
+        comb = comb * (l - w) // (w + 1)
+    ab = 2 * (a * b) ** l
+    return {"minweight": (2 * eps_mw / total, ab * del_mw / total),
+            "ml": (2 * eps_ml / total, ab * del_ml / total)}
 
 
 def product_distribution_reference(parts, max_classes=200_000):

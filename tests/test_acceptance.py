@@ -118,10 +118,11 @@ def test_c04_stirling():
 
 @criterion("5 Z-Shor zipping exact; square crossings decrease (no threshold)")
 def test_c05_zshor_zipping_no_threshold():
-    # kappa identity holds exactly by construction
+    # kappa identity holds exactly by construction, at one float angle
     for d_x, d_z, top in ((3, 3, 0.04), (5, 7, 0.02)):
-        assert kappa(z_shor_channel(d_x, d_z, top * math.pi)) == kappa(
-            repetition_exact(d_z, d_x * top * math.pi))
+        theta = top * math.pi
+        assert kappa(z_shor_channel(d_x, d_z, theta)) == kappa(
+            repetition_exact(d_z, d_x * theta))
     # enumeration on the 3x3 grid equals the zipped repetition channel
     code = build_code(family_z_shor(3, 3))
     for top in THETA_GRID:

@@ -544,6 +544,20 @@ class TestFailFast:
 
 
 class TestSweepThreshold:
+    # theta = 0 is the identity: one class of probability 1 in every family
+    @pytest.mark.parametrize("family", [("rep",), ("zshor",), ("xshor",),
+                                        ("zstacked", "--h", "2")])
+    def test_analytic_sweep_from_theta_zero(self, tmp_path, capsys, family):
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", "--family", *family, "--thetas", "0:0.1:0.05",
+                         "--distances", "5,9", "--out", str(out))
+        assert rc == 0, err
+        rows = [row for row in read_csv(out).rows if row.theta_over_pi == 0.0]
+        assert len(rows) == 2
+        for row in rows:
+            cells = (row.epsilon, row.delta, row.kappa, row.r1, row.diamond)
+            assert [repr(cell) for cell in cells] == ["0.0"] * 5
+
     def test_sweep_threshold_pipeline(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc, _, _ = run(capsys, "sweep", "--family", "rep",

@@ -10,11 +10,12 @@ from compasscoh import (Coloring, TooLargeError, build_code, closed_form_thresho
                         repetition_stirling, syndrome_distribution,
                         x_shor_channel, z_shor_channel, z_stacked_channel)
 from compasscoh import exact, families
+from compasscoh.experiments import SampleEstimate, sample_distribution
 from compasscoh.families import (AngleDistribution, _round12, product_distribution,
                                  x_shor_distribution, z_shor_distribution,
                                  z_stacked_distribution)
 
-from oracles import product_distribution_reference
+from oracles import product_distribution_reference, repetition_reference
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
 
@@ -92,13 +93,23 @@ class TestRepetitionExact:
         assert 0 < ch.delta < 1e-50
         assert math.isfinite(kappa(ch))
 
-    # far above threshold the log-domain sum's rounding passes LogicalPTM's
-    # contractivity tolerance at large l (eps = 2 + 1.2e-12 here; l = 101
-    # passes): a known defect, kept on record until the sums are fixed
-    @pytest.mark.xfail(strict=True, raises=ValueError)
-    def test_l_1001_far_above_threshold(self):
-        ch = repetition_exact(1001, 0.9 * math.pi)
-        assert ch.epsilon <= 2.0
+    # LogicalPTM raises on a non-contractive block; each class channel lies
+    # on the unit circle, so their weighted mean stays inside it at any l
+    @pytest.mark.parametrize("recovery", ["minweight", "ml"])
+    @pytest.mark.parametrize("l", [1001, 10_001, 100_001])
+    def test_contractive_far_above_threshold(self, l, recovery):
+        for k in range(-10, 11):
+            assert repetition_exact(l, k / 10 * math.pi, recovery).epsilon <= 2.0
+
+    @pytest.mark.parametrize("l", [101, 1001])
+    @pytest.mark.parametrize("theta_over_pi", [0.3, 0.6, 0.9])
+    def test_matches_integer_reference(self, l, theta_over_pi):
+        theta = theta_over_pi * math.pi
+        for recovery, want in repetition_reference(l, theta).items():
+            ch = repetition_exact(l, theta, recovery)
+            for got, ref in zip((ch.epsilon, ch.delta), want):
+                if abs(ref) > 1e-300:  # below, the reference itself is rounded
+                    assert got == pytest.approx(ref, rel=1e-11, abs=0), recovery
 
     def test_periodicity_and_parity(self):
         for l in [3, 7]:
@@ -118,6 +129,24 @@ class TestRepetitionExact:
         delta = float(np.sum(dist.p * np.sin(dist.theta_s)))
         assert eps == pytest.approx(ch.epsilon, abs=1e-12)
         assert delta == pytest.approx(ch.delta, abs=1e-12)
+
+
+class TestThetaZero:
+    """At theta = 0 every family is the identity: one class of probability
+    1 at angle 0, whose channel is (0.0, 0.0)."""
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    @pytest.mark.parametrize("kind,params", [
+        ("repetition", (1,)), ("repetition", (7,)), ("zshor", (3, 3)),
+        ("xshor", (3, 5)), ("zstacked", (7, 2)), ("zstacked", (9, 3))])
+    def test_one_class_of_probability_one(self, kind, params, theta):
+        family = families.FAMILIES[kind]
+        for recovery in ("minweight", "ml") if family.has_ml else ("minweight",):
+            dist = family.distribution(*params, theta, recovery)
+            assert dist.p.tolist() == [1.0] and dist.theta_s.tolist() == [0.0]
+            assert sample_distribution(dist, 10, 1) == SampleEstimate(0.0, 0.0, 0.0, 0.0)
+            ch = family.channel(*params, theta, recovery)
+            assert (repr(ch.epsilon), repr(ch.delta)) == ("0.0", "0.0")
 
 
 class TestKappaApproximation:

@@ -53,6 +53,8 @@ import math
 
 import numpy as np
 
+from . import gf2
+
 # Largest n built; it also bounds the error of the cancelling per-theta sums
 # (Z-Shor channels miss their closed forms by 1.2e-13 at n=25, 2.5e-10 at 49).
 MAX_QUBITS = 25
@@ -119,29 +121,21 @@ def _dual_blocks(n, checks):
 def _coset_blocks(n, checks):
     """The count rows of consecutive syndrome blocks, ``(syndromes, n + 1)``
     each, histogrammed from the cosets of the checks' kernel."""
-    pivots = {}  # leading syndrome bit -> [syndrome, support mapping onto it]
-    kernel = []
-    for q in range(n):
-        row = sum((g >> q & 1) << i for i, g in enumerate(checks))
-        v = 1 << q
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = [row, v]
-                break
-            row ^= pivots[top][0]
-            v ^= pivots[top][1]
-        else:
-            kernel.append(v)
+    # qubit q's syndrome row above bit n, and 1 << q: a vector keyed below n
+    # is in the kernel, one above pairs a pivot row with a support onto it
+    basis = gf2.reduce_basis(sum((g >> q & 1) << i for i, g in enumerate(checks)) << n | 1 << q
+                             for q in range(n))
+    pivots = {top - n: b for top, b in basis.items() if top >= n}
+    kernel = [b for top, b in basis.items() if top < n]
     # reduce: each pivot bit is set in its own pivot row only, so row t
     # combines the pivot rows of the pivot bits t has
     for low in sorted(pivots):
-        for top, pivot in pivots.items():
-            if top > low and pivot[0] >> low & 1:
-                pivot[0] ^= pivots[low][0]
-                pivot[1] ^= pivots[low][1]
-    by_bit = [pivots.get(bit, (0, 0)) for bit in range(len(checks))]
-    luts = [(_span([row for row, _ in by_bit[i:i + 8]]), _span([v for _, v in by_bit[i:i + 8]]))
+        for top in pivots:
+            if top > low and pivots[top] >> (n + low) & 1:
+                pivots[top] ^= pivots[low]
+    by_bit = [pivots.get(bit, 0) for bit in range(len(checks))]
+    luts = [(_span([b >> n for b in by_bit[i:i + 8]]),
+             _span([b & ((1 << n) - 1) for b in by_bit[i:i + 8]]))
             for i in range(0, len(checks), 8)]
     ker = _span(kernel)
     dtype = np.min_scalar_type(len(ker))

@@ -175,8 +175,8 @@ def _check_code_bytes(coloring, keys: bool) -> None:
     and two logicals), 4 bytes per 30 bits, plus ``_CODE_QUBIT_BYTES`` a
     qubit and ``_CODE_FIXED_BYTES``; the graph holds r x r keys of at most
     n + bitlen(n) bits, each its digits plus ``_GRAPH_KEY_BYTES``.  Over
-    eight families at d = 3 to 31, the estimate is 1.2 to 2.3 times the
-    tracemalloc peak of ``code validate`` and 1.1 to 4.1 times that of
+    eight families, the estimate is 1.07 to 2.1 times the tracemalloc peak
+    of ``code validate`` at d = 3 to 61 and 1.1 to 4.1 times that of
     ``decode`` (1.03 times at RSC 61, which peaks at 1.9 GB and is refused).
     Z-Shor 501x501 would hold 8.5 GB.
     """

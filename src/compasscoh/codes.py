@@ -314,6 +314,17 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
+def qubit_checks(n: int, supports: Iterable[PauliSupport]) -> list[list[int]]:
+    """Per qubit, the indices of the ``supports`` that hold it, ascending."""
+    checks = [[] for _ in range(n)]
+    for k, support in enumerate(supports):
+        mask = support.mask
+        while mask:
+            checks[(mask & -mask).bit_length() - 1].append(k)
+            mask &= mask - 1
+    return checks
+
+
 def validate(code: CompassCode) -> ValidationReport:
     """Check every structural invariant of a compass code over exact F2 arithmetic."""
     checks = []
@@ -331,24 +342,20 @@ def validate(code: CompassCode) -> ValidationReport:
     add("logical Z weight odd", code.logical_z.weight % 2 == 1,
         f"weight {code.logical_z.weight}")
     add("logical supports nonempty", code.logical_z.mask and code.logical_x.mask)
-    add("X/Z stabilizers commute",
-        all(x.commutes_with(z) for x in code.x_stabilizers for z in code.z_stabilizers))
+    # a pair toggles at each qubit it shares: those left share an odd number
+    x_of, z_of = qubit_checks(n, code.x_stabilizers), qubit_checks(n, code.z_stabilizers)
+    odd = set()
+    for xs, zs in zip(x_of, z_of):
+        odd.symmetric_difference_update((x, z) for x in xs for z in zs)
+    add("X/Z stabilizers commute", not odd)
     add("logical Z commutes with X checks",
         all(code.logical_z.commutes_with(x) for x in code.x_stabilizers))
     add("logical X commutes with Z checks",
         all(code.logical_x.commutes_with(z) for z in code.z_stabilizers))
     add("logicals anticommute", not code.logical_z.commutes_with(code.logical_x))
 
-    x_per_qubit = [0] * n
-    z_per_qubit = [0] * n
-    for s in code.x_stabilizers:
-        for q in s.qubits:
-            x_per_qubit[q] += 1
-    for s in code.z_stabilizers:
-        for q in s.qubits:
-            z_per_qubit[q] += 1
-    add("each qubit in <= 2 X checks", max(x_per_qubit, default=0) <= 2)
-    add("each qubit in <= 2 Z checks", max(z_per_qubit, default=0) <= 2)
+    add("each qubit in <= 2 X checks", max(map(len, x_of), default=0) <= 2)
+    add("each qubit in <= 2 Z checks", max(map(len, z_of), default=0) <= 2)
 
     x_basis = gf2.reduce_basis([s.mask for s in code.x_stabilizers])
     z_basis = gf2.reduce_basis([s.mask for s in code.z_stabilizers])

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import exact
-from .codes import CompassCode, InvalidCodeError, PauliSupport
+from .codes import CompassCode, InvalidCodeError, PauliSupport, qubit_checks
 
 
 def syndrome_to_mask(syndrome, num_checks: int) -> int:
@@ -97,15 +97,9 @@ class MatchingGraph:
     def __init__(self, code: CompassCode):
         n = code.n
         num_checks = boundary = len(code.x_stabilizers)
-        checks_of = [[] for _ in range(n)]
-        for k, stab in enumerate(code.x_stabilizers):
-            mask = stab.mask
-            while mask:
-                checks_of[(mask & -mask).bit_length() - 1].append(k)
-                mask &= mask - 1
         # of parallel edges, the lowest qubit has the smallest key and wins
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_checks + 1)]
-        for q, cs in enumerate(checks_of):
+        for q, cs in enumerate(qubit_checks(n, code.x_stabilizers)):
             if len(cs) > 2:
                 raise InvalidCodeError(
                     f"qubit {q} lies in {len(cs)} X checks; not a compass code")

@@ -1,22 +1,23 @@
-"""Small F2 linear-algebra helpers on int bit masks."""
+"""Small F2 linear-algebra helpers on int bit masks.  A basis is an echelon
+dict ``{leading bit: vector}``: no two vectors share a leading bit."""
+
+
+def _reduce(mask, basis):
+    """``mask`` XORed with the vector at its leading bit while there is one."""
+    while mask and (top := mask.bit_length() - 1) in basis:
+        mask ^= basis[top]
+    return mask
 
 
 def reduce_basis(masks):
-    """Row-reduced basis (descending leading bits) of the span of ``masks``."""
-    basis = []
+    """Echelon basis of the span of ``masks``; its length is their rank."""
+    basis = {}
     for m in masks:
-        m = int(m)
-        for b in basis:
-            m = min(m, m ^ b)
-        if m:
-            basis.append(m)
-            basis.sort(reverse=True)
+        if m := _reduce(int(m), basis):
+            basis[m.bit_length() - 1] = m
     return basis
 
 
 def in_span(mask, basis):
-    """Whether ``mask`` lies in the span of a reduced ``basis``."""
-    m = int(mask)
-    for b in basis:
-        m = min(m, m ^ b)
-    return m == 0
+    """Whether ``mask`` lies in the span of an echelon ``basis``."""
+    return _reduce(int(mask), basis) == 0

@@ -30,6 +30,9 @@ read a matching graph's edges and all-pairs witness paths for the tests.
 ``sample_distribution_reference`` is the Monte Carlo estimator drawn by
 ``Generator.choice`` on the whole gathered distribution, the bit-exact
 reference for the sampler's own inverse CDF.
+``validate_reference`` is the all-pairs structural check of a code, with
+per-qubit counts from ``PauliSupport.qubits`` and a sorted-list F2 basis,
+the reference for ``validate``'s incidence pass and echelon basis.
 """
 
 import functools
@@ -39,6 +42,7 @@ import math
 import numpy as np
 
 from compasscoh import _kernels, build_matching_graph, decode_mwpm
+from compasscoh.codes import CheckResult, ValidationReport
 from compasscoh.decoder import bit_reverse
 from compasscoh.exact import ExactBackend
 from compasscoh.experiments import SampleEstimate
@@ -456,3 +460,64 @@ def match_reference(code, flagged_mask):
             raise AssertionError("syndrome not matchable")
         memo[s] = best
     return memo[flagged_mask]
+
+
+def _sorted_basis(masks):
+    """Row-reduced basis (descending leading bits) of the span of ``masks``."""
+    basis = []
+    for m in masks:
+        for b in basis:
+            m = min(m, m ^ b)
+        if m:
+            basis.append(m)
+            basis.sort(reverse=True)
+    return basis
+
+
+def validate_reference(code):
+    """The ``ValidationReport`` of ``code``: every (X check, Z check) pair
+    ANDed, every stabilizer's qubits listed, every F2 reduction against the
+    whole sorted basis."""
+    checks = []
+
+    def add(name, ok, detail=""):
+        checks.append(CheckResult(name, bool(ok), detail))
+
+    n = code.n
+    stabs = code.x_stabilizers + code.z_stabilizers
+    add("d_z odd", code.d_z % 2 == 1, f"d_z={code.d_z}")
+    add("stabilizer count is n-1", len(stabs) == n - 1,
+        f"{len(stabs)} generators on {n} qubits")
+    add("stabilizer supports nonempty", all(s.mask for s in stabs))
+    add("stabilizer weights even", all(s.weight % 2 == 0 for s in stabs))
+    add("logical Z weight odd", code.logical_z.weight % 2 == 1,
+        f"weight {code.logical_z.weight}")
+    add("logical supports nonempty", code.logical_z.mask and code.logical_x.mask)
+    add("X/Z stabilizers commute",
+        all(x.commutes_with(z) for x in code.x_stabilizers for z in code.z_stabilizers))
+    add("logical Z commutes with X checks",
+        all(code.logical_z.commutes_with(x) for x in code.x_stabilizers))
+    add("logical X commutes with Z checks",
+        all(code.logical_x.commutes_with(z) for z in code.z_stabilizers))
+    add("logicals anticommute", not code.logical_z.commutes_with(code.logical_x))
+
+    x_per_qubit = [0] * n
+    z_per_qubit = [0] * n
+    for s in code.x_stabilizers:
+        for q in s.qubits:
+            x_per_qubit[q] += 1
+    for s in code.z_stabilizers:
+        for q in s.qubits:
+            z_per_qubit[q] += 1
+    add("each qubit in <= 2 X checks", max(x_per_qubit, default=0) <= 2)
+    add("each qubit in <= 2 Z checks", max(z_per_qubit, default=0) <= 2)
+
+    x_basis = _sorted_basis([s.mask for s in code.x_stabilizers])
+    z_basis = _sorted_basis([s.mask for s in code.z_stabilizers])
+    add("X stabilizers independent", len(x_basis) == len(code.x_stabilizers))
+    add("Z stabilizers independent", len(z_basis) == len(code.z_stabilizers))
+    logical_z = code.logical_z.mask
+    for b in z_basis:
+        logical_z = min(logical_z, logical_z ^ b)
+    add("logical Z outside Z-stabilizer span", logical_z != 0)
+    return ValidationReport(tuple(checks))

@@ -14,6 +14,8 @@ from compasscoh import codes
 from compasscoh.codes import XCUT, ZCUT, CompassCode, coloring_from_dict, coloring_to_dict
 from compasscoh.exact import get_backend
 
+from oracles import validate_reference
+
 
 def colorings(max_d=5):
     """Random colorings with odd d_z."""
@@ -238,6 +240,78 @@ class TestValidate:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "X/Z stabilizers commute" in failed
+
+
+def _reference_codes():
+    """Every family at d = 3 to 41, 1 x d and d x 1 grids, and random 13x13
+    colorings."""
+    codes_ = {}
+    for d in (3, 5, 9, 15, 21, 31, 41):
+        codes_.update({f"rsc{d}": family_rotated_surface(d), f"xshor{d}": family_x_shor(d, d),
+                       f"zshor{d}": family_z_shor(d, d), f"zstacked{d}-h2": family_z_stacked(d, 2),
+                       f"zstacked{d}-h3": family_z_stacked(d, 3),
+                       f"1x{d}": family_z_shor(1, d), f"{d}x1": family_z_shor(d, 1)})
+    for q in (0.2, 0.5, 0.9):
+        for seed in range(3):
+            codes_[f"random13-q{q}-seed{seed}"] = random_coloring(13, 13, q, seed)
+    return codes_
+
+
+REFERENCE_CODES = _reference_codes()
+
+
+def _replace(code, kind, i, mask):
+    """``code`` with its i-th ``kind`` check's mask replaced, or appended at
+    i = len."""
+    stabs = list(code.x_stabilizers if kind == "X" else code.z_stabilizers)
+    stabs[i:i + 1] = [PauliSupport(kind, code.n, mask)]
+    field = "x_stabilizers" if kind == "X" else "z_stabilizers"
+    return CompassCode(**{**vars(code), field: tuple(stabs)})
+
+
+@st.composite
+def broken_codes(draw):
+    """A small code broken one of four ways: one bit of an X check flipped,
+    one Z check XORed into another, an X check over random qubits added (so
+    that a qubit may lie in three or more), or logical Z added to a Z check."""
+    code = build_code(draw(colorings(max_d=7)))
+    xs, zs, n = code.x_stabilizers, code.z_stabilizers, code.n
+    ways = ["add-x"] + ["flip-x"] * bool(xs) + ["xor-z"] * (len(zs) > 1) + ["logical-z"] * bool(zs)
+    way = draw(st.sampled_from(ways))
+    if way == "flip-x":
+        i = draw(st.integers(0, len(xs) - 1))
+        return _replace(code, "X", i, xs[i].mask ^ 1 << draw(st.integers(0, n - 1)))
+    if way == "xor-z":
+        i, j = draw(st.lists(st.integers(0, len(zs) - 1), min_size=2, max_size=2, unique=True))
+        return _replace(code, "Z", i, zs[i].mask ^ zs[j].mask)
+    if way == "logical-z":
+        i = draw(st.integers(0, len(zs) - 1))
+        return _replace(code, "Z", i, zs[i].mask ^ code.logical_z.mask)
+    return _replace(code, "X", len(xs), draw(st.integers(0, (1 << n) - 1)))
+
+
+class TestValidateReference:
+    """``validate`` gives the report of the all-pairs reference, check for
+    check, on valid and broken codes."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CODES)
+    def test_family_codes(self, name):
+        code = build_code(REFERENCE_CODES[name])
+        assert validate(code) == validate_reference(code)
+
+    @given(broken_codes())
+    @settings(max_examples=300, deadline=None)
+    def test_broken_codes(self, code):
+        assert validate(code) == validate_reference(code)
+
+    def test_qubit_in_three_checks(self):
+        # qubit 0 lies in X checks 0, 1 and 2
+        code = build_code(family_z_shor(3, 3))
+        bad = _replace(_replace(code, "X", 0, 0b11), "X", 1, 0b101)
+        bad = _replace(bad, "X", 2, 0b1001)
+        report = validate(bad)
+        assert report == validate_reference(bad)
+        assert not dict((c.name, c.passed) for c in report.checks)["each qubit in <= 2 X checks"]
 
 
 @given(colorings())

@@ -101,22 +101,29 @@ def _rows(build, n, checks):
     return np.concatenate(list(build(n, checks)))
 
 
+BUILD_CASES = REGIMES + ["rsc3", "random3x5", "empty", "one-bit-check"]
+
+
+def _build_case(case):
+    """(n, check masks) of a case of ``BUILD_CASES``."""
+    if case == "random3x5":
+        code = build_code(random_coloring(3, 5, 0.5, 1))
+        return code.n, [s.mask for s in code.x_stabilizers]
+    if case == "empty":
+        return 10, []
+    if case == "one-bit-check":
+        return 8, [0b1]
+    return _generators(case)
+
+
 # small enough for several blocks, the last one short on most cases
 @pytest.mark.parametrize("block", [None, 100])
 @pytest.mark.parametrize("build", [_kernels._dual_blocks, _kernels._coset_blocks])
-@pytest.mark.parametrize("case", REGIMES + ["rsc3", "random3x5", "empty", "one-bit-check"])
+@pytest.mark.parametrize("case", BUILD_CASES)
 def test_each_build_matches_reference(monkeypatch, build, case, block):
     if block is not None:
         monkeypatch.setattr(_kernels, "_BLOCK", block)
-    if case == "random3x5":
-        code = build_code(random_coloring(3, 5, 0.5, 1))
-        n, masks = code.n, [s.mask for s in code.x_stabilizers]
-    elif case == "empty":
-        n, masks = 10, []
-    elif case == "one-bit-check":
-        n, masks = 8, [0b1]
-    else:
-        n, masks = _generators(case)
+    n, masks = _build_case(case)
     ref = count_table_reference(n, masks)
     rank = len(gf2.reduce_basis(masks))
     table = _rows(build, n, masks)
@@ -124,6 +131,24 @@ def test_each_build_matches_reference(monkeypatch, build, case, block):
     assert np.array_equal(table, ref)
     grouped = _full_table(n, masks, build=build)
     assert grouped.dtype == table.dtype and np.array_equal(grouped, ref)
+
+
+@pytest.mark.parametrize("case", BUILD_CASES)
+def test_coset_kernel_is_the_null_space(monkeypatch, case):
+    # the kernel vectors are the last ones _coset_blocks spans before its
+    # first block; they must be a basis of the brute-force null space
+    n, masks = _build_case(case)
+    spans = []
+    span = _kernels._span
+    monkeypatch.setattr(_kernels, "_span", lambda vectors: spans.append(vectors) or span(vectors))
+    next(_kernels._coset_blocks(n, masks))
+    kernel = spans[-1]
+    v = np.arange(1 << n, dtype=np.uint64)
+    even = np.ones(len(v), bool)
+    for m in masks:
+        even &= np.bitwise_count(v & np.uint64(m)) % 2 == 0
+    assert len(kernel) == n - len(gf2.reduce_basis(masks))
+    assert set(span(kernel).tolist()) == set(v[even].tolist())
 
 
 def test_cost_rule_picks_the_coset_build_for_xshor_like_codes(monkeypatch):

@@ -288,9 +288,11 @@ def _cmd_sweep(args):
     source = _make_sweep_source(args)
     thetas = _parse_thetas(args.thetas)
     distances = _parse_list(args.distances, "--distances")
-    if args.family == "rsc":  # every code's size, before the first cell
+    if args.family == "rsc":  # every code's size, then its grid, before the first cell
         for d in distances:
             check_qubits(d * d, f" (d={d})")
+        for d in distances:
+            family_rotated_surface(d)
     table = sweep(source, thetas, distances)
     _write_table(table, args, _config_dict(args, "sweep"))
     return 0

@@ -38,19 +38,22 @@ code has 21 distinct columns among its 2**20 syndromes.  So
 it builds their rows, one block at a time, and the backend lays out one
 column per class; each theta is evaluated once per class, and each
 per-syndrome array or summand is one gather of class values, with the
-same bits as evaluating every syndrome, whatever the class numbering.  A
-build first checks n, then that the bytes it and one evaluation hold fit
-``MAX_HELD_BYTES``.  The backend keeps its last evaluation, so callers
-asking for one (theta, recovery) in turn, such as the equal codes of an
-ensemble cell, share one distribution and the one inverse CDF their
-samplers search.
+same bits as evaluating every syndrome, whatever the class numbering.
+That is the one distribution type, ``AngleDistribution``: a probability
+and an angle per class, and each entry's class.  The backend's
+``SyndromeDistribution`` adds the amplitudes; the closed-form families
+return the base type, one entry per class.  A build first checks n, then
+that the bytes it and one evaluation hold fit ``MAX_HELD_BYTES``.  The
+backend keeps its last evaluation, so callers asking for one (theta,
+recovery) in turn, such as the equal codes of an ensemble cell, share one
+distribution and the one inverse CDF their samplers search.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,45 +167,28 @@ def inverse_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-@dataclass(frozen=True, eq=False)
-class SyndromeDistribution:
-    """Per-syndrome probabilities and logical angles at a physical angle.
+@dataclass(frozen=True, kw_only=True, eq=False)
+class AngleDistribution:
+    """Probabilities and logical angles, held once per class (``column_p``,
+    ``column_theta_s``), with ``columns`` the class of each entry; None
+    means entry k is class k.  The per-entry ``p`` and ``theta_s`` are
+    gathered on every read and never kept; the inverse CDF of ``p``,
+    ``cdf``, is built from one such gather when first read, and kept.  A
+    distribution may be shared, so every array it holds is read-only."""
 
-    Zero-probability syndromes (exact zeros, e.g. at theta=0) are dropped.
-    Only values per backend class (``column_*``) are held, with ``columns``
-    the class of each kept syndrome: ``column_amp_*`` are the signed real
-    amplitude parts, their phases (-i)**parity and (-i)**(1 - parity)
-    implied by the recovery's weight parity ``column_parity`` (bool).  The
-    per-syndrome ``syndromes``, ``p`` and ``theta_s`` (up to 2**r entries)
-    are gathered on every read and never kept; the inverse CDF of ``p``,
-    ``cdf``, is built from one such gather when first read, and kept.
-    A backend hands the same distribution to every caller that asks for
-    its (theta, recovery), so every array it holds is read-only.
-    """
-
-    num_checks: int
     column_p: np.ndarray
     column_theta_s: np.ndarray
-    column_amp_identity: np.ndarray
-    column_amp_logical: np.ndarray
-    column_parity: np.ndarray
-    columns: np.ndarray
-    kept: np.ndarray | None  # the kept syndromes; None when every one is kept
+    columns: np.ndarray | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
     def gather(self, column_values: np.ndarray) -> np.ndarray:
-        """Each kept syndrome's class value; fancy indexing, unlike ``take``,
-        does not first widen all the class indices to intp."""
-        return column_values[self.columns]
-
-    @property
-    def syndromes(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept.copy()
+        """Each entry's class value, in a fresh array; fancy indexing, unlike
+        ``take``, does not first widen all the class indices to intp."""
+        return column_values.copy() if self.columns is None else column_values[self.columns]
 
     @property
     def p(self) -> np.ndarray:
@@ -214,7 +200,7 @@ class SyndromeDistribution:
 
     def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
         """``theta_s[idx]``, without gathering ``theta_s`` whole."""
-        return self.column_theta_s.take(self.columns.take(idx))
+        return self.column_theta_s.take(idx if self.columns is None else self.columns.take(idx))
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
@@ -223,7 +209,27 @@ class SyndromeDistribution:
         return inverse_cdf(self.p)
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.column_p if self.columns is None else self.columns)
+
+
+@dataclass(frozen=True, kw_only=True, eq=False)
+class SyndromeDistribution(AngleDistribution):
+    """The exact backend's distribution at a physical angle: one entry per
+    kept syndrome (exact zeros, e.g. at theta=0, are dropped), ``columns``
+    its class.  ``column_amp_*`` are the signed real amplitude parts, their
+    phases (-i)**parity and (-i)**(1 - parity) implied by the recovery's
+    weight parity ``column_parity`` (bool)."""
+
+    num_checks: int
+    column_amp_identity: np.ndarray
+    column_amp_logical: np.ndarray
+    column_parity: np.ndarray
+    columns: np.ndarray
+    kept: np.ndarray | None  # the kept syndromes; None when every one is kept
+
+    @property
+    def syndromes(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept.copy()
 
     def channel(self) -> LogicalPTM:
         """Logical channel from the amplitudes: eps = 2 sum A1^2, delta =

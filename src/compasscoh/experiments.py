@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import exact, families
-from .codes import build_code, random_coloring
+from .codes import _check_grid, build_code, random_coloring
 from .exact import MIN_WEIGHT, TooLargeError, _check_recovery, get_backend
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
@@ -144,8 +144,9 @@ class AnalyticFamilySource:
         self.entry = families.FAMILIES.get(family)
         if self.entry is None:
             raise ValueError(f"unknown analytic family {family!r}")
-        if "h" in self.entry.params and h is None:
-            raise ValueError(f"{family} source needs a block height h")
+        if ("h" in self.entry.params) != (h is not None):
+            raise ValueError(f"{family} source needs a block height h" if h is None
+                             else f"{family} source takes no block height h")
         self.recovery = self.entry.check_recovery(recovery)
 
     def _params(self, distance: int) -> tuple[int, ...]:
@@ -332,13 +333,13 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
 
     Draws syndromes with probability p_s and scores (1 - cos theta_s)/3 and
     2|sin theta_s|; reports sample means and standard errors of the mean.
-    ``dist`` needs ``cdf`` and ``theta_s_at``, and angles are read only at
-    the drawn indices.  ``cdf`` is the distribution's kept inverse CDF
-    (``exact.inverse_cdf``, which raises ValueError where
-    ``Generator.choice`` does): built by its first sampler and searched by
-    every later one with that sampler's own uniforms from ``rng.random``,
-    so the draws are those of ``rng.choice(len(p), n_samples, p=p /
-    p.sum())``.
+    ``dist`` is an ``exact.AngleDistribution``, from the exact backend or a
+    closed-form family; angles are read only at the drawn indices.  Its
+    ``cdf`` is the kept inverse CDF (``exact.inverse_cdf``, which raises
+    ValueError where ``Generator.choice`` does): built by its first sampler
+    and searched by every later one with that sampler's own uniforms from
+    ``rng.random``, so the draws are those of ``rng.choice(len(p),
+    n_samples, p=p / p.sum())``.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -447,6 +448,8 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     distances = list(distances)  # read once per q: it may be an iterator
     for d in distances:
         exact.check_qubits(d * d, f" (d={d})")
+    for d in distances:  # after every size, so an oversized one still exits 2
+        _check_grid(d, d)
     tables: list[SweepTable] = []
     estimates: dict[float, ThresholdEstimate] = {}
     with contextlib.ExitStack() as stack:
@@ -527,5 +530,5 @@ def source_for_rows(table: SweepTable, recovery: str = MIN_WEIGHT):
         return None
     if any(row.provenance != "analytic" for row in table.rows):
         return None
-    hs = {row.h for row in table.rows}
+    hs = {row.h for row in table.rows} if "h" in families.FAMILIES[fam].params else set()
     return AnalyticFamilySource(fam, recovery, hs.pop() if len(hs) == 1 else None)

@@ -11,15 +11,15 @@ C(l, w), w = 0..(l-1)/2) carries signed coset amplitudes
 Each class has its own channel, a point of the unit circle, and its own
 angle.  The repetition channel is the probability-weighted mean of the
 class channels, the weights scaled from their logs, so it is contractive
-at any l.  Z-Shor codes zip onto
-the repetition code at angle d_x * theta; X-Shor codes are d_x column
-channels composed, i.e. a PTM power; Z-stacked codes compose block
-channels at angle h * theta with leftover single rows at theta.
+at any l.  Z-Shor codes zip onto the repetition code at angle d_x * theta;
+X-Shor codes are d_x column channels composed, i.e. a PTM power; Z-stacked
+codes compose block channels at angle h * theta with leftover single rows
+at theta.  Every distribution is an ``exact.AngleDistribution``, the exact
+backend's type, with one entry per class.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (MIN_WEIGHT, ML, TooLargeError, _check_recovery, check_budget,
-                    inverse_cdf, reduce_angle)
+from .exact import (MIN_WEIGHT, ML, AngleDistribution, TooLargeError, _check_recovery,
+                    check_budget, reduce_angle)
 from .ptm import IDENTITY, LogicalPTM, compose, power
 
 REPETITION = "repetition"
@@ -63,22 +63,6 @@ def _check_stacked(l, h) -> None:
     _check_repetition(l)
     if not 1 <= h <= l:
         raise ValueError(f"need 1 <= h <= l, got h={h}")
-
-
-@dataclass(frozen=True, eq=False)
-class AngleDistribution:
-    """Aggregated (probability, logical angle) classes of an analytic channel."""
-
-    p: np.ndarray
-    theta_s: np.ndarray
-
-    def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
-        return self.theta_s[idx]
-
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """``inverse_cdf`` of a float copy of ``p``, kept for every sampler."""
-        return inverse_cdf(np.array(self.p, dtype=float))
 
 
 def _rep_classes(l: int, theta: float, recovery: str):
@@ -145,7 +129,7 @@ def repetition_distribution(l: int, theta: float,
     ln_p, x, sg, sign = _rep_classes(l, reduce_angle(theta), recovery)
     with np.errstate(over="ignore"):
         theta_s = sign * 2.0 * np.arctan(sg * np.exp(x))
-    return AngleDistribution(p=np.exp(ln_p), theta_s=theta_s)
+    return AngleDistribution(column_p=np.exp(ln_p), column_theta_s=theta_s)
 
 
 def repetition_stirling(l: int, theta: float) -> LogicalPTM:
@@ -218,7 +202,7 @@ def _round12(x: np.ndarray) -> np.ndarray:
 
 
 def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
-    """Convolve independent angle distributions (angles add, probs multiply).
+    """Convolve independent one-entry-per-class distributions (angles add, probs multiply).
 
     Supports the exact diamond metric for product-form families at small
     sizes; rejects upfront when the merged class count must exceed
@@ -239,7 +223,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     """
     bound = 1
     for part, run in itertools.groupby(parts):  # runs of one object: eq is identity
-        k = len(part.p)
+        k = len(part)
         bound *= math.comb(len(list(run)) + k - 1, k - 1)
         if bound > MAX_CLASSES:
             raise TooLargeError("product distribution too large for exact convolution")
@@ -247,7 +231,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     probs = np.ones(1)
     ascending = np.zeros(1, dtype=np.intp)  # the class of each sorted angle
     for part in parts:
-        keys = _round12((angles[:, None] + part.theta_s).ravel())
+        keys = _round12((angles[:, None] + part.column_theta_s).ravel())
         perm = np.argsort(keys)
         sorted_keys = keys[perm]
         runs = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
@@ -266,7 +250,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
         pair_class[perm] = sorted_class
         del perm, runs, sorted_class
         # bincount adds the weights in pair order, like the dict fold
-        probs = np.bincount(pair_class, weights=(probs[:, None] * part.p).ravel(),
+        probs = np.bincount(pair_class, weights=(probs[:, None] * part.column_p).ravel(),
                             minlength=len(ascending))
         del pair_class
         angles = np.empty(len(ascending))
@@ -274,7 +258,7 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     del angles
     wrapped = np.sin(sorted_angles)
     np.arctan2(wrapped, np.cos(sorted_angles), out=wrapped)
-    return AngleDistribution(p=probs[ascending], theta_s=wrapped)
+    return AngleDistribution(column_p=probs[ascending], column_theta_s=wrapped)
 
 
 def x_shor_distribution(d_x: int, d_z: int, theta: float) -> AngleDistribution:
@@ -315,8 +299,8 @@ def closed_form_threshold(kind: str, **params) -> float:
 class Family:
     """One analytic family.  ``params`` name the parameters taken, in order,
     by ``check``, ``threshold`` and ``channel``/``distribution`` (then theta
-    and recovery); each CLI flag is its name without the underscore.  The
-    entries look the family functions up as module globals at call time.
+    and a recovery, checked first); each CLI flag is its name without the
+    underscore.  Entries look family functions up as globals at call time.
     """
 
     kind: str
@@ -326,14 +310,20 @@ class Family:
     dims: Callable[[int], tuple[int, int]]
     check: Callable[..., None]
     threshold: Callable[..., float]
-    channel: Callable[..., LogicalPTM]
-    distribution: Callable[..., AngleDistribution]
+    _channel: Callable[..., LogicalPTM]
+    _distribution: Callable[..., AngleDistribution]
 
     def check_recovery(self, recovery: str) -> str:
         if _check_recovery(recovery) == ML and not self.has_ml:
             raise ValueError(f"{self.kind} has no maximum-likelihood form; "
                              f"use recovery {MIN_WEIGHT!r}")
         return recovery
+
+    def channel(self, *args) -> LogicalPTM:
+        return self._channel(*args[:-1], self.check_recovery(args[-1]))
+
+    def distribution(self, *args) -> AngleDistribution:
+        return self._distribution(*args[:-1], self.check_recovery(args[-1]))
 
 
 FAMILIES = {family.kind: family for family in (

@@ -116,10 +116,7 @@ def kappa(a: LogicalPTM) -> float:
 
 
 def diamond_avg(dist) -> float:
-    """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|) of a
-    distribution's ``p`` and ``theta_s``; taken per class and gathered once
-    when the distribution gathers them from class values (the same bits)."""
-    if hasattr(dist, "gather"):
-        return float(np.sum(dist.gather(
-            dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s)))))
-    return float(np.sum(dist.p * 2.0 * np.abs(np.sin(dist.theta_s))))
+    """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|) of an
+    ``exact.AngleDistribution``: each summand is taken per class and
+    gathered once, the bits of taking it per entry."""
+    return float(np.sum(dist.gather(dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s)))))

@@ -212,8 +212,8 @@ def channel_reference(dist):
 
 
 def diamond_reference(dist):
-    """``diamond_avg`` of a ``SyndromeDistribution`` from its whole
-    per-syndrome ``p`` and ``theta_s``: sum p_s * 2|sin theta_s|."""
+    """``diamond_avg`` of an ``AngleDistribution`` from its whole per-entry
+    ``p`` and ``theta_s``: sum p_s * 2|sin theta_s|."""
     return float(np.sum(dist.p * 2.0 * np.abs(np.sin(dist.theta_s))))
 
 
@@ -290,7 +290,7 @@ def product_distribution_reference(parts, max_classes=200_000):
     angles = np.array(sorted(acc))
     probs = np.array([acc[a] for a in angles])
     wrapped = np.arctan2(np.sin(angles), np.cos(angles))
-    return AngleDistribution(p=probs, theta_s=wrapped)
+    return AngleDistribution(column_p=probs, column_theta_s=wrapped)
 
 
 _INF = 10 ** 9

@@ -595,6 +595,14 @@ class TestSweepThreshold:
         assert rc == 1 and not out.exists()
         assert json.loads(err)["code"] == "usage"
 
+    def test_sweep_h_refused_for_a_family_without_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", "--family", "xshor", "--h", "3",
+                         "--thetas", "0.1:0.2:0.1", "--distances", "3,5", "--out", str(out))
+        assert (rc, out.exists()) == (1, False)
+        assert json.loads(err) == {"code": "invalid-value",
+                                   "message": "xshor source takes no block height h"}
+
     def test_sweep_byte_stable(self, tmp_path, capsys):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -997,6 +1005,28 @@ class TestListAndCountFlags:
         rc, stdout, err = run(capsys, *argv, "--thetas", "0.1:0.2:0.1", "--out", str(out))
         assert (rc, stdout, out.exists()) == (1, "", False)
         assert json.loads(err) == {"code": "usage", "message": message}
+
+    # every distance's grid is checked before the first cell runs, and after
+    # every distance's size, so an input with both faults still exits 2
+    @pytest.mark.parametrize("argv,rc,code,message", [
+        (("interpolate", "--q-shors", "0.5", "--d", "3,4", "--codes", "400"), 1,
+         "invalid-input", "d_z must be odd, got 4"),
+        (("sweep", "--family", "rsc", "--distances", "5,4"), 1,
+         "invalid-input", "rotated surface size must be odd, got 4"),
+        (("interpolate", "--q-shors", "0.5", "--d", "4,7"), 2,
+         "computational", "exact backend supports n <= 25, got n=49 (d=7)"),
+        (("sweep", "--family", "rsc", "--distances", "4,7"), 2,
+         "computational", "exact backend supports n <= 25, got n=49 (d=7)"),
+    ])
+    def test_grid_checked_before_any_backend(self, tmp_path, capsys, monkeypatch,
+                                             argv, rc, code, message):
+        def no_backend(_):
+            raise AssertionError("a backend was built before every grid was checked")
+        monkeypatch.setattr(experiments, "get_backend", no_backend)
+        out = tmp_path / "out.csv"
+        got = run(capsys, *argv, "--thetas", "0.1:0.4:0.05", "--out", str(out))
+        assert (got[0], got[1], out.exists()) == (rc, "", False)
+        assert json.loads(got[2]) == {"code": code, "message": message}
 
 
 def test_unknown_flag_exit_1(capsys):

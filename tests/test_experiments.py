@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,6 +31,20 @@ class TestAnalyticFamilySource:
     def test_rejects_ml_without_ml_form(self, family, h):
         with pytest.raises(ValueError, match="no maximum-likelihood form"):
             AnalyticFamilySource(family, "ml", h)
+
+    @pytest.mark.parametrize("family", ["repetition", "zshor", "xshor"])
+    def test_rejects_h_without_block_height(self, family):
+        with pytest.raises(ValueError, match=f"^{family} source takes no block height h$"):
+            AnalyticFamilySource(family, h=3)
+
+    def test_rows_with_a_stray_h_rebuild_their_source(self):
+        # sweeps written before h was refused stamped it on every X-Shor row
+        table = sweep(AnalyticFamilySource("xshor"), [0.45, 0.5, 0.55], [3, 5])
+        stamped = SweepTable(tuple(dataclasses.replace(row, h=3) for row in table.rows))
+        source = source_for_rows(stamped)
+        assert (source.family, source.h) == ("xshor", None)
+        assert find_crossings(stamped, "diamond", source) == find_crossings(
+            table, "diamond", source_for_rows(table))
 
     def test_only_a_refused_product_has_no_distribution(self):
         src = AnalyticFamilySource("xshor")
@@ -185,8 +200,11 @@ class TestSampling:
         lambda: syndrome_distribution(build_code(random_coloring(5, 5, 0.9, 2)), 0.3 * math.pi),
         lambda: families.z_stacked_distribution(5, 2, 0.2 * math.pi),
         lambda: syndrome_distribution(build_code(family_rotated_surface(3)), 0.0),
+        lambda: families.repetition_distribution(9, 0.4 * math.pi, "ml"),
+        lambda: families.z_shor_distribution(3, 7, 0.1 * math.pi),
+        lambda: families.x_shor_distribution(5, 5, 0.46 * math.pi),
     ], ids=["rsc3", "zstacked3-h2", "xshor5", "random5-0.9", "zstacked5-h2-family",
-            "theta0"])
+            "theta0", "rep9-ml-family", "zshor3x7-family", "xshor5-family"])
     @pytest.mark.parametrize("n_samples", [2, 400, 10_000])
     def test_draws_bit_identical_to_choice(self, make, n_samples):
         dist = make()
@@ -242,7 +260,7 @@ class TestSampling:
     @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [0.5, math.inf], [0.6, -0.1, 0.5],
                                    [0.0, 0.0], [], [1.0, -1.0]])
     def test_bad_probabilities_raise_value_error_like_choice(self, p):
-        dist = AngleDistribution(p=np.array(p), theta_s=np.zeros(len(p)))
+        dist = AngleDistribution(column_p=np.array(p), column_theta_s=np.zeros(len(p)))
         with pytest.raises(ValueError), np.errstate(invalid="ignore", divide="ignore"):
             sample_distribution_reference(dist, 10, 0)
         with pytest.raises(ValueError, match="probabilities"):

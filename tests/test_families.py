@@ -15,7 +15,7 @@ from compasscoh.families import (AngleDistribution, _round12, product_distributi
                                  x_shor_distribution, z_shor_distribution,
                                  z_stacked_distribution)
 
-from oracles import product_distribution_reference, repetition_reference
+from oracles import diamond_reference, product_distribution_reference, repetition_reference
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
 
@@ -318,6 +318,20 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=f"angle must be finite, got {theta!r}"):
             family(*params, theta)
 
+    # the CLI and AnalyticFamilySource check first, but an entry called
+    # directly must refuse what its family cannot do too
+    @pytest.mark.parametrize("kind,params", [
+        ("repetition", (5,)), ("zshor", (3, 3)), ("xshor", (3, 3)), ("zstacked", (5, 2))])
+    def test_entries_check_the_recovery(self, kind, params):
+        family = families.FAMILIES[kind]
+        for recovery in ("bogus",) + (() if family.has_ml else ("ml",)):
+            with pytest.raises(ValueError) as want:
+                family.check_recovery(recovery)
+            for method in (family.channel, family.distribution):
+                with pytest.raises(ValueError) as got:
+                    method(*params, 0.3 * math.pi, recovery)
+                assert str(got.value) == str(want.value)
+
 
 class TestThresholds:
     def test_closed_forms(self):
@@ -405,6 +419,37 @@ class TestProductDistributions:
             x_shor_distribution(21, 21, 0.2 * math.pi)
 
 
+class TestOneDistributionType:
+    """The closed-form families return the exact backend's distribution
+    type, with one entry per class."""
+
+    def test_syndrome_distribution_is_an_angle_distribution(self):
+        assert issubclass(exact.SyndromeDistribution, exact.AngleDistribution)
+        assert AngleDistribution is exact.AngleDistribution
+
+    # theta = 0 and angles on both sides of each threshold
+    @pytest.mark.parametrize("kind,params", [
+        ("repetition", (1,)), ("repetition", (9,)), ("zshor", (3, 5)), ("xshor", (3, 5)),
+        ("zstacked", (9, 2)), ("zstacked", (7, 3))])
+    def test_diamond_and_arrays(self, kind, params):
+        family = families.FAMILIES[kind]
+        factors = (0.0, -1.3, -0.7, 0.5, 0.9, 0.99, 1.01, 1.1, 1.6)
+        for theta in (f * family.threshold(*params) for f in factors):
+            for recovery in ("minweight", "ml") if family.has_ml else ("minweight",):
+                dist = family.distribution(*params, theta, recovery)
+                assert type(dist) is AngleDistribution and dist.columns is None
+                assert repr(diamond_avg(dist)) == repr(diamond_reference(dist)), theta
+                dist.cdf  # built, then held with the class arrays
+                held = [v for v in vars(dist).values() if isinstance(v, np.ndarray)]
+                assert len(held) == 3 and not any(a.flags.writeable for a in held)
+                for name in ("p", "theta_s"):
+                    column = getattr(dist, "column_" + name)
+                    first, second = getattr(dist, name), getattr(dist, name)
+                    assert first is not second and first.flags.writeable
+                    assert not np.shares_memory(first, column)
+                    assert np.array_equal(first, column) and len(first) == len(dist)
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
@@ -489,10 +534,10 @@ class TestProductMatchesReference:
         # the rounded pair sums put -0.0 before 0.0 in both folds, and the
         # zero class of the first sums to another double in reverse order
         tiny = 1e-15
-        first = AngleDistribution(p=np.array([0.05, 0.1, 0.05, 0.2, 0.3, 0.3]),
-                                  theta_s=np.array([0.5, -tiny, 0.5, tiny, -1.0, -tiny]))
-        second = AngleDistribution(p=np.array([0.3, 0.6, 0.1]),
-                                   theta_s=np.array([-0.5 - 2 * tiny, tiny, 0.5]))
+        first = AngleDistribution(column_p=np.array([0.05, 0.1, 0.05, 0.2, 0.3, 0.3]),
+                                  column_theta_s=np.array([0.5, -tiny, 0.5, tiny, -1.0, -tiny]))
+        second = AngleDistribution(column_p=np.array([0.3, 0.6, 0.1]),
+                                   column_theta_s=np.array([-0.5 - 2 * tiny, tiny, 0.5]))
         for parts in ([first], [first, second]):
             got = product_distribution(parts)
             self._assert_identical(parts, got)

@@ -165,10 +165,10 @@ class TestKappa:
 
 class TestDiamond:
     def test_identity_distribution(self):
-        dist = AngleDistribution(p=np.array([1.0]), theta_s=np.array([0.0]))
+        dist = AngleDistribution(column_p=np.array([1.0]), column_theta_s=np.array([0.0]))
         assert diamond_avg(dist) == 0.0
 
     def test_single_qubit(self):
         theta = 0.1 * math.pi
-        dist = AngleDistribution(p=np.array([1.0]), theta_s=np.array([theta]))
+        dist = AngleDistribution(column_p=np.array([1.0]), column_theta_s=np.array([theta]))
         assert diamond_avg(dist) == pytest.approx(2 * math.sin(theta), abs=1e-15)

@@ -251,10 +251,8 @@ def _cmd_channel_exact(args):
     return 0
 
 
-def _analytic_family(args, context: str) -> families.Family:
-    family = _FAMILY_ALIASES.get(args.family)
-    if family is None:
-        raise UsageError(f"unknown {context} family {args.family!r}")
+def _analytic_family(args) -> families.Family:
+    family = _FAMILY_ALIASES[args.family]
     if args.recovery == ML and not family.has_ml:
         raise UsageError(f"--family {args.family} has no ML form; "
                          "use --recovery minweight")
@@ -263,7 +261,7 @@ def _analytic_family(args, context: str) -> families.Family:
 
 def _cmd_channel_analytic(args):
     _require(args, "family", "theta_over_pi")
-    family = _analytic_family(args, "analytic")
+    family = _analytic_family(args)
     flags = [name.replace("_", "") for name in family.params]
     _require(args, *flags)
     ch = family.channel(*(getattr(args, flag) for flag in flags),
@@ -273,27 +271,16 @@ def _cmd_channel_analytic(args):
     return 0
 
 
-def _make_sweep_source(args):
-    if args.family == "rsc":
-        return CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)),
-                          args.recovery)
-    family = _analytic_family(args, "sweep")
-    if "h" in family.params:
-        _require(args, "h")
-    return AnalyticFamilySource(family.kind, args.recovery, args.h)
-
-
 def _cmd_sweep(args):
     _require(args, "family", "thetas", "distances", "out")
-    source = _make_sweep_source(args)
-    thetas = _parse_thetas(args.thetas)
-    distances = _parse_list(args.distances, "--distances")
-    if args.family == "rsc":  # every code's size, then its grid, before the first cell
-        for d in distances:
-            check_qubits(d * d, f" (d={d})")
-        for d in distances:
-            family_rotated_surface(d)
-    table = sweep(source, thetas, distances)
+    if args.family == "rsc":
+        source = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)), args.recovery)
+    else:
+        family = _analytic_family(args)
+        if "h" in family.params:
+            _require(args, "h")
+        source = AnalyticFamilySource(family.kind, args.recovery, args.h)
+    table = sweep(source, _parse_thetas(args.thetas), _parse_list(args.distances, "--distances"))
     _write_table(table, args, _config_dict(args, "sweep"))
     return 0
 

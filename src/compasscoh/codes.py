@@ -272,6 +272,14 @@ def family_z_stacked(l: int, h: int) -> Coloring:
     return Coloring(l, l, cells)
 
 
+def _check_draw(q_shor: float, seed: int) -> None:
+    """Refuse a density outside [0, 1] or a seed ``SeedSequence`` would refuse."""
+    if not 0.0 <= q_shor <= 1.0:
+        raise InvalidCodeError(f"q_shor must be in [0, 1], got {q_shor}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def random_coloring(d_x: int, d_z: int, q_shor: float, seed: int) -> Coloring:
     """IID coloring: each cell is XCut with probability ``q_shor``.
 
@@ -281,10 +289,7 @@ def random_coloring(d_x: int, d_z: int, q_shor: float, seed: int) -> Coloring:
     is all-ZCut or all-XCut whatever the seed, and no RNG is made; the seed
     is still checked, as ``SeedSequence`` would check it.
     """
-    if not 0.0 <= q_shor <= 1.0:
-        raise InvalidCodeError(f"q_shor must be in [0, 1], got {q_shor}")
-    if operator.index(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_draw(q_shor, seed)
     _check_grid(d_x, d_z)
     if q_shor in (0.0, 1.0):
         return _uniform(d_x, d_z, XCUT if q_shor else ZCUT)

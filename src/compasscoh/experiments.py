@@ -1,11 +1,17 @@
 """Threshold-estimation harness: sweeps, crossing detection, ensembles.
 
 A sweep evaluates a channel source over a (distance, theta) grid and emits
-plot-ready rows; ``find_crossings`` automates the bounding procedure of
-reading threshold estimates off intersecting distance curves: every sign
-change of metric(d_next) - metric(d) across the swept grid is a crossing,
-refined by bisection when the source can be re-evaluated exactly, and the
-overall (lower, upper) bounds bracket every per-pair crossing.  Angles are
+plot-ready rows.  A source has ``check(distances)``, which raises on a
+distance it cannot evaluate, and ``rows(distance, thetas_over_pi)``;
+``sweep`` checks the whole distance list before the first row, so a bad
+last distance fails fast.  The exact sources also have ``channel`` and
+``distribution`` at (distance, theta), from which crossings are refined.
+
+``find_crossings`` automates the bounding procedure of reading threshold
+estimates off intersecting distance curves: every sign change of
+metric(d_next) - metric(d) across the swept grid is a crossing, refined by
+bisection when the source can be re-evaluated exactly, and the overall
+(lower, upper) bounds bracket every per-pair crossing.  Angles are
 exchanged as theta/pi everywhere at this interface.
 """
 
@@ -22,7 +28,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import exact, families
-from .codes import _check_grid, build_code, random_coloring
+from .codes import _check_draw, _check_grid, build_code, random_coloring
 from .exact import MIN_WEIGHT, TooLargeError, _check_recovery, get_backend
 from .ptm import LogicalPTM, diamond_avg, kappa, r1
 
@@ -112,11 +118,28 @@ class ThresholdEstimate:
 # ---------------------------------------------------------------------------
 # Channel sources
 
-def _exact_row(provenance: str, top: float, ch: LogicalPTM, dist, **labels) -> SweepRow:
-    """Row of an exactly evaluated cell; without ``dist`` diamond stays empty."""
-    return SweepRow(theta_over_pi=top, provenance=provenance,
-                    epsilon=ch.epsilon, delta=ch.delta, kappa=kappa(ch), r1=r1(ch),
-                    diamond=None if dist is None else diamond_avg(dist), **labels)
+def _exact_rows(provenance: str, thetas_over_pi, cell, **labels) -> list[SweepRow]:
+    """Rows of exactly evaluated cells: ``cell(theta)`` gives a cell's channel
+    and its distribution, and without a distribution diamond stays empty."""
+    out = []
+    for top in thetas_over_pi:
+        # a loop, not a comprehension: holding the last distribution until
+        # the next is built made Z-stacked sweeps ~4% faster
+        ch, dist = cell(top * math.pi)
+        out.append(SweepRow(theta_over_pi=top, provenance=provenance, epsilon=ch.epsilon,
+                            delta=ch.delta, kappa=kappa(ch), r1=r1(ch),
+                            diamond=None if dist is None else diamond_avg(dist), **labels))
+    return out
+
+
+def _check_square_codes(distances, check_grid) -> None:
+    """Refuse every distance d whose d x d code is over ``exact.MAX_QUBITS``,
+    then every distance whose grid ``check_grid(d)`` refuses: an input with
+    both faults exits 2, as an oversized one must."""
+    for d in distances:
+        exact.check_qubits(d * d, f" (d={d})")
+    for d in distances:
+        check_grid(d)
 
 
 def _metric_fn(source, metric: str):
@@ -161,21 +184,21 @@ class AnalyticFamilySource:
         except TooLargeError:
             return None  # product form too large for exact convolution
 
+    def check(self, distances) -> None:
+        """Refuse the first distance whose parameters the family refuses."""
+        for d in distances:
+            self.entry.check(*self._params(d))
+
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         dx, dz = self.entry.dims(distance)
-        out = []
-        for top in thetas_over_pi:
-            # a loop, not a comprehension: holding the last distribution until
-            # the next is built made Z-stacked sweeps ~4% faster
-            ch = self.channel(distance, top * math.pi)
-            dist = self.distribution(distance, top * math.pi)
-            out.append(_exact_row("analytic", top, ch, dist,
-                                  family=self.family, dx=dx, dz=dz, h=self.h))
-        return out
+        return _exact_rows("analytic", thetas_over_pi,
+                           lambda theta: (self.channel(distance, theta),
+                                          self.distribution(distance, theta)),
+                           family=self.family, dx=dx, dz=dz, h=self.h)
 
 
 class CodeSource:
-    """Exact-backend source over codes built per distance."""
+    """Exact-backend source over the d x d codes ``builder(d)`` builds."""
 
     metric_fn = _metric_fn
 
@@ -190,28 +213,31 @@ class CodeSource:
     def distribution(self, distance: int, theta: float):
         return get_backend(self.builder(distance)).distribution(theta, self.recovery)
 
+    def check(self, distances) -> None:
+        """Refuse an oversized or invalid d x d code (``_check_square_codes``);
+        the builder is the grid check, so its own message is kept."""
+        _check_square_codes(distances, self.builder)
+
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         code = self.builder(distance)
-        backend = get_backend(code)
-        out = []
-        for top in thetas_over_pi:
-            dist = backend.distribution(top * math.pi, self.recovery)
-            out.append(_exact_row("exact", top, dist.channel(), dist,
-                                  family=self.family, dx=code.d_x, dz=code.d_z,
-                                  q_shor=code.coloring.x_fraction))
-        return out
+        backend = get_backend(code)  # once per distance, not per row
+
+        def cell(theta):
+            dist = backend.distribution(theta, self.recovery)
+            return dist.channel(), dist
+        return _exact_rows("exact", thetas_over_pi, cell, family=self.family, dx=code.d_x,
+                           dz=code.d_z, q_shor=code.coloring.x_fraction)
 
 
 def sweep(source, thetas_over_pi, distances) -> SweepTable:
-    """One row per (distance, theta); deterministic given the source seeds."""
+    """One row per (distance, theta), each distance checked by the source
+    before the first row; deterministic given the source seeds."""
     thetas = [float(t) for t in thetas_over_pi]
     distances = list(distances)  # read once: it may be an iterator
     if not thetas or not distances:
         raise ValueError("sweep needs a non-empty theta grid and distance list")
-    rows: list[SweepRow] = []
-    for d in distances:
-        rows.extend(source.rows(d, thetas))
-    return SweepTable(tuple(rows))
+    source.check(distances)
+    return SweepTable(tuple(row for d in distances for row in source.rows(d, thetas)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +424,23 @@ def ensemble_estimate(d_x: int, d_z: int, q_shor: float, n_codes: int,
 
 class EnsembleSource:
     """Sampled random-coloring source for sweeps (square d x d grids); its
-    codes run through ``run``, as in ``ensemble_estimate``."""
+    codes run through its ``run``, ``map`` unless set to a pool's ``map``,
+    as in ``ensemble_estimate``."""
 
     def __init__(self, q_shor: float, n_codes: int, seed: int,
-                 recovery: str = MIN_WEIGHT, n_samples: int | None = None, run=map):
+                 recovery: str = MIN_WEIGHT, n_samples: int | None = None):
         self.q_shor = q_shor
         self.n_codes = n_codes
         self.seed = seed
         self.recovery = _check_recovery(recovery)
         self.n_samples = n_samples
-        self.run = run
+        self.run = map
+
+    def check(self, distances) -> None:
+        """Refuse an oversized or invalid d x d grid (``_check_square_codes``),
+        then the density or seed, with the messages of ``random_coloring``."""
+        _check_square_codes(distances, lambda d: _check_grid(d, d))
+        _check_draw(self.q_shor, self.seed)
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         out = []
@@ -439,18 +472,17 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     ``jobs`` > 1 runs the codes of every cell in one pool of that many
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
-    Raises TooLargeError before any pool opens or seed is drawn when one
-    cell's ``n_codes`` or one code's ``n_samples`` draws would hold more
-    than ``exact.MAX_HELD_BYTES``, or when a distance d makes d*d qubits,
-    over ``exact.MAX_QUBITS``.
+    Before any pool opens or seed is drawn, it raises TooLargeError when
+    one cell's ``n_codes`` or one code's ``n_samples`` draws would hold more
+    than ``exact.MAX_HELD_BYTES``, and every density's source checks every
+    distance, the density and the seed (``EnsembleSource.check``).
     """
     _check_ensemble_size(n_codes, n_samples)
     distances = list(distances)  # read once per q: it may be an iterator
-    for d in distances:
-        exact.check_qubits(d * d, f" (d={d})")
-    for d in distances:  # after every size, so an oversized one still exits 2
-        _check_grid(d, d)
-    tables: list[SweepTable] = []
+    sources = [EnsembleSource(q, n_codes, seed, recovery, n_samples) for q in q_shors]
+    for source in sources:
+        source.check(distances)
+    rows: list[SweepRow] = []
     estimates: dict[float, ThresholdEstimate] = {}
     with contextlib.ExitStack() as stack:
         run = map
@@ -458,14 +490,13 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
             from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             run = functools.partial(pool.map, chunksize=8)
-        for q in q_shors:
-            tab = sweep(EnsembleSource(q, n_codes, seed, recovery, n_samples, run),
-                        thetas_over_pi, distances)
-            tables.append(tab)
+        for source in sources:
+            source.run = run
+            tab = sweep(source, thetas_over_pi, distances)
+            rows.extend(tab.rows)
             if len(distances) >= 2:
-                estimates[q] = find_crossings(tab, "r1")
-    merged = SweepTable(tuple(row for tab in tables for row in tab.rows))
-    return merged, estimates
+                estimates[source.q_shor] = find_crossings(tab, "r1")
+    return SweepTable(tuple(rows)), estimates
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,26 @@ class TestSweepThreshold:
         assert json.loads(err) == {"code": "invalid-value",
                                    "message": "xshor source takes no block height h"}
 
+    # every distance's family parameters are checked before the first row,
+    # so a bad last distance fails without evaluating the earlier ones
+    @pytest.mark.parametrize("family,flags,distances,message", [
+        ("rep", (), "21,4", "l must be an odd positive integer, got 4"),
+        ("zshor", (), "21,4", "l must be an odd positive integer, got 4"),
+        ("xshor", (), "21,4", "l must be an odd positive integer, got 4"),
+        ("zstacked", ("--h", "3"), "21,1", "need 1 <= h <= l, got h=3"),
+    ])
+    def test_sweep_bad_later_distance_refused_before_any_row(
+            self, tmp_path, capsys, monkeypatch, family, flags, distances, message):
+        def no_row(*args):
+            raise AssertionError("a row was evaluated before every distance was checked")
+        monkeypatch.setattr(families, "repetition_exact", no_row)
+        monkeypatch.setattr(families, "repetition_distribution", no_row)
+        out = tmp_path / "sweep.csv"
+        got = run(capsys, "sweep", "--family", family, *flags, "--thetas", "0.1:0.3:0.1",
+                  "--distances", distances, "--out", str(out))
+        assert (got[0], got[1], out.exists()) == (1, "", False)
+        assert json.loads(got[2]) == {"code": "invalid-value", "message": message}
+
     def test_sweep_byte_stable(self, tmp_path, capsys):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -1026,6 +1046,26 @@ class TestListAndCountFlags:
         out = tmp_path / "out.csv"
         got = run(capsys, *argv, "--thetas", "0.1:0.4:0.05", "--out", str(out))
         assert (got[0], got[1], out.exists()) == (rc, "", False)
+        assert json.loads(got[2]) == {"code": code, "message": message}
+
+    # every density and the seed are checked before the pool opens or the
+    # first cell runs, with the messages random_coloring gives
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv,code,message", [
+        (("--q-shors", "0.5,1.5"), "invalid-input", "q_shor must be in [0, 1], got 1.5"),
+        (("--q-shors", "0.5", "--seed", "-1"), "invalid-value",
+         "seed must be a non-negative integer, got -1"),
+    ])
+    def test_density_and_seed_checked_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                      argv, code, message, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was started before every density was checked")
+        monkeypatch.setattr(experiments, "ensemble_estimate", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        out = tmp_path / "curve.csv"
+        got = run(capsys, "interpolate", *argv, "--d", "3", "--codes", "200",
+                  "--samples", "200", "--jobs", jobs, "--out", str(out))
+        assert (got[0], got[1], out.exists()) == (1, "", False)
         assert json.loads(got[2]) == {"code": code, "message": message}
 
 

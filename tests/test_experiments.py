@@ -96,6 +96,16 @@ class TestSweep:
         assert src.metric_fn("r1")(3, 0.15) == row.r1
         assert src.metric_fn("diamond")(3, 0.15) == row.diamond
 
+    def test_code_source_looks_its_backend_up_once_per_distance(self, monkeypatch):
+        calls = []
+        real = experiments.get_backend
+        monkeypatch.setattr(experiments, "get_backend",
+                            lambda code: calls.append(code.n) or real(code))
+        src = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)))
+        table = sweep(src, [0.1, 0.2, 0.3], [3, 5])
+        assert len(table.rows) == 6
+        assert calls == [9, 25]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(rep_source(), [], [3])

@@ -70,8 +70,10 @@ def _parse_thetas(text: str) -> list[float]:
     if count > MAX_THETAS:
         raise TooLargeError(f"--thetas {text} makes {count} points, over the limit of "
                             f"{MAX_THETAS}")
-    # a span that is not a whole number of steps may round up past B
-    return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= b]
+    # a span that is not a whole number of steps may round up past B, which
+    # is rounded as the points are: a one-point grid keeps its point
+    top = round(b, 10)
+    return [t for t in (round(a + k * step, 10) for k in range(count)) if t <= top]
 
 
 def _int_at_least(low: int):
@@ -327,8 +329,8 @@ def _cmd_interpolate(args):
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser tree, built on the first call and shared by every later
-    one in the process; nothing may change it after the build
-    (``_parse_args`` puts back what a ``--config`` file sets)."""
+    one in the process; nothing changes it after the build (``_parse_args``
+    sets a ``--config`` file's values on a tree of its own)."""
     parser = _Parser(prog="compasscoh", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,9 +427,8 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
 
     A config key must be a flag (or positional) of the command itself; the
     namespace's own entries, such as ``func`` or ``command``, are refused.
-    The values apply to this call alone: each flag's own default is put back
-    after the second parse, so the shared parser keeps no config (and two
-    threads must not parse at once).
+    The values apply to this call alone: they are set on a parser tree
+    built for it, so the shared tree never changes.
     """
     args = parser.parse_args(argv)
     if args.config:
@@ -450,15 +451,9 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
                     leaf._check_value(action, value)
                 except argparse.ArgumentError as exc:
                     raise UsageError(str(exc)) from exc
-        changed = [(action, action.default) for action in leaf._actions
-                   if action.dest in config]
-        try:
-            for action, _ in changed:
-                action.default = config[action.dest]
-            args = parser.parse_args(argv)
-        finally:
-            for action, default in changed:
-                action.default = default
+        parser = _build_parser.__wrapped__()
+        parser.parse_args(argv).parser.set_defaults(**config)
+        args = parser.parse_args(argv)
     return args
 
 

@@ -4,7 +4,8 @@ A sweep evaluates a channel source over a (distance, theta) grid and emits
 plot-ready rows.  A source has ``check(distances)``, which raises on a
 distance it cannot evaluate, and ``rows(distance, thetas_over_pi)``;
 ``sweep`` checks the whole distance list before the first row, so a bad
-last distance fails fast.  The exact sources also have ``channel`` and
+last distance fails fast; every size comes before any other rule, so an
+oversized distance exits 2.  The exact sources also have ``channel`` and
 ``distribution`` at (distance, theta), from which crossings are refined.
 
 ``find_crossings`` automates the bounding procedure of reading threshold
@@ -132,14 +133,18 @@ def _exact_rows(provenance: str, thetas_over_pi, cell, **labels) -> list[SweepRo
     return out
 
 
-def _check_square_codes(distances, check_grid) -> None:
-    """Refuse every distance d whose d x d code is over ``exact.MAX_QUBITS``,
-    then every distance whose grid ``check_grid(d)`` refuses: an input with
-    both faults exits 2, as an oversized one must."""
+def _check_distances(distances, size, rule) -> None:
+    """Refuse every distance d that ``size(d)`` refuses, then every one that
+    ``rule(d)`` refuses: an input with both faults exits 2, as an oversized
+    one must."""
     for d in distances:
-        exact.check_qubits(d * d, f" (d={d})")
+        size(d)
     for d in distances:
-        check_grid(d)
+        rule(d)
+
+
+def _square_qubits(d: int) -> None:
+    exact.check_qubits(d * d, f" (d={d})")
 
 
 def _metric_fn(source, metric: str):
@@ -158,8 +163,6 @@ def _metric_fn(source, metric: str):
 
 class AnalyticFamilySource:
     """Closed-form family evaluated at square (or 1 x l) distances."""
-
-    metric_fn = _metric_fn
 
     def __init__(self, family: str, recovery: str = MIN_WEIGHT, h: int | None = None):
         self.family = family
@@ -185,9 +188,10 @@ class AnalyticFamilySource:
             return None  # product form too large for exact convolution
 
     def check(self, distances) -> None:
-        """Refuse the first distance whose parameters the family refuses."""
-        for d in distances:
-            self.entry.check(*self._params(d))
+        """Refuse every distance whose repetition code's classes are over
+        the budget, then every one the family refuses."""
+        _check_distances(distances, families.check_classes,
+                         lambda d: self.entry.check(*self._params(d)))
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         dx, dz = self.entry.dims(distance)
@@ -199,8 +203,6 @@ class AnalyticFamilySource:
 
 class CodeSource:
     """Exact-backend source over the d x d codes ``builder(d)`` builds."""
-
-    metric_fn = _metric_fn
 
     def __init__(self, name: str, builder, recovery: str = MIN_WEIGHT):
         self.family = name
@@ -214,9 +216,9 @@ class CodeSource:
         return get_backend(self.builder(distance)).distribution(theta, self.recovery)
 
     def check(self, distances) -> None:
-        """Refuse an oversized or invalid d x d code (``_check_square_codes``);
-        the builder is the grid check, so its own message is kept."""
-        _check_square_codes(distances, self.builder)
+        """Refuse every oversized d x d code, then every one the builder
+        refuses, with the builder's own message."""
+        _check_distances(distances, _square_qubits, self.builder)
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:
         code = self.builder(distance)
@@ -437,9 +439,9 @@ class EnsembleSource:
         self.run = map
 
     def check(self, distances) -> None:
-        """Refuse an oversized or invalid d x d grid (``_check_square_codes``),
-        then the density or seed, with the messages of ``random_coloring``."""
-        _check_square_codes(distances, lambda d: _check_grid(d, d))
+        """Refuse every oversized d x d grid, then every invalid one, then
+        the density or seed, with the messages of ``random_coloring``."""
+        _check_distances(distances, _square_qubits, lambda d: _check_grid(d, d))
         _check_draw(self.q_shor, self.seed)
 
     def rows(self, distance: int, thetas_over_pi) -> list[SweepRow]:

@@ -65,8 +65,17 @@ def _check_stacked(l, h) -> None:
         raise ValueError(f"need 1 <= h <= l, got h={h}")
 
 
+def check_classes(l: int) -> int:
+    """The length-l repetition code's class count, within the budget."""
+    classes = (l + 1) // 2
+    check_budget(classes * _REP_CLASS_BYTES, f"{classes} classes of the length-{l} "
+                 "repetition code hold", f" ({_REP_CLASS_BYTES} a class)")
+    return classes
+
+
 def _rep_classes(l: int, theta: float, recovery: str):
-    """Class data for the repetition code at a reduced angle.
+    """Class data for the repetition code at angle theta, its whole input
+    rule checked first.
 
     Returns (ln_p, x, sg, sign) over the min-weight classes w of nonzero
     probability, w = 0..(l-1)/2 (w = 0 alone at theta = 0): ln_p is the log
@@ -75,12 +84,11 @@ def _rep_classes(l: int, theta: float, recovery: str):
     and sign that of the class angle.  A class's channel is
     (2 / (1 + exp(-2x)), sign * sg / cosh x), a point of the unit circle,
     and its angle is sign * 2 * arctan(sg * exp(x)).
-    With the callers' temporaries they hold ``_REP_CLASS_BYTES`` a class,
-    checked against the budget (``check_budget``) before any is made.
     """
-    classes = (l + 1) // 2
-    check_budget(classes * _REP_CLASS_BYTES, f"{classes} classes of the length-{l} "
-                 "repetition code hold", f" ({_REP_CLASS_BYTES} a class)")
+    _check_repetition(l)
+    _check_recovery(recovery)
+    theta = reduce_angle(theta)
+    classes = check_classes(l)
     a = abs(theta)
     c, s = math.cos(a / 2.0), math.sin(a / 2.0)
     w = np.arange(classes if s else 1)  # at s = 0 every other class has p = 0
@@ -110,9 +118,7 @@ def repetition_exact(l: int, theta: float, recovery: str = MIN_WEIGHT) -> Logica
     sum is ``np.sum``'s, in one pairwise order, and fl(q * eps_w) <= 2q, so
     eps <= 2 holds in floats too (``np.dot`` would keep neither that nor
     the bits from one BLAS to another)."""
-    _check_repetition(l)
-    _check_recovery(recovery)
-    ln_p, x, sg, sign = _rep_classes(l, reduce_angle(theta), recovery)
+    ln_p, x, sg, sign = _rep_classes(l, theta, recovery)
     q = np.exp(ln_p - np.max(ln_p))
     with np.errstate(over="ignore"):
         eps_w = 2.0 / (1.0 + np.exp(-2.0 * x))
@@ -124,9 +130,7 @@ def repetition_exact(l: int, theta: float, recovery: str = MIN_WEIGHT) -> Logica
 def repetition_distribution(l: int, theta: float,
                             recovery: str = MIN_WEIGHT) -> AngleDistribution:
     """Class-aggregated angle distribution of the repetition channel."""
-    _check_repetition(l)
-    _check_recovery(recovery)
-    ln_p, x, sg, sign = _rep_classes(l, reduce_angle(theta), recovery)
+    ln_p, x, sg, sign = _rep_classes(l, theta, recovery)
     with np.errstate(over="ignore"):
         theta_s = sign * 2.0 * np.arctan(sg * np.exp(x))
     return AngleDistribution(column_p=np.exp(ln_p), column_theta_s=theta_s)

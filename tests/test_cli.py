@@ -355,6 +355,12 @@ class TestSignOfZero:
             f'    "theta_s": {theta_s}\n  }}\n]\n')
 
 
+def _classes_message(l):
+    classes, b = (l + 1) // 2, families._REP_CLASS_BYTES
+    return (f"{classes} classes of the length-{l} repetition code hold {classes * b} bytes "
+            f"({b} a class), over the budget of {exact.MAX_HELD_BYTES} bytes")
+
+
 class TestFailFast:
     """Every oversized size exits 2 with "computational", naming the size,
     before the work it would start."""
@@ -441,6 +447,32 @@ class TestFailFast:
                              "--distances", "21", "--out", str(again)).startswith(
             "11 classes of the length-21 repetition code hold")
         assert not again.exists()
+
+    # each distance's class budget is checked before any family parameter
+    # and before any row, so a large valid distance runs nothing first; a
+    # parameter fault alone still exits 1
+    @pytest.mark.parametrize("flags", [("--family", "rep"), ("--family", "zshor"),
+                                       ("--family", "xshor"),
+                                       ("--family", "zstacked", "--h", "3")])
+    def test_analytic_sweep_sizes_checked_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                         flags):
+        for name in ("repetition_exact", "repetition_distribution"):
+            monkeypatch.setattr(families, name, self._fail(name))
+        out = tmp_path / "sweep.csv"
+        argv = ("sweep", *flags, "--thetas", "0.1:0.4:0.005", "--out", str(out))
+        for distances in ("2000001,2000000001", "2000000001,4"):
+            assert self._refused(capsys, *argv, "--distances", distances) == _classes_message(
+                2000000001)
+        rc, stdout, err = run(capsys, *argv, "--distances", "2000001,4")
+        assert (rc, stdout, out.exists()) == (1, "", False)
+        assert json.loads(err) == {"code": "invalid-value",
+                                   "message": "l must be an odd positive integer, got 4"}
+
+    def test_analytic_channel_over_budget_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(families.np, "arange", self._fail("np.arange"))
+        assert self._refused(capsys, "channel", "analytic", "--family", "rep",
+                             "--l", "2000000001", "--theta-over-pi", "0.1") == _classes_message(
+            2000000001)
 
     @pytest.mark.parametrize("gen,shape,cells", [
         (("--family", "zshor", "--dx", "5", "--dz", "7"), "5x7", 24),
@@ -880,6 +912,35 @@ class TestParserReuse:
         assert (rc, stdout) == (1, "")
         assert run(capsys, *argv) == plain
 
+    # the config is set on a tree of this call's own: the shared tree's leaf
+    # keeps the flags' own defaults while the config call parses (the type
+    # of --jobs turns the config's string into an int during that parse)
+    def test_config_call_never_sets_the_shared_tree(self, tmp_path, capsys, monkeypatch):
+        def analytic_defaults():
+            tree = cli._build_parser()
+            for name in ("channel", "analytic"):
+                tree = tree._subparsers._group_actions[0].choices[name]
+            return {action.dest: action.default for action in tree._actions}
+        seen = []
+
+        def jobs(text):
+            seen.append(analytic_defaults())
+            return cli._int_at_least(1)(text)
+        monkeypatch.setattr(cli, "positive_int", jobs)
+        cli._build_parser.cache_clear()
+        try:
+            own = analytic_defaults()
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"jobs": "2", "l": 5, "recovery": "ml"}))
+            rc, stdout, err = run(capsys, "channel", "analytic", "--family", "rep",
+                                  "--theta-over-pi", "0.1", "--config", str(cfg))
+        finally:
+            cli._build_parser.cache_clear()
+        assert rc == 0, err
+        config = json.loads(stdout)["config"]
+        assert (config["jobs"], config["l"], config["recovery"]) == (2, 5, "ml")
+        assert seen and all(defaults == own for defaults in seen)
+
     # counted in a fresh process, by every ArgumentParser constructed: none
     # at import, the whole tree on the first call, none after it (the
     # analytic call is a usage error: --oracle is no flag of it)
@@ -955,6 +1016,17 @@ class TestThetaGrid:
             "code": "computational",
             "message": f"--thetas {text} makes {count} points, over the limit of "
                        f"{cli.MAX_THETAS}"}
+
+    # A has more than 10 decimals and rounds up: B, rounded as the points
+    # are, still admits the one point
+    def test_one_point_grid_with_a_long_decimal(self, tmp_path, capsys):
+        text = "0.12345678905:0.12345678905:1"
+        assert _parse_thetas(text) == [0.1234567891]
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", "--family", "rep", "--thetas", text,
+                         "--distances", "3", "--out", str(out))
+        assert rc == 0, err
+        assert [row.theta_over_pi for row in read_csv(out).rows] == [0.1234567891]
 
     def test_grid_at_the_limit_is_kept(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_THETAS", 21)

@@ -52,7 +52,16 @@ class TestAnalyticFamilySource:
         with pytest.raises(ValueError, match="l must be an odd positive integer, got 4"):
             src.distribution(4, 0.2 * math.pi)
         with pytest.raises(TooLargeError, match="diamond refinement unavailable"):
-            src.metric_fn("diamond")(21, 0.2)
+            experiments._metric_fn(src, "diamond")(21, 0.2)
+
+    # every length's class budget comes before any family parameter
+    def test_check_refuses_every_size_before_any_parameter(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 10 * families._REP_CLASS_BYTES)
+        src = AnalyticFamilySource("repetition")
+        with pytest.raises(TooLargeError, match="^11 classes of the length-21 repetition"):
+            src.check([4, 21])
+        with pytest.raises(ValueError, match="l must be an odd positive integer, got 4"):
+            src.check([19, 4])
 
     def test_calls_family_functions_at_call_time(self, monkeypatch):
         # wrappers installed on the families module after import see the calls
@@ -93,8 +102,8 @@ class TestSweep:
     def test_code_source_metric_fn_matches_rows(self):
         src = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)))
         row = sweep(src, [0.15], [3]).rows[0]
-        assert src.metric_fn("r1")(3, 0.15) == row.r1
-        assert src.metric_fn("diamond")(3, 0.15) == row.diamond
+        assert experiments._metric_fn(src, "r1")(3, 0.15) == row.r1
+        assert experiments._metric_fn(src, "diamond")(3, 0.15) == row.diamond
 
     def test_code_source_looks_its_backend_up_once_per_distance(self, monkeypatch):
         calls = []
@@ -131,7 +140,7 @@ class TestFindCrossings:
         src = rep_source()
         table = sweep(src, thetas, [5, 9])
         est = find_crossings(table, "r1", source=src)
-        fn = src.metric_fn("r1")
+        fn = experiments._metric_fn(src, "r1")
         for c in est.crossings:
             lo = fn(9, c.lo_over_pi) - fn(5, c.lo_over_pi)
             hi = fn(9, c.hi_over_pi) - fn(5, c.hi_over_pi)
@@ -175,7 +184,7 @@ class TestFindCrossings:
     def test_repetition_diamond_touches_at_half_pi(self):
         # both sides of pi/2 suppress the diamond metric with distance
         src = rep_source()
-        fn = src.metric_fn("diamond")
+        fn = experiments._metric_fn(src, "diamond")
         for top in (0.45, 0.55):
             assert fn(9, top) < fn(5, top)
         assert fn(5, 0.5) == pytest.approx(2.0, abs=1e-12)

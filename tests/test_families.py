@@ -332,6 +332,23 @@ class TestParameterChecks:
                     method(*params, 0.3 * math.pi, recovery)
                 assert str(got.value) == str(want.value)
 
+    # one input rule for the repetition channel and distribution, in order:
+    # l, the recovery, the angle, then the class budget
+    @pytest.mark.parametrize("function", [repetition_exact, repetition_distribution])
+    def test_repetition_input_rule_in_order(self, monkeypatch, function):
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 3 * families._REP_CLASS_BYTES - 1)
+        with pytest.raises(ValueError, match="l must be an odd positive integer, got 4"):
+            function(4, math.nan, "bogus")
+        with pytest.raises(ValueError, match="recovery must be one of"):
+            function(5, math.nan, "bogus")
+        with pytest.raises(ValueError, match="angle must be finite"):
+            function(5, math.nan)
+        with pytest.raises(TooLargeError, match="^3 classes of the length-5 repetition code"):
+            function(5, 0.1)
+        assert families.check_classes(3) == 2
+        with pytest.raises(TooLargeError, match="^3 classes of the length-5 repetition code"):
+            families.check_classes(5)
+
 
 class TestThresholds:
     def test_closed_forms(self):

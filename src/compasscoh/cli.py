@@ -276,6 +276,8 @@ def _cmd_channel_analytic(args):
 def _cmd_sweep(args):
     _require(args, "family", "thetas", "distances", "out")
     if args.family == "rsc":
+        if args.h is not None:
+            raise ValueError("rsc source takes no block height h")
         source = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)), args.recovery)
     else:
         family = _analytic_family(args)
@@ -329,8 +331,7 @@ def _cmd_interpolate(args):
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser tree, built on the first call and shared by every later
-    one in the process; nothing changes it after the build (``_parse_args``
-    sets a ``--config`` file's values on a tree of its own)."""
+    one in the process; nothing changes it after the build."""
     parser = _Parser(prog="compasscoh", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,13 +423,13 @@ def _build_parser() -> _Parser:
 
 
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``; a ``--config`` file's values become the command's
-    defaults and ``argv`` is parsed again, so every flag given wins.
+    """Parse ``argv``; a ``--config`` file's entries become flag tokens
+    after the command words and the whole is parsed again, so each value
+    gets its flag's command-line parse and every flag in ``argv`` wins.
 
-    A config key must be a flag (or positional) of the command itself; the
-    namespace's own entries, such as ``func`` or ``command``, are refused.
-    The values apply to this call alone: they are set on a parser tree
-    built for it, so the shared tree never changes.
+    A key must name a flag of the command (no positional, nor ``func``);
+    ``null`` adds no token, and a flag that takes no value takes ``true``
+    (the bare flag) or ``false`` (none).
     """
     args = parser.parse_args(argv)
     if args.config:
@@ -436,24 +437,20 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise UsageError("--config file must hold a JSON object")
-        leaf = args.parser
-        flags = {action.dest for action in leaf._actions} - {"help", "config"}
-        for key in config:
-            if key.replace("-", "_") not in flags:
+        flags = {action.dest: action for action in args.parser._actions
+                 if action.option_strings and action.dest not in ("help", "config")}
+        tokens = []
+        for key, value in config.items():
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
                 raise UsageError(f"config key {key!r} is not a flag of this command")
-        config = {key.replace("-", "_"): value for key, value in config.items()}
-        for action in leaf._actions:
-            if action.dest in config:
-                value = config[action.dest]
-                try:  # the checks its command-line spelling gets: type, then choices
-                    if value is not None:
-                        leaf._get_value(action, str(value))
-                    leaf._check_value(action, value)
-                except argparse.ArgumentError as exc:
-                    raise UsageError(str(exc)) from exc
-        parser = _build_parser.__wrapped__()
-        parser.parse_args(argv).parser.set_defaults(**config)
-        args = parser.parse_args(argv)
+            flag, bare = action.option_strings[-1], action.nargs == 0
+            if bare and not isinstance(value, (bool, type(None))):
+                raise UsageError(f"config key {key!r} takes true or false")
+            if value is not None and not (bare and value is False):  # = lets a value start with -
+                tokens.append(flag if bare else f"{flag}={value}")
+        at = 2 if "subcommand" in args else 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args
 
 
@@ -466,8 +463,8 @@ def main(argv=None) -> int:
     """Run one command; the exit status is 0, 1 or 2 as the module says.
 
     The parser is built on the first call and kept for the process, so
-    repeated calls skip the build; a ``--config`` file applies to its own
-    call only, and a key that is not a flag of the command is refused.
+    repeated calls skip the build; a ``--config`` file's values are parsed
+    as their flags' command-line spelling, for its own call only.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:

@@ -627,13 +627,14 @@ class TestSweepThreshold:
         assert rc == 1 and not out.exists()
         assert json.loads(err)["code"] == "usage"
 
-    def test_sweep_h_refused_for_a_family_without_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", ["xshor", "rsc"])
+    def test_sweep_h_refused_for_a_family_without_one(self, tmp_path, capsys, family):
         out = tmp_path / "sweep.csv"
-        rc, _, err = run(capsys, "sweep", "--family", "xshor", "--h", "3",
+        rc, _, err = run(capsys, "sweep", "--family", family, "--h", "3",
                          "--thetas", "0.1:0.2:0.1", "--distances", "3,5", "--out", str(out))
         assert (rc, out.exists()) == (1, False)
         assert json.loads(err) == {"code": "invalid-value",
-                                   "message": "xshor source takes no block height h"}
+                                   "message": f"{family} source takes no block height h"}
 
     # every distance's family parameters are checked before the first row,
     # so a bad last distance fails without evaluating the earlier ones
@@ -839,7 +840,8 @@ class TestConfigFile:
         assert json.loads(err)["code"] == "usage"
 
     # keys of the namespace that are no flag of the command
-    @pytest.mark.parametrize("key", ["func", "parser", "command", "subcommand", "config"])
+    @pytest.mark.parametrize("key", ["func", "parser", "command", "subcommand", "config",
+                                     "file"])
     def test_namespace_keys_are_not_flags(self, tmp_path, capsys, monkeypatch, key):
         code = tmp_path / "code.json"
         save_coloring(family_z_shor(3, 3), code)
@@ -850,6 +852,78 @@ class TestConfigFile:
         assert (rc, stdout) == (1, "")
         assert json.loads(err) == {
             "code": "usage", "message": f"config key {key!r} is not a flag of this command"}
+
+    # a value is parsed as its command-line spelling: a list or a bare
+    # number is no A:B:STEP grid and no list of distances
+    @pytest.mark.parametrize("flags,config", [
+        (("--thetas", "0.1:0.2:0.1"), {"distances": [3, 5]}),
+        (("--thetas", "0.1:0.2:0.1"), {"distances": 2.5}),
+        (("--distances", "3,5"), {"thetas": 5}),
+        (("--distances", "3,5"), {"thetas": [0.1, 0.2, 0.1]})])
+    def test_text_flag_values_take_their_spelling(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sweep.csv"
+        argv = ("sweep", "--family", "rep", *flags, "--out", str(out))
+        rc, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (rc, stdout, out.exists()) == (1, "", False)
+        (key, value), = config.items()
+        assert json.loads(err) == json.loads(run(capsys, *argv, f"--{key}", str(value))[2])
+        assert json.loads(err)["code"] == "usage"
+
+    # null adds no token: the flag keeps its own default, byte for byte
+    @pytest.mark.parametrize("key,flags", [
+        ("seed", ("--codes", "2", "--samples", "4")),
+        ("codes", ("--samples", "4")),
+        ("samples", ("--codes", "2"))])
+    def test_null_leaves_the_flag_default(self, tmp_path, capsys, key, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "curve.csv"
+        argv = ("interpolate", "--q-shors", "0.5", "--d", "3", *flags,
+                "--thetas", "0.1:0.1:0.1", "--out", str(out))
+        plain = run(capsys, *argv), out.read_bytes()
+        assert plain[0][0] == 0
+        assert (run(capsys, *argv, "--config", str(cfg)), out.read_bytes()) == plain
+
+    # a flag that takes no value takes true (the bare flag) or false (none);
+    # the decoder the config does not pick fails if it is called
+    @pytest.mark.parametrize("value,unused", [(True, "decode_mwpm"),
+                                              (False, "decode_bruteforce"),
+                                              (None, "decode_bruteforce")])
+    def test_bare_flag_takes_true_or_false(self, tmp_path, capsys, monkeypatch, value, unused):
+        code = tmp_path / "code.json"
+        save_coloring(family_z_shor(1, 5), code)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": value}))
+        monkeypatch.setattr(cli, unused, TestFailFast._fail(unused))
+        rc, stdout, err = run(capsys, "decode", "--code", str(code), "--syndrome", "0110",
+                              "--config", str(cfg))
+        assert (rc, stdout) == (0, "00100\n"), err
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0])
+    def test_bare_flag_refuses_other_values(self, tmp_path, capsys, monkeypatch, value):
+        code = tmp_path / "code.json"
+        save_coloring(family_z_shor(1, 5), code)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": value}))
+        for name in ("decode_mwpm", "decode_bruteforce"):
+            monkeypatch.setattr(cli, name, TestFailFast._fail(name))
+        rc, stdout, err = run(capsys, "decode", "--code", str(code), "--syndrome", "0110",
+                              "--config", str(cfg))
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {"code": "usage",
+                                   "message": "config key 'oracle' takes true or false"}
+
+    # the embedded config holds the parsed value, as the flag's does
+    @pytest.mark.parametrize("value", [1, "1e0"])
+    def test_config_number_gives_the_flag_bytes(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta_over_pi": value}))
+        argv = ("channel", "analytic", "--family", "rep", "--l", "3")
+        flag = run(capsys, *argv, "--theta-over-pi", "1")
+        assert flag[0] == 0
+        assert run(capsys, *argv, "--config", str(cfg)) == flag
 
 
 def _parser_state(parser):
@@ -912,7 +986,7 @@ class TestParserReuse:
         assert (rc, stdout) == (1, "")
         assert run(capsys, *argv) == plain
 
-    # the config is set on a tree of this call's own: the shared tree's leaf
+    # a config call sets no default on any tree: the shared tree's leaf
     # keeps the flags' own defaults while the config call parses (the type
     # of --jobs turns the config's string into an int during that parse)
     def test_config_call_never_sets_the_shared_tree(self, tmp_path, capsys, monkeypatch):
@@ -943,8 +1017,11 @@ class TestParserReuse:
 
     # counted in a fresh process, by every ArgumentParser constructed: none
     # at import, the whole tree on the first call, none after it (the
-    # analytic call is a usage error: --oracle is no flag of it)
+    # analytic call is a usage error: --oracle is no flag of it), a
+    # --config call included
     def test_parser_tree_built_once_per_process(self, rsc3):
+        cfg = Path(rsc3).with_name("cfg.json")
+        cfg.write_text(json.dumps({"recovery": "ml", "jobs": 2}))
         script = f"""
 import argparse, contextlib, io, json
 built = 0
@@ -958,7 +1035,9 @@ from compasscoh.cli import main
 counts = [built]
 for argv in 2 * [["code", "validate", {rsc3!r}],
                  ["channel", "exact", "--code", {rsc3!r}, "--theta-over-pi", "0.1"],
-                 ["channel", "analytic", "--family", "rep", "--l", "3", "--oracle"]]:
+                 ["channel", "analytic", "--family", "rep", "--l", "3", "--oracle"],
+                 ["channel", "exact", "--code", {rsc3!r}, "--theta-over-pi", "0.1",
+                  "--config", {str(cfg)!r}]]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     counts.append(built)
@@ -970,7 +1049,7 @@ print(json.dumps(counts))
         assert proc.returncode == 0, proc.stderr
         at_import, first, *rest = json.loads(proc.stdout)
         assert at_import == 0 and first > 0
-        assert rest == [first] * 5
+        assert rest == [first] * 7
 
 
 class TestThetaGrid:
@@ -1055,7 +1134,7 @@ class TestJobs:
         ({"jobs": 0}, False), ({"jobs": 2.5}, False), ({"seed": 2.5}, False),
         ({"codes": 0}, False), ({"samples": 1}, False), ({"samples": 0}, False),
         ({"jobs": None}, True), ({"jobs": 1}, True), ({"codes": 1}, True),
-        ({"samples": 2}, True)])
+        ({"samples": 2}, True), ({"recovery": None}, True)])
     def test_config_values_get_the_flag_type(self, tmp_path, capsys, config, ok):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

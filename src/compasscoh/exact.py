@@ -37,8 +37,10 @@ code has 21 distinct columns among its 2**20 syndromes.  So
 ``_kernels.count_table`` groups syndromes into classes of equal columns as
 it builds their rows, one block at a time, and the backend lays out one
 column per class; each theta is evaluated once per class, and each
-per-syndrome array or summand is one gather of class values, with the
-same bits as evaluating every syndrome, whatever the class numbering.
+per-syndrome array or sum is a gather of class values, with the same bits
+as evaluating every syndrome, whatever the class numbering.  A sum over a
+gather (``blocked_sum``) gathers ``_LEAF`` entries at a time and adds them
+as ``np.sum`` adds the whole gather.
 That is the one distribution type, ``AngleDistribution``: a probability
 and an angle per class, and each entry's class.  The backend's
 ``SyndromeDistribution`` adds the amplitudes; the closed-form families
@@ -46,7 +48,9 @@ return the base type, one entry per class.  A build first checks n, then
 that the bytes it and one evaluation hold fit ``MAX_HELD_BYTES``.  The
 backend keeps its last evaluation, so callers asking for one (theta,
 recovery) in turn, such as the equal codes of an ensemble cell, share one
-distribution and the one inverse CDF their samplers search.
+distribution and its ``InverseCDF``, which keeps every ``stride``-th
+entry of the inverse CDF and recomputes the blocks each sampler's draws
+land in.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ MAX_HELD_BYTES = 1 << 30
 # Columns per add.accumulate of the ascending-weight sum: each block's
 # transients stay near 3 MB, whatever the number of classes.
 _SUM_BLOCK = 1 << 14
+# Entries gathered at a time: a leaf of ``blocked_sum``, a chunk of the
+# inverse CDF's running sum, and at most the entries one chunk of draws
+# recomputes.  At least 128, NumPy's largest unsplit pairwise block.
+_LEAF = 1 << 15
 # Bytes one evaluation holds whatever its size: array headers and a dozen
 # small temporaries, about 5 KB when r is small (tracemalloc).
 _EVALUATION_FIXED = 16 << 10
@@ -110,15 +118,19 @@ def _evaluation_bytes(n: int, r: int) -> int:
     """Upper bound on the bytes one ``distribution``, its ``channel``, its
     ``diamond_avg`` and its ``cdf`` hold beyond the backend: per syndrome,
     the dropped-syndrome path's mask (1), int64 and uint32 indices (12) and
-    class indices, and one float64 gather (8); one float64 block of the
-    ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The
-    backend keeps the distribution and, once built, its CDF (that one
-    float64 gather) until the next (theta, recovery).  The class values, a
-    few dozen bytes a class, are not counted: the class count is known
-    only after the build."""
-    index = np.min_scalar_type((1 << r) - 1).itemsize
-    block = 8 * 2 * (n // 2 + 1) * min(1 << r, _SUM_BLOCK)
-    return ((1 + 8 + 4 + index + 8) << r) + block + _EVALUATION_FIXED
+    class indices; the inverse CDF's two float64 entries per block of
+    ``_stride(2**r)`` syndromes, kept until the next (theta, recovery);
+    one leaf of ``_LEAF`` gathered entries, each with its intp index and,
+    in a draw, its class index (24 bytes an entry); one float64 block of
+    the ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The
+    class values, a few dozen bytes a class, are not counted: the class
+    count is known only after the build."""
+    size = 1 << r
+    index = np.min_scalar_type(size - 1).itemsize
+    cdf = 16 * (-(-size // _stride(size)) + 1)
+    leaf = 24 * min(size, _LEAF)
+    block = 8 * 2 * (n // 2 + 1) * min(size, _SUM_BLOCK)
+    return ((1 + 8 + 4 + index) << r) + cdf + leaf + block + _EVALUATION_FIXED
 
 
 def reduce_angle(theta: float) -> float:
@@ -139,32 +151,120 @@ def _check_recovery(recovery: str) -> str:
     return recovery
 
 
+def blocked_sum(column_values: np.ndarray, columns: np.ndarray | None) -> np.float64:
+    """``np.sum(column_values[columns])`` bit for bit, gathering at most
+    ``_LEAF`` entries at a time; ``columns`` None sums ``column_values``.
+
+    NumPy adds a contiguous float64 array pairwise: it splits a length n
+    over 128 at n2 = n // 2 - (n // 2) % 8 and adds the two halves' sums.
+    This splits the same way down to nodes of at most ``_LEAF`` entries and
+    adds each node's gather with ``np.add.reduce``, which splits it as the
+    whole sum would."""
+    if columns is None:
+        return np.add.reduce(column_values)
+
+    def node(start, size):
+        if size <= _LEAF:
+            return np.add.reduce(column_values.take(columns[start:start + size]))
+        half = size // 2 - size // 2 % 8
+        return node(start, half) + node(start + half, size - half)
+    return node(0, len(columns))
+
+
+def _stride(size: int) -> int:
+    """Entries per block of an inverse CDF of ``size`` entries: 1 up to
+    2**12 entries, then the power of two near sqrt(size / 2**12), 16 at
+    2**20, so that the kept entries and a draw's recomputed blocks both
+    grow as sqrt(size)."""
+    return 1 << max(0, (size - 1).bit_length() - 11) // 2
+
+
 # Generator.choice's tolerance on the sum of normalised probabilities
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def inverse_cdf(p: np.ndarray) -> np.ndarray:
-    """``Generator.choice``'s inverse CDF of probabilities ``p``, built over
-    ``p`` in place and returned read-only, since samplers share it: the
-    normalised probabilities' running sum, divided by its last entry.
-    Searching it with uniforms from ``rng.random`` draws the indices of
-    ``rng.choice(len(p), n, p=p / p.sum())``.
+class InverseCDF:
+    """``Generator.choice``'s inverse CDF c of probabilities given per class,
+    held as the last entry of each block of ``stride`` entries.  Searching
+    c with uniforms from ``rng.random`` draws the indices of
+    ``rng.choice(len(p), n, p=p / p.sum())``, and ``search`` returns that
+    search's result.
+
+    Choice takes c = cumsum(p / p.sum()) / its last entry.  Here the sum
+    is ``blocked_sum``'s, the division is made per class (``column_q``, the
+    bits of dividing the gather), and the running sum is taken one
+    ``_LEAF``-entry gather at a time, each chunk's first entry adding the
+    sum so far, so every entry has choice's bits.  Each block's end is kept
+    raw (``_before`` holds the running sum before each block, -0.0 before
+    the first, since x + -0.0 is x) and normalised (``ends``).  Every held
+    array is read-only, since samplers share it.
 
     Like choice, raises ValueError for probabilities that are not finite,
     are negative, sum to zero, or do not sum to 1 once normalised.
     """
-    total = p.sum()
-    if not (math.isfinite(total) and total != 0.0):
-        raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
-    cdf = np.divide(p, total, out=p)
-    if cdf.min() < 0.0:
-        raise ValueError("probabilities must be non-negative")
-    np.cumsum(cdf, out=cdf)
-    if abs(cdf[-1] - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probabilities sum to {cdf[-1]}, not 1, once normalised")
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)
-    return cdf
+
+    def __init__(self, column_p: np.ndarray, columns: np.ndarray | None):
+        self.columns = columns
+        size = len(column_p if columns is None else columns)
+        total = blocked_sum(column_p, columns)
+        if not (math.isfinite(total) and total != 0.0):
+            raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
+        self.column_q = column_q = column_p / total
+        if column_q.min() < 0.0:
+            raise ValueError("probabilities must be non-negative")
+        self.stride = stride = _stride(size)
+        sums = np.empty(-(-size // stride) + 1)  # sums[b + 1]: the running sum at block b's end
+        sums[0] = last = -0.0
+        for start in range(0, size, _LEAF):
+            entries = slice(start, start + _LEAF)
+            chunk = (column_q[entries].copy() if columns is None
+                     else column_q.take(columns[entries]))
+            chunk[0] += last
+            np.cumsum(chunk, out=chunk)
+            first = start // stride + 1
+            sums[first:first + len(chunk) // stride] = chunk[stride - 1::stride]
+            last = chunk[-1]
+        sums[-1] = last
+        if abs(last - 1.0) > _SUM_ATOL:
+            raise ValueError(f"probabilities sum to {last}, not 1, once normalised")
+        self._last = last
+        self.ends = sums[1:] / last
+        for array in (column_q, sums, self.ends):
+            array.setflags(write=False)
+        self._before = sums[:-1]  # a view of a read-only array is read-only
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """``c.searchsorted(u, side="right")`` for uniforms u in [0, 1): the
+        number of entries of c at most each draw.
+
+        A draw's block is the number of block ends at most u, and its index
+        that block's first entry plus the count of the block's entries at
+        most u.  A chunk of draws recomputes its blocks at once, entry i of
+        every block in row i, so the running sums run down the rows.  The
+        last block's entries past the last entry read the last entry again,
+        so their running sums are at least 1, above every draw.
+        """
+        idx = self.ends.searchsorted(u, side="right")
+        stride = self.stride
+        if stride == 1:
+            return idx
+        offsets = np.arange(stride)[:, None]
+        per_chunk = _LEAF // stride
+        for start in range(0, len(idx), per_chunk):
+            draws = slice(start, start + per_chunk)
+            first = idx[draws]
+            before = self._before.take(first)
+            first *= stride
+            entries = offsets + first
+            if self.columns is not None:
+                entries = self.columns.take(entries, mode="clip")
+            cdf = self.column_q.take(entries, mode="clip")
+            cdf[0] += before
+            for above, row in zip(cdf, cdf[1:]):  # cumsum's bits; np.cumsum(axis=0) is 3x slower
+                np.add(above, row, out=row)
+            cdf /= self._last
+            first += (cdf <= u[draws]).sum(axis=0)
+        return idx
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -172,9 +272,10 @@ class AngleDistribution:
     """Probabilities and logical angles, held once per class (``column_p``,
     ``column_theta_s``), with ``columns`` the class of each entry; None
     means entry k is class k.  The per-entry ``p`` and ``theta_s`` are
-    gathered on every read and never kept; the inverse CDF of ``p``,
-    ``cdf``, is built from one such gather when first read, and kept.  A
-    distribution may be shared, so every array it holds is read-only."""
+    gathered on every read and never kept, and a sum over a gather is
+    taken a leaf at a time (``gathered_sum``); the inverse CDF of ``p``,
+    ``cdf``, is built when first read, and kept.  A distribution may be
+    shared, so every array it holds is read-only."""
 
     column_p: np.ndarray
     column_theta_s: np.ndarray
@@ -185,10 +286,17 @@ class AngleDistribution:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def gather(self, column_values: np.ndarray) -> np.ndarray:
-        """Each entry's class value, in a fresh array; fancy indexing, unlike
-        ``take``, does not first widen all the class indices to intp."""
-        return column_values.copy() if self.columns is None else column_values[self.columns]
+    def gather(self, column_values: np.ndarray, entries: slice = slice(None)) -> np.ndarray:
+        """The class value of each of ``entries`` (every entry by default), in
+        a fresh array; fancy indexing, unlike ``take``, does not first widen
+        all the class indices to intp."""
+        if self.columns is None:
+            return column_values[entries].copy()
+        return column_values[self.columns[entries]]
+
+    def gathered_sum(self, column_values: np.ndarray) -> np.float64:
+        """``np.sum(self.gather(column_values))`` bit for bit, a leaf at a time."""
+        return blocked_sum(column_values, self.columns)
 
     @property
     def p(self) -> np.ndarray:
@@ -203,10 +311,10 @@ class AngleDistribution:
         return self.column_theta_s.take(idx if self.columns is None else self.columns.take(idx))
 
     @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """``inverse_cdf(p)``, built over one fresh gather of ``p`` when first
-        read; every sampler of this distribution then searches it."""
-        return inverse_cdf(self.p)
+    def cdf(self) -> InverseCDF:
+        """The inverse CDF of ``p``, built when first read; every sampler of
+        this distribution then searches it."""
+        return InverseCDF(self.column_p, self.columns)
 
     def __len__(self) -> int:
         return len(self.column_p if self.columns is None else self.columns)
@@ -233,11 +341,12 @@ class SyndromeDistribution(AngleDistribution):
 
     def channel(self) -> LogicalPTM:
         """Logical channel from the amplitudes: eps = 2 sum A1^2, delta =
-        2 sum (-1)**parity A0 A1, each summand taken per class, then gathered."""
+        2 sum (-1)**parity A0 A1, each summand taken per class, then summed
+        over its gather."""
         a0, a1 = self.column_amp_identity, self.column_amp_logical
-        eps = float(2.0 * np.sum(self.gather(a1 ** 2)))
+        eps = float(2.0 * self.gathered_sum(a1 ** 2))
         sign = 1.0 - 2.0 * self.column_parity
-        delta = float(2.0 * np.sum(self.gather(sign * a0 * a1)))
+        delta = float(2.0 * self.gathered_sum(sign * a0 * a1))
         return LogicalPTM(eps, delta)
 
 
@@ -260,9 +369,9 @@ class ExactBackend:
 
     ``distribution`` keeps its last result, keyed by the reduced angle's
     bits and the recovery: asked again for that key, it returns the same
-    (read-only) distribution, whose CDF is then built once for every
-    sampler of it; asked for another key, it drops the kept one first, so
-    a backend holds at most one evaluation.
+    (read-only) distribution, whose inverse CDF is then built once for
+    every sampler of it; asked for another key, it drops the kept one
+    first, so a backend holds at most one evaluation.
     """
 
     _last: tuple | None = None  # ((theta bits, recovery), distribution)

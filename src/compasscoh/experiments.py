@@ -335,9 +335,10 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 
 
 # Bytes ``sample_distribution`` holds per sample beyond the distribution's
-# own gather of p (tracemalloc, 32.0 at 2**16 and 2**20 samples on codes
-# with r = 3 to 20): the uniforms and the drawn indices, then the angles at
-# those indices and the scores' temporaries.
+# inverse CDF (tracemalloc, 32.0 at 2**16 and 2**20 samples on codes with
+# r = 4 to 20, strides 1 and 16): the uniforms and the drawn indices, then
+# the angles at those indices and the scores' temporaries.  The blocks a
+# chunk of draws recomputes are one leaf, a term of the evaluation's bytes.
 _SAMPLE_BYTES = 32
 # Bytes ``ensemble_estimate`` holds per code of a cell, in-process or
 # through a pool (tracemalloc at 10**4 and 10**5 codes: 192 to 202
@@ -363,16 +364,15 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
     2|sin theta_s|; reports sample means and standard errors of the mean.
     ``dist`` is an ``exact.AngleDistribution``, from the exact backend or a
     closed-form family; angles are read only at the drawn indices.  Its
-    ``cdf`` is the kept inverse CDF (``exact.inverse_cdf``, which raises
-    ValueError where ``Generator.choice`` does): built by its first sampler
-    and searched by every later one with that sampler's own uniforms from
-    ``rng.random``, so the draws are those of ``rng.choice(len(p),
-    n_samples, p=p / p.sum())``.
+    ``cdf`` is the kept ``exact.InverseCDF``, which raises ValueError where
+    ``Generator.choice`` does: built by its first sampler and searched by
+    every sampler with its own uniforms from ``rng.random``, so the draws
+    are those of ``rng.choice(len(p), n_samples, p=p / p.sum())``.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
-    idx = dist.cdf.searchsorted(rng.random(n_samples), side="right")
+    idx = dist.cdf.search(rng.random(n_samples))
     theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
     mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))

@@ -117,6 +117,6 @@ def kappa(a: LogicalPTM) -> float:
 
 def diamond_avg(dist) -> float:
     """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|) of an
-    ``exact.AngleDistribution``: each summand is taken per class and
-    gathered once, the bits of taking it per entry."""
-    return float(np.sum(dist.gather(dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s)))))
+    ``exact.AngleDistribution``: each summand is taken per class and summed
+    over its gather, the bits of taking it per entry."""
+    return float(dist.gathered_sum(dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s))))

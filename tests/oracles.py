@@ -16,7 +16,7 @@ syndrome, with no grouping, as the reference for the exact backend's
 syndrome classes.
 ``channel_reference`` sums the channel over whole per-syndrome gathers, and
 ``diamond_reference`` the diamond value, the bit-exact references for
-summing one gather of per-class products.
+summing the gather of per-class products a leaf at a time.
 ``repetition_reference`` is the exact repetition channel from integer
 class sums, the reference for the closed-form class route at large l.
 ``product_distribution_reference`` is the scalar dict fold that defines
@@ -29,7 +29,9 @@ bit-exact reference for the vectorized decode table.
 read a matching graph's edges and all-pairs witness paths for the tests.
 ``sample_distribution_reference`` is the Monte Carlo estimator drawn by
 ``Generator.choice`` on the whole gathered distribution, the bit-exact
-reference for the sampler's own inverse CDF.
+reference for the sampler's own inverse CDF, and ``inverse_cdf_reference``
+is choice's whole inverse CDF, the reference for the strided one's kept
+entries.
 ``validate_reference`` is the all-pairs structural check of a code, with
 per-qubit counts from ``PauliSupport.qubits`` and a sorted-list F2 basis,
 the reference for ``validate``'s incidence pass and echelon basis.
@@ -294,6 +296,15 @@ def product_distribution_reference(parts, max_classes=200_000):
 
 
 _INF = 10 ** 9
+
+
+def inverse_cdf_reference(p):
+    """``Generator.choice``'s whole inverse CDF of probabilities ``p``: the
+    normalised probabilities' running sum, divided by its last entry."""
+    p = np.asarray(p, dtype=float)
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    return cdf
 
 
 def sample_distribution_reference(dist, n_samples, seed):

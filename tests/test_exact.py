@@ -15,12 +15,12 @@ from compasscoh import (Coloring, InvalidCodeError, TooLargeError, _kernels,
                         family_z_stacked, gf2, logical_channel, random_coloring,
                         sample_distribution, syndrome_distribution, x_shor_channel)
 from compasscoh.cli import main
-from compasscoh.exact import ExactBackend, get_backend, reduce_angle
+from compasscoh.exact import AngleDistribution, ExactBackend, get_backend, reduce_angle
 from compasscoh.families import x_shor_distribution
 
 from oracles import (channel_reference, count_table_reference,
-                     coset_count_table_reference, diamond_reference, per_syndrome_backend,
-                     statevector_channel, statevector_distribution)
+                     coset_count_table_reference, diamond_reference, inverse_cdf_reference,
+                     per_syndrome_backend, statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -413,9 +413,13 @@ class TestColumnClasses:
             for recovery in ("minweight", "ml"):
                 want, got = (each.distribution(theta_over_pi * math.pi, recovery)
                              for each in (backend, permuted))
-                for name in ("syndromes", "p", "theta_s", "cdf"):
+                for name in ("syndromes", "p", "theta_s"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert got.cdf.stride == want.cdf.stride
+                assert got.cdf.ends.tobytes() == want.cdf.ends.tobytes()
+                uniforms = np.random.default_rng(1).random(10_000)
+                assert np.array_equal(got.cdf.search(uniforms), want.cdf.search(uniforms))
                 assert got.channel() == want.channel()
                 assert diamond_avg(got) == diamond_avg(want)
                 assert sample_distribution(got, 400, 1) == sample_distribution(want, 400, 1)
@@ -565,12 +569,12 @@ class TestLazyArrays:
         # every syndrome is kept; a per-syndrome float64 array is 8 MiB
         assert _traced_peak(lambda: backend.distribution(0.46 * math.pi)) < 1 << 20
 
-    def test_xshor5_channel_peaks_at_one_gather(self):
+    def test_xshor5_channel_peaks_at_one_leaf(self):
         backend = get_backend(build_code(family_x_shor(5, 5)))
         backend.channel(0.36 * math.pi)
-        # one float64 gather of 2**20 syndromes (8 MiB) at a time, its uint8
-        # class indices read in buffered chunks
-        assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 12 << 20
+        # one leaf of 2**15 gathered syndromes and their intp class indices
+        # (512 KiB) at a time; a float64 gather of all 2**20 is 8 MiB
+        assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 1 << 20
 
     def test_rsc5_evaluation_holds_no_float_copy_of_the_table(self):
         backend = get_backend(build_code(family_rotated_surface(5)))
@@ -604,8 +608,9 @@ class TestLazyArrays:
                 assert peak <= bound, (theta_over_pi, recovery)
 
 
-    # X-Shor 5x5 keeps a 2**20-entry CDF; theta = 0 and pi drop syndromes,
-    # so the kept distribution holds its own kept indices and classes
+    # X-Shor 5x5 keeps every 16th entry of its 2**20-entry CDF; theta = 0
+    # and pi drop syndromes, so the kept distribution holds its own kept
+    # indices and classes
     @pytest.mark.parametrize("coloring", [
         family_x_shor(5, 5), family_rotated_surface(5), family_rotated_surface(3)])
     def test_kept_evaluation_and_peak_are_within_its_held_bytes(self, coloring):
@@ -630,6 +635,19 @@ class TestLazyArrays:
             # peak: room for the next evaluation while a caller holds this one
             assert "cdf" in vars(backend._last[1])
             assert held + peak <= bound, theta_over_pi
+
+    def test_xshor5_sampled_evaluation_holds_under_2_mib(self):
+        backend = get_backend(build_code(family_x_shor(5, 5)))
+        # any one-off set-up happens outside, at another angle
+        sample_distribution(backend.distribution(0.45 * math.pi), 400, 1)
+
+        def evaluate():
+            dist = backend.distribution(0.46 * math.pi)
+            for seed in range(6):
+                sample_distribution(dist, 400, seed)
+        # the inverse CDF keeps 2 x 2**16 float64 block ends (1 MiB) and its
+        # build gathers one leaf at a time; the whole CDF alone would be 8 MiB
+        assert _traced_peak(evaluate) < 2 << 20
 
 
 class TestKeptDistribution:
@@ -682,30 +700,35 @@ class TestKeptDistribution:
                     assert (repr(ch.epsilon), repr(ch.delta)) == (
                         repr(want.epsilon), repr(want.delta))
 
-    # theta = 0 drops every syndrome but one, so ``kept`` is an array
+    # theta = 0 drops every syndrome but one, so ``kept`` is an array; RSC
+    # 3x3 keeps its whole inverse CDF, X-Shor 5x5 every 16th entry
     @pytest.mark.parametrize("theta_over_pi", [0.0, 0.37])
     def test_shared_arrays_are_read_only(self, theta_over_pi):
-        backend = ExactBackend(build_code(family_rotated_surface(3)))
-        theta = theta_over_pi * math.pi
-        dist = backend.distribution(theta)
-        dist.cdf
-        names = [f.name for f in dataclasses.fields(dist)
-                 if isinstance(getattr(dist, f.name), np.ndarray)] + ["cdf"]
-        assert {"columns", "column_p", "cdf"} <= set(names)
-        assert ("kept" in names) == (theta_over_pi == 0.0)
-        want = {name: getattr(dist, name).copy() for name in names}
-        for name in names:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(dist, name)[...] = 0
-        again = backend.distribution(theta)
-        assert again is dist
-        for name in names:
-            assert getattr(again, name).tobytes() == want[name].tobytes(), name
+        def held(dist):
+            return {**{f.name: getattr(dist, f.name) for f in dataclasses.fields(dist)},
+                    **{"cdf." + name: value for name, value in vars(dist.cdf).items()}}
+
+        for coloring in (family_rotated_surface(3), family_x_shor(5, 5)):
+            backend = get_backend(build_code(coloring))
+            theta = theta_over_pi * math.pi
+            dist = backend.distribution(theta)
+            names = [name for name, value in held(dist).items() if isinstance(value, np.ndarray)]
+            assert {"columns", "column_p", "cdf.columns", "cdf.column_q", "cdf.ends"} <= set(names)
+            assert ("kept" in names) == (theta_over_pi == 0.0)
+            want = {name: held(dist)[name].copy() for name in names}
+            for name in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    held(dist)[name][...] = 0
+            again = backend.distribution(theta)
+            assert again is dist and again.cdf is dist.cdf
+            for name in names:
+                assert held(again)[name].tobytes() == want[name].tobytes(), name
 
 
 class TestChannelPerClass:
-    """``channel`` sums one gather of per-class products: the same array, so
-    the same bits, as summing products of whole per-syndrome gathers."""
+    """``channel`` sums the gather of per-class products a leaf at a time,
+    split as NumPy splits the whole gather: the same bits as summing
+    products of whole per-syndrome gathers."""
 
     @pytest.mark.parametrize("coloring", [
         family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2), family_rotated_surface(5),
@@ -721,11 +744,125 @@ class TestChannelPerClass:
                 assert repr(diamond_avg(dist)) == repr(diamond_reference(dist)), (
                     theta_over_pi, recovery)
 
-    def test_xshor5_diamond_peaks_at_one_gather(self):
+    def test_xshor5_diamond_peaks_at_one_leaf(self):
         dist = get_backend(build_code(family_x_shor(5, 5))).distribution(0.37 * math.pi)
         diamond_avg(dist)
-        # one float64 gather of 2**20 syndromes (8 MiB), as in channel
-        assert _traced_peak(lambda: diamond_avg(dist)) < 12 << 20
+        # one leaf of the per-class summand's gather at a time, as in channel
+        assert _traced_peak(lambda: diamond_avg(dist)) < 1 << 20
+
+
+def _wide_class_values(rng, count):
+    """Class values of both signs over forty decades, 1e-30 to 1e10."""
+    return rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-30, 10, count)
+
+
+def _assert_blocked_sum_bits(column_values, columns):
+    want = np.sum(column_values if columns is None else column_values[columns])
+    got = exact.blocked_sum(column_values, columns)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), len(columns)
+
+
+class TestBlockedSum:
+    """``blocked_sum`` adds a gather a leaf at a time with the bits of
+    ``np.sum`` over the whole gather."""
+
+    # the smallest leaf NumPy's pairwise split allows, so short lengths
+    # split into several leaves, and the package's own leaf
+    @pytest.mark.parametrize("leaf", [128, None])
+    def test_every_length_to_300(self, monkeypatch, leaf):
+        if leaf is not None:
+            monkeypatch.setattr(exact, "_LEAF", leaf)
+        rng = np.random.default_rng(0)
+        for length in range(1, 301):
+            values = _wide_class_values(rng, 37)
+            _assert_blocked_sum_bits(values, rng.integers(0, 37, length).astype(np.uint8))
+
+    @pytest.mark.parametrize("length", [
+        *(exact._LEAF + k for k in range(-9, 10) if k), 3 * exact._LEAF + 5,
+        1 << 20, (1 << 20) - 37])
+    def test_lengths_about_the_leaf_and_at_2_20(self, length):
+        rng = np.random.default_rng(length)
+        for count, dtype in ((21, np.uint8), (645, np.uint16)):
+            values = _wide_class_values(rng, count)
+            _assert_blocked_sum_bits(values, rng.integers(0, count, length).astype(dtype))
+        # with no class index, the values are the entries
+        values = _wide_class_values(rng, length)
+        assert exact.blocked_sum(values, None).tobytes() == np.sum(values).tobytes()
+
+    # theta = 0 keeps the one trivial syndrome, theta = pi 948,576 of X-Shor
+    # 5x5's 2**20; random q=0.9 seed 2 splits into five parts
+    @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2)])
+    def test_kept_lengths_of_the_dropping_path(self, coloring):
+        backend = get_backend(build_code(coloring))
+        rng = np.random.default_rng(1)
+        for theta_over_pi in (0.0, 1.0):
+            for recovery in ("minweight", "ml"):
+                dist = backend.distribution(theta_over_pi * math.pi, recovery)
+                assert dist.kept is not None
+                for values in (dist.column_p, _wide_class_values(rng, len(dist.column_p))):
+                    _assert_blocked_sum_bits(values, dist.columns)
+                    assert dist.gathered_sum(values).tobytes() == np.sum(
+                        dist.gather(values)).tobytes()
+
+
+def _cdf_distributions():
+    """Distributions whose inverse CDFs have strides 1 to 16, some with a
+    last block shorter than the stride, and some whose first entry is -0.0,
+    which choice's running sum keeps."""
+    rng = np.random.default_rng(4)
+    lengths = (1000, 4097, 32769, 70001, 300_007)
+    synthetic = []
+    for size in lengths:
+        p = np.where(rng.random(size) < 0.3, -0.0, rng.random(size) ** 8)
+        p[0] = -0.0
+        synthetic.append(AngleDistribution(column_p=p, column_theta_s=np.zeros(size)))
+    classes = [AngleDistribution(column_p=10.0 ** rng.uniform(-12, 3, 37),
+                                 column_theta_s=np.zeros(37),
+                                 columns=rng.integers(0, 37, size).astype(np.uint8))
+               for size in lengths]
+    xshor = get_backend(build_code(family_x_shor(5, 5)))
+    return [*synthetic, *classes,
+            syndrome_distribution(build_code(family_rotated_surface(5)), 0.37 * math.pi),
+            xshor.distribution(0.46 * math.pi, "ml"), xshor.distribution(math.pi)]
+
+
+class TestInverseCDF:
+    """The inverse CDF keeps every ``stride``-th entry of choice's whole
+    inverse CDF and searches as the whole one does."""
+
+    def test_stride_grows_as_the_square_root(self):
+        strides = {size: exact._stride(size) for size in (1, 2, 4096, 4097, 1 << 16,
+                                                          1 << 20, 1 << 24)}
+        # every n = 9 code (at most 2**8 syndromes) keeps its whole CDF
+        assert strides == {1: 1, 2: 1, 4096: 1, 4097: 2, 1 << 16: 4, 1 << 20: 16,
+                           1 << 24: 64}
+        # the kept bytes at 2**r bound those of every shorter CDF
+        kept = [-(-size // exact._stride(size)) for size in range(1, (1 << 16) + 1)]
+        assert all(max(kept[:(1 << r)]) == kept[(1 << r) - 1] for r in range(17))
+
+    def test_kept_entries_and_search_equal_the_whole_cdf(self):
+        for dist in _cdf_distributions():
+            cdf, whole = dist.cdf, inverse_cdf_reference(dist.p)
+            stride = cdf.stride
+            ends = np.append(whole[stride - 1::stride], whole[-1])[:-(-len(whole) // stride)]
+            assert ends.tobytes() == cdf.ends.tobytes(), (len(dist), stride)
+            # uniforms at, just under and just over every entry below 1
+            below = whole[whole < 1.0]
+            uniforms = np.concatenate([below, np.nextafter(below, 0.0), np.nextafter(below, 1.0),
+                                       np.random.default_rng(0).random(10_000)])
+            idx = cdf.search(uniforms)
+            assert idx.dtype == np.intp and np.array_equal(
+                idx, whole.searchsorted(uniforms, side="right")), (len(dist), stride)
+
+    def test_draws_are_chunked(self, monkeypatch):
+        # 128 entries a chunk: 8 draws of 16-entry blocks at a time
+        monkeypatch.setattr(exact, "_LEAF", 128)
+        dist = get_backend(build_code(family_x_shor(5, 5))).distribution(0.3 * math.pi)
+        whole = inverse_cdf_reference(dist.p)
+        cdf = exact.InverseCDF(dist.column_p, dist.columns)
+        assert cdf.stride == 16
+        uniforms = np.random.default_rng(2).random(1001)
+        assert np.array_equal(cdf.search(uniforms), whole.searchsorted(uniforms, side="right"))
 
 
 @pytest.mark.parametrize("gen,extra", [

@@ -230,7 +230,7 @@ class TestSampling:
         for seed in range(20):
             want_idx, want = sample_distribution_reference(dist, n_samples, seed)
             uniforms = np.random.default_rng(seed).random(n_samples)
-            idx = exact.inverse_cdf(np.array(dist.p)).searchsorted(uniforms, side="right")
+            idx = dist.cdf.search(uniforms)
             assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
             assert sample_distribution(dist, n_samples, seed) == want
 
@@ -246,32 +246,38 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the distribution's own p gather is a term of the evaluation's bound
+        # the distribution's inverse CDF is a term of the evaluation's bound
         assert peak <= (experiments._SAMPLE_BYTES << 16) + exact._evaluation_bytes(9, 4)
 
     def test_reads_angles_only_where_it_draws(self):
         backend = exact.get_backend(build_code(family_x_shor(5, 5)))
         dist = backend.distribution(0.46 * math.pi)
         sample_distribution(dist, 400, 1)
-        # neither p nor theta_s is kept: p is gathered into the CDF's buffer,
-        # and the CDF is the one 2**20-entry array the distribution adds to
-        # the backend's class indices
+        # neither p nor theta_s is kept, and the inverse CDF keeps one entry
+        # in 16: the backend's class indices are the one 2**20-entry array
+        # that the distribution and its CDF hold
         assert "theta_s" not in vars(dist) and "p" not in vars(dist)
-        per_syndrome = {name for name, value in vars(dist).items()
-                        if isinstance(value, np.ndarray) and value.size == 1 << 20}
-        assert per_syndrome == {"columns", "cdf"} and dist.columns is backend._classes
+        held = [value for obj in (dist, dist.cdf) for value in vars(obj).values()
+                if isinstance(value, np.ndarray)]
+        per_syndrome = [value for value in held if value.size == 1 << 20]
+        assert per_syndrome and all(value is backend._classes for value in per_syndrome)
+        assert max(value.size for value in held if value is not backend._classes) == 1 << 16
 
     def test_one_gather_of_p_for_every_sampler_at_one_angle(self, monkeypatch):
-        gathers = []
-        p = exact.SyndromeDistribution.p
-        monkeypatch.setattr(exact.SyndromeDistribution, "p",
-                            property(lambda dist: gathers.append(dist) or p.fget(dist)))
+        # p is gathered a chunk at a time by the one CDF build, never whole
+        builds = []
+        build = exact.InverseCDF.__init__
+        monkeypatch.setattr(exact.InverseCDF, "__init__",
+                            lambda cdf, *args: builds.append(cdf) or build(cdf, *args))
+        p = exact.AngleDistribution.p
+        monkeypatch.setattr(exact.AngleDistribution, "p",
+                            property(lambda dist: pytest.fail("p gathered whole")))
         backend = exact.ExactBackend(build_code(family_x_shor(5, 5)))
         estimates = [sample_distribution(backend.distribution(0.46 * math.pi), 400, seed)
                      for seed in range(6)]
-        assert len(gathers) == 1
+        assert len(builds) == 1 and backend.distribution(0.46 * math.pi).cdf is builds[0]
         assert len(set(estimates)) == 6  # each code keeps its own draws
-        monkeypatch.setattr(exact.SyndromeDistribution, "p", p)
+        monkeypatch.setattr(exact.AngleDistribution, "p", p)
         fresh = exact.ExactBackend(build_code(family_x_shor(5, 5)))
         assert estimates == [sample_distribution(fresh.distribution(0.46 * math.pi), 400, seed)
                              for seed in range(6)]

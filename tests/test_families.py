@@ -15,7 +15,8 @@ from compasscoh.families import (AngleDistribution, _round12, product_distributi
                                  x_shor_distribution, z_shor_distribution,
                                  z_stacked_distribution)
 
-from oracles import diamond_reference, product_distribution_reference, repetition_reference
+from oracles import (diamond_reference, inverse_cdf_reference, product_distribution_reference,
+                     repetition_reference)
 
 THETAS = [k * 0.05 * math.pi for k in range(1, 10)]  # 0.05pi .. 0.45pi
 
@@ -456,9 +457,12 @@ class TestOneDistributionType:
                 dist = family.distribution(*params, theta, recovery)
                 assert type(dist) is AngleDistribution and dist.columns is None
                 assert repr(diamond_avg(dist)) == repr(diamond_reference(dist)), theta
-                dist.cdf  # built, then held with the class arrays
-                held = [v for v in vars(dist).values() if isinstance(v, np.ndarray)]
-                assert len(held) == 3 and not any(a.flags.writeable for a in held)
+                # the class arrays and, once built, the whole inverse CDF
+                held = [v for obj in (dist, dist.cdf) for v in vars(obj).values()
+                        if isinstance(v, np.ndarray)]
+                assert len(held) == 5 and not any(a.flags.writeable for a in held)
+                assert dist.cdf.stride == 1
+                assert dist.cdf.ends.tobytes() == inverse_cdf_reference(dist.p).tobytes()
                 for name in ("p", "theta_s"):
                     column = getattr(dist, "column_" + name)
                     first, second = getattr(dist, name), getattr(dist, name)

@@ -235,19 +235,20 @@ def _cmd_channel_exact(args):
     dist = backend.distribution(theta, args.recovery)
     ch = dist.channel()
     if args.dump_distribution:
-        # json.dump(..., indent=2) bytes, one entry at a time, each block's
-        # syndromes, p and theta_s gathered from its classes: the values are
-        # finite floats, which json writes as repr does.  Character k of a
-        # syndrome is check k; a leading 1 keeps all r bits
-        top, sep = 1 << dist.num_checks, "[\n"
+        # json.dump(..., indent=2) bytes of the syndromes of nonzero p, one
+        # entry at a time, each block's p and theta_s gathered from its
+        # classes: the values are finite floats, which json writes as repr
+        # does.  Character k of a syndrome is check k; a leading 1 (2**r,
+        # the entry count) keeps all r bits
+        top, sep = len(dist), "[\n"
         with open(args.dump_distribution, "w") as fh:
             for start in range(0, len(dist), 1 << 16):
                 block = slice(start, start + (1 << 16))
                 p, theta_s = (dist.gather(values, block).tolist()
                               for values in (dist.column_p, dist.column_theta_s))
-                syndromes = (range(start, start + len(p)) if dist.kept is None
-                             else dist.kept[block].tolist())
-                for s, p_s, t_s in zip(syndromes, p, theta_s):
+                for s, p_s, t_s in zip(range(start, start + len(p)), p, theta_s):
+                    if p_s == 0.0:
+                        continue
                     fh.write(f'{sep}  {{\n    "syndrome": "{format(s | top, "b")[:0:-1]}",\n'
                              f'    "p": {p_s!r},\n    "theta_s": {t_s!r}\n  }}')
                     sep = ",\n"

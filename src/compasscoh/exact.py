@@ -43,7 +43,9 @@ gather (``blocked_sum``) gathers ``_LEAF`` entries at a time and adds them
 as ``np.sum`` adds the whole gather.
 That is the one distribution type, ``AngleDistribution``: a probability
 and an angle per class, and each entry's class.  The backend's
-``SyndromeDistribution`` adds the amplitudes; the closed-form families
+``SyndromeDistribution`` adds the amplitudes and has one entry per
+syndrome at every angle, those of probability 0 included, so an
+evaluation holds no per-syndrome array; the closed-form families
 return the base type, one entry per class.  A build first checks n, then
 that the bytes it and one evaluation hold fit ``MAX_HELD_BYTES``.  The
 backend keeps its last evaluation, so callers asking for one (theta,
@@ -116,21 +118,19 @@ def _held_bytes(n: int, masks: list[int]) -> int:
 
 def _evaluation_bytes(n: int, r: int) -> int:
     """Upper bound on the bytes one ``distribution``, its ``channel``, its
-    ``diamond_avg`` and its ``cdf`` hold beyond the backend: per syndrome,
-    the dropped-syndrome path's mask (1), int64 and uint32 indices (12) and
-    class indices; the inverse CDF's two float64 entries per block of
-    ``_stride(2**r)`` syndromes, kept until the next (theta, recovery);
-    one leaf of ``_LEAF`` gathered entries, each with its intp index and,
-    in a draw, its class index (24 bytes an entry); one float64 block of
-    the ascending sum's terms; and ``_EVALUATION_FIXED`` per call.  The
-    class values, a few dozen bytes a class, are not counted: the class
-    count is known only after the build."""
+    ``diamond_avg`` and its ``cdf`` hold beyond the backend, which holds
+    the class of each syndrome: no per-syndrome array, but the inverse
+    CDF's two float64 entries per block of ``_stride(2**r)`` syndromes,
+    kept until the next (theta, recovery); one leaf of ``_LEAF`` gathered
+    entries, each with its intp index and, in a draw, its class index (24
+    bytes an entry); one float64 block of the ascending sum's terms; and
+    ``_EVALUATION_FIXED`` per call.  The class values, a few dozen bytes a
+    class, are not counted: the class count is known only after the build."""
     size = 1 << r
-    index = np.min_scalar_type(size - 1).itemsize
     cdf = 16 * (-(-size // _stride(size)) + 1)
     leaf = 24 * min(size, _LEAF)
     block = 8 * 2 * (n // 2 + 1) * min(size, _SUM_BLOCK)
-    return ((1 + 8 + 4 + index) << r) + cdf + leaf + block + _EVALUATION_FIXED
+    return cdf + leaf + block + _EVALUATION_FIXED
 
 
 def reduce_angle(theta: float) -> float:
@@ -322,22 +322,20 @@ class AngleDistribution:
 
 @dataclass(frozen=True, kw_only=True, eq=False)
 class SyndromeDistribution(AngleDistribution):
-    """The exact backend's distribution at a physical angle: one entry per
-    kept syndrome (exact zeros, e.g. at theta=0, are dropped), ``columns``
-    its class.  ``column_amp_*`` are the signed real amplitude parts, their
+    """The exact backend's distribution at a physical angle: entry s is
+    syndrome s, at every angle, even where p_s is 0 (at theta = 0 every
+    syndrome but 0), and ``columns`` is the backend's class of each
+    syndrome.  ``column_amp_*`` are the signed real amplitude parts, their
     phases (-i)**parity and (-i)**(1 - parity) implied by the recovery's
     weight parity ``column_parity`` (bool)."""
 
-    num_checks: int
     column_amp_identity: np.ndarray
     column_amp_logical: np.ndarray
     column_parity: np.ndarray
-    columns: np.ndarray
-    kept: np.ndarray | None  # the kept syndromes; None when every one is kept
 
     @property
     def syndromes(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.uint32) if self.kept is None else self.kept.copy()
+        return np.arange(len(self), dtype=np.uint32)
 
     def channel(self) -> LogicalPTM:
         """Logical channel from the amplitudes: eps = 2 sum A1^2, delta =
@@ -425,16 +423,9 @@ class ExactBackend:
         nonzero = s_id != 0.0
         ratio = s_log / np.where(nonzero, s_id, 1.0)
         theta_s = np.where(nonzero, sign * 2.0 * np.arctan(ratio), math.pi)
-        keep = p > 0.0
-        columns, kept = self._classes, None  # the class of each kept syndrome
-        if not keep.all():
-            kept = np.flatnonzero(keep[columns]).astype(np.uint32)
-            columns = columns[kept]
         dist = SyndromeDistribution(
-            num_checks=self.num_checks,
             column_p=p, column_theta_s=theta_s, column_amp_identity=s_id,
-            column_amp_logical=s_log, column_parity=parity,
-            columns=columns, kept=kept)
+            column_amp_logical=s_log, column_parity=parity, columns=self._classes)
         self._last = key, dist
         return dist
 

@@ -193,7 +193,7 @@ class TestChannel:
         assert rc == 0
         dist = exact.syndrome_distribution(build_code(load_coloring(code_path)),
                                            0.37 * math.pi, recovery)
-        r = dist.num_checks
+        r = len(dist).bit_length() - 1
         want = [{"syndrome": "".join(str(s >> k & 1) for k in range(r)), "p": p, "theta_s": t}
                 for s, p, t in zip(dist.syndromes.tolist(), dist.p.tolist(),
                                    dist.theta_s.tolist())]
@@ -202,6 +202,36 @@ class TestChannel:
         if r == 0:
             assert json.loads(dump.read_text()) == [
                 {"syndrome": "", "p": 1.0, "theta_s": want[0]["theta_s"]}]
+
+    # a syndrome of probability 0 is an entry of the distribution but not
+    # of the dump: at theta = 0 all but syndrome 0; at pi none of these
+    # codes' (p underflows there only on larger codes: X-Shor 5x5 lists
+    # 948,576 of its 2**20)
+    @pytest.mark.parametrize("theta_over_pi", ["0", "1"])
+    @pytest.mark.parametrize("gen,recovery", [
+        (("--family", "rsc", "--dx", "3"), "minweight"),
+        (("--family", "rsc", "--dx", "3"), "ml"),
+        (("--family", "xshor", "--dx", "3", "--dz", "3"), "minweight"),
+        (("--family", "zstacked", "--dx", "3", "--h", "2"), "ml")])
+    def test_exact_dump_lists_the_syndromes_of_nonzero_p(self, tmp_path, capsys, gen,
+                                                        recovery, theta_over_pi):
+        code_path, dump = tmp_path / "code.json", tmp_path / "dist.json"
+        run(capsys, "code", "gen", *gen, "--out", str(code_path))
+        rc, _, _ = run(capsys, "channel", "exact", "--code", str(code_path),
+                       "--theta-over-pi", theta_over_pi, "--recovery", recovery,
+                       "--dump-distribution", str(dump))
+        assert rc == 0
+        dist = exact.syndrome_distribution(build_code(load_coloring(code_path)),
+                                           float(theta_over_pi) * math.pi, recovery)
+        r = len(dist).bit_length() - 1
+        want = [{"syndrome": "".join(str(s >> k & 1) for k in range(r)), "p": p, "theta_s": t}
+                for s, p, t in zip(dist.syndromes.tolist(), dist.p.tolist(),
+                                   dist.theta_s.tolist()) if p > 0.0]
+        assert len(want) == (1 if theta_over_pi == "0" else len(dist))
+        assert dump.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+        if theta_over_pi == "0" and gen[1] == "rsc":
+            assert json.loads(dump.read_text()) == [
+                {"syndrome": "0000", "p": 1.0, "theta_s": 0.0}]
 
     def test_exact_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "big.json"
@@ -216,7 +246,7 @@ class TestChannel:
         def no_build(*args):
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
-        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)  # the 1x25 grid holds more
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 64 << 20)  # the 1x25 grid holds 0.11 GB
         out = tmp_path / "zshor_1x25.json"
         run(capsys, "code", "gen", "--family", "zshor", "--dx", "1", "--dz", "25",
             "--out", str(out))
@@ -329,10 +359,11 @@ class TestChannel:
 
 
 class TestSignOfZero:
-    # At theta = -0.0 only syndrome 0 is kept.  Its theta_s is -0.0 on the
-    # 1x1 code, but 0.0 where n is even: the odd half's zero-count slot for
-    # weight n + 1 adds a +0.0 term to the n = 2 odd sum, and 2x3 and 4x1
-    # keep that sign.  Any rewrite of the per-theta evaluation must keep it
+    # At theta = -0.0 only syndrome 0 has nonzero p, so the dump lists it
+    # alone.  Its theta_s is -0.0 on the 1x1 code, but 0.0 where n is even:
+    # the odd half's zero-count slot for weight n + 1 adds a +0.0 term to
+    # the n = 2 odd sum, and 2x3 and 4x1 keep that sign.  Any rewrite of the
+    # per-theta evaluation must keep it
     @pytest.mark.parametrize("recovery", ["minweight", "ml"])
     @pytest.mark.parametrize("dx,dz,syndrome,theta_s", [
         (1, 1, "", "-0.0"), (2, 1, "", "0.0"), (4, 1, "", "0.0"), (2, 3, "00", "0.0")])

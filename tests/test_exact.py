@@ -20,7 +20,8 @@ from compasscoh.families import x_shor_distribution
 
 from oracles import (channel_reference, count_table_reference,
                      coset_count_table_reference, diamond_reference, inverse_cdf_reference,
-                     per_syndrome_backend, statevector_channel, statevector_distribution)
+                     per_syndrome_backend, sample_distribution_reference,
+                     statevector_channel, statevector_distribution)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,9 +81,11 @@ class TestKnownChannels:
             assert ch.delta == pytest.approx(math.sin(theta), abs=1e-15)
 
     def test_theta_zero_identity(self):
+        # every syndrome is an entry; only the trivial one has nonzero p
         code = build_code(family_rotated_surface(3))
         dist = syndrome_distribution(code, 0.0)
-        assert len(dist) == 1
+        assert len(dist) == 1 << len(code.x_stabilizers) == 16
+        assert np.flatnonzero(dist.p).tolist() == [0]
         assert dist.p[0] == 1.0 and dist.theta_s[0] == 0.0
         ch = logical_channel(code, 0.0)
         assert ch.epsilon == 0.0 and ch.delta == 0.0
@@ -190,10 +193,12 @@ class TestGuards:
         def no_build(*args):
             raise AssertionError("count table built")
         monkeypatch.setattr(_kernels, "count_table", no_build)
-        # the 1x25 grid (2**24 syndromes) is bounded by 0.53 GB, within the budget
+        # the 1x25 grid (2**24 syndromes) is bounded by 0.11 GB, within the
+        # budget but over 64 MiB
         grid = build_code(family_z_shor(1, 25))
-        assert exact._held_bytes(25, [s.mask for s in grid.x_stabilizers]) <= exact.MAX_HELD_BYTES
-        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 256 << 20)
+        held = exact._held_bytes(25, [s.mask for s in grid.x_stabilizers])
+        assert 64 << 20 < held <= exact.MAX_HELD_BYTES
+        monkeypatch.setattr(exact, "MAX_HELD_BYTES", 64 << 20)
         with pytest.raises(TooLargeError, match=r"n=25, r=24 holds \d+ bytes"):
             ExactBackend(build_code(family_z_shor(1, 25)))
 
@@ -516,16 +521,11 @@ def _per_syndrome_arrays(dist):
 
 def _eager_arrays(backend, dist):
     """The per-syndrome arrays as ``distribution`` once built them eagerly:
-    a mask over every syndrome, then one take per column array."""
+    every syndrome, then one take of the backend's classes per column array."""
     arrays = (dist.column_p, dist.column_theta_s, dist.column_amp_identity,
               dist.column_amp_logical, dist.column_parity)
-    columns = backend._classes
-    syndromes = np.arange(len(columns), dtype=np.uint32)
-    keep = arrays[0] > 0.0
-    if not keep.all():
-        syndromes = syndromes[keep[columns]]
-        columns = columns[syndromes]
-    arrays = tuple(a.take(columns) for a in arrays)
+    syndromes = np.arange(len(backend._classes), dtype=np.uint32)
+    arrays = tuple(a.take(backend._classes) for a in arrays)
     names = ("syndromes", "p", "theta_s", "amp_identity", "amp_logical", "parity")
     return dict(zip(names, (syndromes, *arrays)))
 
@@ -534,8 +534,8 @@ class TestLazyArrays:
     """Per-syndrome arrays are gathered from the class values when read, and
     never kept."""
 
-    # at full size and with blocks of 4; theta = 0 and pi drop every
-    # syndrome but one
+    # at full size and with blocks of 4; at theta = 0 and pi some syndromes
+    # have probability 0 and stay entries
     @pytest.mark.parametrize("coloring,block", [
         (family_x_shor(5, 5), None), (family_rotated_surface(3), None),
         (family_rotated_surface(3), 4), (random_coloring(3, 5, 0.5, 4), None),
@@ -549,7 +549,7 @@ class TestLazyArrays:
             for recovery in ("minweight", "ml"):
                 dist = backend.distribution(theta_over_pi * math.pi, recovery)
                 want = _eager_arrays(backend, dist)
-                assert len(dist) == len(want["p"])
+                assert len(dist) == len(want["p"]) == 1 << backend.num_checks
                 idx = rng.integers(len(dist), size=50)
                 assert np.array_equal(dist.theta_s_at(idx), want["theta_s"][idx])
                 for name, got in _per_syndrome_arrays(dist).items():
@@ -583,10 +583,10 @@ class TestLazyArrays:
         # copy of the uint16 table beside them took the peak to 270 KB
         assert _traced_peak(lambda: backend.channel(0.37 * math.pi)) < 240_000
 
-    # X-Shor 5x5 drops syndromes at theta = 0 and pi; RSC 5x5 has 645
-    # classes among 4,096 syndromes.  At small r the fixed per-call term
-    # dominates: RSC 3x3 peaks near 5 KB against 1.6 KB of per-syndrome
-    # terms, and the Lx1 grids have a single syndrome.
+    # X-Shor 5x5 has syndromes of probability 0 at theta = 0 and pi; RSC
+    # 5x5 has 645 classes among 4,096 syndromes.  At small r the fixed
+    # per-call term dominates: RSC 3x3 peaks near 5 KB against 1.6 KB of
+    # per-syndrome terms, and the Lx1 grids have a single syndrome.
     @pytest.mark.parametrize("coloring", [
         family_x_shor(5, 5), family_rotated_surface(5), family_rotated_surface(3),
         family_z_shor(3, 3), family_x_shor(3, 3), family_z_stacked(3, 2),
@@ -608,9 +608,8 @@ class TestLazyArrays:
                 assert peak <= bound, (theta_over_pi, recovery)
 
 
-    # X-Shor 5x5 keeps every 16th entry of its 2**20-entry CDF; theta = 0
-    # and pi drop syndromes, so the kept distribution holds its own kept
-    # indices and classes
+    # X-Shor 5x5 keeps every 16th entry of its 2**20-entry CDF, at theta =
+    # 0 and pi too, where some syndromes have probability 0
     @pytest.mark.parametrize("coloring", [
         family_x_shor(5, 5), family_rotated_surface(5), family_rotated_surface(3)])
     def test_kept_evaluation_and_peak_are_within_its_held_bytes(self, coloring):
@@ -700,8 +699,9 @@ class TestKeptDistribution:
                     assert (repr(ch.epsilon), repr(ch.delta)) == (
                         repr(want.epsilon), repr(want.delta))
 
-    # theta = 0 drops every syndrome but one, so ``kept`` is an array; RSC
-    # 3x3 keeps its whole inverse CDF, X-Shor 5x5 every 16th entry
+    # at theta = 0 every syndrome but one has probability 0, and the
+    # distribution still holds only the backend's classes; RSC 3x3 keeps
+    # its whole inverse CDF, X-Shor 5x5 every 16th entry
     @pytest.mark.parametrize("theta_over_pi", [0.0, 0.37])
     def test_shared_arrays_are_read_only(self, theta_over_pi):
         def held(dist):
@@ -714,7 +714,7 @@ class TestKeptDistribution:
             dist = backend.distribution(theta)
             names = [name for name, value in held(dist).items() if isinstance(value, np.ndarray)]
             assert {"columns", "column_p", "cdf.columns", "cdf.column_q", "cdf.ends"} <= set(names)
-            assert ("kept" in names) == (theta_over_pi == 0.0)
+            assert "kept" not in names and dist.columns is backend._classes
             want = {name: held(dist)[name].copy() for name in names}
             for name in names:
                 with pytest.raises(ValueError, match="read-only"):
@@ -749,6 +749,46 @@ class TestChannelPerClass:
         diamond_avg(dist)
         # one leaf of the per-class summand's gather at a time, as in channel
         assert _traced_peak(lambda: diamond_avg(dist)) < 1 << 20
+
+
+def _nonzero_entries_only(dist):
+    """The (eps, delta), diamond proxy and drawing distribution of ``dist``
+    as they were when the syndromes of probability 0 were dropped: each
+    summed over the gathered entries of nonzero p alone."""
+    keep = np.flatnonzero(dist.p > 0.0)
+    p, theta_s, a0, a1, parity = (dist.gather(values)[keep] for values in (
+        dist.column_p, dist.column_theta_s, dist.column_amp_identity,
+        dist.column_amp_logical, dist.column_parity))
+    sign = 1.0 - 2.0 * parity
+    channel = float(2.0 * np.sum(a1 ** 2)), float(2.0 * np.sum(sign * a0 * a1))
+    diamond = float(np.sum(p * 2.0 * np.abs(np.sin(theta_s))))
+    return keep, channel, diamond, AngleDistribution(column_p=p, column_theta_s=theta_s)
+
+
+class TestZeroProbabilityEntries:
+    """Every syndrome is an entry, those of probability 0 included.  Adding
+    zeros to a pairwise sum moves its last bits only where p underflows,
+    at 0 < |theta| <= about 1e-21 pi; at these angles, from theta = 0 to
+    pi, every output has the bits of summing the nonzero entries alone."""
+
+    @pytest.mark.parametrize("coloring", [
+        family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2), family_rotated_surface(5),
+        family_z_stacked(5, 2), family_rotated_surface(3)])
+    def test_bits_of_the_nonzero_entries_alone(self, coloring):
+        backend = get_backend(build_code(coloring))
+        for theta_over_pi in (0.0, 2.5e-21, 1e-16, 1e-8, 0.37, 1.0 - 1e-15, 1.0):
+            for recovery in ("minweight", "ml"):
+                case = theta_over_pi, recovery
+                dist = backend.distribution(theta_over_pi * math.pi, recovery)
+                assert len(dist) == 1 << backend.num_checks, case
+                keep, channel, diamond, nonzero = _nonzero_entries_only(dist)
+                ch = dist.channel()
+                assert (repr(ch.epsilon), repr(ch.delta)) == tuple(map(repr, channel)), case
+                assert repr(diamond_avg(dist)) == repr(diamond), case
+                want_idx, want = sample_distribution_reference(nonzero, 500, 3)
+                uniforms = np.random.default_rng(3).random(500)
+                assert np.array_equal(dist.cdf.search(uniforms), keep[want_idx]), case
+                assert sample_distribution(dist, 500, 3) == want, case
 
 
 def _wide_class_values(rng, count):
@@ -789,16 +829,17 @@ class TestBlockedSum:
         values = _wide_class_values(rng, length)
         assert exact.blocked_sum(values, None).tobytes() == np.sum(values).tobytes()
 
-    # theta = 0 keeps the one trivial syndrome, theta = pi 948,576 of X-Shor
-    # 5x5's 2**20; random q=0.9 seed 2 splits into five parts
+    # at theta = 0 only the trivial syndrome has nonzero p, at theta = pi
+    # 948,576 of X-Shor 5x5's 2**20; random q=0.9 seed 2 splits into five
+    # parts.  Every syndrome is an entry, so the gathers hold zeros
     @pytest.mark.parametrize("coloring", [family_x_shor(5, 5), random_coloring(5, 5, 0.9, 2)])
-    def test_kept_lengths_of_the_dropping_path(self, coloring):
+    def test_gathers_with_zero_probabilities(self, coloring):
         backend = get_backend(build_code(coloring))
         rng = np.random.default_rng(1)
         for theta_over_pi in (0.0, 1.0):
             for recovery in ("minweight", "ml"):
                 dist = backend.distribution(theta_over_pi * math.pi, recovery)
-                assert dist.kept is not None
+                assert len(dist) == 1 << 20 and (dist.column_p == 0.0).any()
                 for values in (dist.column_p, _wide_class_values(rng, len(dist.column_p))):
                     _assert_blocked_sum_bits(values, dist.columns)
                     assert dist.gathered_sum(values).tobytes() == np.sum(

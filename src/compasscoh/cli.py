@@ -113,14 +113,18 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
+def _refuse(args, names, taken):
+    """Refuse each flag of ``names`` given but not in ``taken``, the flags
+    of ``--family``, so that no output's config carries a flag unused."""
+    for name in names:
+        if name not in taken and getattr(args, name) is not None:
+            raise UsageError(f"--family {args.family} takes no --{name.replace('_', '-')}")
+
+
 def _config_dict(args, command: str) -> dict:
     skip = {"func", "parser", "config", "command", "subcommand"}
-    out = {"command": command, "version": __version__}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {"command": command, "version": __version__,
+            **{key: value for key, value in sorted(vars(args).items()) if key not in skip}}
 
 
 def _print_json(payload: dict) -> None:
@@ -161,6 +165,7 @@ def _cmd_code_gen(args):
     _require(args, *flags)
     if "dz" not in flags and args.dz is not None and args.dz != args.dx:
         raise UsageError(f"{args.family} is square; --dz must match --dx")
+    _refuse(args, ("h", "q_shor"), flags)
     d_z = args.dz if "dz" in flags else args.dx
     cells = max(args.dx - 1, 0) * max(d_z - 1, 0)
     check_budget(cells * _GEN_CELL_BYTES, f"a {args.dx}x{d_z} grid's {cells} cells hold",
@@ -271,6 +276,7 @@ def _cmd_channel_analytic(args):
     family = _analytic_family(args)
     flags = [name.replace("_", "") for name in family.params]
     _require(args, *flags)
+    _refuse(args, ("l", "dx", "dz", "h"), flags)
     ch = family.channel(*(getattr(args, flag) for flag in flags),
                         args.theta_over_pi * math.pi, args.recovery)
     _print_json({"epsilon": ch.epsilon, "delta": ch.delta, "kappa": kappa(ch),

@@ -380,9 +380,14 @@ def coloring_to_dict(coloring: Coloring) -> dict:
 
 
 def coloring_from_dict(data: dict) -> Coloring:
+    """The coloring a code file's JSON object holds, taken as written:
+    ``d_x`` and ``d_z`` integers (not booleans), ``cells`` a list of lists."""
     try:
-        return Coloring(int(data["d_x"]), int(data["d_z"]),
-                        tuple(tuple(row) for row in data["cells"]))
+        d_x, d_z, cells = data["d_x"], data["d_z"], data["cells"]
+        if not (type(d_x) is type(d_z) is int and type(cells) is list
+                and all(type(row) is list for row in cells)):
+            raise TypeError("d_x and d_z must be integers and cells a list of lists")
+        return Coloring(d_x, d_z, tuple(map(tuple, cells)))
     except (KeyError, TypeError) as exc:
         raise InvalidCodeError(f"malformed code file: {exc}") from exc
 

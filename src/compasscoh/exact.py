@@ -46,13 +46,13 @@ and an angle per class, and each entry's class.  The backend's
 ``SyndromeDistribution`` adds the amplitudes and has one entry per
 syndrome at every angle, those of probability 0 included, so an
 evaluation holds no per-syndrome array; the closed-form families
-return the base type, one entry per class.  A build first checks n, then
-that the bytes it and one evaluation hold fit ``MAX_HELD_BYTES``.  The
-backend keeps its last evaluation, so callers asking for one (theta,
-recovery) in turn, such as the equal codes of an ensemble cell, share one
-distribution and its ``InverseCDF``, which keeps every ``stride``-th
-entry of the inverse CDF and recomputes the blocks each sampler's draws
-land in.
+return the base type, one entry per class, whose class index is the
+identity.  A build first checks n, then that the bytes it and one
+evaluation hold fit ``MAX_HELD_BYTES``.  The backend keeps its last
+evaluation, so callers asking for one (theta, recovery) in turn, such as
+the equal codes of an ensemble cell, share one distribution and its
+``InverseCDF``, which keeps every ``stride``-th entry of the inverse CDF
+and recomputes the blocks each sampler's draws land in.
 """
 
 from __future__ import annotations
@@ -151,24 +151,20 @@ def _check_recovery(recovery: str) -> str:
     return recovery
 
 
-def blocked_sum(column_values: np.ndarray, columns: np.ndarray | None) -> np.float64:
+def blocked_sum(column_values: np.ndarray, columns: np.ndarray) -> np.float64:
     """``np.sum(column_values[columns])`` bit for bit, gathering at most
-    ``_LEAF`` entries at a time; ``columns`` None sums ``column_values``.
+    ``_LEAF`` entries at a time.
 
     NumPy adds a contiguous float64 array pairwise: it splits a length n
     over 128 at n2 = n // 2 - (n // 2) % 8 and adds the two halves' sums.
-    This splits the same way down to nodes of at most ``_LEAF`` entries and
-    adds each node's gather with ``np.add.reduce``, which splits it as the
-    whole sum would."""
-    if columns is None:
-        return np.add.reduce(column_values)
-
-    def node(start, size):
-        if size <= _LEAF:
-            return np.add.reduce(column_values.take(columns[start:start + size]))
-        half = size // 2 - size // 2 % 8
-        return node(start, half) + node(start + half, size - half)
-    return node(0, len(columns))
+    This splits the same way, recursing on views of ``columns``, down to
+    nodes of at most ``_LEAF`` entries, and adds each node's gather with
+    ``np.add.reduce``, which splits it as the whole sum would."""
+    size = len(columns)
+    if size <= _LEAF:
+        return np.add.reduce(column_values.take(columns))
+    half = size // 2 - size // 2 % 8
+    return blocked_sum(column_values, columns[:half]) + blocked_sum(column_values, columns[half:])
 
 
 def _stride(size: int) -> int:
@@ -184,9 +180,10 @@ _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class InverseCDF:
-    """``Generator.choice``'s inverse CDF c of probabilities given per class,
-    held as the last entry of each block of ``stride`` entries.  Searching
-    c with uniforms from ``rng.random`` draws the indices of
+    """``Generator.choice``'s inverse CDF c of probabilities given per class
+    and gathered through the class index ``columns``, held as the last
+    entry of each block of ``stride`` entries.  Searching c with uniforms
+    from ``rng.random`` draws the indices of
     ``rng.choice(len(p), n, p=p / p.sum())``, and ``search`` returns that
     search's result.
 
@@ -203,9 +200,9 @@ class InverseCDF:
     are negative, sum to zero, or do not sum to 1 once normalised.
     """
 
-    def __init__(self, column_p: np.ndarray, columns: np.ndarray | None):
+    def __init__(self, column_p: np.ndarray, columns: np.ndarray):
         self.columns = columns
-        size = len(column_p if columns is None else columns)
+        size = len(columns)
         total = blocked_sum(column_p, columns)
         if not (math.isfinite(total) and total != 0.0):
             raise ValueError(f"probabilities must have a finite, nonzero sum, got {total}")
@@ -216,9 +213,7 @@ class InverseCDF:
         sums = np.empty(-(-size // stride) + 1)  # sums[b + 1]: the running sum at block b's end
         sums[0] = last = -0.0
         for start in range(0, size, _LEAF):
-            entries = slice(start, start + _LEAF)
-            chunk = (column_q[entries].copy() if columns is None
-                     else column_q.take(columns[entries]))
+            chunk = column_q.take(columns[start:start + _LEAF])
             chunk[0] += last
             np.cumsum(chunk, out=chunk)
             first = start // stride + 1
@@ -255,10 +250,7 @@ class InverseCDF:
             first = idx[draws]
             before = self._before.take(first)
             first *= stride
-            entries = offsets + first
-            if self.columns is not None:
-                entries = self.columns.take(entries, mode="clip")
-            cdf = self.column_q.take(entries, mode="clip")
+            cdf = self.column_q.take(self.columns.take(offsets + first, mode="clip"))
             cdf[0] += before
             for above, row in zip(cdf, cdf[1:]):  # cumsum's bits; np.cumsum(axis=0) is 3x slower
                 np.add(above, row, out=row)
@@ -270,28 +262,30 @@ class InverseCDF:
 @dataclass(frozen=True, kw_only=True, eq=False)
 class AngleDistribution:
     """Probabilities and logical angles, held once per class (``column_p``,
-    ``column_theta_s``), with ``columns`` the class of each entry; None
-    means entry k is class k.  The per-entry ``p`` and ``theta_s`` are
-    gathered on every read and never kept, and a sum over a gather is
-    taken a leaf at a time (``gathered_sum``); the inverse CDF of ``p``,
-    ``cdf``, is built when first read, and kept.  A distribution may be
-    shared, so every array it holds is read-only."""
+    ``column_theta_s``), with ``columns`` the class of each entry.  A
+    distribution built without ``columns`` has one entry per class, entry
+    k class k, and gets that identity index here.  The per-entry ``p`` and
+    ``theta_s`` are gathered on every read and never kept, and a sum over a
+    gather is taken a leaf at a time (``gathered_sum``); the inverse CDF of
+    ``p``, ``cdf``, is built when first read, and kept.  A distribution may
+    be shared, so every array it holds is read-only."""
 
     column_p: np.ndarray
     column_theta_s: np.ndarray
     columns: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.columns is None:
+            object.__setattr__(self, "columns", np.arange(len(self.column_p), dtype=np.uint32))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def gather(self, column_values: np.ndarray, entries: slice = slice(None)) -> np.ndarray:
-        """The class value of each of ``entries`` (every entry by default), in
-        a fresh array; fancy indexing, unlike ``take``, does not first widen
-        all the class indices to intp."""
-        if self.columns is None:
-            return column_values[entries].copy()
+    def gather(self, column_values: np.ndarray,
+               entries: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """The class value of each of ``entries``, a slice or an index array
+        (every entry by default), in a fresh array; fancy indexing, unlike
+        ``take``, does not first widen all the class indices to intp."""
         return column_values[self.columns[entries]]
 
     def gathered_sum(self, column_values: np.ndarray) -> np.float64:
@@ -306,10 +300,6 @@ class AngleDistribution:
     def theta_s(self) -> np.ndarray:
         return self.gather(self.column_theta_s)
 
-    def theta_s_at(self, idx: np.ndarray) -> np.ndarray:
-        """``theta_s[idx]``, without gathering ``theta_s`` whole."""
-        return self.column_theta_s.take(idx if self.columns is None else self.columns.take(idx))
-
     @functools.cached_property
     def cdf(self) -> InverseCDF:
         """The inverse CDF of ``p``, built when first read; every sampler of
@@ -317,7 +307,7 @@ class AngleDistribution:
         return InverseCDF(self.column_p, self.columns)
 
     def __len__(self) -> int:
-        return len(self.column_p if self.columns is None else self.columns)
+        return len(self.columns)
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)

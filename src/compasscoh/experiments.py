@@ -124,12 +124,11 @@ def _exact_rows(provenance: str, thetas_over_pi, cell, **labels) -> list[SweepRo
     and its distribution, and without a distribution diamond stays empty."""
     out = []
     for top in thetas_over_pi:
-        # a loop, not a comprehension: holding the last distribution until
-        # the next is built made Z-stacked sweeps ~4% faster
         ch, dist = cell(top * math.pi)
         out.append(SweepRow(theta_over_pi=top, provenance=provenance, epsilon=ch.epsilon,
                             delta=ch.delta, kappa=kappa(ch), r1=r1(ch),
                             diamond=None if dist is None else diamond_avg(dist), **labels))
+        del dist  # so that the next cell's product is built without this one's arrays
     return out
 
 
@@ -373,7 +372,7 @@ def sample_distribution(dist, n_samples: int, seed) -> SampleEstimate:
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
     idx = dist.cdf.search(rng.random(n_samples))
-    theta_s = np.asarray(dist.theta_s_at(idx), dtype=float)
+    theta_s = np.asarray(dist.gather(dist.column_theta_s, idx), dtype=float)
     mean_r1, r1_stderr = _mean_stderr((1.0 - np.cos(theta_s)) / 3.0)
     mean_diamond, diamond_stderr = _mean_stderr(2.0 * np.abs(np.sin(theta_s)))
     return SampleEstimate(mean_r1, r1_stderr, mean_diamond, diamond_stderr)

@@ -83,12 +83,34 @@ class TestCodeGen:
         (("--family", "zstacked", "--dx", "5"), "--h is required here"),
         (("--family", "random", "--dx", "3", "--dz", "3"), "--q-shor is required here"),
         ((), "--family is required here"),
+        # a flag the family does not take, which meta would otherwise carry
+        (("--family", "xshor", "--dx", "3", "--dz", "3", "--h", "2"),
+         "--family xshor takes no --h"),
+        (("--family", "xshor", "--dx", "3", "--dz", "3", "--q-shor", "0.3"),
+         "--family xshor takes no --q-shor"),
+        (("--family", "rsc", "--dx", "3", "--h", "2"), "--family rsc takes no --h"),
+        (("--family", "zstacked", "--dx", "5", "--h", "2", "--q-shor", "0.3"),
+         "--family zstacked takes no --q-shor"),
+        (("--family", "random", "--dx", "3", "--dz", "3", "--q-shor", "0.3", "--h", "2"),
+         "--family random takes no --h"),
     ])
     def test_usage_error_exit_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.json"
         rc, _, err = run(capsys, "code", "gen", *flags, "--out", str(out))
         assert rc == 1 and not out.exists()
         assert json.loads(err) == {"code": "usage", "message": message}
+
+    # sizes must be JSON integers and rows lists: these used to validate,
+    # read as d_x = 3, d_x = 1 and rows of letters
+    @pytest.mark.parametrize("data", [
+        {"d_x": 3.7, "d_z": 3, "cells": [["X", "Z"], ["Z", "X"]]},
+        {"d_x": True, "d_z": 3, "cells": []},
+        {"d_x": 3, "d_z": 3, "cells": ["XZ", "ZX"]}])
+    def test_validate_refuses_a_malformed_file(self, tmp_path, capsys, data):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(data))
+        rc, stdout, err = run(capsys, "code", "validate", str(path))
+        assert (rc, stdout) == (1, "") and json.loads(err)["code"] == "invalid-input"
 
     def test_even_dz_exit_1(self, tmp_path, capsys):
         rc, _, err = run(capsys, "code", "gen", "--family", "zshor", "--dx", "3",
@@ -337,6 +359,29 @@ class TestChannel:
                               *flags, "--theta-over-pi", "0.7", "--recovery", "ml")
         assert rc == 1 and stdout == ""
         assert json.loads(err)["code"] == "usage"
+
+    # a flag the family does not take is refused, on the command line or
+    # from --config, instead of being carried into the output's config
+    @pytest.mark.parametrize("flags,message", [
+        (("--family", "xshor", "--dx", "3", "--dz", "3", "--l", "7"), "--family xshor takes no --l"),
+        (("--family", "xshor", "--dx", "3", "--dz", "3", "--h", "2"), "--family xshor takes no --h"),
+        (("--family", "rep", "--l", "3", "--dx", "3"), "--family rep takes no --dx"),
+        (("--family", "zshor", "--dx", "3", "--dz", "3", "--l", "3"),
+         "--family zshor takes no --l"),
+        (("--family", "zstacked", "--l", "5", "--h", "2", "--dz", "5"),
+         "--family zstacked takes no --dz")])
+    def test_analytic_flag_the_family_does_not_take(self, capsys, flags, message):
+        rc, stdout, err = run(capsys, "channel", "analytic", *flags, "--theta-over-pi", "0.2")
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {"code": "usage", "message": message}
+
+    def test_analytic_flag_the_family_does_not_take_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 2}))
+        rc, stdout, err = run(capsys, "channel", "analytic", "--family", "rep", "--l", "3",
+                              "--theta-over-pi", "0.2", "--config", str(cfg))
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {"code": "usage", "message": "--family rep takes no --h"}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_angle_rejected(self, tmp_path, capsys, value):

@@ -386,3 +386,20 @@ class TestSerialization:
     def test_malformed_dict(self):
         with pytest.raises(InvalidCodeError):
             coloring_from_dict({"d_x": 3})
+
+    # sizes are taken as JSON integers and rows as lists, never converted:
+    # int() read 3.7 as 3 and true as 1, and tuple() split a string row
+    @pytest.mark.parametrize("data", [
+        {"d_x": 3.7, "d_z": 3, "cells": [["X", "Z"], ["Z", "X"]]},
+        {"d_x": True, "d_z": 3, "cells": []},
+        {"d_x": 3, "d_z": 3, "cells": ["XZ", "ZX"]}])
+    def test_malformed_file_refused(self, tmp_path, data):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidCodeError, match="^malformed code file: d_x and d_z must be "
+                                                   "integers and cells a list of lists$"):
+            load_coloring(path)
+        # what save_coloring writes still loads
+        col = family_z_stacked(5, 2)
+        save_coloring(col, path, meta={"seed": 1})
+        assert load_coloring(path) == col

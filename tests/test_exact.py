@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -551,7 +553,8 @@ class TestLazyArrays:
                 want = _eager_arrays(backend, dist)
                 assert len(dist) == len(want["p"]) == 1 << backend.num_checks
                 idx = rng.integers(len(dist), size=50)
-                assert np.array_equal(dist.theta_s_at(idx), want["theta_s"][idx])
+                assert np.array_equal(dist.gather(dist.column_theta_s, idx),
+                                      want["theta_s"][idx])
                 for name, got in _per_syndrome_arrays(dist).items():
                     array = want[name]
                     assert got.dtype == array.dtype and np.array_equal(got, array), (
@@ -797,7 +800,7 @@ def _wide_class_values(rng, count):
 
 
 def _assert_blocked_sum_bits(column_values, columns):
-    want = np.sum(column_values if columns is None else column_values[columns])
+    want = np.sum(column_values[columns])
     got = exact.blocked_sum(column_values, columns)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), len(columns)
 
@@ -825,9 +828,24 @@ class TestBlockedSum:
         for count, dtype in ((21, np.uint8), (645, np.uint16)):
             values = _wide_class_values(rng, count)
             _assert_blocked_sum_bits(values, rng.integers(0, count, length).astype(dtype))
-        # with no class index, the values are the entries
+        # through the identity index, the values are the entries
         values = _wide_class_values(rng, length)
-        assert exact.blocked_sum(values, None).tobytes() == np.sum(values).tobytes()
+        identity = np.arange(length, dtype=np.uint32)
+        assert exact.blocked_sum(values, identity).tobytes() == np.sum(values).tobytes()
+
+    # the recursion holds no closure, which would be a reference cycle
+    # keeping the class values and the index alive until the cyclic GC ran
+    @pytest.mark.parametrize("length", [100, 3 * exact._LEAF + 5])
+    def test_leaves_no_reference_cycle(self, length):
+        values = np.ones(10)
+        alive = weakref.ref(values)
+        gc.disable()
+        try:
+            exact.blocked_sum(values, np.zeros(length, np.uint8))
+            del values
+            assert alive() is None
+        finally:
+            gc.enable()
 
     # at theta = 0 only the trivial syndrome has nonzero p, at theta = pi
     # 948,576 of X-Shor 5x5's 2**20; random q=0.9 seed 2 splits into five

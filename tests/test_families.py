@@ -455,12 +455,16 @@ class TestOneDistributionType:
         for theta in (f * family.threshold(*params) for f in factors):
             for recovery in ("minweight", "ml") if family.has_ml else ("minweight",):
                 dist = family.distribution(*params, theta, recovery)
-                assert type(dist) is AngleDistribution and dist.columns is None
+                assert type(dist) is AngleDistribution
+                # one entry per class: the identity index, shared and read-only
+                assert np.array_equal(dist.columns, np.arange(len(dist)))
+                assert not dist.columns.flags.writeable
                 assert repr(diamond_avg(dist)) == repr(diamond_reference(dist)), theta
-                # the class arrays and, once built, the whole inverse CDF
+                # the class arrays, the index and, once built, the whole
+                # inverse CDF, which holds the index too
                 held = [v for obj in (dist, dist.cdf) for v in vars(obj).values()
                         if isinstance(v, np.ndarray)]
-                assert len(held) == 5 and not any(a.flags.writeable for a in held)
+                assert len(held) == 7 and not any(a.flags.writeable for a in held)
                 assert dist.cdf.stride == 1
                 assert dist.cdf.ends.tobytes() == inverse_cdf_reference(dist.p).tobytes()
                 for name in ("p", "theta_s"):

@@ -113,11 +113,23 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
-def _refuse(args, names, taken):
-    """Refuse each flag of ``names`` given but not in ``taken``, the flags
-    of ``--family``, so that no output's config carries a flag unused."""
+# The family flags and their types.  Each family command declares some on
+# its parser (``_add_family_flags``); ``_family_flags`` checks them.
+_FAMILY_FLAGS = {"l": int, "dx": int, "dz": int, "h": int, "q_shor": float, "seed": int}
+
+
+def _add_family_flags(p, *names):
     for name in names:
-        if name not in taken and getattr(args, name) is not None:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_FAMILY_FLAGS[name])
+
+
+def _family_flags(args, taken):
+    """Require each flag of ``taken``, those ``--family`` takes, and refuse
+    every other family flag of the command set off its parser default, so
+    that no output's config carries a flag unused."""
+    _require(args, *taken)
+    for name in _FAMILY_FLAGS:
+        if name not in taken and getattr(args, name, None) != args.parser.get_default(name):
             raise UsageError(f"--family {args.family} takes no --{name.replace('_', '-')}")
 
 
@@ -143,15 +155,15 @@ def _write_table(table, args, config: dict) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-# --family of ``code gen`` -> (flags it needs, builder); a family that
-# needs no --dz is square.  The builders look the family functions up as
+# --family of ``code gen`` -> (flags it takes, builder); a family that
+# takes no --dz is square.  The builders look the family functions up as
 # module globals at call time, so a wrapper set on this module sees them.
 _GEN_FAMILIES = {
     "zshor": (("dx", "dz"), lambda a: family_z_shor(a.dx, a.dz)),
     "xshor": (("dx", "dz"), lambda a: family_x_shor(a.dx, a.dz)),
     "rsc": (("dx",), lambda a: family_rotated_surface(a.dx)),
     "zstacked": (("dx", "h"), lambda a: family_z_stacked(a.dx, a.h)),
-    "random": (("dx", "dz", "q_shor"),
+    "random": (("dx", "dz", "q_shor", "seed"),
                lambda a: random_coloring(a.dx, a.dz, a.q_shor, a.seed)),
 }
 
@@ -162,10 +174,7 @@ def _cmd_code_gen(args):
     family is built."""
     _require(args, "out", "family")
     flags, build = _GEN_FAMILIES[args.family]
-    _require(args, *flags)
-    if "dz" not in flags and args.dz is not None and args.dz != args.dx:
-        raise UsageError(f"{args.family} is square; --dz must match --dx")
-    _refuse(args, ("h", "q_shor"), flags)
+    _family_flags(args, flags)
     d_z = args.dz if "dz" in flags else args.dx
     cells = max(args.dx - 1, 0) * max(d_z - 1, 0)
     check_budget(cells * _GEN_CELL_BYTES, f"a {args.dx}x{d_z} grid's {cells} cells hold",
@@ -275,8 +284,7 @@ def _cmd_channel_analytic(args):
     _require(args, "family", "theta_over_pi")
     family = _analytic_family(args)
     flags = [name.replace("_", "") for name in family.params]
-    _require(args, *flags)
-    _refuse(args, ("l", "dx", "dz", "h"), flags)
+    _family_flags(args, flags)
     ch = family.channel(*(getattr(args, flag) for flag in flags),
                         args.theta_over_pi * math.pi, args.recovery)
     _print_json({"epsilon": ch.epsilon, "delta": ch.delta, "kappa": kappa(ch),
@@ -286,15 +294,11 @@ def _cmd_channel_analytic(args):
 
 def _cmd_sweep(args):
     _require(args, "family", "thetas", "distances", "out")
+    _family_flags(args, ("h",) if args.family == "zstacked" else ())
     if args.family == "rsc":
-        if args.h is not None:
-            raise ValueError("rsc source takes no block height h")
         source = CodeSource("rsc", lambda l: build_code(family_rotated_surface(l)), args.recovery)
     else:
-        family = _analytic_family(args)
-        if "h" in family.params:
-            _require(args, "h")
-        source = AnalyticFamilySource(family.kind, args.recovery, args.h)
+        source = AnalyticFamilySource(_analytic_family(args).kind, args.recovery, args.h)
     table = sweep(source, _parse_thetas(args.thetas), _parse_list(args.distances, "--distances"))
     _write_table(table, args, _config_dict(args, "sweep"))
     return 0
@@ -359,13 +363,9 @@ def _build_parser() -> _Parser:
     gen = code_sub.add_parser("gen")
     common(gen)
     gen.add_argument("--family", choices=list(_GEN_FAMILIES))
-    gen.add_argument("--dx", type=int)
-    gen.add_argument("--dz", type=int)
-    gen.add_argument("--h", type=int)
-    gen.add_argument("--q-shor", dest="q_shor", type=float)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_family_flags(gen, "dx", "dz", "h", "q_shor", "seed")
     gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_code_gen)
+    gen.set_defaults(func=_cmd_code_gen, seed=0)
     val = code_sub.add_parser("validate")
     common(val)
     val.add_argument("file")
@@ -391,10 +391,7 @@ def _build_parser() -> _Parser:
     can = chan_sub.add_parser("analytic")
     common(can)
     can.add_argument("--family", choices=list(_FAMILY_ALIASES))
-    can.add_argument("--l", type=int)
-    can.add_argument("--dx", type=int)
-    can.add_argument("--dz", type=int)
-    can.add_argument("--h", type=int)
+    _add_family_flags(can, "l", "dx", "dz", "h")
     can.add_argument("--theta-over-pi", dest="theta_over_pi", type=float)
     can.add_argument("--recovery", choices=["minweight", "ml"], default=MIN_WEIGHT)
     can.set_defaults(func=_cmd_channel_analytic)
@@ -402,7 +399,7 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sweep", help="grid a family over (distance, theta)")
     common(sw)
     sw.add_argument("--family", choices=[*_FAMILY_ALIASES, "rsc"])
-    sw.add_argument("--h", type=int)
+    _add_family_flags(sw, "h")
     sw.add_argument("--recovery", choices=["minweight", "ml"], default=MIN_WEIGHT)
     sw.add_argument("--thetas", help="A:B:STEP in units of pi")
     sw.add_argument("--distances", help="comma-separated distances")
@@ -485,6 +482,8 @@ def main(argv=None) -> int:
         return _fail(1, "usage", str(exc))
     except FileNotFoundError as exc:
         return _fail(1, "missing-file", str(exc))
+    except OSError as exc:
+        return _fail(1, "os-error", str(exc))
     except (InvalidCodeError, json.JSONDecodeError) as exc:
         return _fail(1, "invalid-input", str(exc))
     except (TooLargeError, MemoryError) as exc:

@@ -64,7 +64,7 @@ class TestCodeGen:
     @pytest.mark.parametrize("flags,expect", [
         (("--family", "zshor", "--dx", "3", "--dz", "5"), family_z_shor(3, 5)),
         (("--family", "xshor", "--dx", "3", "--dz", "5"), family_x_shor(3, 5)),
-        (("--family", "rsc", "--dx", "3", "--dz", "3"), family_rotated_surface(3)),
+        (("--family", "rsc", "--dx", "3"), family_rotated_surface(3)),
         (("--family", "zstacked", "--dx", "5", "--h", "2"), family_z_stacked(5, 2)),
         (("--family", "random", "--dx", "3", "--dz", "5", "--q-shor", "0.5",
           "--seed", "2"), random_coloring(3, 5, 0.5, 2)),
@@ -77,9 +77,10 @@ class TestCodeGen:
 
     @pytest.mark.parametrize("flags,message", [
         (("--family", "zshor"), "--dx is required here"),
-        (("--family", "rsc", "--dx", "3", "--dz", "5"), "rsc is square; --dz must match --dx"),
+        # a square family takes no --dz
+        (("--family", "rsc", "--dx", "3", "--dz", "5"), "--family rsc takes no --dz"),
         (("--family", "zstacked", "--dx", "5", "--dz", "3", "--h", "2"),
-         "zstacked is square; --dz must match --dx"),
+         "--family zstacked takes no --dz"),
         (("--family", "zstacked", "--dx", "5"), "--h is required here"),
         (("--family", "random", "--dx", "3", "--dz", "3"), "--q-shor is required here"),
         ((), "--family is required here"),
@@ -709,8 +710,8 @@ class TestSweepThreshold:
         rc, _, err = run(capsys, "sweep", "--family", family, "--h", "3",
                          "--thetas", "0.1:0.2:0.1", "--distances", "3,5", "--out", str(out))
         assert (rc, out.exists()) == (1, False)
-        assert json.loads(err) == {"code": "invalid-value",
-                                   "message": f"{family} source takes no block height h"}
+        assert json.loads(err) == {"code": "usage",
+                                   "message": f"--family {family} takes no --h"}
 
     # every distance's family parameters are checked before the first row,
     # so a bad last distance fails without evaluating the earlier ones
@@ -1294,6 +1295,91 @@ class TestListAndCountFlags:
                   "--samples", "200", "--jobs", jobs, "--out", str(out))
         assert (got[0], got[1], out.exists()) == (1, "", False)
         assert json.loads(got[2]) == {"code": code, "message": message}
+
+
+# The family flags of each family command, and those each --family takes:
+# every other one is refused unless it is at its parser default.
+_COMMAND_FLAGS = {"code gen": ("dx", "dz", "h", "q_shor", "seed"),
+                  "channel analytic": ("l", "dx", "dz", "h"),
+                  "sweep": ("h",)}
+_FAMILY_TAKES = {
+    "code gen": {"zshor": ("dx", "dz"), "xshor": ("dx", "dz"), "rsc": ("dx",),
+                 "zstacked": ("dx", "h"), "random": ("dx", "dz", "q_shor", "seed")},
+    "channel analytic": {"rep": ("l",), "zshor": ("dx", "dz"), "xshor": ("dx", "dz"),
+                         "zstacked": ("l", "h")},
+    "sweep": {"rep": (), "zshor": (), "xshor": (), "rsc": (), "zstacked": ("h",)},
+}
+_FLAG_VALUES = {"l": 5, "dx": 5, "dz": 3, "h": 2, "q_shor": 0.5, "seed": 5}
+_FLAG_DEFAULTS = {("code gen", "seed"): 0}
+# the rest of each command's call; "OUT" is its output file
+_CALL_REST = {"code gen": ("--out", "OUT"),
+              "channel analytic": ("--theta-over-pi", "0.2"),
+              "sweep": ("--thetas", "0.1:0.2:0.1", "--distances", "3", "--out", "OUT")}
+_FOREIGN_FLAGS = [(command, family, flag)
+                  for command, takes in _FAMILY_TAKES.items()
+                  for family, taken in takes.items()
+                  for flag in _COMMAND_FLAGS[command] if flag not in taken]
+
+
+class TestFamilyFlags:
+    @staticmethod
+    def _call(tmp_path, command, family):
+        out = tmp_path / "out"
+        flags = [token for flag in _FAMILY_TAKES[command][family]
+                 for token in (f"--{flag.replace('_', '-')}", str(_FLAG_VALUES[flag]))]
+        rest = [str(out) if token == "OUT" else token for token in _CALL_REST[command]]
+        return [*command.split(), "--family", family, *flags, *rest], out
+
+    @pytest.mark.parametrize("via", ["argv", "config"])
+    @pytest.mark.parametrize("command,family,flag", _FOREIGN_FLAGS)
+    def test_flag_the_family_does_not_take_is_refused(self, tmp_path, capsys, command,
+                                                       family, flag, via):
+        argv, out = self._call(tmp_path, command, family)
+        spelling = f"--{flag.replace('_', '-')}"
+        if via == "argv":
+            argv += [spelling, str(_FLAG_VALUES[flag])]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: _FLAG_VALUES[flag]}))
+            argv += ["--config", str(cfg)]
+        rc, stdout, err = run(capsys, *argv)
+        assert (rc, stdout, out.exists()) == (1, "", False)
+        assert json.loads(err) == {"code": "usage",
+                                   "message": f"--family {family} takes no {spelling}"}
+
+    # at its parser default the flag counts as not given: the call keeps the
+    # bytes of one that omits it
+    @pytest.mark.parametrize("command,family,flag", _FOREIGN_FLAGS)
+    def test_flag_at_its_default_is_accepted(self, tmp_path, capsys, command, family, flag):
+        argv, out = self._call(tmp_path, command, family)
+
+        def outputs(*extra):
+            got = run(capsys, *argv, *extra)
+            return got, out.read_bytes() if out.exists() else None
+
+        plain = outputs()
+        assert plain[0][0] == 0
+        default = _FLAG_DEFAULTS.get((command, flag))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: default}))
+        assert outputs("--config", str(cfg)) == plain
+        if default is not None:
+            assert outputs(f"--{flag.replace('_', '-')}", str(default)) == plain
+
+
+# a directory where a file is read or written ends in one line of JSON
+@pytest.mark.parametrize("argv", [
+    ("code", "gen", "--family", "rsc", "--dx", "3", "--out", "DIR"),
+    ("channel", "analytic", "--family", "rep", "--l", "3", "--theta-over-pi", "0.1",
+     "--config", "DIR"),
+    ("code", "validate", "DIR"),
+    ("threshold", "--in", "DIR")])
+def test_directory_for_a_file_exit_1(tmp_path, capsys, argv):
+    rc, stdout, err = run(capsys, *(str(tmp_path) if token == "DIR" else token
+                                    for token in argv))
+    assert (rc, stdout, err.count("\n")) == (1, "", 1)
+    error = json.loads(err)
+    assert error["code"] == "os-error" and str(tmp_path) in error["message"]
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -10,10 +10,11 @@ oversized distance exits 2.  The exact sources also have ``channel`` and
 
 ``find_crossings`` automates the bounding procedure of reading threshold
 estimates off intersecting distance curves: every sign change of
-metric(d_next) - metric(d) across the swept grid is a crossing, refined by
-bisection when the source can be re-evaluated exactly, and the overall
-(lower, upper) bounds bracket every per-pair crossing.  Angles are
-exchanged as theta/pi everywhere at this interface.
+metric(d_next) - metric(d) between grid points where the two curves differ
+is a crossing (a tie carries no sign), refined by bisection when the source
+can be re-evaluated exactly, and the overall (lower, upper) bounds bracket
+every per-pair crossing.  Angles are exchanged as theta/pi everywhere at
+this interface.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class PairCrossing:
 @dataclass(frozen=True)
 class ThresholdEstimate:
     """Crossing-derived threshold bounds; one-sided when the swept window
-    saw no intersections (the bracketing grid edge is reported instead)."""
+    saw no intersections (the nearest grid point where the curves differ
+    bounds the threshold instead)."""
 
     metric: str
     crossings: tuple[PairCrossing, ...]
@@ -244,7 +246,7 @@ def sweep(source, thetas_over_pi, distances) -> SweepTable:
 # ---------------------------------------------------------------------------
 # Crossing detection
 
-def _bisect_crossing(diff, lo: float, hi: float, f_lo: float, f_hi: float,
+def _bisect_crossing(diff, lo: float, hi: float, f_lo: float,
                      tol: float) -> tuple[float, float]:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -254,7 +256,7 @@ def _bisect_crossing(diff, lo: float, hi: float, f_lo: float, f_hi: float,
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
     return lo, hi
 
 
@@ -262,11 +264,17 @@ def find_crossings(table: SweepTable, metric: str = "r1",
                    source=None) -> ThresholdEstimate:
     """Locate metric crossings between consecutive distance curves.
 
-    With a ``source`` to re-evaluate (``channel`` and ``distribution``) each
-    grid sign change is refined by bisection to width <= REFINE_TOL_OVER_PI;
-    sampled tables keep the grid cell as the crossing interval.  Bounds are
-    the (min, max) over every crossing; without any crossing the estimate is
-    one-sided at the grid edge that bounds the threshold.
+    For each pair of curves, g = metric(d_high) - metric(d_low) is read only
+    at the grid points where g != 0: a tie (every channel is the identity at
+    theta = 0) carries no sign.  A crossing is each pair of consecutive such
+    points whose signs differ.  With a ``source`` to re-evaluate (``channel``
+    and ``distribution``) it is refined by bisection to width <=
+    REFINE_TOL_OVER_PI; sampled tables keep the two points as the crossing
+    interval.  Bounds are the (min, max) over every crossing.  Without any
+    crossing the estimate is one-sided from the points where the curves
+    differ: the smallest theta is the upper bound when g > 0 at all of them,
+    the largest the lower bound when g < 0 at all of them, and there is no
+    bound otherwise.
     """
     series = table.series()
     distances = sorted(series)
@@ -275,39 +283,29 @@ def find_crossings(table: SweepTable, metric: str = "r1",
     grids = [tuple(r.theta_over_pi for r in series[d]) for d in distances]
     if len(set(grids)) != 1:
         raise ValueError("all distance series must share one theta grid")
-    thetas = grids[0]
 
     refine = _metric_fn(source, metric) if source is not None else None
     crossings: list[PairCrossing] = []
-    all_positive = True
-    all_negative = True
+    kept: list[tuple[float, float]] = []  # (theta, g) wherever a pair differs
     for d1, d2 in zip(distances, distances[1:]):
-        v1 = [row.metric(metric) for row in series[d1]]
-        v2 = [row.metric(metric) for row in series[d2]]
-        g = [b - a for a, b in zip(v1, v2)]
-        all_positive &= all(x > 0 for x in g)
-        all_negative &= all(x < 0 for x in g)
-        for i in range(len(thetas) - 1):
-            if g[i] == 0.0:
-                crossings.append(PairCrossing(d1, d2, thetas[i], thetas[i]))
-            elif g[i] * g[i + 1] < 0.0:
-                lo, hi = thetas[i], thetas[i + 1]
+        g = [b.metric(metric) - a.metric(metric) for a, b in zip(series[d1], series[d2])]
+        points = [(t, x) for t, x in zip(grids[0], g) if x != 0.0]
+        for (lo, f_lo), (hi, f_hi) in zip(points, points[1:]):
+            if (f_lo < 0.0) != (f_hi < 0.0):
                 if refine is not None:
                     diff = lambda t: refine(d2, t) - refine(d1, t)
-                    lo, hi = _bisect_crossing(diff, lo, hi, g[i], g[i + 1],
-                                              REFINE_TOL_OVER_PI)
+                    lo, hi = _bisect_crossing(diff, lo, hi, f_lo, REFINE_TOL_OVER_PI)
                 crossings.append(PairCrossing(d1, d2, lo, hi))
-        if g[-1] == 0.0:
-            crossings.append(PairCrossing(d1, d2, thetas[-1], thetas[-1]))
+        kept += points
 
     if crossings:
         return ThresholdEstimate(metric, tuple(crossings),
                                  min(c.lo_over_pi for c in crossings),
                                  max(c.hi_over_pi for c in crossings))
-    if all_positive:  # increasing with distance everywhere: threshold below grid
-        return ThresholdEstimate(metric, (), None, thetas[0])
-    if all_negative:  # suppressed everywhere: threshold above grid
-        return ThresholdEstimate(metric, (), thetas[-1], None)
+    if kept and all(x > 0.0 for _, x in kept):  # worse with distance: threshold below
+        return ThresholdEstimate(metric, (), None, min(t for t, _ in kept))
+    if kept and all(x < 0.0 for _, x in kept):  # suppressed: threshold above
+        return ThresholdEstimate(metric, (), max(t for t, _ in kept), None)
     return ThresholdEstimate(metric, (), None, None)
 
 

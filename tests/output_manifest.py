@@ -1,10 +1,12 @@
-"""Output hashes of the benchmark workloads' ops, and the manifest that pins them.
+"""Output hashes of the benchmark workloads' ops and of the README's CLI
+examples, and the manifest that pins them.
 
-Each run is one workload of ``perfbench/workloads.py`` at one seed, its ops
-called through ``compasscoh.cli.main`` in order, in one process and in a
-work directory of its own.  An op's hash is the sha256 of its exit code,
-stdout, stderr and every output file it declares, each prefixed by its
-length.  ``xshor-interpolate`` also runs once under ``--jobs 2``.
+Each run is one workload of ``perfbench/workloads.py`` at one seed, or the
+README's CLI examples, its ops called through ``compasscoh.cli.main`` in
+order, in one process and in a work directory of its own.  An op's hash is
+the sha256 of its exit code, stdout, stderr and every output file it
+declares, each prefixed by its length.  ``xshor-interpolate`` also runs
+once under ``--jobs 2``.
 
 ``output_manifest.json`` records one list of accepted hashes per op.  Ops
 whose bytes depend on NumPy's AVX-512 loops (ROADMAP item 9) list two: one
@@ -47,9 +49,31 @@ def _workloads():
 
 
 WORKLOADS = _workloads().WORKLOADS
-# manifest key -> (workload, seed, flags added to each op)
-RUNS = {f"{name} seed {seed}": (name, seed, ()) for name in WORKLOADS for seed in (1, 2)}
-RUNS["xshor-interpolate seed 1 --jobs 2"] = ("xshor-interpolate", 1, ("--jobs", "2"))
+# the README's CLI examples in order, each with the files it writes, all but
+# the slow ``interpolate`` (200 d=5 codes per cell)
+README_OPS = [
+    ("code gen --family rsc --dx 5 --out rsc5.json", ("rsc5.json",)),
+    ("code gen --family random --dx 3 --dz 3 --q-shor 0.5 --seed 7 --out r.json", ("r.json",)),
+    ("code validate rsc5.json", ()),
+    ("decode --code rsc5.json --syndrome 000100000000", ()),
+    ("channel exact --code rsc5.json --theta-over-pi 0.1 --recovery minweight "
+     "--dump-distribution dist.json", ("dist.json",)),
+    ("channel analytic --family zstacked --l 21 --h 2 --theta-over-pi 0.2", ()),
+    ("sweep --family xshor --thetas 0.45:0.55:0.005 --distances 9,13,17,21 --out sweep.csv",
+     ("sweep.csv",)),
+    ("threshold --in sweep.csv --metric r1", ()),
+]
+
+
+def _workload_ops(name: str, seed: int, extra=()):
+    return lambda: [((*op.argv, *extra), op.outputs) for op in WORKLOADS[name](seed)]
+
+
+# manifest key -> its ops, each (argv, the output files it declares)
+RUNS = {f"{name} seed {seed}": _workload_ops(name, seed) for name in WORKLOADS for seed in (1, 2)}
+RUNS["xshor-interpolate seed 1 --jobs 2"] = _workload_ops("xshor-interpolate", 1, ("--jobs", "2"))
+RUNS["README CLI examples"] = lambda: [(tuple(argv.split()), outputs)
+                                       for argv, outputs in README_OPS]
 
 
 def _digest(parts) -> str:
@@ -63,18 +87,16 @@ def _digest(parts) -> str:
 def run_ops(key: str, workdir: Path) -> list[tuple[str, str]]:
     """(argv, hash) of each op of run ``key``, called in ``workdir``."""
     from compasscoh.cli import main
-    name, seed, extra = RUNS[key]
     out = []
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for op in WORKLOADS[name](seed):
-            argv = [*op.argv, *extra]
+        for argv, outputs in RUNS[key]():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = main(argv)
+                rc = main(list(argv))
             parts = [str(rc).encode(), stdout.getvalue().encode(), stderr.getvalue().encode()]
-            for path in op.outputs:
+            for path in outputs:
                 parts += [path.encode(), Path(path).read_bytes()]
             out.append((" ".join(argv), _digest(parts)))
     finally:

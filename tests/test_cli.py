@@ -685,6 +685,20 @@ class TestSweepThreshold:
         assert payload["lower_over_pi"] <= 0.5 <= payload["upper_over_pi"]
         assert not payload["one_sided"]
 
+    # the Z-Shor curves tie at theta = 0 (the identity), which sets no bound:
+    # the one crossing is the refined sign change near pi/(2 d_x)
+    def test_threshold_from_theta_zero(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, "sweep", "--family", "zshor", "--thetas", "0:0.1:0.02",
+                         "--distances", "3,5", "--out", str(out))
+        assert rc == 0, err
+        rc, stdout, err = run(capsys, "threshold", "--in", str(out))
+        assert rc == 0, err
+        payload = json.loads(stdout)
+        assert len(payload["crossings"]) == 1
+        assert payload["lower_over_pi"] == pytest.approx(0.025625, abs=1e-12)
+        assert payload["upper_over_pi"] == pytest.approx(0.02625, abs=1e-12)
+
     def test_sweep_json_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         rc, _, _ = run(capsys, "sweep", "--family", "xshor",

@@ -26,6 +26,16 @@ def rep_source():
     return AnalyticFamilySource("repetition")
 
 
+def diamond_table(thetas, low, high):
+    """A sampled table whose d=3 and d=5 curves take these diamond values."""
+    return SweepTable(tuple(
+        SweepRow(family="random", dx=d, dz=d, h=None, q_shor=0.5, seed=0,
+                 theta_over_pi=top, provenance="sampled", epsilon=0.0, delta=0.0,
+                 kappa=0.0, r1=0.0, r1_stderr=None, diamond=dia, diamond_stderr=None,
+                 n_codes=4, n_samples=16)
+        for d, curve in ((3, low), (5, high)) for top, dia in zip(thetas, curve)))
+
+
 class TestAnalyticFamilySource:
     @pytest.mark.parametrize("family,h", [("xshor", None), ("zstacked", 2)])
     def test_rejects_ml_without_ml_form(self, family, h):
@@ -167,19 +177,48 @@ class TestFindCrossings:
         assert est.upper_over_pi == 0.1 and est.lower_over_pi is None
 
     def test_diamond_metric_crossing_on_table(self):
-        # the repetition diamond only touches 2 at pi/2 (no sign change), so
-        # exercise the diamond path on a synthetic sampled table instead
-        def row(d, top, dia):
-            return SweepRow(family="random", dx=d, dz=d, h=None, q_shor=0.5,
-                            seed=0, theta_over_pi=top, provenance="sampled",
-                            epsilon=0.0, delta=0.0, kappa=0.0, r1=0.0,
-                            r1_stderr=None, diamond=dia, diamond_stderr=None,
-                            n_codes=4, n_samples=16)
-        table = SweepTable((row(3, 0.2, 0.5), row(3, 0.3, 0.6),
-                            row(5, 0.2, 0.4), row(5, 0.3, 0.7)))
-        est = find_crossings(table, "diamond")
+        # the repetition diamond touches 2 at pi/2, where rounding decides the
+        # sign (g = +4.4e-16 at d = 3, 5), so exercise the diamond path on a
+        # synthetic sampled table instead
+        est = find_crossings(diamond_table((0.2, 0.3), (0.5, 0.6), (0.4, 0.7)), "diamond")
         assert not est.one_sided
         assert est.crossings == (PairCrossing(3, 5, 0.2, 0.3),)
+
+    # every channel is the identity at theta = 0, and X-Shor and repetition
+    # r1 tie at pi: a tie carries no sign, so it sets no bound
+    @pytest.mark.parametrize("thetas,low,high,trim", [
+        ((0.0, 0.1, 0.2), (0.0, 0.5, 0.6), (0.0, 0.6, 0.7), slice(1, None)),  # all rise
+        ((0.0, 0.1, 0.2), (0.0, 0.5, 0.6), (0.0, 0.4, 0.7), slice(1, None)),  # cross
+        ((0.8, 0.9, 1.0), (0.5, 0.6, 1.0), (0.4, 0.5, 1.0), slice(None, -1)),  # all fall
+        ((0.8, 0.9, 1.0), (0.5, 0.6, 1.0), (0.4, 0.7, 1.0), slice(None, -1)),  # cross
+    ], ids=["first-rise", "first-cross", "last-fall", "last-cross"])
+    def test_a_tie_at_a_grid_end_sets_no_bound(self, thetas, low, high, trim):
+        est = find_crossings(diamond_table(thetas, low, high), "diamond")
+        assert est == find_crossings(
+            diamond_table(thetas[trim], low[trim], high[trim]), "diamond")
+
+    @pytest.mark.parametrize("thetas,low,high,crossings,bounds", [
+        # g = +1e-200 then -1e-200: their product underflows to 0
+        ((0.1, 0.2), (1e-200, 2e-200), (2e-200, 1e-200), ((0.1, 0.2),), (0.1, 0.2)),
+        # g touches 0 without changing sign: one-sided, never a crossing
+        ((0.1, 0.2, 0.3), (0.5, 0.5, 0.5), (0.4, 0.5, 0.4), (), (0.3, None)),
+        # an exact interior zero between opposite signs: bracketed by its neighbours
+        ((0.1, 0.2, 0.3), (0.5, 0.5, 0.5), (0.4, 0.5, 0.6), ((0.1, 0.3),), (0.1, 0.3)),
+    ], ids=["underflow", "touch", "interior-zero"])
+    def test_crossing_is_a_sign_change_where_the_curves_differ(
+            self, thetas, low, high, crossings, bounds):
+        est = find_crossings(diamond_table(thetas, low, high), "diamond")
+        assert est.crossings == tuple(PairCrossing(3, 5, lo, hi) for lo, hi in crossings)
+        assert (est.lower_over_pi, est.upper_over_pi) == bounds
+
+    def test_interior_zero_is_bisected_with_a_source(self):
+        # repetition r1 at d=3, 5 ties at pi/2 exactly, a grid point here: the
+        # bracket of its neighbours is bisected, and its first midpoint is pi/2
+        src = rep_source()
+        fn = experiments._metric_fn(src, "r1")
+        assert fn(5, 0.5) == fn(3, 0.5)
+        est = find_crossings(sweep(src, [0.45, 0.5, 0.55], [3, 5]), "r1", source=src)
+        assert est.crossings == (PairCrossing(3, 5, 0.5, 0.5),)
 
     def test_repetition_diamond_touches_at_half_pi(self):
         # both sides of pi/2 suppress the diamond metric with distance

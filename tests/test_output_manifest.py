@@ -1,5 +1,6 @@
-"""Every op of the benchmark workloads keeps the output bytes that
-``output_manifest.json`` records (see ``output_manifest.py``)."""
+"""Every op of the benchmark workloads and of the README's CLI examples
+keeps the output bytes that ``output_manifest.json`` records (see
+``output_manifest.py``)."""
 
 import json
 
@@ -26,3 +27,11 @@ def test_workload_outputs_match_the_manifest(key, tmp_path):
     assert not moved, ("output bytes moved; a change that moves them on purpose "
                        "regenerates the manifest (python tests/output_manifest.py) and "
                        "lists each moved op in CHANGES.md:\n" + "\n".join(moved))
+
+
+def test_readme_run_holds_the_readme_cli_examples():
+    text = (output_manifest.ROOT / "README.md").read_text().replace("\\\n", " ")
+    commands = [" ".join(line.split()[1:]) for line in text.splitlines()
+                if line.startswith("compasscoh ")]
+    assert [c for c in commands if not c.startswith("interpolate ")] == [
+        argv for argv, _ in output_manifest.README_OPS]

@@ -16,8 +16,8 @@ from .codes import (CompassCode, Coloring, InvalidCodeError, PauliSupport,
                     ValidationReport, build_code, family_rotated_surface,
                     family_x_shor, family_z_shor, family_z_stacked,
                     load_coloring, random_coloring, save_coloring, validate)
-from .decoder import (MatchingGraph, build_matching_graph, decode_bruteforce,
-                      decode_mwpm, syndrome_of, syndrome_to_mask)
+from .decoder import (MatchingGraph, build_matching_graph, decode_mwpm,
+                      syndrome_of, syndrome_to_mask)
 from .exact import (ML, MIN_WEIGHT, ExactBackend, SyndromeDistribution,
                     TooLargeError, logical_channel, syndrome_distribution)
 from .families import (closed_form_threshold, repetition_distribution,

@@ -19,7 +19,7 @@ from . import __version__, families
 from .codes import (InvalidCodeError, build_code, family_rotated_surface,
                     family_x_shor, family_z_shor, family_z_stacked,
                     load_coloring, random_coloring, save_coloring, validate)
-from .decoder import build_matching_graph, decode_bruteforce, decode_mwpm
+from .decoder import build_matching_graph, decode_mwpm
 from .exact import (MIN_WEIGHT, ML, TooLargeError, check_budget, check_qubits,
                     get_backend)
 from .experiments import (AnalyticFamilySource, CodeSource, find_crossings,
@@ -146,8 +146,7 @@ def _print_json(payload: dict) -> None:
 def _write_table(table, args, config: dict) -> None:
     if args.format == "json":
         with open(args.out, "w") as fh:
-            fh.write(table_to_json(table, config))
-            fh.write("\n")
+            fh.write(table_to_json(table, config) + "\n")
     else:
         write_csv(table, args.out, config)
 
@@ -226,16 +225,12 @@ def _cmd_code_validate(args):
 
 
 def _cmd_decode(args):
-    """Decode one syndrome; the code and, unless ``--oracle``, its matching
-    graph are checked against the budget before either is built."""
+    """Decode one syndrome; the code and its matching graph are checked
+    against the budget before either is built."""
     _require(args, "code", "syndrome")
     coloring = load_coloring(args.code)
-    _check_code_bytes(coloring, keys=not args.oracle)
-    code = build_code(coloring)
-    if args.oracle:
-        corr = decode_bruteforce(code, args.syndrome)
-    else:
-        corr = decode_mwpm(build_matching_graph(code), args.syndrome)
+    _check_code_bytes(coloring, keys=True)
+    corr = decode_mwpm(build_matching_graph(build_code(coloring)), args.syndrome)
     print(corr.to_bits())
     return 0
 
@@ -375,8 +370,6 @@ def _build_parser() -> _Parser:
     common(dec)
     dec.add_argument("--code")
     dec.add_argument("--syndrome", help="bit string, X check 0 first")
-    dec.add_argument("--oracle", action="store_true",
-                     help="use the brute-force decoder (n <= 20)")
     dec.set_defaults(func=_cmd_decode)
 
     chan = sub.add_parser("channel", help="logical channel parameters")
@@ -436,8 +429,7 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     gets its flag's command-line parse and every flag in ``argv`` wins.
 
     A key must name a flag of the command (no positional, nor ``func``);
-    ``null`` adds no token, and a flag that takes no value takes ``true``
-    (the bare flag) or ``false`` (none).
+    ``null`` adds no token, and any other value becomes ``--flag=value``.
     """
     args = parser.parse_args(argv)
     if args.config:
@@ -445,18 +437,14 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise UsageError("--config file must hold a JSON object")
-        flags = {action.dest: action for action in args.parser._actions
+        flags = {action.dest: action.option_strings[-1] for action in args.parser._actions
                  if action.option_strings and action.dest not in ("help", "config")}
-        tokens = []
-        for key, value in config.items():
-            action = flags.get(key.replace("-", "_"))
-            if action is None:
-                raise UsageError(f"config key {key!r} is not a flag of this command")
-            flag, bare = action.option_strings[-1], action.nargs == 0
-            if bare and not isinstance(value, (bool, type(None))):
-                raise UsageError(f"config key {key!r} takes true or false")
-            if value is not None and not (bare and value is False):  # = lets a value start with -
-                tokens.append(flag if bare else f"{flag}={value}")
+        unknown = [key for key in config if key.replace("-", "_") not in flags]
+        if unknown:
+            raise UsageError(f"config key {unknown[0]!r} is not a flag of this command")
+        # = lets a value start with -
+        tokens = [f"{flags[key.replace('-', '_')]}={value}"
+                  for key, value in config.items() if value is not None]
         at = 2 if "subcommand" in args else 1
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args

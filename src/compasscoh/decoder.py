@@ -16,7 +16,8 @@ of key P to a correction of key K gives ``K + P - full``.  A path meeting
 the correction in o qubits leaves a correction of weight w_K + w_P - 2o
 for the same syndrome, so such a sum (which a borrow lowers by at most one
 weight) never wins.  Witness paths, the subset DP and the brute force all
-minimize this key, so ``decode_mwpm`` equals ``decode_bruteforce``.
+minimize this key, so ``decode_mwpm`` equals the brute force in
+``tests/oracles.py``.
 
 The DP matches the lowest node a of a subset to the boundary or to a
 higher node, so one NumPy level per check, from the highest index down,
@@ -27,7 +28,6 @@ while ``n + n.bit_length() < 63`` and Python ints beyond.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import numpy as np
@@ -170,38 +170,3 @@ def decode_mwpm(graph: MatchingGraph, syndrome) -> PauliSupport:
     _, corr = graph.match(mask)
     return PauliSupport("Z", graph.n, corr)
 
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-@functools.lru_cache(maxsize=8)
-def _brute_table(code: CompassCode) -> tuple[np.ndarray, np.ndarray]:
-    """Per-syndrome (min weight, tie-broken correction) by full enumeration."""
-    n = code.n
-    r = len(code.x_stabilizers)
-    v = np.arange(1 << n, dtype=np.uint64)
-    w = np.bitwise_count(v).astype(np.int64)
-    synd = np.zeros(1 << n, dtype=np.int64)
-    for k, stab in enumerate(code.x_stabilizers):
-        synd |= (np.bitwise_count(v & np.uint64(stab.mask)) & 1).astype(np.int64) << k
-    rev = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        rev |= ((v >> np.uint64(i)) & np.uint64(1)).astype(np.int64) << (n - 1 - i)
-    # minimize (weight, tuple-lex) == (weight, bit-reversed complement)
-    key = (w << n) | ((1 << n) - 1 - rev)
-    best = np.full(1 << r, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best, synd, key)
-    sel = key == best[synd]
-    corr = np.zeros(1 << r, dtype=np.int64)
-    corr[synd[sel]] = v[sel].astype(np.int64)
-    weight = np.zeros(1 << r, dtype=np.int64)
-    weight[synd[sel]] = w[sel]
-    return weight, corr
-
-
-def decode_bruteforce(code: CompassCode, syndrome) -> PauliSupport:
-    """Exhaustive minimum-weight decoder (n <= 20); same tie-break as ``decode_mwpm``."""
-    if code.n > 20:
-        raise exact.TooLargeError(f"brute-force decoding limited to n <= 20, got n={code.n}")
-    mask = syndrome_to_mask(syndrome, len(code.x_stabilizers))
-    return PauliSupport("Z", code.n, int(_brute_table(code)[1][mask]))

@@ -90,8 +90,8 @@ _RECOVERIES = (MIN_WEIGHT, ML)
 
 class TooLargeError(RuntimeError):
     """Every size refused before work starts: n (``check_qubits``), bytes
-    (``check_budget``), a product distribution over ``families.MAX_CLASSES``,
-    a brute-force decode over n = 20 or a grid over ``cli.MAX_THETAS``."""
+    (``check_budget``), a product distribution over ``families.MAX_CLASSES``
+    or a grid over ``cli.MAX_THETAS``."""
 
 
 def check_qubits(n: int, detail: str = "") -> None:

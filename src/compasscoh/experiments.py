@@ -83,14 +83,22 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def series(self) -> dict[int, list[SweepRow]]:
+        """Rows per distance, by theta.  A theta may not repeat within one
+        distance; rows that repeat it and differ in family, h, q_shor or
+        seed are two curves, and the error names the first such field."""
         out: dict[int, list[SweepRow]] = {}
         for row in self.rows:
             out.setdefault(row.distance, []).append(row)
-        for rows in out.values():
+        for d, rows in out.items():
             rows.sort(key=lambda r: r.theta_over_pi)
-            thetas = [r.theta_over_pi for r in rows]
-            if any(b <= a for a, b in zip(thetas, thetas[1:])):
-                raise ValueError("theta grid must be strictly increasing per series")
+            for a, b in zip(rows, rows[1:]):
+                if b.theta_over_pi <= a.theta_over_pi:
+                    for name in ("family", "h", "q_shor", "seed"):
+                        if getattr(a, name) != getattr(b, name):
+                            raise ValueError(f"distance {d} has two curves at theta/pi "
+                                             f"{a.theta_over_pi!r}: {name} "
+                                             f"{getattr(a, name)!r} and {getattr(b, name)!r}")
+                    raise ValueError("theta grid must be strictly increasing per series")
         return out
 
 
@@ -471,13 +479,16 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     ``jobs`` > 1 runs the codes of every cell in one pool of that many
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
-    Before any pool opens or seed is drawn, it raises TooLargeError when
-    one cell's ``n_codes`` or one code's ``n_samples`` draws would hold more
-    than ``exact.MAX_HELD_BYTES``, and every density's source checks every
-    distance, the density and the seed (``EnsembleSource.check``).
+    Before any pool opens or seed is drawn, it raises ValueError on an
+    empty ``q_shors`` and TooLargeError when one cell's ``n_codes`` or one
+    code's ``n_samples`` draws would hold more than ``exact.MAX_HELD_BYTES``,
+    and every density's source checks every distance, the density and the
+    seed (``EnsembleSource.check``).
     """
+    q_shors, distances = list(q_shors), list(distances)  # read once: either may be an iterator
+    if not q_shors:
+        raise ValueError("interpolation needs at least one q_shor")
     _check_ensemble_size(n_codes, n_samples)
-    distances = list(distances)  # read once per q: it may be an iterator
     sources = [EnsembleSource(q, n_codes, seed, recovery, n_samples) for q in q_shors]
     for source in sources:
         source.check(distances)
@@ -534,12 +545,17 @@ def read_csv(path) -> SweepTable:
             for rec in reader))
 
 
+def _json_value(value):
+    """JSON has no NaN or infinity: a non-finite float is written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def table_to_json(table: SweepTable, config: dict | None = None) -> str:
-    payload = {"rows": [{col: getattr(row, col) for col in CSV_COLUMNS}
+    payload = {"rows": [{col: _json_value(getattr(row, col)) for col in CSV_COLUMNS}
                         for row in table.rows]}
     if config is not None:
         payload["config"] = config
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def read_csv_config(path) -> dict:

@@ -24,7 +24,10 @@ the product-form angle convolution, kept as the bit-exact reference for
 the vectorized one.  ``shortest_paths_reference`` and ``match_reference``
 are the scalar Bellman-Ford and the memoized subset DP of the matching
 decoder, with tuple comparisons instead of integer keys, kept as the
-bit-exact reference for the vectorized decode table.
+bit-exact reference for the vectorized decode table.  ``decode_bruteforce``
+enumerates all 2**n Z supports (n <= 20) and keeps each syndrome's
+minimum-weight one under the decoder's tie-break, from its per-syndrome
+``brute_table``: the reference that matching decodes equal brute force.
 ``graph_edges``, ``stabilizer_free``, ``graph_dist`` and ``graph_path``
 read a matching graph's edges and all-pairs witness paths for the tests.
 ``sample_distribution_reference`` is the Monte Carlo estimator drawn by
@@ -44,8 +47,8 @@ import math
 import numpy as np
 
 from compasscoh import _kernels, build_matching_graph, decode_mwpm
-from compasscoh.codes import CheckResult, ValidationReport
-from compasscoh.decoder import bit_reverse
+from compasscoh.codes import CheckResult, PauliSupport, ValidationReport
+from compasscoh.decoder import bit_reverse, syndrome_to_mask
 from compasscoh.exact import ExactBackend
 from compasscoh.experiments import SampleEstimate
 from compasscoh.families import AngleDistribution
@@ -471,6 +474,38 @@ def match_reference(code, flagged_mask):
             raise AssertionError("syndrome not matchable")
         memo[s] = best
     return memo[flagged_mask]
+
+
+@functools.lru_cache(maxsize=8)
+def brute_table(code):
+    """Per-syndrome (min weight, tie-broken correction) by full enumeration."""
+    n = code.n
+    r = len(code.x_stabilizers)
+    v = np.arange(1 << n, dtype=np.uint64)
+    w = np.bitwise_count(v).astype(np.int64)
+    synd = np.zeros(1 << n, dtype=np.int64)
+    for k, stab in enumerate(code.x_stabilizers):
+        synd |= (np.bitwise_count(v & np.uint64(stab.mask)) & 1).astype(np.int64) << k
+    rev = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        rev |= ((v >> np.uint64(i)) & np.uint64(1)).astype(np.int64) << (n - 1 - i)
+    # minimize (weight, tuple-lex) == (weight, bit-reversed complement)
+    key = (w << n) | ((1 << n) - 1 - rev)
+    best = np.full(1 << r, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, synd, key)
+    sel = key == best[synd]
+    corr = np.zeros(1 << r, dtype=np.int64)
+    corr[synd[sel]] = v[sel].astype(np.int64)
+    weight = np.zeros(1 << r, dtype=np.int64)
+    weight[synd[sel]] = w[sel]
+    return weight, corr
+
+
+def decode_bruteforce(code, syndrome):
+    """Exhaustive minimum-weight decoder (n <= 20); same tie-break as ``decode_mwpm``."""
+    assert code.n <= 20, f"brute-force decoding enumerates 2**n supports, n={code.n}"
+    mask = syndrome_to_mask(syndrome, len(code.x_stabilizers))
+    return PauliSupport("Z", code.n, int(brute_table(code)[1][mask]))
 
 
 def _sorted_basis(masks):

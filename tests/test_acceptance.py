@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from compasscoh import (Coloring, build_code, build_matching_graph,
-                        decode_bruteforce, decode_mwpm, ensemble_estimate,
+                        decode_mwpm, ensemble_estimate,
                         family_rotated_surface, family_x_shor, family_z_shor,
                         family_z_stacked, find_crossings, logical_channel,
                         r1, random_coloring, repetition_exact,
@@ -22,7 +22,7 @@ from compasscoh import (Coloring, build_code, build_matching_graph,
                         z_stacked_channel, kappa)
 from compasscoh.experiments import AnalyticFamilySource
 
-from oracles import statevector_distribution
+from oracles import decode_bruteforce, statevector_distribution
 
 TOL_ORACLE = 1e-10
 THETA_GRID = [round(0.05 * k, 10) for k in range(1, 10)]  # 0.05 .. 0.45 (units of pi)

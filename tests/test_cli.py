@@ -21,6 +21,7 @@ from compasscoh.cli import UsageError, _parse_thetas, main
 from compasscoh.exact import TooLargeError
 from compasscoh.families import (repetition_exact, z_shor_channel,
                                  z_stacked_channel)
+from oracles import decode_bruteforce
 
 
 def run(capsys, *argv):
@@ -134,11 +135,30 @@ class TestDecode:
         assert rc == 0
         assert stdout.strip() == "10000"
 
-    def test_oracle_agrees(self, code_file, capsys):
-        _, a, _ = run(capsys, "decode", "--code", code_file, "--syndrome", "0110")
-        _, b, _ = run(capsys, "decode", "--code", code_file, "--syndrome", "0110",
-                      "--oracle")
-        assert a == b == "00100\n"
+    # every syndrome, as a bit string with check 0 first
+    @pytest.mark.parametrize("coloring", [family_rotated_surface(3), family_z_shor(1, 5)])
+    def test_decode_equals_the_brute_force(self, tmp_path, capsys, coloring):
+        path = tmp_path / "code.json"
+        save_coloring(coloring, path)
+        code = build_code(coloring)
+        r = len(code.x_stabilizers)
+        for s in range(1 << r):
+            bits = format(s | 1 << r, "b")[:0:-1]
+            rc, stdout, err = run(capsys, "decode", "--code", str(path), "--syndrome", bits)
+            assert (rc, stdout) == (0, decode_bruteforce(code, s).to_bits() + "\n"), (s, err)
+
+    # the brute force is a test oracle, no decoder of the command
+    def test_oracle_flag_is_a_usage_error(self, code_file, tmp_path, capsys):
+        argv = ("decode", "--code", code_file, "--syndrome", "0110")
+        rc, stdout, err = run(capsys, *argv, "--oracle")
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {"code": "usage", "message": "unrecognized arguments: --oracle"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": True}))
+        rc, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {
+            "code": "usage", "message": "config key 'oracle' is not a flag of this command"}
 
     def test_bad_syndrome_exit_1(self, code_file, capsys):
         rc, _, err = run(capsys, "decode", "--code", code_file, "--syndrome", "10")
@@ -160,17 +180,6 @@ class TestDecode:
         assert error["code"] == "computational"
         assert error["message"].startswith(
             "decoding 24 flagged checks of n=25 qubits holds 201326592 bytes of 8-byte keys")
-
-    def test_oracle_too_large_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "zshor5.json"
-        run(capsys, "code", "gen", "--family", "zshor", "--dx", "5", "--dz", "5",
-            "--out", str(out))
-        rc, stdout, err = run(capsys, "decode", "--code", str(out),
-                              "--syndrome", "0000", "--oracle")
-        assert rc == 2 and stdout == ""
-        error = json.loads(err)
-        assert error["code"] == "computational"
-        assert "n=25" in error["message"]
 
 
 class TestChannel:
@@ -581,11 +590,10 @@ class TestFailFast:
         assert rc == 1 and json.loads(err)["code"] == "invalid-input"
 
 
-    # code validate and decode: the code, and decode's matching keys unless
-    # --oracle, are checked against the budget before build_code
+    # code validate and decode: the code, and decode's matching keys, are
+    # checked against the budget before build_code
     @pytest.mark.parametrize("argv,keys", [
         (("code", "validate", "{code}"), False),
-        (("decode", "--code", "{code}", "--syndrome", "0000", "--oracle"), False),
         (("decode", "--code", "{code}", "--syndrome", "0000"), True)])
     def test_code_over_budget_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                        argv, keys):
@@ -699,6 +707,25 @@ class TestSweepThreshold:
         assert payload["lower_over_pi"] == pytest.approx(0.025625, abs=1e-12)
         assert payload["upper_over_pi"] == pytest.approx(0.02625, abs=1e-12)
 
+    # two densities share each distance of an ensemble table, and threshold
+    # says so; the RSC sweep's q_shor differs only across distances
+    def test_threshold_on_several_curves_per_distance(self, tmp_path, capsys):
+        out = tmp_path / "ens.csv"
+        rc, _, err = run(capsys, "interpolate", "--q-shors", "0,1", "--d", "3,5",
+                         "--codes", "2", "--samples", "4", "--thetas", "0.1:0.2:0.1",
+                         "--out", str(out))
+        assert rc == 0, err
+        rc, stdout, err = run(capsys, "threshold", "--in", str(out))
+        assert (rc, stdout) == (1, "")
+        assert json.loads(err) == {
+            "code": "invalid-value",
+            "message": "distance 3 has two curves at theta/pi 0.1: q_shor 0.0 and 1.0"}
+        rc, _, err = run(capsys, "sweep", "--family", "rsc", "--distances", "1,3",
+                         "--thetas", "0.1:0.2:0.1", "--out", str(out))
+        assert rc == 0, err
+        rc, stdout, err = run(capsys, "threshold", "--in", str(out))
+        assert rc == 0 and json.loads(stdout)["upper_over_pi"] == 0.1, err
+
     def test_sweep_json_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         rc, _, _ = run(capsys, "sweep", "--family", "xshor",
@@ -707,6 +734,25 @@ class TestSweepThreshold:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 6
+
+    # a sampled row has no delta or kappa: JSON writes null, as RFC 8259
+    # has no NaN, and the CSV keeps its nan cells
+    def test_interpolate_json_is_strict_json(self, tmp_path, capsys):
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        argv = ("interpolate", "--q-shors", "0.5", "--d", "3", "--codes", "2",
+                "--samples", "4", "--thetas", "0.1:0.2:0.1")
+        out = tmp_path / "ens.json"
+        rc, _, err = run(capsys, *argv, "--out", str(out), "--format", "json")
+        assert rc == 0, err
+        rows = json.loads(out.read_text(), parse_constant=no_constant)["rows"]
+        assert [(row["delta"], row["kappa"]) for row in rows] == [(None, None)] * 2
+        assert all(math.isfinite(row["r1"]) for row in rows)
+        csv_out = tmp_path / "ens.csv"
+        assert run(capsys, *argv, "--out", str(csv_out))[0] == 0
+        csv_rows = read_csv(csv_out).rows
+        assert len(csv_rows) == 2
+        assert all(math.isnan(row.delta) and math.isnan(row.kappa) for row in csv_rows)
 
     @pytest.mark.parametrize("flags", [("--family", "xshor"),
                                        ("--family", "zstacked", "--h", "2")])
@@ -977,35 +1023,6 @@ class TestConfigFile:
         assert plain[0][0] == 0
         assert (run(capsys, *argv, "--config", str(cfg)), out.read_bytes()) == plain
 
-    # a flag that takes no value takes true (the bare flag) or false (none);
-    # the decoder the config does not pick fails if it is called
-    @pytest.mark.parametrize("value,unused", [(True, "decode_mwpm"),
-                                              (False, "decode_bruteforce"),
-                                              (None, "decode_bruteforce")])
-    def test_bare_flag_takes_true_or_false(self, tmp_path, capsys, monkeypatch, value, unused):
-        code = tmp_path / "code.json"
-        save_coloring(family_z_shor(1, 5), code)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle": value}))
-        monkeypatch.setattr(cli, unused, TestFailFast._fail(unused))
-        rc, stdout, err = run(capsys, "decode", "--code", str(code), "--syndrome", "0110",
-                              "--config", str(cfg))
-        assert (rc, stdout) == (0, "00100\n"), err
-
-    @pytest.mark.parametrize("value", ["no", "false", 1, 0])
-    def test_bare_flag_refuses_other_values(self, tmp_path, capsys, monkeypatch, value):
-        code = tmp_path / "code.json"
-        save_coloring(family_z_shor(1, 5), code)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle": value}))
-        for name in ("decode_mwpm", "decode_bruteforce"):
-            monkeypatch.setattr(cli, name, TestFailFast._fail(name))
-        rc, stdout, err = run(capsys, "decode", "--code", str(code), "--syndrome", "0110",
-                              "--config", str(cfg))
-        assert (rc, stdout) == (1, "")
-        assert json.loads(err) == {"code": "usage",
-                                   "message": "config key 'oracle' takes true or false"}
-
     # the embedded config holds the parsed value, as the flag's does
     @pytest.mark.parametrize("value", [1, "1e0"])
     def test_config_number_gives_the_flag_bytes(self, tmp_path, capsys, value):
@@ -1108,7 +1125,7 @@ class TestParserReuse:
 
     # counted in a fresh process, by every ArgumentParser constructed: none
     # at import, the whole tree on the first call, none after it (the
-    # analytic call is a usage error: --oracle is no flag of it), a
+    # analytic call is a usage error: --oracle is a flag of no command), a
     # --config call included
     def test_parser_tree_built_once_per_process(self, rsc3):
         cfg = Path(rsc3).with_name("cfg.json")
@@ -1291,12 +1308,14 @@ class TestListAndCountFlags:
         assert json.loads(got[2]) == {"code": code, "message": message}
 
     # every density and the seed are checked before the pool opens or the
-    # first cell runs, with the messages random_coloring gives
+    # first cell runs, with the messages random_coloring gives; an empty
+    # density list is refused too, and writes no header-only table
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("argv,code,message", [
         (("--q-shors", "0.5,1.5"), "invalid-input", "q_shor must be in [0, 1], got 1.5"),
         (("--q-shors", "0.5", "--seed", "-1"), "invalid-value",
          "seed must be a non-negative integer, got -1"),
+        (("--q-shors", ","), "invalid-value", "interpolation needs at least one q_shor"),
     ])
     def test_density_and_seed_checked_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                       argv, code, message, jobs):

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compasscoh import (Coloring, build_code, build_matching_graph,
-                        decode_bruteforce, decode_mwpm, family_rotated_surface,
-                        family_x_shor, family_z_shor, family_z_stacked,
-                        random_coloring, syndrome_of)
+from compasscoh import (Coloring, build_code, build_matching_graph, decode_mwpm,
+                        family_rotated_surface, family_x_shor, family_z_shor,
+                        family_z_stacked, random_coloring, syndrome_of)
 from compasscoh import decoder, exact
 from compasscoh._kernels import count_table
 from compasscoh.codes import XCUT, ZCUT
-from compasscoh.decoder import _brute_table, syndrome_to_mask
-from oracles import (graph_dist, graph_edges, graph_path, match_reference,
-                     shortest_paths_reference, stabilizer_free)
+from compasscoh.decoder import syndrome_to_mask
+from oracles import (brute_table, decode_bruteforce, graph_dist, graph_edges, graph_path,
+                     match_reference, shortest_paths_reference, stabilizer_free)
 
 
 def rep_code(l):
@@ -97,12 +96,6 @@ class TestDecodeExamples:
         with pytest.raises(ValueError):
             decode_mwpm(graph, "01x0")
 
-    def test_bruteforce_size_limit(self):
-        code = build_code(family_z_shor(5, 5))
-        with pytest.raises(exact.TooLargeError, match="^brute-force decoding limited to "
-                                                      "n <= 20, got n=25$"):
-            decode_bruteforce(code, 0)
-
 
 def _all_syndrome_comparison(code):
     graph = build_matching_graph(code)
@@ -153,7 +146,7 @@ def test_count_rows_lowest_weight_is_the_minimum_correction_weight(coloring):
     rows, classes = count_table(n, masks)
     lowest = (rows != 0).argmax(axis=1)[classes]
     if n <= 15:
-        want = _brute_table(code)[0]
+        want = brute_table(code)[0]
     else:
         want = build_matching_graph(code).table() >> n
     assert len(lowest) == 1 << len(masks) and np.array_equal(lowest, want)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,20 @@ class TestFindCrossings:
         est = find_crossings(diamond_table(thetas, low, high), "diamond")
         assert est.crossings == tuple(PairCrossing(3, 5, lo, hi) for lo, hi in crossings)
         assert (est.lower_over_pi, est.upper_over_pi) == bounds
+
+    # two curves at one distance: the error names the field their rows
+    # differ in; a theta one curve repeats keeps the grid message
+    @pytest.mark.parametrize("field,value,shown", [
+        ("family", "zshor", "'random' and 'zshor'"), ("h", 2, "None and 2"),
+        ("q_shor", 1.0, "0.5 and 1.0"), ("seed", 1, "0 and 1")])
+    def test_several_curves_per_distance_name_the_field(self, field, value, shown):
+        table = diamond_table((0.1, 0.2), (0.5, 0.6), (0.4, 0.7))
+        other = tuple(dataclasses.replace(row, **{field: value}) for row in table.rows)
+        with pytest.raises(ValueError, match=re.escape(
+                f"distance 3 has two curves at theta/pi 0.1: {field} {shown}")):
+            find_crossings(SweepTable(table.rows + other), "diamond")
+        with pytest.raises(ValueError, match="^theta grid must be strictly increasing"):
+            find_crossings(SweepTable(table.rows + table.rows), "diamond")
 
     def test_interior_zero_is_bisected_with_a_source(self):
         # repetition r1 at d=3, 5 ties at pi/2 exactly, a grid point here: the

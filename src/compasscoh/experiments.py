@@ -480,14 +480,16 @@ def interpolation_curve(distances, q_shors, thetas_over_pi, n_codes: int,
     worker processes, kept for the whole run, so each worker's backend
     cache carries over from cell to cell; otherwise they run in-process.
     Before any pool opens or seed is drawn, it raises ValueError on an
-    empty ``q_shors`` and TooLargeError when one cell's ``n_codes`` or one
-    code's ``n_samples`` draws would hold more than ``exact.MAX_HELD_BYTES``,
-    and every density's source checks every distance, the density and the
-    seed (``EnsembleSource.check``).
+    empty ``q_shors`` or ``distances`` and TooLargeError when one cell's
+    ``n_codes`` or one code's ``n_samples`` draws would hold more than
+    ``exact.MAX_HELD_BYTES``, and every density's source checks every
+    distance, the density and the seed (``EnsembleSource.check``).
     """
     q_shors, distances = list(q_shors), list(distances)  # read once: either may be an iterator
     if not q_shors:
         raise ValueError("interpolation needs at least one q_shor")
+    if not distances:
+        raise ValueError("interpolation needs at least one distance")
     _check_ensemble_size(n_codes, n_samples)
     sources = [EnsembleSource(q, n_codes, seed, recovery, n_samples) for q in q_shors]
     for source in sources:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (MIN_WEIGHT, ML, AngleDistribution, TooLargeError, _check_recovery,
+from .exact import (_LEAF, MIN_WEIGHT, ML, AngleDistribution, TooLargeError, _check_recovery,
                     check_budget, reduce_angle)
 from .ptm import IDENTITY, LogicalPTM, compose, power
 
@@ -205,6 +205,78 @@ def _round12(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_keys(angles: np.ndarray, part: AngleDistribution) -> np.ndarray:
+    """The rounded angle sum of each (accumulated class, part class) pair."""
+    return _round12((angles[:, None] + part.column_theta_s).ravel())
+
+
+def _regroup(angles: np.ndarray, part: AngleDistribution):
+    """Group one fold step's pairs by one sort of their rounded keys.
+
+    A run of equal sorted keys (-0.0 == 0.0) is a class, numbered by how
+    many runs start at or before its least pair; its key is that pair's.
+    Returns the step's plan entry (each pair's class, in the smallest
+    unsigned dtype that fits the class count, or None when no pairs
+    merge), the class keys in class order, and the classes in ascending
+    key order.  Three pair-length arrays are held at once at most; the
+    keys are made here so that they are freed here.
+    """
+    keys = _pair_keys(angles, part)
+    perm = np.argsort(keys)
+    sorted_keys = keys[perm]
+    runs = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    del sorted_keys  # each pair-length array is freed before the next is made
+    first = np.minimum.reduceat(perm, np.flatnonzero(runs))
+    if len(first) > MAX_CLASSES:
+        raise TooLargeError("product distribution too large for exact convolution")
+    sorted_angles = keys[first]
+    del keys
+    marks = np.zeros(len(perm), dtype=bool)
+    marks[first] = True
+    ascending = np.cumsum(marks, dtype=np.int32)[first] - 1  # <= MAX_CLASSES runs
+    del marks, first
+    class_keys = np.empty(len(ascending))
+    class_keys[ascending] = sorted_angles
+    if len(ascending) == len(perm):
+        return None, class_keys, ascending
+    sorted_class = ascending[np.cumsum(runs, dtype=np.int32) - 1]
+    pair_class = np.empty(len(perm), dtype=np.min_scalar_type(len(ascending) - 1))
+    pair_class[perm] = sorted_class
+    return pair_class, class_keys, ascending
+
+
+def _follow_plan(entry, angles: np.ndarray, part: AngleDistribution, last: bool):
+    """The class keys and, on the last step, their ascending order if the
+    step's rounded keys group into the classes of plan entry ``entry``;
+    None if they do not.  The entry is that of a call whose earlier steps
+    had these class counts, so it holds a class for each pair here."""
+    keys = _pair_keys(angles, part)
+    if entry is None:
+        class_keys = keys
+    else:
+        # a class's first pair is where the running maximum of the classes rises
+        reached = np.maximum.accumulate(entry)
+        first = np.empty(len(entry), dtype=bool)
+        first[0] = True
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        del reached
+        class_keys = keys[first]
+        del first
+        for start in range(0, len(keys), _LEAF):  # (a) each pair has its class's key
+            if not np.array_equal(keys[start:start + _LEAF],
+                                  class_keys[entry[start:start + _LEAF]]):
+                return None
+        del keys
+    order = np.argsort(class_keys) if last else None
+    ordered = class_keys[order] if last else np.sort(class_keys)
+    if np.any(ordered[1:] == ordered[:-1]):  # (b) the class keys are distinct
+        return None
+    return class_keys, order
+
+
+_plan: dict[tuple[int, ...], list] = {}  # one entry: the last call's shape and steps
+
+
 def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     """Convolve independent one-entry-per-class distributions (angles add, probs multiply).
 
@@ -217,13 +289,32 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
     merge into one class when their angle sums agree after
     ``round(angle, 12)``; the class keeps the first such rounded key,
     classes stay in first-insertion order, and each class sums its
-    probabilities in pair order.  The result is bit-identical to folding
-    the pairs one at a time into a dict keyed by the rounded angle.  A step
-    sorts its pair keys once: a run of equal keys (-0.0 == 0.0) is a class,
-    numbered by how many runs start at or before its least pair, and the
-    last step's runs give the result's ascending order.  A step holds
-    ``MAX_CLASSES * k`` pairs at most for a part with k classes, and three
-    arrays of that length at once.
+    probabilities in pair order (``np.bincount``).  The result is
+    bit-identical to folding the pairs one at a time into a dict keyed by
+    the rounded angle.
+
+    A sweep calls this once per angle with parts of one shape (their class
+    counts), and the rounded keys nearly always merge into the same
+    classes from one angle to the next.  So the last call's grouping is
+    kept as a plan: for each step, the class of each pair, in the smallest
+    unsigned dtype that fits the class count, or None for a step where no
+    pairs merge.  A step of a call with the plan's shape checks its keys
+    against the plan without sorting its pairs: (a) every pair's key
+    equals its class's key, the key of the class's first pair (``_LEAF``
+    pairs at a time), and (b) the class keys are pairwise distinct (one
+    sort of the class keys; on the last step, the argsort that orders the
+    result).  Then key equality partitions the pairs into exactly the
+    plan's classes, so the classes, their first pairs, their keys (-0.0 or
+    0.0 included) and their numbering are those a sort would give, and
+    the sums are the same bits.  A step that fails either check, and every
+    later step of its call, is grouped by one sort of its pair keys
+    (``_regroup``), which replaces the plan from there on; so is each step
+    of the first call of a new shape.
+
+    A step holds ``MAX_CLASSES * k`` pairs at most for a part with k
+    classes, and three arrays of that length at once.  The plan holds at
+    most 4 bytes per pair of each step where pairs merge: 0.2 to 0.3 MB on
+    the criterion-7 Z-stacked shapes (2 bytes a pair there).
     """
     bound = 1
     for part, run in itertools.groupby(parts):  # runs of one object: eq is identity
@@ -231,38 +322,37 @@ def product_distribution(parts: list[AngleDistribution]) -> AngleDistribution:
         bound *= math.comb(len(list(run)) + k - 1, k - 1)
         if bound > MAX_CLASSES:
             raise TooLargeError("product distribution too large for exact convolution")
-    angles = sorted_angles = np.zeros(1)  # in class order, and ascending
+    shape = tuple(len(part) for part in parts)
+    steps = _plan.pop(shape, [])  # left empty if this call raises
+    _plan.clear()
+    angles = np.zeros(1)  # the class keys, in class order
     probs = np.ones(1)
-    ascending = np.zeros(1, dtype=np.intp)  # the class of each sorted angle
-    for part in parts:
-        keys = _round12((angles[:, None] + part.column_theta_s).ravel())
-        perm = np.argsort(keys)
-        sorted_keys = keys[perm]
-        runs = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        del sorted_keys  # each pair-length array is freed before the next is made
-        first = np.minimum.reduceat(perm, np.flatnonzero(runs))
-        if len(first) > MAX_CLASSES:
-            raise TooLargeError("product distribution too large for exact convolution")
-        sorted_angles = keys[first]
-        del keys
-        marks = np.zeros(len(perm), dtype=bool)
-        marks[first] = True
-        ascending = np.cumsum(marks, dtype=np.int32)[first] - 1  # <= MAX_CLASSES runs
-        del marks, first
-        sorted_class = ascending[np.cumsum(runs, dtype=np.int32) - 1]
-        pair_class = np.empty_like(perm)
-        pair_class[perm] = sorted_class
-        del perm, runs, sorted_class
-        # bincount adds the weights in pair order, like the dict fold
-        probs = np.bincount(pair_class, weights=(probs[:, None] * part.column_p).ravel(),
-                            minlength=len(ascending))
-        del pair_class
-        angles = np.empty(len(ascending))
-        angles[ascending] = sorted_angles
+    order = np.zeros(1, dtype=np.intp)  # the classes in ascending key order
+    for i, part in enumerate(parts):
+        last = i == len(parts) - 1
+        planned = _follow_plan(steps[i], angles, part, last) if i < len(steps) else None
+        if planned is None:
+            del steps[i:]
+            entry, angles, order = _regroup(angles, part)
+            steps.append(entry)
+        else:
+            entry = steps[i]
+            angles, order = planned
+            del planned  # it would keep the class keys alive past the wrap
+        weights = (probs[:, None] * part.column_p).ravel()
+        if entry is None:  # one pair a class: bincount's 0.0 + w
+            probs = np.add(weights, 0.0, out=weights)
+        else:  # bincount adds the weights in pair order, like the dict fold
+            probs = np.bincount(entry, weights=weights, minlength=len(angles))
+        del weights
+    _plan[shape] = steps
+    sorted_angles = angles[order]
     del angles
+    sorted_probs = probs[order]
+    del probs, order
     wrapped = np.sin(sorted_angles)
     np.arctan2(wrapped, np.cos(sorted_angles), out=wrapped)
-    return AngleDistribution(column_p=probs[ascending], column_theta_s=wrapped)
+    return AngleDistribution(column_p=sorted_probs, column_theta_s=wrapped)
 
 
 def x_shor_distribution(d_x: int, d_z: int, theta: float) -> AngleDistribution:

@@ -118,5 +118,9 @@ def kappa(a: LogicalPTM) -> float:
 def diamond_avg(dist) -> float:
     """Average diamond-distance proxy sum(p_s * 2|sin(theta_s)|) of an
     ``exact.AngleDistribution``: each summand is taken per class and summed
-    over its gather, the bits of taking it per entry."""
-    return float(dist.gathered_sum(dist.column_p * 2.0 * np.abs(np.sin(dist.column_theta_s))))
+    over its gather, the bits of taking it per entry.  It holds two
+    class-length arrays at once beside the distribution's."""
+    terms = np.sin(dist.column_theta_s)
+    np.abs(terms, out=terms)
+    np.multiply(dist.column_p * 2.0, terms, out=terms)
+    return float(dist.gathered_sum(terms))

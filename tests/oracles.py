@@ -285,10 +285,11 @@ def product_distribution_reference(parts, max_classes=200_000):
     acc: dict[float, float] = {0.0: 1.0}
     for part in parts:
         nxt: dict[float, float] = {}
+        entries = list(zip(part.theta_s.tolist(), part.p.tolist()))  # Python floats
         for ang, pr in acc.items():
-            for a2, p2 in zip(part.theta_s, part.p):
-                key = round(ang + float(a2), 12)
-                nxt[key] = nxt.get(key, 0.0) + pr * float(p2)
+            for a2, p2 in entries:
+                key = round(ang + a2, 12)
+                nxt[key] = nxt.get(key, 0.0) + pr * p2
             if len(nxt) > max_classes:
                 raise ValueError("product distribution too large for exact convolution")
         acc = nxt

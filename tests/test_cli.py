@@ -1330,6 +1330,23 @@ class TestListAndCountFlags:
         assert json.loads(got[2]) == {"code": code, "message": message}
 
 
+    # an empty distance list is refused by interpolate itself, before the
+    # pool opens, not by the first density's sweep
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_distances_refused_before_any_pool(self, tmp_path, capsys, monkeypatch,
+                                                     jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a pool or a cell was started for an empty distance list")
+        monkeypatch.setattr(experiments, "ensemble_estimate", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        out = tmp_path / "x.csv"
+        got = run(capsys, "interpolate", "--q-shors", "0.5", "--d", ",", "--jobs", jobs,
+                  "--out", str(out))
+        assert (got[0], got[1], out.exists()) == (1, "", False)
+        assert json.loads(got[2]) == {"code": "invalid-value",
+                                      "message": "interpolation needs at least one distance"}
+
+
 # The family flags of each family command, and those each --family takes:
 # every other one is refused unless it is at its parser default.
 _COMMAND_FLAGS = {"code gen": ("dx", "dz", "h", "q_shor", "seed"),

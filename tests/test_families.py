@@ -10,6 +10,7 @@ from compasscoh import (Coloring, TooLargeError, build_code, closed_form_thresho
                         repetition_stirling, syndrome_distribution,
                         x_shor_channel, z_shor_channel, z_stacked_channel)
 from compasscoh import exact, families
+from compasscoh.cli import _parse_thetas
 from compasscoh.experiments import SampleEstimate, sample_distribution
 from compasscoh.families import (AngleDistribution, _round12, product_distribution,
                                  x_shor_distribution, z_shor_distribution,
@@ -586,3 +587,145 @@ def test_largest_criterion_7_fold_peak():
     finally:
         tracemalloc.stop()
     assert peak < 3.2e6
+
+
+def _z_stacked_parts(l, h, theta):
+    l_h, t_h = divmod(l, h)
+    return ([repetition_distribution(l, h * theta)] * l_h
+            + [repetition_distribution(l, theta)] * t_h)
+
+
+def _count_regroups(monkeypatch):
+    """A fresh plan, and a list that grows by one per regrouped fold step."""
+    monkeypatch.setattr(families, "_plan", {})
+    regroup, calls = families._regroup, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return regroup(*args)
+    monkeypatch.setattr(families, "_regroup", counted)
+    return calls
+
+
+class TestProductPlan:
+    """A call keeps its grouping as the plan for the next call of its shape;
+    the next call follows it where its keys fall into the same classes and
+    regroups where they do not, with the dict fold's bits either way."""
+
+    _assert_identical = staticmethod(TestProductMatchesReference._assert_identical)
+
+    # each sweep of acceptance criterion 7, in its order of calls; at
+    # h*theta = pi/2 the h = 2 classes collapse (115,830 to 81 at l = 17) and
+    # come back, and at l = 17, h = 3 a class of the last step splits
+    @pytest.mark.parametrize("h,l,grid,regrouped", [
+        (2, 9, "0.20:0.30:0.005", (0.25, 0.255)),
+        (2, 13, "0.20:0.30:0.005", (0.25, 0.255)),
+        (2, 17, "0.20:0.30:0.005", (0.25, 0.255)),
+        (3, 17, "0.13:0.21:0.004", (0.154, 0.158)),
+        (3, 21, "0.13:0.21:0.004", ()),
+    ])
+    def test_sweep_order(self, monkeypatch, h, l, grid, regrouped):
+        regroups = _count_regroups(monkeypatch)
+        tops = _parse_thetas(grid)
+        assert set(regrouped) <= set(tops)
+        for top in tops:
+            before = len(regroups)
+            got = z_stacked_distribution(l, h, top * math.pi)
+            self._assert_identical(_z_stacked_parts(l, h, top * math.pi), got)
+            if top == tops[0] or top in regrouped:
+                assert len(regroups) > before, top
+            else:
+                assert len(regroups) == before, top
+
+    def test_interleaved_shapes(self, monkeypatch):
+        regroups = _count_regroups(monkeypatch)
+        calls = [(x_shor_distribution, (5, 5), 0.22), (x_shor_distribution, (5, 5), 0.23),
+                 (z_stacked_distribution, (9, 2), 0.22),
+                 (x_shor_distribution, (5, 5), 0.24), (x_shor_distribution, (5, 5), 0.25)]
+        counts = []
+        for function, params, top in calls:
+            before = len(regroups)
+            got = function(*params, top * math.pi)
+            parts = ([repetition_distribution(5, top * math.pi)] * 5
+                     if function is x_shor_distribution
+                     else _z_stacked_parts(*params, top * math.pi))
+            self._assert_identical(parts, got)
+            counts.append(len(regroups) - before)
+        # every step of each new shape's first call regroups; the plan holds
+        # one shape only, so X-Shor regroups again after Z-stacked
+        assert counts == [5, 0, 5, 5, 0]
+
+    @staticmethod
+    def _parts(p_angles, q_angles):
+        return [AngleDistribution(column_p=np.array([0.25, 0.75]),
+                                  column_theta_s=np.array(p_angles)),
+                AngleDistribution(column_p=np.array([0.5, 0.3, 0.2]),
+                                  column_theta_s=np.array(q_angles))]
+
+    def test_planned_class_splits(self, monkeypatch):
+        regroups = _count_regroups(monkeypatch)
+        # pairs 0 and 4 round to 0.3 and merge; then they round to 0.3 and 0.4
+        first = self._parts([0.1, 0.2], [0.2, 0.1, 0.5])
+        second = self._parts([0.1, 0.3], [0.2, 0.1, 0.5])
+        self._assert_identical(first, product_distribution(first))
+        assert families._plan[(2, 3)][1].tolist() == [0, 1, 2, 3, 0, 4]
+        before = len(regroups)
+        got = product_distribution(second)
+        assert len(regroups) == before + 1 and len(got) == 6
+        self._assert_identical(second, got)
+
+    @pytest.mark.parametrize("p_angles,q_angles,zero", [
+        # pairs 2 and 4 are planned classes that round to 0.4 both
+        ([0.1, 0.2], [0.1, 0.2, 0.3], False),
+        # pairs 0 and 5 are planned classes that round to -0.0 and 0.0: they
+        # merge, and the class keeps its first pair's -0.0
+        ([0.0, 0.2], [-1e-15, 0.2, -0.2], True),
+    ])
+    def test_planned_classes_merge(self, monkeypatch, p_angles, q_angles, zero):
+        regroups = _count_regroups(monkeypatch)
+        # pairs 1 and 3 round to 0.3 and merge; the other four classes differ
+        first = self._parts([0.1, 0.3], [0.0, 0.2, -0.3])
+        self._assert_identical(first, product_distribution(first))
+        assert families._plan[(2, 3)][1].tolist() == [0, 1, 2, 1, 3, 4]
+        second = self._parts(p_angles, q_angles)
+        before = len(regroups)
+        got = product_distribution(second)
+        assert len(regroups) == before + 1 and len(got) == 4
+        self._assert_identical(second, got)
+        if zero:
+            at = np.flatnonzero(got.theta_s == 0.0)
+            assert len(at) == 1 and np.signbit(got.theta_s[at[0]])
+
+    def test_plan_holds_its_stated_bytes(self, monkeypatch):
+        # at most 4 bytes a pair of each merging step: 0.21, 0.22 and 0.27 MB
+        monkeypatch.setattr(families, "_plan", {})
+        for l, h in ((17, 2), (17, 3), (21, 3)):
+            z_stacked_distribution(l, h, 0.16 * math.pi)
+            (shape, steps), = families._plan.items()
+            assert len(steps) == len(shape)
+            assert all(step is None or step.itemsize <= 4 for step in steps)
+            assert sum(step.nbytes for step in steps if step is not None) < 3e5
+
+    def test_reuse_peaks_no_higher_than_regroup(self, monkeypatch):
+        def peak(top):
+            tracemalloc.start()
+            try:
+                z_stacked_distribution(17, 2, top * math.pi)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        regroups = _count_regroups(monkeypatch)
+        x_shor_distribution(5, 5, 0.22 * math.pi)
+        regrouped = peak(0.22)
+        before = len(regroups)
+        reused = peak(0.225)
+        assert len(regroups) == before
+        assert reused <= regrouped
+
+
+@pytest.mark.parametrize("plan", ["fresh", "same shape"])
+def test_largest_criterion_7_fold_peak_with_either_plan(monkeypatch, plan):
+    monkeypatch.setattr(families, "_plan", {})
+    if plan == "same shape":
+        z_stacked_distribution(21, 3, 0.16 * math.pi)
+    test_largest_criterion_7_fold_peak()
